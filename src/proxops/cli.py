@@ -1,7 +1,9 @@
 """Command-line entry point: scenario runs, training, baseline statistics.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-Every command honors --seed; identical invocations produce identical files.
+Identical invocations produce identical files.  ``train`` and
+``baseline-stats`` draw from --seed; ``run`` records --seed in config.json,
+but the built-in scenarios are fixed and do not read it.
 """
 
 from __future__ import annotations

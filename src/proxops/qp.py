@@ -15,7 +15,7 @@ prevents cycling on degenerate instances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,30 +27,45 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 
 
-@dataclass
 class QpProblem:
-    """Separable strictly convex QP with linear inequality rows.
+    """Separable strictly convex QP with finite data and linear inequality rows.
 
-    ``rows`` is a list of (coeffs, rhs) pairs, each meaning coeffs . x <= rhs.
+    ``rows`` is a list of (coeffs, rhs) pairs, each meaning coeffs . x <= rhs,
+    kept as a matrix ``coeffs`` and a vector ``rhs`` (see :meth:`from_arrays`).
     """
 
-    cost_weights: np.ndarray
-    cost_center: np.ndarray
-    rows: list = field(default_factory=list)
+    def __init__(self, cost_weights, cost_center, rows=()):
+        rows = list(rows)
+        self._fill(cost_weights, cost_center, np.vstack(
+            [np.zeros((0, np.size(cost_weights)))] + [a for a, _ in rows]), [r for _, r in rows])
 
-    def __post_init__(self):
-        self.cost_weights = np.asarray(self.cost_weights, dtype=float)
-        self.cost_center = np.asarray(self.cost_center, dtype=float)
-        if self.cost_weights.ndim != 1:
-            raise ValueError("cost_weights must be a vector")
-        if self.cost_weights.shape != self.cost_center.shape:
-            raise ValueError("cost_weights and cost_center must have equal length")
-        if np.any(self.cost_weights <= 0.0):
+    @classmethod
+    def from_arrays(cls, cost_weights, cost_center, coeffs, rhs) -> "QpProblem":
+        """The problem with rows ``coeffs[i] . x <= rhs[i]``."""
+        problem = cls.__new__(cls)
+        problem._fill(cost_weights, cost_center, coeffs, rhs)
+        return problem
+
+    def _fill(self, cost_weights, cost_center, coeffs, rhs):
+        self.cost_weights = np.asarray(cost_weights, dtype=float)
+        self.cost_center = np.asarray(cost_center, dtype=float)
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        if self.cost_weights.ndim != 1 or self.cost_weights.shape != self.cost_center.shape:
+            raise ValueError("cost_weights and cost_center must be vectors of equal length")
+        if self.coeffs.shape != self.rhs.shape + self.cost_weights.shape:
+            raise ValueError("row coefficient length must match the variable count")
+        if not np.isfinite(np.concatenate([self.cost_weights, self.cost_center,
+                                           self.coeffs.ravel(), self.rhs])).all():
+            raise ValueError("QP data must be finite")
+        if (self.cost_weights <= 0.0).any():
             raise ValueError("cost_weights must be strictly positive")
-        self.rows = [(np.asarray(a, dtype=float), float(r)) for a, r in self.rows]
-        for coeffs, _ in self.rows:
-            if coeffs.shape != self.cost_weights.shape:
-                raise ValueError("row coefficient length must match the variable count")
+        norms = np.sqrt(np.einsum("ij,ij->i", self.coeffs, self.coeffs))
+        self.row_scale = np.where(norms > 0.0, norms, 1.0)  # 1 for zero rows
+
+    @property
+    def rows(self) -> list:
+        return list(zip(self.coeffs, self.rhs.tolist()))
 
     @property
     def dim(self) -> int:
@@ -71,24 +86,19 @@ class QpSolution:
 
 
 def kkt_residual(qp: QpProblem, x, multipliers) -> float:
-    """Max of stationarity, primal-violation, and complementarity residuals.
+    """Max of the stationarity residual and every row's natural residual.
 
-    Zero (up to roundoff) exactly at the optimum when the multipliers are the
-    optimal duals; usable as an independent certificate for any candidate.
+    On row i scaled to unit norm, with residual s_i and multiplier l_i, the
+    natural residual |min(l_i, -s_i)| is zero exactly when the row holds,
+    l_i >= 0 and one of them is zero; unlike |l_i s_i| it does not grow with
+    the multiplier, which a large slack penalty makes large.  Zero (up to
+    roundoff) exactly at the optimum, so it certifies any candidate.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(multipliers, dtype=float)
-    grad = 2.0 * qp.cost_weights * (x - qp.cost_center)
-    primal = 0.0
-    comp = 0.0
-    for (coeffs, rhs), l in zip(qp.rows, lam):
-        slack = float(coeffs @ x) - rhs
-        grad = grad + l * coeffs
-        primal = max(primal, slack)
-        comp = max(comp, abs(l * slack))
-    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-    dual = max(0.0, -float(np.min(lam))) if lam.size else 0.0
-    return max(stationarity, max(primal, 0.0), comp, dual)
+    natural = np.minimum(lam * qp.row_scale, (qp.rhs - qp.coeffs @ x) / qp.row_scale)
+    grad = 2.0 * qp.cost_weights * (x - qp.cost_center) + qp.coeffs.T @ lam
+    return float(max(np.abs(grad).max(initial=0.0), np.abs(natural).max(initial=0.0)))
 
 
 def solve(qp: QpProblem, tol: float = DEFAULT_TOL,
@@ -104,84 +114,61 @@ def solve(qp: QpProblem, tol: float = DEFAULT_TOL,
     internally, which makes ``tol`` scale-free; multipliers are reported for
     the rows as given.
     """
-    m = len(qp.rows)
-    weights = qp.cost_weights
-    center = qp.cost_center
-    inv_q = 0.5 / weights  # inverse of the Hessian diagonal
+    m = qp.rhs.shape[0]
+    inv_q = 0.5 / qp.cost_weights  # inverse of the Hessian diagonal
 
-    rows_a = np.zeros((m, qp.dim))
-    rows_b = np.zeros(m)
-    scale = np.ones(m)
-    skip = np.zeros(m, dtype=bool)
-    for i, (coeffs, rhs) in enumerate(qp.rows):
-        norm = float(np.linalg.norm(coeffs))
-        if norm == 0.0:
-            # 0 . x <= rhs is vacuous or hopeless regardless of x.
-            if rhs < -tol:
-                return QpSolution(center.copy(), np.zeros(m), INFEASIBLE, 0, float("inf"))
-            skip[i] = True
-            continue
-        rows_a[i] = coeffs / norm
-        rows_b[i] = rhs / norm
-        scale[i] = norm
+    # 0 . x <= rhs is vacuous or hopeless regardless of x.  A vacuous zero
+    # row keeps scale 1, so its violation -rhs never exceeds tol.
+    if ((qp.rhs < -tol) & ~qp.coeffs.any(axis=1)).any():
+        return QpSolution(qp.cost_center.copy(), np.zeros(m), INFEASIBLE, 0, float("inf"))
+    scale = qp.row_scale
+    rows_a = qp.coeffs / scale[:, None]
+    rows_b = qp.rhs / scale
 
-    x = center.copy()
+    x = qp.cost_center.copy()
     lam = np.zeros(m)
-    active: list[int] = []
-    status = MAX_ITER
-    iterations = 0
-    entering = -1
+    active = np.zeros(m, dtype=bool)
+    status, iterations, entering = MAX_ITER, 0, -1
     while iterations < max_iter:
         iterations += 1
         if entering < 0:
-            violated = [i for i in range(m)
-                        if not skip[i] and i not in active
-                        and float(rows_a[i] @ x) - rows_b[i] > tol]
-            if not violated:
+            violated = (rows_a @ x - rows_b > tol) & ~active
+            if not violated.any():
                 status = OPTIMAL
                 break
-            entering = min(violated)
+            entering = int(violated.argmax())
 
         a_p = rows_a[entering]
-        if active:
-            a_w = rows_a[active]
-            gram = (a_w * inv_q) @ a_w.T
-            r = np.linalg.solve(gram, a_w @ (inv_q * a_p))
-            z = inv_q * (a_p - a_w.T @ r)
-        else:
-            r = np.zeros(0)
-            z = inv_q * a_p
+        work = active.nonzero()[0]
+        a_w = rows_a[work]
+        r = (np.linalg.solve((a_w * inv_q) @ a_w.T, a_w @ (inv_q * a_p))
+             if work.size else np.zeros(0))
+        z = inv_q * (a_p - a_w.T @ r)
         curvature = float(a_p @ z)  # zero iff a_p depends on the active rows
 
-        blocking = [(lam[active[k]] / r[k], active[k])
-                    for k in range(len(active)) if r[k] > 1e-12]
-        t_block, drop = min(blocking) if blocking else (np.inf, -1)
+        blocking = np.where(r > 1e-12, lam[work], np.inf) / np.maximum(r, 1e-12)
+        k = int(blocking.argmin()) if work.size else -1
+        t_block = float(blocking[k]) if k >= 0 else np.inf
+        drop = int(work[k]) if t_block < np.inf else -1
 
         if curvature <= 1e-11 * float(a_p @ (inv_q * a_p)):
             if drop < 0:
                 status = INFEASIBLE
                 break
-            # Dual-only step: transfer multiplier mass onto the entering row.
-            for k, j in enumerate(active):
-                lam[j] -= t_block * r[k]
-            lam[entering] += t_block
-            lam[drop] = 0.0
-            active.remove(drop)
-            continue
-
-        t_full = (float(a_p @ x) - rows_b[entering]) / curvature
+            t_full = np.inf  # dual-only step: move multiplier mass, not x
+        else:
+            t_full = (float(a_p @ x) - rows_b[entering]) / curvature
         t = min(t_full, t_block)
-        x = x - t * z
-        for k, j in enumerate(active):
-            lam[j] -= t * r[k]
+        if t_full < np.inf:
+            x = x - t * z
+        lam[work] -= t * r
         lam[entering] += t
         if t_full <= t_block:
-            active.append(entering)
+            active[entering] = True
             entering = -1
         else:
             lam[drop] = 0.0
-            active.remove(drop)
+            active[drop] = False
 
     multipliers = np.maximum(lam, 0.0) / scale
-    residual = kkt_residual(qp, x, multipliers)
-    return QpSolution(x, multipliers, status, iterations, residual)
+    return QpSolution(x, multipliers, status, iterations, kkt_residual(qp, x, multipliers))

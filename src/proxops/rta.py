@@ -15,11 +15,14 @@ control-affine.  Peer accelerations are not observable, so callers supply an
 estimate (the harness uses each peer's previous realized acceleration).
 Every row carries a slack variable with a large quadratic penalty; slacks
 stay at zero unless the hard constraints are momentarily incompatible.
+
+:func:`qp_arrays` builds every agent's rows in one numpy pass.  The filter
+fails closed: non-finite data or a failed solve gives zero thrust, flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .dynamics import ChiefOrbit, RelativeState, VehicleParams, cwh_drift_accel
 from . import qp as qp_mod
 
 N_SHARED_SLACKS = 5  # velocity, acceleration, and one per thrust axis
+# Thrust-box rows sign * u[axis] <= thrust_bound, in +x, -x, +y, -y, +z, -z order.
+_INPUT_COEFFS = np.kron(np.eye(3), [[1.0], [-1.0]])
+_INPUT_LABELS = [f"input:{tag}{name}" for name in "xyz" for tag in "+-"]
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,6 @@ class ConstraintRow:
     slack_index: int
     label: str
 
-    def __post_init__(self):
-        self.coeff_u = np.asarray(self.coeff_u, dtype=float)
-
     def evaluate(self, u) -> float:
         """Constraint margin at thrust ``u`` with the slack at zero."""
         return float(self.coeff_u @ np.asarray(u, dtype=float)) + self.rhs
@@ -108,132 +111,145 @@ class RtaDecision:
         return bool(np.max(np.abs(self.u_safe - np.asarray(desired, dtype=float))) > tol)
 
 
+def _dot(a, b):
+    return (a * b).sum(axis=-1)
+
+
+def _kinematics(snaps) -> np.ndarray:
+    """Positions, velocities and acceleration estimates as a (k, 3, 3) array."""
+    return np.array([(s.state.pos, s.state.vel, s.accel_est) for s in snaps]).reshape(-1, 3, 3)
+
+
+def _pos_barrier(d, collision_radius):
+    return 0.5 * (_dot(d, d) - collision_radius**2)
+
+
 def pos_barrier(state_i: RelativeState, state_j: RelativeState,
                 collision_radius: float) -> float:
     """Half the squared separation in excess of the collision radius."""
-    d = state_i.pos - state_j.pos
-    return 0.5 * (float(d @ d) - collision_radius**2)
+    return float(_pos_barrier(state_i.pos - state_j.pos, collision_radius))
 
 
 def pos_barrier_dot(state_i: RelativeState, state_j: RelativeState) -> float:
     """Time derivative of :func:`pos_barrier` along the joint motion."""
-    d = state_i.pos - state_j.pos
-    dv = state_i.vel - state_j.vel
-    return float(d @ dv)
+    return float(_dot(state_i.pos - state_j.pos, state_i.vel - state_j.vel))
 
 
-def pos_hocbf_row(agent: AgentSnapshot, peer: AgentSnapshot, orbit: ChiefOrbit,
-                  params: RtaParams, slack_index: int, label: str) -> ConstraintRow:
-    """Second-order barrier condition on separation from one peer.
+def qp_arrays(agents, peer_kin, orbit: ChiefOrbit, params: RtaParams):
+    """Every agent's QP rows, ``coeffs[i, k] . [u, slacks] <= rhs[i, k]``.
 
-    The barrier's second derivative depends on the agent's thrust and on the
-    peer's acceleration, taken from the peer's ``accel_est``.
+    ``agents`` are N snapshots with vehicle parameters; ``peer_kin`` (N, P, 3,
+    3) holds the position, velocity and acceleration estimate of each agent's
+    P peers.  The m = P + 8 variables are the thrust, one slack per peer and
+    the shared slacks.  The m rows are P pair rows (second-order barriers on
+    separation), a first-order barrier on speed, a bound on commanded
+    acceleration along the agent's estimate, and the thrust box.
     """
-    state = agent.state
-    d = state.pos - peer.state.pos
-    dv = state.vel - peer.state.vel
-    drift = cwh_drift_accel(state, orbit)
-    h = 0.5 * (float(d @ d) - params.collision_radius**2)
-    h_dot = float(d @ dv)
+    if any(agent.veh is None for agent in agents):
+        raise ValueError("the filtered agent needs vehicle parameters")
+    pos, vel, accel = _kinematics(agents).transpose(1, 0, 2)
+    mass = np.array([agent.veh.mass for agent in agents])[:, None]
+    drift = np.array([cwh_drift_accel(a.state, orbit) for a in agents]).reshape(-1, 3)
+    d = pos[:, None] - peer_kin[:, :, 0]
+    dv = vel[:, None] - peer_kin[:, :, 1]
     gain_sum = params.pos_gain_inner + params.pos_gain_outer
     gain_prod = params.pos_gain_inner * params.pos_gain_outer
-    rhs = (float(dv @ dv) - float(d @ peer.accel_est) + float(d @ drift)
-           + gain_sum * h_dot + gain_prod * h)
-    return ConstraintRow(d / agent.veh.mass, rhs, slack_index, label)
+    pair_rhs = (_dot(dv, dv) - _dot(d, peer_kin[:, :, 2]) + _dot(d, drift[:, None])
+                + gain_sum * _dot(d, dv)
+                + gain_prod * _pos_barrier(d, params.collision_radius))
+    vel_rhs = (-_dot(vel, drift)
+               + params.vel_gain * 0.5 * (params.max_speed**2 - _dot(vel, vel)))
+    acc_rhs = params.max_accel**2 - _dot(accel, drift)
+    n, p = d.shape[:2]
+    coeffs = np.zeros((n, p + 8, p + 8))
+    coeffs[:, :p + 2, :3] = np.concatenate([-d, vel[:, None], accel[:, None]], 1) / mass[:, None]
+    coeffs[:, p + 2:, :3] = _INPUT_COEFFS
+    # Each row has its own slack, except that an axis's two box rows share one.
+    slack = np.concatenate([np.arange(p + 2), p + 2 + np.arange(6) // 2])
+    coeffs[:, :, 3:] = slack[:, None] == np.arange(p + N_SHARED_SLACKS)
+    rhs = np.concatenate([pair_rhs, vel_rhs[:, None], acc_rhs[:, None],
+                          np.full((n, 6), params.thrust_bound)], axis=1)
+    return coeffs, rhs
 
 
-def vel_row(agent: AgentSnapshot, orbit: ChiefOrbit, params: RtaParams,
-            slack_index: int) -> ConstraintRow:
-    """First-order barrier condition keeping speed below ``max_speed``."""
-    vel = agent.state.vel
-    drift = cwh_drift_accel(agent.state, orbit)
-    barrier = 0.5 * (params.max_speed**2 - float(vel @ vel))
-    rhs = -float(vel @ drift) + params.vel_gain * barrier
-    return ConstraintRow(-vel / agent.veh.mass, rhs, slack_index, "vel")
+def _labels(peer_labels, n_peers: int) -> list:
+    return [*(peer_labels or [f"pos:{k}" for k in range(n_peers)]), "vel", "acc", *_INPUT_LABELS]
 
 
-def acc_row(agent: AgentSnapshot, orbit: ChiefOrbit, params: RtaParams,
-            slack_index: int) -> ConstraintRow:
-    """Bound on commanded acceleration along the current acceleration estimate."""
-    drift = cwh_drift_accel(agent.state, orbit)
-    est = agent.accel_est
-    rhs = params.max_accel**2 - float(est @ drift)
-    return ConstraintRow(-est / agent.veh.mass, rhs, slack_index, "acc")
-
-
-def input_rows(params: RtaParams, first_slack_index: int) -> list:
-    """Per-axis thrust box, two rows per axis sharing one slack."""
-    rows = []
-    for axis, name in enumerate("xyz"):
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            coeff = np.zeros(3)
-            coeff[axis] = -sign
-            rows.append(ConstraintRow(coeff, params.thrust_bound,
-                                      first_slack_index + axis,
-                                      f"input:{tag}{name}"))
-    return rows
+def _problem(coeffs, rhs, desired, params: RtaParams) -> qp_mod.QpProblem:
+    """Thrust close to ``desired``, slacks close to zero under their penalty."""
+    weights = np.concatenate([np.ones(3), np.full(len(rhs) - 3, params.slack_penalty)])
+    center = np.concatenate([desired, np.zeros(len(rhs) - 3)])
+    return qp_mod.QpProblem.from_arrays(weights, center, coeffs, rhs)
 
 
 def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit,
                params: RtaParams, peer_labels=None) -> list:
     """All constraint rows for one agent, pair rows first."""
-    if agent.veh is None:
-        raise ValueError("the filtered agent needs vehicle parameters")
-    if peer_labels is None:
-        peer_labels = [f"pos:{k}" for k in range(len(peers))]
-    rows = []
-    for k, (peer, label) in enumerate(zip(peers, peer_labels)):
-        rows.append(pos_hocbf_row(agent, peer, orbit, params, k, label))
-    n_pairs = len(peers)
-    rows.append(vel_row(agent, orbit, params, n_pairs))
-    rows.append(acc_row(agent, orbit, params, n_pairs + 1))
-    rows.extend(input_rows(params, n_pairs + 2))
-    return rows
+    coeffs, rhs = qp_arrays([agent], _kinematics(peers)[None], orbit, params)
+    return [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
+            for a, b, label in zip(coeffs[0], rhs[0], _labels(peer_labels, len(peers)))]
+
+
+def pos_hocbf_row(agent: AgentSnapshot, peer: AgentSnapshot, orbit: ChiefOrbit,
+                  params: RtaParams, slack_index: int, label: str) -> ConstraintRow:
+    """Second-order barrier condition on separation from one peer."""
+    return replace(build_rows(agent, [peer], orbit, params)[0],
+                   slack_index=slack_index, label=label)
+
+
+def vel_row(agent: AgentSnapshot, orbit: ChiefOrbit, params: RtaParams,
+            slack_index: int) -> ConstraintRow:
+    """First-order barrier condition keeping speed below ``max_speed``."""
+    return replace(build_rows(agent, [], orbit, params)[0], slack_index=slack_index)
+
+
+def acc_row(agent: AgentSnapshot, orbit: ChiefOrbit, params: RtaParams,
+            slack_index: int) -> ConstraintRow:
+    """Bound on commanded acceleration along the current acceleration estimate."""
+    return replace(build_rows(agent, [], orbit, params)[1], slack_index=slack_index)
+
+
+def input_rows(params: RtaParams, first_slack_index: int) -> list:
+    """Per-axis thrust box, two rows per axis sharing one slack."""
+    return [ConstraintRow(-a, params.thrust_bound, first_slack_index + k // 2, label)
+            for k, (a, label) in enumerate(zip(_INPUT_COEFFS, _INPUT_LABELS))]
 
 
 def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
              params: RtaParams, peer_labels=None):
-    """Assemble the slack-relaxed QP for one agent.
+    """The slack-relaxed QP for one agent (see :func:`qp_arrays`) and its rows."""
+    coeffs, rhs = qp_arrays([agent], _kinematics(peers)[None], orbit, params)
+    return (_problem(coeffs[0], rhs[0], np.asarray(desired, dtype=float), params),
+            build_rows(agent, peers, orbit, params, peer_labels))
 
-    Variables are [u, slacks]: 3 thrust components followed by one slack per
-    peer pair plus the five shared slacks.  Returns (QpProblem, rows).
-    """
-    rows = build_rows(agent, peers, orbit, params, peer_labels)
-    n_slacks = len(peers) + N_SHARED_SLACKS
-    dim = 3 + n_slacks
-    weights = np.ones(dim)
-    weights[3:] = params.slack_penalty
-    center = np.zeros(dim)
-    center[:3] = np.asarray(desired, dtype=float)
-    qp_rows = []
-    for row in rows:
-        coeffs = np.zeros(dim)
-        coeffs[:3] = -row.coeff_u
-        coeffs[3 + row.slack_index] = 1.0
-        qp_rows.append((coeffs, row.rhs))
-    return qp_mod.QpProblem(weights, center, qp_rows), rows
+
+def _filter(agents, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams, labels,
+            active_tol: float) -> list:
+    """One decision per agent; zero thrust and ``fallback`` on non-finite data,
+    a non-optimal status or a non-finite solution."""
+    coeffs, rhs = qp_arrays(agents, peer_kin, orbit, params)
+    desired = np.asarray(desired, dtype=float).reshape(len(rhs), 3)
+    finite = (np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+              & np.isfinite(desired).all(axis=1))
+    decisions = []
+    for a, b, u, ok, names in zip(coeffs, rhs, desired, finite, labels):
+        solution = qp_mod.solve(_problem(a, b, u, params)) if ok else None
+        fallback = (solution is None or solution.status != qp_mod.OPTIMAL
+                    or not np.isfinite(solution.x).all())
+        x = np.zeros(len(b)) if fallback else solution.x
+        active = (not fallback) & (np.abs(b - a @ x) <= active_tol)
+        decisions.append(RtaDecision(x[:3], x[3:], b - a[:, :3] @ x[:3], active,
+                                     names, fallback))
+    return decisions
 
 
 def filter_agent(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
                  params: RtaParams, peer_labels=None,
                  active_tol: float = 1e-7) -> RtaDecision:
     """Filter one agent's desired thrust against its constraint rows."""
-    problem, rows = build_qp(agent, peers, desired, orbit, params, peer_labels)
-    solution = qp_mod.solve(problem)
-    labels = [row.label for row in rows]
-    if solution.status != qp_mod.OPTIMAL:
-        # Fail closed: zero thrust, flagged so the caller can log it.
-        u_safe = np.zeros(3)
-        slacks = np.zeros(len(peers) + N_SHARED_SLACKS)
-        margins = np.array([row.evaluate(u_safe) for row in rows])
-        return RtaDecision(u_safe, slacks, margins,
-                           np.zeros(len(rows), dtype=bool), labels, fallback=True)
-    u_safe = solution.x[:3]
-    slacks = solution.x[3:]
-    margins = np.array([row.evaluate(u_safe) for row in rows])
-    active = np.array([abs(margins[k] - slacks[rows[k].slack_index]) <= active_tol
-                       for k in range(len(rows))])
-    return RtaDecision(u_safe, slacks, margins, active, labels)
+    return _filter([agent], _kinematics(peers)[None], [desired], orbit, params,
+                   [_labels(peer_labels, len(peers))], active_tol)[0]
 
 
 def filter_actions(agents, desired_actions, orbit: ChiefOrbit,
@@ -246,13 +262,10 @@ def filter_actions(agents, desired_actions, orbit: ChiefOrbit,
     """
     if len(agents) != len(desired_actions):
         raise ValueError("agents and desired_actions must align")
-    chief = chief_snapshot() if include_chief else None
-    decisions = []
-    for i, (agent, desired) in enumerate(zip(agents, desired_actions)):
-        peers = [snap for j, snap in enumerate(agents) if j != i]
-        labels = [f"pos:peer{j}" for j in range(len(agents)) if j != i]
-        if chief is not None:
-            peers.append(chief)
-            labels.append("pos:chief")
-        decisions.append(filter_agent(agent, peers, desired, orbit, params, labels))
-    return decisions
+    everyone = [*agents, chief_snapshot()] if include_chief else list(agents)
+    n, total = len(agents), len(everyone)
+    peer_kin = np.broadcast_to(_kinematics(everyone), (n, total, 3, 3))[
+        ~np.eye(n, total, dtype=bool)].reshape(n, max(total - 1, 0), 3, 3)
+    names = [f"pos:peer{j}" for j in range(n)] + ["pos:chief"] * include_chief
+    return _filter(agents, peer_kin, desired_actions, orbit, params,
+                   [_labels(names[:i] + names[i + 1:], 0) for i in range(n)], 1e-7)

@@ -179,3 +179,33 @@ def test_kkt_residual_flags_non_optimal_points():
     assert kkt_residual(qp, [0.0, 0.0], [0.0]) >= 1.0
     sol = solve(qp)
     assert kkt_residual(qp, sol.x, sol.multipliers) < 1e-8
+
+
+def test_validation_rejects_non_finite_data():
+    rows = [(np.array([1.0, 0.0]), 1.0)]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            QpProblem([1.0, bad], [0.0, 0.0], rows)
+        with pytest.raises(ValueError):
+            QpProblem([1.0, 1.0], [bad, 0.0], rows)
+        with pytest.raises(ValueError):
+            QpProblem([1.0, 1.0], [0.0, 0.0], [(np.array([bad, 0.0]), 1.0)])
+        with pytest.raises(ValueError):
+            QpProblem([1.0, 1.0], [0.0, 0.0], [(np.array([1.0, 0.0]), bad)])
+        with pytest.raises(ValueError):
+            QpProblem.from_arrays([1.0, 1.0], [0.0, 0.0], [[1.0, bad]], [1.0])
+
+
+def test_from_arrays_is_the_same_problem():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        qp = random_feasible_problem(rng)
+        coeffs = np.array([a for a, _ in qp.rows])
+        rhs = np.array([r for _, r in qp.rows])
+        twin = QpProblem.from_arrays(qp.cost_weights, qp.cost_center, coeffs, rhs)
+        assert len(twin.rows) == len(qp.rows)
+        for (a, r), (a2, r2) in zip(qp.rows, twin.rows):
+            assert np.array_equal(a, a2) and r == r2
+        assert np.array_equal(solve(twin).x, solve(qp).x)
+    with pytest.raises(ValueError):
+        QpProblem.from_arrays([1.0, 1.0], [0.0, 0.0], np.ones((2, 3)), np.ones(2))

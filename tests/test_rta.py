@@ -301,3 +301,110 @@ def test_params_validation():
 def _unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _random_snapshots(rng, n, spread=300.0):
+    return [snap(rng.uniform(-spread, spread, 3), rng.uniform(-3, 3, 3),
+                 accel=rng.uniform(-0.5, 0.5, 3)) for _ in range(n)]
+
+
+def test_filter_actions_matches_one_agent_filters():
+    # The batched pass against per-agent calls that list each agent's peers.
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        for include_chief in (True, False):
+            for _ in range(3):
+                snaps = _random_snapshots(rng, n, spread=40.0 * n + 60.0)
+                desired = list(rng.uniform(-1.5, 1.5, (n, 3)))
+                batched = filter_actions(snaps, desired, ORBIT, PARAMS,
+                                         include_chief=include_chief)
+                assert len(batched) == n
+                for i, decision in enumerate(batched):
+                    peers = [s for j, s in enumerate(snaps) if j != i]
+                    labels = [f"pos:peer{j}" for j in range(n) if j != i]
+                    if include_chief:
+                        peers.append(chief_snapshot())
+                        labels.append("pos:chief")
+                    alone = filter_agent(snaps[i], peers, desired[i], ORBIT, PARAMS, labels)
+                    np.testing.assert_allclose(decision.u_safe, alone.u_safe,
+                                               rtol=0, atol=1e-7)
+                    assert decision.fallback == alone.fallback
+                    assert decision.labels == alone.labels
+                    assert len(decision.slacks) == len(peers) + 5
+
+
+def test_solver_failure_falls_back_for_every_agent(monkeypatch):
+    real_solve = qp_mod.solve
+
+    def broken_solve(problem, *args, **kwargs):
+        sol = real_solve(problem)
+        sol.status = qp_mod.MAX_ITER
+        return sol
+
+    monkeypatch.setattr("proxops.rta.qp_mod.solve", broken_solve)
+    snaps = _random_snapshots(np.random.default_rng(4), 4)
+    decisions = filter_actions(snaps, [np.array([0.5, 0, 0])] * 4, ORBIT, PARAMS)
+    assert [d.fallback for d in decisions] == [True] * 4
+    for decision in decisions:
+        assert np.array_equal(decision.u_safe, np.zeros(3))
+        assert not decision.active.any()
+
+
+def test_non_finite_solution_falls_back(monkeypatch):
+    real_solve = qp_mod.solve
+
+    def nan_solve(problem, *args, **kwargs):
+        sol = real_solve(problem)
+        sol.x = np.full_like(sol.x, np.nan)
+        return sol
+
+    monkeypatch.setattr("proxops.rta.qp_mod.solve", nan_solve)
+    decision = filter_agent(snap([100.0, 0, 0], [0, 0, 0]), [chief_snapshot()],
+                            np.array([0.5, 0, 0]), ORBIT, PARAMS)
+    assert decision.fallback
+    assert np.array_equal(decision.u_safe, np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("field", ["desired", "pos", "vel", "accel"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_fail_closed(field, bad):
+    # A NaN or infinite command, state or acceleration estimate must never
+    # reach the thrusters: the filter returns zero thrust, flagged.
+    values = {"pos": [120.0, -40.0, 10.0], "vel": [0.5, 0.2, 0.0],
+              "accel": [0.01, 0.0, 0.0], "desired": [0.3, -0.2, 0.1]}
+    values[field] = list(values[field])
+    values[field][1] = bad
+    agent = snap(values["pos"], values["vel"], accel=values["accel"])
+    desired = np.array(values["desired"])
+    decision = filter_agent(agent, [chief_snapshot()], desired, ORBIT, PARAMS)
+    assert decision.fallback
+    assert np.array_equal(decision.u_safe, np.zeros(3))
+
+    other = snap([-150.0, 30.0, 0.0], [0.0, -0.3, 0.0])
+    decisions = filter_actions([agent, other], [desired, np.zeros(3)], ORBIT, PARAMS)
+    assert decisions[0].fallback
+    assert np.array_equal(decisions[0].u_safe, np.zeros(3))
+    for d in decisions:
+        assert np.all(np.isfinite(d.u_safe))
+
+
+def test_kkt_residual_stays_small_with_penalized_active_pair_rows():
+    # Ring-like crowding: pair rows inside the collision radius bind with
+    # slack, so their multipliers approach the 1e6 slack penalty.  The
+    # residual must not scale with those multipliers.
+    rng = np.random.default_rng(0)
+    penalized = 0
+    for _ in range(200):
+        agent = snap(45.0 * _unit(rng), rng.uniform(-2.5, 2.5, 3),
+                     accel=rng.uniform(-0.5, 0.5, 3))
+        peers = [snap(agent.state.pos + rng.uniform(45, 85) * _unit(rng),
+                      rng.uniform(-2.5, 2.5, 3), accel=rng.uniform(-0.5, 0.5, 3))
+                 for _ in range(3)] + [chief_snapshot()]
+        problem, _ = build_qp(agent, peers, rng.uniform(-1, 1, 3), ORBIT, PARAMS)
+        sol = qp_mod.solve(problem)
+        assert sol.status == qp_mod.OPTIMAL
+        assert sol.kkt_residual <= 1e-6
+        assert qp_mod.kkt_residual(problem, sol.x, sol.multipliers) == sol.kkt_residual
+        penalized += int(np.sum(sol.multipliers[:4] > 1e5))
+    assert penalized >= 10
