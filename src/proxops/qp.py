@@ -32,6 +32,7 @@ class QpProblem:
 
     ``rows`` is a list of (coeffs, rhs) pairs, each meaning coeffs . x <= rhs,
     kept as a matrix ``coeffs`` and a vector ``rhs`` (see :meth:`from_arrays`).
+    The data are read-only copies; build a new problem to change them.
     """
 
     def __init__(self, cost_weights, cost_center, rows=()):
@@ -47,10 +48,10 @@ class QpProblem:
         return problem
 
     def _fill(self, cost_weights, cost_center, coeffs, rhs):
-        self.cost_weights = np.asarray(cost_weights, dtype=float)
-        self.cost_center = np.asarray(cost_center, dtype=float)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.rhs = np.asarray(rhs, dtype=float)
+        self.cost_weights, self.cost_center, self.coeffs, self.rhs = data = [
+            np.array(v, dtype=float) for v in (cost_weights, cost_center, coeffs, rhs)]
+        for array in data:
+            array.flags.writeable = False
         if self.cost_weights.ndim != 1 or self.cost_weights.shape != self.cost_center.shape:
             raise ValueError("cost_weights and cost_center must be vectors of equal length")
         if self.coeffs.shape != self.rhs.shape + self.cost_weights.shape:
@@ -65,6 +66,7 @@ class QpProblem:
 
     @property
     def rows(self) -> list:
+        """A new list of (read-only coeffs, rhs) pairs on every access."""
         return list(zip(self.coeffs, self.rhs.tolist()))
 
     @property
@@ -86,14 +88,10 @@ class QpSolution:
 
 
 def kkt_residual(qp: QpProblem, x, multipliers) -> float:
-    """Max of the stationarity residual and every row's natural residual.
-
-    On row i scaled to unit norm, with residual s_i and multiplier l_i, the
-    natural residual |min(l_i, -s_i)| is zero exactly when the row holds,
-    l_i >= 0 and one of them is zero; unlike |l_i s_i| it does not grow with
-    the multiplier, which a large slack penalty makes large.  Zero (up to
-    roundoff) exactly at the optimum, so it certifies any candidate.
-    """
+    """Max of the stationarity residual and, on each row i scaled to unit norm
+    with residual s_i and multiplier l_i, the natural residual |min(l_i, -s_i)|.
+    Zero (up to roundoff) exactly at the optimum, so it certifies any candidate;
+    unlike |l_i s_i| it does not grow with a large slack-penalty multiplier."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(multipliers, dtype=float)
     natural = np.minimum(lam * qp.row_scale, (qp.rhs - qp.coeffs @ x) / qp.row_scale)

@@ -186,9 +186,7 @@ def _problem(coeffs, rhs, desired, params: RtaParams) -> qp_mod.QpProblem:
 def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit,
                params: RtaParams, peer_labels=None) -> list:
     """All constraint rows for one agent, pair rows first."""
-    coeffs, rhs = qp_arrays([agent], _kinematics(peers)[None], orbit, params)
-    return [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
-            for a, b, label in zip(coeffs[0], rhs[0], _labels(peer_labels, len(peers)))]
+    return build_qp(agent, peers, np.zeros(3), orbit, params, peer_labels)[1]
 
 
 def pos_hocbf_row(agent: AgentSnapshot, peer: AgentSnapshot, orbit: ChiefOrbit,
@@ -220,8 +218,9 @@ def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
              params: RtaParams, peer_labels=None):
     """The slack-relaxed QP for one agent (see :func:`qp_arrays`) and its rows."""
     coeffs, rhs = qp_arrays([agent], _kinematics(peers)[None], orbit, params)
-    return (_problem(coeffs[0], rhs[0], np.asarray(desired, dtype=float), params),
-            build_rows(agent, peers, orbit, params, peer_labels))
+    rows = [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
+            for a, b, label in zip(coeffs[0], rhs[0], _labels(peer_labels, len(peers)))]
+    return _problem(coeffs[0], rhs[0], np.asarray(desired, dtype=float), params), rows
 
 
 def _filter(agents, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams, labels,

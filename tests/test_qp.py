@@ -209,3 +209,15 @@ def test_from_arrays_is_the_same_problem():
         assert np.array_equal(solve(twin).x, solve(qp).x)
     with pytest.raises(ValueError):
         QpProblem.from_arrays([1.0, 1.0], [0.0, 0.0], np.ones((2, 3)), np.ones(2))
+
+
+def test_problem_data_are_read_only_copies():
+    coeffs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    qp = QpProblem.from_arrays([1.0, 1.0], [2.0, 2.0], coeffs, [1.0, 1.0])
+    coeffs[0, 0] = 5.0  # the caller's array is not the problem's
+    assert qp.coeffs[0, 0] == 1.0
+    for array in (qp.cost_weights, qp.cost_center, qp.coeffs, qp.rhs, qp.rows[0][0]):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    qp.rows.append((np.array([1.0, 1.0]), 0.0))  # a fresh list: the problem is unchanged
+    assert len(qp.rows) == 2 and np.allclose(solve(qp).x, [1.0, 1.0])
