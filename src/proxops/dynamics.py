@@ -207,7 +207,7 @@ def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
     n = orbit.mean_motion
     n2 = n * n
     inv_m = 1.0 / veh.mass
-    ux, uy, uz = (float(v) for v in np.asarray(u, dtype=float))
+    ux, uy, uz = np.asarray(u, dtype=float).tolist()
     ax_u, ay_u, az_u = ux * inv_m, uy * inv_m, uz * inv_m
 
     # Scalar RK4 keeps the hot loop free of array allocation overhead.
@@ -218,8 +218,8 @@ def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
                 -n2 * z + az_u)
 
     h = dt / substeps
-    x, y, z = (float(v) for v in state.pos)
-    vx, vy, vz = (float(v) for v in state.vel)
+    x, y, z = state.pos.tolist()
+    vx, vy, vz = state.vel.tolist()
     for _ in range(substeps):
         k1 = deriv(x, y, z, vx, vy, vz)
         k2 = deriv(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], z + 0.5 * h * k1[2],

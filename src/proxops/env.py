@@ -9,6 +9,7 @@ station-keeping box, or on timeout.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,20 +140,27 @@ def observe(state: RelativeState, goal) -> Observation:
     return Observation((state.pos - goal) / OBS_POSITION_SCALE, state.vel.copy())
 
 
-def reward(cur_pos, prev_pos, vel, goal, params: RewardParams) -> float:
-    """Shaped tracking reward; see :class:`RewardParams` for the terms."""
-    cur_pos = np.asarray(cur_pos, dtype=float)
-    prev_pos = np.asarray(prev_pos, dtype=float)
-    vel = np.asarray(vel, dtype=float)
-    goal = np.asarray(goal, dtype=float)
-    dist = float(np.linalg.norm(cur_pos - goal))
-    prev_dist = float(np.linalg.norm(prev_pos - goal))
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a float vector, as np.linalg.norm computes it."""
+    return math.sqrt(vec.dot(vec))
+
+
+def _reward(dist: float, prev_dist: float, vel: np.ndarray,
+            params: RewardParams) -> float:
     value = params.goal_weight / (dist + 1.0)
     value += params.progress_weight * (prev_dist - dist)
     speed_limit = params.speed_limit_margin * params.speed_limit_slope * dist
-    if float(np.linalg.norm(vel)) > speed_limit:
+    if _norm(vel) > speed_limit:
         value -= params.speed_penalty_weight * float(np.sum(np.abs(vel)))
     return value
+
+
+def reward(cur_pos, prev_pos, vel, goal, params: RewardParams) -> float:
+    """Shaped tracking reward; see :class:`RewardParams` for the terms."""
+    goal = np.asarray(goal, dtype=float)
+    return _reward(_norm(np.asarray(cur_pos, dtype=float) - goal),
+                   _norm(np.asarray(prev_pos, dtype=float) - goal),
+                   np.asarray(vel, dtype=float), params)
 
 
 def step(state: RelativeState, action, task: WaypointTask, cfg: EpisodeConfig,
@@ -166,13 +174,12 @@ def step(state: RelativeState, action, task: WaypointTask, cfg: EpisodeConfig,
     action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
     thrust = veh.thrust_bound * action
     nxt = propagate_cwh(state, thrust, cfg.dt, orbit, veh, substeps=cfg.substeps)
-    value = reward(nxt.pos, state.pos, nxt.vel, task.goal, cfg.reward)
+    dist = _norm(nxt.pos - task.goal)
+    value = _reward(dist, _norm(state.pos - task.goal), nxt.vel, cfg.reward)
 
-    dist = float(np.linalg.norm(nxt.pos - task.goal))
-    bounds = np.asarray(cfg.bounds, dtype=float)
     if dist < task.acceptance_radius:
         status = Status.REACHED
-    elif np.any(np.abs(nxt.pos) > bounds):
+    elif any(abs(p) > b for p, b in zip(nxt.pos.tolist(), cfg.bounds)):
         status = Status.OUT_OF_BOUNDS
     elif elapsed + cfg.dt >= task.timeout:
         status = Status.TIMEOUT
@@ -189,10 +196,9 @@ def rollout(controller, state: RelativeState, task: WaypointTask,
     """
     elapsed = 0.0
     status = Status.RUNNING
+    obs = observe(state, task.goal)
     while status is Status.RUNNING:
-        action = controller(observe(state, task.goal))
-        out = step(state, action, task, cfg, orbit, veh, elapsed)
-        state = out.state
-        status = out.status
+        out = step(state, controller(obs), task, cfg, orbit, veh, elapsed)
+        state, obs, status = out.state, out.obs, out.status
         elapsed += cfg.dt
     return status, elapsed, state

@@ -11,6 +11,7 @@ velocity carries over between legs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,9 @@ from .rta import AgentSnapshot, RtaParams, filter_actions
 
 HARNESS_ACCEPTANCE_RADIUS = 15.0
 INTERVENTION_TOL = 1e-6
+
+MAX_SUBSTEPS_PER_TICK = 1000
+"""Most dynamics substeps (control_dt / sim_dt) a scenario may take per tick."""
 
 CSV_HEADER = ("t,agent,rx,ry,rz,vx,vy,vz,ux_des,uy_des,uz_des,ux,uy,uz,"
               "rta_active,slack_pos,slack_vel,slack_acc,slack_u1,slack_u2,"
@@ -83,13 +87,26 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
-        if self.control_dt <= 0.0 or self.sim_dt <= 0.0:
-            raise ValueError("time steps must be positive")
+        if not (math.isfinite(self.control_dt) and math.isfinite(self.sim_dt)
+                and self.control_dt > 0.0 and self.sim_dt > 0.0):
+            raise ValueError("time steps must be finite and positive")
         if self.sim_dt > self.control_dt:
             raise ValueError("sim_dt must not exceed control_dt")
+        ratio = self.control_dt / self.sim_dt
+        if ratio >= MAX_SUBSTEPS_PER_TICK + 0.5:  # rounds above the maximum
+            raise ValueError(f"control_dt / sim_dt = {ratio:g} exceeds "
+                             f"{MAX_SUBSTEPS_PER_TICK} substeps per tick")
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:  # roundoff: 0.1 divides 0.3
+            raise ValueError(f"sim_dt {self.sim_dt:g} does not divide "
+                             f"control_dt {self.control_dt:g}")
         if self.acceptance_radius <= 0.0 or self.leg_timeout <= 0.0:
             raise ValueError("acceptance radius and timeout must be positive")
         object.__setattr__(self, "agents", tuple(self.agents))
+
+    @property
+    def substeps(self) -> int:
+        """Dynamics substeps per control tick: control_dt / sim_dt."""
+        return round(self.control_dt / self.sim_dt)
 
 
 @dataclass(frozen=True)
@@ -224,7 +241,6 @@ def run(spec: ScenarioSpec):
     final_goals = [np.asarray(a.waypoints[-1], dtype=float) for a in spec.agents]
     accel_est = [np.zeros(3) for _ in range(n)]
     leg_start = [0.0] * n
-    substeps = max(1, round(spec.control_dt / spec.sim_dt))
     mass = spec.vehicle.mass
     bound = spec.vehicle.thrust_bound
 
@@ -298,8 +314,8 @@ def run(spec: ScenarioSpec):
         try:
             for k in range(n):
                 accel_est[k] = cwh_drift_accel(states[k], spec.orbit) + applied[k] / mass
-                states[k] = propagate_cwh(states[k], applied[k], spec.control_dt,
-                                          spec.orbit, spec.vehicle, substeps=substeps)
+                states[k] = propagate_cwh(states[k], applied[k], spec.control_dt, spec.orbit,
+                                          spec.vehicle, substeps=spec.substeps)
         except PropagationError:
             log.aborted = True
             break
@@ -432,14 +448,14 @@ def baseline_stats(n_trials: int, seed: int = 0,
         state, goal = sample_episode(rng, cfg)
         task = WaypointTask(goal)
         straight = float(np.linalg.norm(state.pos - goal))
+        obs = observe(state, task.goal)
         elapsed = 0.0
         dist = 0.0
         while True:
-            action = baseline_act(observe(state, task.goal), gains,
-                                  vehicle.mass, vehicle.thrust_bound)
+            action = baseline_act(obs, gains, vehicle.mass, vehicle.thrust_bound)
             out = step(state, action, task, cfg, orbit, vehicle, elapsed)
             dist += float(np.linalg.norm(out.state.pos - state.pos))
-            state = out.state
+            state, obs = out.state, out.obs
             elapsed += cfg.dt
             if out.status is not Status.RUNNING:
                 break

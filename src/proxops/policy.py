@@ -8,7 +8,8 @@ trainer.  Both map an Observation to a thrust command in [-1, 1]^3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,30 +61,57 @@ def baseline_act(obs: Observation, gains: BaselineGains = BaselineGains(),
     return np.clip(action, -1.0, 1.0)
 
 
+def flat_views(flat: np.ndarray, shapes) -> list:
+    """Views into ``flat`` with the given shapes, laid end to end."""
+    views, lo = [], 0
+    for shape in shapes:
+        views.append(flat[lo:lo + math.prod(shape)].reshape(shape))
+        lo += math.prod(shape)
+    return views
+
+
+def mlp_forward(weights, biases, x: np.ndarray):
+    """Tanh hidden layers, linear output: (output, input of every layer)."""
+    hs = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        x = np.tanh(x @ w.T + b)
+        hs.append(x)
+    return x @ weights[-1].T + biases[-1], hs
+
+
 class MlpPolicy:
     """Tanh MLP from 6-vector observations to thrust commands in [-1, 1]^3.
 
     Hidden activations are tanh; the linear output is squashed through a
     final tanh.  ``log_std`` is the log standard deviation of Gaussian
-    exploration noise added before the squash in stochastic mode.
+    exploration noise added before the squash in stochastic mode.  All three
+    are views into one flat vector ``params``; the constructor copies inputs.
     """
 
     def __init__(self, weights, biases, log_std=None):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        if len(self.weights) != len(self.biases) or not self.weights:
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be non-empty and aligned")
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError("each layer needs a matrix and a matching bias vector")
-        for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
+        for prev, nxt in zip(weights[:-1], weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise ValueError("layer shapes do not chain")
-        out_dim = self.weights[-1].shape[0]
-        self.log_std = (np.zeros(out_dim) if log_std is None
-                        else np.asarray(log_std, dtype=float))
-        if self.log_std.shape != (out_dim,):
+        out_dim = weights[-1].shape[0]
+        log_std = np.zeros(out_dim) if log_std is None else np.asarray(log_std, dtype=float)
+        if log_std.shape != (out_dim,):
             raise ValueError("log_std must match the output dimension")
+        self.shapes = [a.shape for a in (*weights, *biases, log_std)]
+        self.params = np.concatenate([a.ravel() for a in (*weights, *biases, log_std)])
+        self.weights, self.biases, self.log_std = self.unflatten(self.params)
+
+    def unflatten(self, flat: np.ndarray):
+        """Views (weights, biases, log_std) into a vector laid out like ``params``."""
+        views = flat_views(flat, self.shapes)
+        n_layers = len(views) // 2
+        return views[:n_layers], views[n_layers:-1], views[-1]
 
     @property
     def layer_dims(self) -> tuple:
@@ -104,10 +132,7 @@ class MlpPolicy:
 
     def pre_squash(self, obs_vec: np.ndarray) -> np.ndarray:
         """Network output before the final tanh (the action mean)."""
-        h = np.asarray(obs_vec, dtype=float)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w.T + b)
-        return h @ self.weights[-1].T + self.biases[-1]
+        return mlp_forward(self.weights, self.biases, np.asarray(obs_vec, dtype=float))[0]
 
     def act(self, obs_vec: np.ndarray,
             rng: np.random.Generator | None = None) -> np.ndarray:
@@ -118,9 +143,7 @@ class MlpPolicy:
         return np.tanh(mean)
 
     def copy(self) -> "MlpPolicy":
-        return MlpPolicy([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases],
-                         self.log_std.copy())
+        return MlpPolicy(self.weights, self.biases, self.log_std)
 
 
 def policy_act(policy: MlpPolicy, obs: Observation,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import ChiefOrbit, VehicleParams, default_orbit, default_vehicle
 from .env import EpisodeConfig, Status, WaypointTask, observe, sample_episode, step
-from .policy import DEFAULT_LAYER_DIMS, MlpPolicy, policy_act
+from .policy import DEFAULT_LAYER_DIMS, MlpPolicy, flat_views, mlp_forward, policy_act
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -79,38 +79,28 @@ def gaussian_logp(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.nd
     return -(quad + np.sum(log_std) + 0.5 * z.shape[-1] * LOG_2PI)
 
 
-def _mean_forward(policy: MlpPolicy, obs: np.ndarray):
-    """Batched policy mean with cached hidden activations for backprop."""
-    hs = [obs]
-    h = obs
-    for w, b in zip(policy.weights[:-1], policy.biases[:-1]):
-        h = np.tanh(h @ w.T + b)
-        hs.append(h)
-    mean = h @ policy.weights[-1].T + policy.biases[-1]
-    return mean, hs
-
-
-def _backprop(weights, hs, g_out):
-    """Gradients of a tanh MLP given the output gradient g_out (N, n_out)."""
-    g_w = [None] * len(weights)
-    g_b = [None] * len(weights)
+def _backprop(weights, hs, g_out, g_w, g_b) -> None:
+    """Tanh MLP gradients for output gradient g_out (N, n_out), into g_w, g_b."""
     g = g_out
     for layer in range(len(weights) - 1, -1, -1):
-        g_w[layer] = g.T @ hs[layer]
-        g_b[layer] = g.sum(axis=0)
+        np.matmul(g.T, hs[layer], out=g_w[layer])
+        g.sum(axis=0, out=g_b[layer])
         if layer > 0:
             g = (g @ weights[layer]) * (1.0 - hs[layer] ** 2)
-    return g_w, g_b
 
 
 def surrogate_loss_and_grad(policy: MlpPolicy, batch: RolloutBatch,
-                            clip_ratio: float, entropy_coef: float = 0.0):
+                            clip_ratio: float, entropy_coef: float = 0.0,
+                            out: np.ndarray | None = None):
     """Clipped-surrogate loss and its exact gradient.
 
-    Returns (loss, grads) with grads keyed "weights", "biases", "log_std",
-    shaped like the policy's parameters.
+    The gradient goes into ``out`` (a new vector when omitted), laid out like
+    ``policy.params``.  Returns (loss, grads), grads holding views into it
+    keyed "weights", "biases", "log_std".
     """
-    mean, hs = _mean_forward(policy, batch.obs)
+    grad = np.empty_like(policy.params) if out is None else out
+    g_w, g_b, g_log_std = policy.unflatten(grad)
+    mean, hs = mlp_forward(policy.weights, policy.biases, batch.obs)
     logp = gaussian_logp(batch.z, mean, policy.log_std)
     ratio = np.exp(logp - batch.logp_old)
     adv = batch.adv
@@ -126,20 +116,28 @@ def surrogate_loss_and_grad(policy: MlpPolicy, batch: RolloutBatch,
     inv_var = np.exp(-2.0 * policy.log_std)
     diff = batch.z - mean
     g_mean = d_logp[:, None] * diff * inv_var
-    g_log_std = np.sum(d_logp[:, None] * (diff ** 2 * inv_var - 1.0), axis=0)
+    (d_logp[:, None] * (diff ** 2 * inv_var - 1.0)).sum(axis=0, out=g_log_std)
     if entropy_coef:
         # Gaussian entropy is sum(log_std) + const, per sample
         loss -= entropy_coef * float(np.sum(policy.log_std) +
                                      0.5 * batch.z.shape[1] * (1.0 + LOG_2PI))
         g_log_std -= entropy_coef
-    g_w, g_b = _backprop(policy.weights, hs, g_mean)
+    _backprop(policy.weights, hs, g_mean, g_w, g_b)
     return loss, {"weights": g_w, "biases": g_b, "log_std": g_log_std}
 
 
-@dataclass
 class ValueNet:
-    weights: list
-    biases: list
+    """Tanh MLP state value; weights and biases are views into ``params``."""
+
+    def __init__(self, weights: list, biases: list):
+        self.shapes = [a.shape for a in (*weights, *biases)]
+        self.params = np.concatenate([a.ravel() for a in (*weights, *biases)])
+        self.weights, self.biases = self.unflatten(self.params)
+
+    def unflatten(self, flat: np.ndarray):
+        """Views (weights, biases) into a vector laid out like ``params``."""
+        views = flat_views(flat, self.shapes)
+        return views[:len(views) // 2], views[len(views) // 2:]
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, layer_dims=(6, 64, 64, 1)):
@@ -150,29 +148,24 @@ class ValueNet:
         return cls(weights, biases)
 
     def forward(self, obs: np.ndarray):
-        hs = [obs]
-        h = obs
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w.T + b)
-            hs.append(h)
-        v = (h @ self.weights[-1].T + self.biases[-1])[..., 0]
-        return v, hs
-
-    def predict(self, obs: np.ndarray) -> np.ndarray:
-        return self.forward(np.atleast_2d(obs))[0]
+        v, hs = mlp_forward(self.weights, self.biases, obs)
+        return v[..., 0], hs
 
 
-def value_loss_and_grad(net: ValueNet, obs: np.ndarray, target: np.ndarray):
+def value_loss_and_grad(net: ValueNet, obs: np.ndarray, target: np.ndarray,
+                        out: np.ndarray | None = None):
+    """Half mean squared error; its gradient goes into ``out`` as above."""
+    g_w, g_b = net.unflatten(np.empty_like(net.params) if out is None else out)
     v, hs = net.forward(obs)
     err = v - target
     loss = 0.5 * float(np.mean(err ** 2))
     g_out = (err / err.shape[0])[:, None]
-    g_w, g_b = _backprop(net.weights, hs, g_out)
+    _backprop(net.weights, hs, g_out, g_w, g_b)
     return loss, {"weights": g_w, "biases": g_b}
 
 
 class Adam:
-    """Plain Adam over a flat list of parameter arrays, updated in place."""
+    """Plain Adam over a list of parameter arrays, updated in place."""
 
     def __init__(self, params: list, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -196,22 +189,13 @@ class Adam:
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def _clip_grads(grads: list, max_norm: float) -> list:
+def _clip_grad(grad: np.ndarray, views: list, max_norm: float) -> None:
+    """Scale ``grad`` in place to norm max_norm if longer; norm summed over ``views``."""
     if max_norm <= 0.0:
-        return grads
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        return
+    total = math.sqrt(sum(float((g * g).sum()) for g in views))
     if total > max_norm:
-        scale = max_norm / total
-        return [g * scale for g in grads]
-    return grads
-
-
-def _policy_params(policy: MlpPolicy) -> list:
-    return [*policy.weights, *policy.biases, policy.log_std]
-
-
-def _split_policy_grads(policy: MlpPolicy, grads: dict) -> list:
-    return [*grads["weights"], *grads["biases"], grads["log_std"]]
+        grad *= max_norm / total
 
 
 def train(env_cfg: EpisodeConfig | None = None,
@@ -231,52 +215,48 @@ def train(env_cfg: EpisodeConfig | None = None,
     veh = veh if veh is not None else default_vehicle()
 
     rng = np.random.default_rng(cfg.seed)
-    if init_policy is not None:
-        policy = init_policy.copy()
-    else:
-        policy = MlpPolicy.initialize(rng, layer_dims=cfg.layer_dims,
-                                      init_log_std=cfg.init_log_std)
+    policy = (init_policy.copy() if init_policy is not None else MlpPolicy.initialize(
+        rng, layer_dims=cfg.layer_dims, init_log_std=cfg.init_log_std))
     dims = policy.layer_dims
     value_net = ValueNet.initialize(rng, (dims[0], 64, 64, 1))
     curve: list = []
     if cfg.total_steps == 0:
         return policy, curve
 
-    pol_opt = Adam(_policy_params(policy), cfg.learning_rate)
-    val_opt = Adam([*value_net.weights, *value_net.biases], cfg.learning_rate)
+    pol_opt = Adam([policy.params], cfg.learning_rate)
+    val_opt = Adam([value_net.params], cfg.learning_rate)
+    pol_grad = np.empty_like(policy.params)
+    val_grad = np.empty_like(value_net.params)
+    pol_views = flat_views(pol_grad, policy.shapes)
+    val_views = flat_views(val_grad, value_net.shapes)
 
     state, goal = sample_episode(rng, env_cfg)
     task = WaypointTask(goal)
-    elapsed = 0.0
-    ep_return = 0.0
+    obs_vec = observe(state, task.goal).vector()
+    elapsed = ep_return = 0.0
     steps_done = 0
 
     while steps_done < cfg.total_steps:
         n = min(cfg.batch_size, cfg.total_steps - steps_done)
         obs_buf = np.empty((n, dims[0]))
         next_obs_buf = np.empty_like(obs_buf)
-        z_buf = np.empty((n, dims[-1]))
-        logp_buf = np.empty(n)
+        mean_buf = np.empty((n, dims[-1]))
+        z_buf = np.empty_like(mean_buf)
         rew_buf = np.empty(n)
         terminal_buf = np.zeros(n)   # no bootstrap past these steps
         boundary_buf = np.zeros(n)   # advantage recursion resets here
-        ep_returns: list = []
-        ep_successes: list = []
+        ep_returns, ep_successes = [], []
 
+        std = np.exp(policy.log_std)
         for i in range(n):
-            obs_vec = observe(state, task.goal).vector()
             mean = policy.pre_squash(obs_vec)
-            z = mean + np.exp(policy.log_std) * rng.standard_normal(mean.shape)
-            action = np.tanh(z)
-            out = step(state, action, task, env_cfg, orbit, veh, elapsed)
+            z = mean + std * rng.standard_normal(mean.shape)
+            out = step(state, np.tanh(z), task, env_cfg, orbit, veh, elapsed)
             elapsed += env_cfg.dt
             ep_return += out.reward
 
-            obs_buf[i] = obs_vec
-            z_buf[i] = z
-            logp_buf[i] = gaussian_logp(z, mean, policy.log_std)
-            rew_buf[i] = out.reward
-            next_obs_buf[i] = out.obs.vector()
+            obs_buf[i], mean_buf[i], z_buf[i], rew_buf[i] = obs_vec, mean, z, out.reward
+            obs_vec = next_obs_buf[i] = out.obs.vector()
             state = out.state
 
             if out.status is not Status.RUNNING:
@@ -287,47 +267,41 @@ def train(env_cfg: EpisodeConfig | None = None,
                 ep_successes.append(float(out.status is Status.REACHED))
                 state, goal = sample_episode(rng, env_cfg)
                 task = WaypointTask(goal)
-                elapsed = 0.0
-                ep_return = 0.0
+                obs_vec = observe(state, task.goal).vector()
+                elapsed = ep_return = 0.0
         steps_done += n
+        logp_old = gaussian_logp(z_buf, mean_buf, policy.log_std)
 
-        values = value_net.predict(obs_buf)
-        next_values = value_net.predict(next_obs_buf)
+        values = value_net.forward(obs_buf)[0]
+        next_values = value_net.forward(next_obs_buf)[0]
+        deltas = rew_buf + cfg.discount * next_values * (1.0 - terminal_buf) - values
+        decays = cfg.discount * cfg.gae_lambda * (1.0 - boundary_buf)
         adv = np.empty(n)
         gae = 0.0
         for i in range(n - 1, -1, -1):
-            delta = (rew_buf[i]
-                     + cfg.discount * next_values[i] * (1.0 - terminal_buf[i])
-                     - values[i])
-            gae = delta + (cfg.discount * cfg.gae_lambda
-                           * (1.0 - boundary_buf[i]) * gae)
-            adv[i] = gae
+            gae = adv[i] = deltas[i] + decays[i] * gae
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        batch = RolloutBatch(obs_buf, z_buf, logp_buf, adv, v_target)
+        data = (obs_buf, z_buf, logp_old, adv, v_target)
 
         for _ in range(cfg.epochs_per_batch):
             order = rng.permutation(n)
             for lo in range(0, n, cfg.minibatch_size):
                 idx = order[lo:lo + cfg.minibatch_size]
-                mini = RolloutBatch(batch.obs[idx], batch.z[idx],
-                                    batch.logp_old[idx], batch.adv[idx],
-                                    batch.v_target[idx])
-                p_loss, p_grads = surrogate_loss_and_grad(
-                    policy, mini, cfg.clip_ratio, cfg.entropy_coef)
-                v_loss, v_grads = value_loss_and_grad(
-                    value_net, mini.obs, mini.v_target)
+                mini = RolloutBatch(*(a[idx] for a in data))
+                p_loss, _ = surrogate_loss_and_grad(
+                    policy, mini, cfg.clip_ratio, cfg.entropy_coef, out=pol_grad)
+                v_loss, _ = value_loss_and_grad(
+                    value_net, mini.obs, mini.v_target, out=val_grad)
                 if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
                     raise TrainingDivergence(
                         f"non-finite loss at step {steps_done}: "
                         f"policy {p_loss}, value {v_loss}")
-                pol_opt.step(_policy_params(policy),
-                             _clip_grads(_split_policy_grads(policy, p_grads),
-                                         cfg.grad_clip))
-                val_opt.step([*value_net.weights, *value_net.biases],
-                             _clip_grads([*v_grads["weights"],
-                                          *v_grads["biases"]], cfg.grad_clip))
-        if not all(np.all(np.isfinite(p)) for p in _policy_params(policy)):
+                _clip_grad(pol_grad, pol_views, cfg.grad_clip)
+                pol_opt.step([policy.params], [pol_grad])
+                _clip_grad(val_grad, val_views, cfg.grad_clip)
+                val_opt.step([value_net.params], [val_grad])
+        if not np.all(np.isfinite(policy.params)):
             raise TrainingDivergence(f"non-finite parameters at step {steps_done}")
 
         curve.append(CurvePoint(
@@ -345,17 +319,19 @@ def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0,
     env_cfg = env_cfg if env_cfg is not None else EpisodeConfig()
     orbit = orbit if orbit is not None else default_orbit()
     veh = veh if veh is not None else default_vehicle()
+    if n_episodes < 0:
+        raise ValueError("n_episodes must be nonnegative")
     rng = np.random.default_rng(seed)
     successes = 0
     times: list = []
     for _ in range(n_episodes):
         state, goal = sample_episode(rng, env_cfg)
         task = WaypointTask(goal)
+        obs = observe(state, task.goal)
         elapsed = 0.0
         while True:
-            action = policy_act(policy, observe(state, task.goal))
-            out = step(state, action, task, env_cfg, orbit, veh, elapsed)
-            state = out.state
+            out = step(state, policy_act(policy, obs), task, env_cfg, orbit, veh, elapsed)
+            state, obs = out.state, out.obs
             elapsed += env_cfg.dt
             if out.status is not Status.RUNNING:
                 break

@@ -151,3 +151,28 @@ def test_baseline_stats_deterministic(capsys):
 
 def test_negative_trials_exits_2():
     assert main(["baseline-stats", "--trials", "-1"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--control-dt", "nan"],
+    ["--control-dt", "inf"],
+    ["--sim-dt", "nan"],
+    ["--control-dt", "1e7"],             # 1e8 substeps per tick
+    ["--control-dt", "200"],             # 2000 substeps, above the maximum
+    ["--sim-dt", "0.3"],                 # does not divide 1 s
+    ["--control-dt", "1", "--sim-dt", "2"],
+])
+def test_bad_time_steps_exit_2_without_files(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dividing_time_steps_run(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--control-dt", "0.3",
+                 "--sim-dt", "0.1", "--out", str(out)]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert (config["control_dt"], config["sim_dt"]) == (0.3, 0.1)

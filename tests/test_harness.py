@@ -6,6 +6,7 @@ import pytest
 from proxops.dynamics import RelativeState, VehicleParams, default_vehicle
 from proxops.harness import (
     CSV_HEADER,
+    MAX_SUBSTEPS_PER_TICK,
     AgentSpec,
     ScenarioSpec,
     TickRecord,
@@ -68,6 +69,18 @@ def test_spec_validation():
         ScenarioSpec(name="x", agents=())
     with pytest.raises(ValueError):
         AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ())
+
+
+def test_substeps_per_tick_and_their_maximum():
+    agent = AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ((1.0, 0, 0),))
+    assert ScenarioSpec(name="x", agents=(agent,), control_dt=0.3,
+                        sim_dt=0.1).substeps == 3
+    dt = 1.0 / MAX_SUBSTEPS_PER_TICK
+    assert ScenarioSpec(name="x", agents=(agent,), sim_dt=dt).substeps == \
+        MAX_SUBSTEPS_PER_TICK
+    with pytest.raises(ValueError):
+        ScenarioSpec(name="x", agents=(agent,),
+                     sim_dt=1.0 / (MAX_SUBSTEPS_PER_TICK + 1))
 
 
 def test_all_waypoints_already_inside_finish_at_time_zero():

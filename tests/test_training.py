@@ -5,9 +5,10 @@ import pytest
 
 from proxops.dynamics import default_orbit, default_vehicle
 from proxops.env import EpisodeConfig, RelativeState, WaypointTask, observe, step
-from proxops.policy import MlpPolicy
+from proxops.policy import MlpPolicy, load_policy, save_policy
 from proxops.training import (
     Adam,
+    _clip_grad,
     CurvePoint,
     RolloutBatch,
     TrainerConfig,
@@ -111,6 +112,76 @@ def test_adam_first_step_is_signed_lr():
     np.testing.assert_allclose(p, [1.0 - 0.01, -2.0 + 0.01], atol=1e-9)
 
 
+def test_adam_on_one_flat_vector_matches_per_array_steps():
+    rng = np.random.default_rng(1)
+    shapes = [(4, 3), (4,), (2,)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    per_array, flat_opt = Adam(arrays, lr=0.01), Adam([flat], lr=0.01)
+    for _ in range(6):
+        grads = [rng.normal(size=shape) for shape in shapes]
+        per_array.step(arrays, grads)
+        flat_opt.step([flat], [np.concatenate([g.ravel() for g in grads])])
+    np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
+
+def _clip_per_array(grads, max_norm):
+    """Gradient clipping over a list of arrays, the rule the flat clip keeps."""
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    return [g * (max_norm / total) for g in grads] if total > max_norm else grads
+
+
+@pytest.mark.parametrize("norm_fraction", [0.5, 2.0])
+def test_flat_clipping_matches_per_array_clipping(norm_fraction):
+    rng = np.random.default_rng(4)
+    policy = MlpPolicy.initialize(rng, layer_dims=(6, 8, 8, 3))
+    grad = np.empty_like(policy.params)
+    _, views = surrogate_loss_and_grad(policy, _bandit_batch(policy, rng), 0.2,
+                                       out=grad)
+    arrays = [*views["weights"], *views["biases"], views["log_std"]]
+    assert all(np.shares_memory(a, grad) for a in arrays)
+    max_norm = norm_fraction * math.sqrt(sum(float(np.sum(g * g)) for g in arrays))
+    expected = np.concatenate([g.ravel() for g in _clip_per_array(arrays, max_norm)])
+    _clip_grad(grad, arrays, max_norm)
+    np.testing.assert_array_equal(grad, expected)
+
+
+def test_policy_arrays_are_views_into_one_flat_vector():
+    policy = MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 8, 8, 3))
+    arrays = [*policy.weights, *policy.biases, policy.log_std]
+    np.testing.assert_array_equal(
+        policy.params, np.concatenate([a.ravel() for a in arrays]))
+    policy.params[:] = np.arange(policy.params.size)
+    assert policy.weights[0][0, 1] == 1.0
+    assert policy.log_std[-1] == policy.params.size - 1
+
+
+def _short_training(seed, init_policy=None):
+    cfg = TrainerConfig(total_steps=1024, batch_size=512, epochs_per_batch=2,
+                        seed=seed)
+    return train(trainer_cfg=cfg, init_policy=init_policy)[0]
+
+
+def test_train_leaves_init_policy_unchanged():
+    start = MlpPolicy.initialize(np.random.default_rng(2))
+    before = start.params.copy()
+    trained = _short_training(1, init_policy=start)
+    np.testing.assert_array_equal(start.params, before)
+    assert not np.array_equal(trained.params, before)
+
+
+def test_trained_policy_copy_and_file_round_trip_are_exact(tmp_path):
+    trained = _short_training(3)
+    save_policy(trained, tmp_path / "p.json")
+    for other in (trained.copy(), load_policy(tmp_path / "p.json")):
+        assert not np.shares_memory(other.params, trained.params)
+        np.testing.assert_array_equal(other.params, trained.params)
+        for a, b in zip([*other.weights, *other.biases, other.log_std],
+                        [*trained.weights, *trained.biases, trained.log_std]):
+            assert np.shares_memory(a, other.params)
+            np.testing.assert_array_equal(a, b)
+
+
 def test_zero_total_steps_returns_initial_policy_and_empty_curve():
     policy, curve = train(trainer_cfg=TrainerConfig(total_steps=0, seed=5))
     assert curve == []
@@ -168,6 +239,12 @@ def test_evaluate_zero_policy_never_reaches():
     rate, mean_time = evaluate_policy(policy, 5, seed=2)
     assert rate == 0.0
     assert math.isnan(mean_time)
+
+
+def test_evaluate_negative_episode_count_raises():
+    policy = MlpPolicy.initialize(np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        evaluate_policy(policy, -1)
 
 
 def test_curve_rows_format():
