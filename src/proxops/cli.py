@@ -19,7 +19,7 @@ import numpy as np
 from .harness import (
     baseline_stats,
     builtin_scenario,
-    crossing_times,
+    local_minima,
     make_controller,
     pair_distances,
     run,
@@ -65,18 +65,21 @@ def _plot_data(log) -> dict:
             "speed": [float(np.linalg.norm(r.vel)) for r in recs],
             "rta_active": [int(r.rta_active) for r in recs],
         }
+    distances = pair_distances(log)
     pairs = {key: {"t": [t for t, _ in series], "dist": [d for _, d in series]}
-             for key, series in pair_distances(log).items()}
+             for key, series in distances.items()}
     crossings = {key: [[t, d] for t, d in series]
-                 for key, series in crossing_times(log).items()}
+                 for key, series in local_minima(distances).items()}
     return {"agents": agents, "pair_distances": pairs,
             "crossing_times": crossings}
 
 
 def _write_json(path, payload) -> None:
+    """Write strict JSON; raises ValueError on NaN or infinities, before
+    the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_run(args) -> int:
@@ -98,9 +101,14 @@ def cmd_run(args) -> int:
     report, log = run(spec)
     os.makedirs(args.out, exist_ok=True)
     write_csv(log, os.path.join(args.out, "trajectory.csv"))
-    _write_json(os.path.join(args.out, "metrics.json"), report.as_dict())
-    _write_json(os.path.join(args.out, "plot_data.json"), _plot_data(log))
-    _write_json(os.path.join(args.out, "config.json"), cfg)
+    for name, payload in (("metrics.json", report.as_dict()),
+                          ("plot_data.json", _plot_data(log)),
+                          ("config.json", cfg)):
+        try:
+            _write_json(os.path.join(args.out, name), payload)
+        except ValueError as exc:
+            print(f"error: {name} not written: {exc}", file=sys.stderr)
+            return 1
     if report.aborted:
         print("error: propagation aborted; partial artifacts written",
               file=sys.stderr)

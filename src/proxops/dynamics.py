@@ -174,6 +174,50 @@ def cwh_derivative(state: RelativeState, u, orbit: ChiefOrbit,
     return StateDerivative(state.vel.copy(), accel)
 
 
+def _rk4_cwh(x, y, z, vx, vy, vz, ax_u, ay_u, az_u, n, h, substeps):
+    """``substeps`` classical RK4 steps of size ``h`` on the CWH equations.
+
+    The state components and the thrust accelerations (a_u) are either Python
+    floats or equal-shape arrays; each array element then goes through the
+    same floating-point operations, in the same order, as a float would.
+    Returns the six state components.
+    """
+    n2 = n * n
+
+    def deriv(x, y, z, vx, vy, vz):
+        return (vx, vy, vz,
+                3.0 * n2 * x + 2.0 * n * vy + ax_u,
+                -2.0 * n * vx + ay_u,
+                -n2 * z + az_u)
+
+    for _ in range(substeps):
+        k1 = deriv(x, y, z, vx, vy, vz)
+        k2 = deriv(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], z + 0.5 * h * k1[2],
+                   vx + 0.5 * h * k1[3], vy + 0.5 * h * k1[4], vz + 0.5 * h * k1[5])
+        k3 = deriv(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], z + 0.5 * h * k2[2],
+                   vx + 0.5 * h * k2[3], vy + 0.5 * h * k2[4], vz + 0.5 * h * k2[5])
+        k4 = deriv(x + h * k3[0], y + h * k3[1], z + h * k3[2],
+                   vx + h * k3[3], vy + h * k3[4], vz + h * k3[5])
+        sixth = h / 6.0
+        x = x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        y = y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        z = z + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        vx = vx + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        vy = vy + sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+        vz = vz + sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
+    return x, y, z, vx, vy, vz
+
+
+def _rk4_steps(dt: float, substeps: int | None) -> int:
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if substeps is None:
+        substeps = max(1, int(round(dt / DEFAULT_SUBSTEP)))
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
+    return substeps
+
+
 def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
                   veh: VehicleParams, substeps: int | None = None) -> RelativeState:
     """Propagate the CWH dynamics for ``dt`` seconds under constant thrust.
@@ -197,49 +241,35 @@ def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
     PropagationError
         If the propagated state stops being finite.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if substeps is None:
-        substeps = max(1, int(round(dt / DEFAULT_SUBSTEP)))
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
-
-    n = orbit.mean_motion
-    n2 = n * n
+    substeps = _rk4_steps(dt, substeps)
     inv_m = 1.0 / veh.mass
     ux, uy, uz = np.asarray(u, dtype=float).tolist()
-    ax_u, ay_u, az_u = ux * inv_m, uy * inv_m, uz * inv_m
-
-    # Scalar RK4 keeps the hot loop free of array allocation overhead.
-    def deriv(x, y, z, vx, vy, vz):
-        return (vx, vy, vz,
-                3.0 * n2 * x + 2.0 * n * vy + ax_u,
-                -2.0 * n * vx + ay_u,
-                -n2 * z + az_u)
-
-    h = dt / substeps
     x, y, z = state.pos.tolist()
     vx, vy, vz = state.vel.tolist()
-    for _ in range(substeps):
-        k1 = deriv(x, y, z, vx, vy, vz)
-        k2 = deriv(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], z + 0.5 * h * k1[2],
-                   vx + 0.5 * h * k1[3], vy + 0.5 * h * k1[4], vz + 0.5 * h * k1[5])
-        k3 = deriv(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], z + 0.5 * h * k2[2],
-                   vx + 0.5 * h * k2[3], vy + 0.5 * h * k2[4], vz + 0.5 * h * k2[5])
-        k4 = deriv(x + h * k3[0], y + h * k3[1], z + h * k3[2],
-                   vx + h * k3[3], vy + h * k3[4], vz + h * k3[5])
-        sixth = h / 6.0
-        x += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        y += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        z += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        vx += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        vy += sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-        vz += sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
-
-    out = (x, y, z, vx, vy, vz)
+    # Python floats keep the hot loop free of array allocation overhead.
+    out = _rk4_cwh(x, y, z, vx, vy, vz, ux * inv_m, uy * inv_m, uz * inv_m,
+                   orbit.mean_motion, dt / substeps, substeps)
     if not all(math.isfinite(v) for v in out):
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return RelativeState(np.array(out[:3]), np.array(out[3:]))
+
+
+def propagate_cwh_batch(states: np.ndarray, u: np.ndarray, dt: float,
+                        orbit: ChiefOrbit, veh: VehicleParams,
+                        substeps: int | None = None) -> np.ndarray:
+    """:func:`propagate_cwh` on every row of ``states`` (K, 6) at once.
+
+    ``u`` holds one thrust vector per row (K, 3).  Each returned row equals
+    what :func:`propagate_cwh` gives for that row, bit for bit.
+    """
+    substeps = _rk4_steps(dt, substeps)
+    a_u = np.asarray(u, dtype=float) * (1.0 / veh.mass)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        out = np.stack(_rk4_cwh(*np.asarray(states, dtype=float).T, *a_u.T,
+                                orbit.mean_motion, dt / substeps, substeps), axis=1)
+    if not np.all(np.isfinite(out)):
+        raise PropagationError("relative-motion propagation diverged to non-finite state")
+    return out
 
 
 def cwh_closed_form(state: RelativeState, dt: float, orbit: ChiefOrbit) -> RelativeState:

@@ -19,6 +19,7 @@ from .dynamics import (
     RelativeState,
     VehicleParams,
     propagate_cwh,
+    propagate_cwh_batch,
 )
 
 TRAINING_ACCEPTANCE_RADIUS = 10.0
@@ -111,7 +112,7 @@ class Observation:
     vel: np.ndarray
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.scaled_delta, self.vel])
+        return np.concatenate([self.scaled_delta, self.vel], axis=-1)
 
 
 @dataclass
@@ -120,6 +121,16 @@ class StepOutcome:
     obs: Observation
     reward: float
     status: Status
+
+
+@dataclass
+class EpisodeResults:
+    """Outcome of each episode of :func:`run_episodes`, in input order."""
+
+    status: list              # final Status of each episode
+    elapsed: np.ndarray       # (K,) episode time, s
+    final: np.ndarray         # (K, 6) final position and velocity
+    path_length: np.ndarray   # (K,) summed lengths of position increments, m
 
 
 def sample_episode(rng: np.random.Generator, cfg: EpisodeConfig):
@@ -135,6 +146,13 @@ def sample_episode(rng: np.random.Generator, cfg: EpisodeConfig):
     return RelativeState(start, np.zeros(3)), goal
 
 
+def sample_episodes(rng: np.random.Generator, cfg: EpisodeConfig, n: int):
+    """``n`` draws of :func:`sample_episode`: starts (n, 6) and goals (n, 3)."""
+    episodes = [sample_episode(rng, cfg) for _ in range(n)]
+    return (np.array([state.as_vector() for state, _ in episodes]).reshape(n, 6),
+            np.array([goal for _, goal in episodes]).reshape(n, 3))
+
+
 def observe(state: RelativeState, goal) -> Observation:
     goal = np.asarray(goal, dtype=float)
     return Observation((state.pos - goal) / OBS_POSITION_SCALE, state.vel.copy())
@@ -143,6 +161,16 @@ def observe(state: RelativeState, goal) -> Observation:
 def _norm(vec: np.ndarray) -> float:
     """Euclidean norm of a float vector, as np.linalg.norm computes it."""
     return math.sqrt(vec.dot(vec))
+
+
+def norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the last axis of (..., 3) ``vecs``.
+
+    Each norm equals ``np.linalg.norm`` of its row bit for bit: a stacked
+    matrix product sums a row's squares in the same order as a dot product
+    (``einsum`` and ``sum(axis=-1)`` do not).
+    """
+    return np.sqrt((vecs[..., None, :] @ vecs[..., :, None])[..., 0, 0])
 
 
 def _reward(dist: float, prev_dist: float, vel: np.ndarray,
@@ -188,17 +216,67 @@ def step(state: RelativeState, action, task: WaypointTask, cfg: EpisodeConfig,
     return StepOutcome(nxt, observe(nxt, task.goal), value, status)
 
 
+def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
+                 orbit: ChiefOrbit, veh: VehicleParams,
+                 acceptance_radius: float = TRAINING_ACCEPTANCE_RADIUS,
+                 timeout: float = DEFAULT_TIMEOUT) -> EpisodeResults:
+    """Step K episodes in lock-step until every one has ended.
+
+    ``starts`` (K, 6) holds start positions and velocities and ``goals``
+    (K, 3) goal positions.  ``controller`` maps an Observation of (L, 3)
+    stacks, one row per live episode, to (L, 3) actions.  Each tick makes one
+    controller call and one batched propagation, then drops the episodes
+    that ended.  Each episode's status, elapsed time, final state and path
+    length equal those of stepping it alone with :func:`step`, bit for bit.
+    """
+    states = np.array(starts, dtype=float).reshape(-1, 6)
+    goals = np.array(goals, dtype=float).reshape(-1, 3)
+    n = states.shape[0]
+    results = EpisodeResults([Status.RUNNING] * n, np.zeros(n), np.empty((n, 6)),
+                             np.zeros(n))
+    bounds = np.asarray(cfg.bounds, dtype=float)
+    live = np.arange(n)
+    path = np.zeros(n)
+    elapsed = 0.0
+    while live.size:
+        pos = states[:, :3]
+        obs = Observation((pos - goals) / OBS_POSITION_SCALE, states[:, 3:])
+        action = np.clip(np.asarray(controller(obs), dtype=float), -1.0, 1.0)
+        states = propagate_cwh_batch(states, veh.thrust_bound * action, cfg.dt,
+                                     orbit, veh, substeps=cfg.substeps)
+        path += norms(states[:, :3] - pos)
+        timed_out = elapsed + cfg.dt >= timeout
+        elapsed += cfg.dt
+
+        reached = norms(states[:, :3] - goals) < acceptance_radius
+        out = np.any(np.abs(states[:, :3]) > bounds, axis=1) & ~reached
+        ended = np.ones_like(reached) if timed_out else reached | out
+        if not ended.any():
+            continue
+        for k, r, o in zip(live[ended].tolist(), reached[ended].tolist(),
+                           out[ended].tolist()):
+            results.status[k] = (Status.REACHED if r else
+                                 Status.OUT_OF_BOUNDS if o else Status.TIMEOUT)
+        done = live[ended]
+        results.elapsed[done] = elapsed
+        results.final[done] = states[ended]
+        results.path_length[done] = path[ended]
+        keep = ~ended
+        live, states, goals, path = live[keep], states[keep], goals[keep], path[keep]
+    return results
+
+
 def rollout(controller, state: RelativeState, task: WaypointTask,
             cfg: EpisodeConfig, orbit: ChiefOrbit, veh: VehicleParams):
     """Run ``controller`` (Observation -> action) until the episode ends.
 
-    Returns (final status, elapsed seconds, final state).
+    The one-episode case of :func:`run_episodes`.  Returns (final status,
+    elapsed seconds, final state).
     """
-    elapsed = 0.0
-    status = Status.RUNNING
-    obs = observe(state, task.goal)
-    while status is Status.RUNNING:
-        out = step(state, controller(obs), task, cfg, orbit, veh, elapsed)
-        state, obs, status = out.state, out.obs, out.status
-        elapsed += cfg.dt
-    return status, elapsed, state
+    def one_row(obs: Observation) -> np.ndarray:
+        return np.asarray(controller(Observation(obs.scaled_delta[0], obs.vel[0])),
+                          dtype=float)[None]
+
+    res = run_episodes(one_row, state.as_vector(), task.goal, cfg, orbit, veh,
+                       task.acceptance_radius, task.timeout)
+    return res.status[0], float(res.elapsed[0]), RelativeState.from_vector(res.final[0])

@@ -26,13 +26,14 @@ from .dynamics import (
     default_vehicle,
     propagate_cwh,
 )
-from .env import (
+from .env import (  # noqa: F401 - step stays a harness attribute for perfbench's tracer
     DEFAULT_TIMEOUT,
     EpisodeConfig,
     Status,
-    WaypointTask,
+    norms,
     observe,
-    sample_episode,
+    run_episodes,
+    sample_episodes,
     step,
 )
 from .policy import BaselineGains, baseline_act, load_policy, policy_act
@@ -43,6 +44,14 @@ INTERVENTION_TOL = 1e-6
 
 MAX_SUBSTEPS_PER_TICK = 1000
 """Most dynamics substeps (control_dt / sim_dt) a scenario may take per tick."""
+
+MAX_SUBSTEP_PHASE = 0.1
+"""Largest orbital phase mean_motion * sim_dt one RK4 substep may span, rad.
+
+About 90 s on the default orbit.  One RK4 step that long is within 1e-6 of
+the closed-form solution, relative to the state with velocities scaled by
+1 / mean_motion; steps far beyond it make RK4 diverge.
+"""
 
 CSV_HEADER = ("t,agent,rx,ry,rz,vx,vy,vz,ux_des,uy_des,uz_des,ux,uy,uz,"
               "rta_active,slack_pos,slack_vel,slack_acc,slack_u1,slack_u2,"
@@ -92,6 +101,10 @@ class ScenarioSpec:
             raise ValueError("time steps must be finite and positive")
         if self.sim_dt > self.control_dt:
             raise ValueError("sim_dt must not exceed control_dt")
+        if self.orbit.mean_motion * self.sim_dt > MAX_SUBSTEP_PHASE:
+            raise ValueError(f"sim_dt {self.sim_dt:g} s exceeds "
+                             f"{MAX_SUBSTEP_PHASE / self.orbit.mean_motion:g} s, "
+                             f"{MAX_SUBSTEP_PHASE} rad of the chief orbit")
         ratio = self.control_dt / self.sim_dt
         if ratio >= MAX_SUBSTEPS_PER_TICK + 0.5:  # rounds above the maximum
             raise ValueError(f"control_dt / sim_dt = {ratio:g} exceeds "
@@ -394,16 +407,16 @@ def pair_distances(log: TrajectoryLog, include_chief: bool = True) -> dict:
     return series
 
 
+def local_minima(distances: dict) -> dict:
+    """Strict local minima of each (t, distance) series in ``distances``."""
+    return {key: [b for a, b, c in zip(series, series[1:], series[2:])
+                  if b[1] < a[1] and b[1] < c[1]]
+            for key, series in distances.items()}
+
+
 def crossing_times(log: TrajectoryLog, include_chief: bool = True) -> dict:
     """Strict local minima of each pairwise-distance series: (t, distance)."""
-    out = {}
-    for key, series in pair_distances(log, include_chief).items():
-        minima = []
-        for a, b, c in zip(series, series[1:], series[2:]):
-            if b[1] < a[1] and b[1] < c[1]:
-                minima.append(b)
-        out[key] = minima
-    return out
+    return local_minima(pair_distances(log, include_chief))
 
 
 @dataclass(frozen=True)
@@ -429,6 +442,8 @@ def baseline_stats(n_trials: int, seed: int = 0,
                    vehicle: VehicleParams | None = None) -> BaselineStats:
     """Run the baseline controller on sampled training episodes.
 
+    All trials step in lock-step through :func:`env.run_episodes`.
+
     Reports success rate plus mean and sample-SD of completion time and
     path length, and the mean excess of path length over the start-to-goal
     straight line (successful trials only).
@@ -442,29 +457,18 @@ def baseline_stats(n_trials: int, seed: int = 0,
     vehicle = vehicle if vehicle is not None else default_vehicle()
     gains = BaselineGains()
     rng = np.random.default_rng(seed)
+    starts, goals = sample_episodes(rng, cfg, n_trials)
+    res = run_episodes(
+        lambda obs: baseline_act(obs, gains, vehicle.mass, vehicle.thrust_bound),
+        starts, goals, cfg, orbit, vehicle)
 
-    times, dists, excesses, successes = [], [], [], 0
-    for _ in range(n_trials):
-        state, goal = sample_episode(rng, cfg)
-        task = WaypointTask(goal)
-        straight = float(np.linalg.norm(state.pos - goal))
-        obs = observe(state, task.goal)
-        elapsed = 0.0
-        dist = 0.0
-        while True:
-            action = baseline_act(obs, gains, vehicle.mass, vehicle.thrust_bound)
-            out = step(state, action, task, cfg, orbit, vehicle, elapsed)
-            dist += float(np.linalg.norm(out.state.pos - state.pos))
-            state, obs = out.state, out.obs
-            elapsed += cfg.dt
-            if out.status is not Status.RUNNING:
-                break
-        if out.status is Status.REACHED:
-            successes += 1
-            times.append(elapsed)
-            dists.append(dist)
+    times, dists, excesses = [], [], []
+    for k, straight in enumerate(norms(starts[:, :3] - goals).tolist()):
+        if res.status[k] is Status.REACHED:
+            times.append(res.elapsed[k])
+            dists.append(res.path_length[k])
             if straight > 0.0:
-                excesses.append(dist / straight - 1.0)
+                excesses.append(res.path_length[k] / straight - 1.0)
 
     def _mean(xs):
         return float(np.mean(xs)) if xs else 0.0
@@ -473,7 +477,7 @@ def baseline_stats(n_trials: int, seed: int = 0,
         return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
 
     return BaselineStats(n_trials=n_trials,
-                         success_rate=successes / n_trials,
+                         success_rate=len(times) / n_trials,
                          mean_time=_mean(times), sd_time=_sd(times),
                          mean_distance=_mean(dists), sd_distance=_sd(dists),
                          mean_excess=_mean(excesses))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Observation, OBS_POSITION_SCALE, RewardParams
+from .env import Observation, OBS_POSITION_SCALE, RewardParams, norms
 
 POLICY_FORMAT = "proxops-mlp-policy"
 POLICY_VERSION = 1
@@ -47,18 +47,26 @@ class BaselineGains:
 
 def baseline_act(obs: Observation, gains: BaselineGains = BaselineGains(),
                  mass: float = 1.0, thrust_bound: float = 1.0) -> np.ndarray:
-    """PD thrust command toward the goal, in [-1, 1] per axis."""
+    """PD thrust command toward the goal, in [-1, 1] per axis.
+
+    ``obs`` fields may be (..., 3) stacks; each row gets the command it would
+    get alone, bit for bit.  Per-row scalars broadcast against the transposed
+    (3, ...) vectors, so one observation's scalars stay numpy scalars.
+    """
     delta = obs.scaled_delta * OBS_POSITION_SCALE
-    dist = float(np.linalg.norm(delta))
-    if dist > 0.0:
-        speed = min(gains.kp / gains.kv * dist, gains.speed_cap,
-                    gains.speed_limit_margin * gains.speed_limit_slope * dist)
-        vel_des = -delta / dist * speed
-    else:
-        vel_des = np.zeros(3)
+    dist = norms(delta)
+    # Both speed limits are proportional to dist >= 0, and rounding is
+    # monotone, so the smaller coefficient gives the smaller product.
+    rate = min(gains.kp / gains.kv,
+               gains.speed_limit_margin * gains.speed_limit_slope)
+    speed = np.minimum(rate * dist, gains.speed_cap)
+    # At the goal speed is 0, so dividing by 1 instead of 0 commands rest.
+    # Negating the divisor, not delta, gives the same bits (IEEE division is
+    # sign-symmetric) with one scalar operation instead of a vector one.
+    vel_des = (delta.T / -(dist + (dist == 0.0)).T * speed.T).T
     accel_cmd = gains.kv * (vel_des - obs.vel)
     action = accel_cmd * mass / thrust_bound
-    return np.clip(action, -1.0, 1.0)
+    return np.minimum(np.maximum(action, -1.0), 1.0)  # np.clip, less overhead
 
 
 def flat_views(flat: np.ndarray, shapes) -> list:
@@ -148,15 +156,24 @@ class MlpPolicy:
 
 def policy_act(policy: MlpPolicy, obs: Observation,
                rng: np.random.Generator | None = None) -> np.ndarray:
+    """Policy action; ``obs`` fields may be (..., 3) stacks.
+
+    Each observation goes through the network as a one-row matrix, so a
+    stack's rows get the actions they would get alone, bit for bit (one
+    (K, 6) matrix product rounds differently).
+    """
     vec = obs.vector()
-    if vec.shape != (policy.layer_dims[0],):
-        raise ValueError(f"observation dimension {vec.shape[0]} does not match "
+    if vec.shape[-1] != policy.layer_dims[0]:
+        raise ValueError(f"observation dimension {vec.shape[-1]} does not match "
                          f"policy input {policy.layer_dims[0]}")
-    return policy.act(vec, rng)
+    return policy.act(vec[..., None, :], rng)[..., 0, :]
 
 
 def save_policy(policy: MlpPolicy, path) -> None:
-    """Write the policy as versioned JSON (row-major weight matrices)."""
+    """Write the policy as versioned JSON (row-major weight matrices).
+
+    Raises ValueError, and writes nothing, if a parameter is not finite.
+    """
     payload = {
         "format": POLICY_FORMAT,
         "version": POLICY_VERSION,
@@ -165,9 +182,9 @@ def save_policy(policy: MlpPolicy, path) -> None:
         "biases": [b.tolist() for b in policy.biases],
         "log_std": policy.log_std.tolist(),
     }
+    text = json.dumps(payload, allow_nan=False)  # raises on NaN before opening
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_policy(path) -> MlpPolicy:

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChiefOrbit, VehicleParams, default_orbit, default_vehicle
-from .env import EpisodeConfig, Status, WaypointTask, observe, sample_episode, step
+from .env import (
+    EpisodeConfig,
+    Status,
+    WaypointTask,
+    observe,
+    run_episodes,
+    sample_episode,
+    sample_episodes,
+    step,
+)
 from .policy import DEFAULT_LAYER_DIMS, MlpPolicy, flat_views, mlp_forward, policy_act
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -315,30 +324,20 @@ def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0,
                     env_cfg: EpisodeConfig | None = None,
                     orbit: ChiefOrbit | None = None,
                     veh: VehicleParams | None = None):
-    """Deterministic rollouts on sampled episodes: (success rate, mean time)."""
+    """Deterministic rollouts on sampled episodes: (success rate, mean time).
+
+    All episodes step in lock-step through :func:`env.run_episodes`.
+    """
     env_cfg = env_cfg if env_cfg is not None else EpisodeConfig()
     orbit = orbit if orbit is not None else default_orbit()
     veh = veh if veh is not None else default_vehicle()
     if n_episodes < 0:
         raise ValueError("n_episodes must be nonnegative")
-    rng = np.random.default_rng(seed)
-    successes = 0
-    times: list = []
-    for _ in range(n_episodes):
-        state, goal = sample_episode(rng, env_cfg)
-        task = WaypointTask(goal)
-        obs = observe(state, task.goal)
-        elapsed = 0.0
-        while True:
-            out = step(state, policy_act(policy, obs), task, env_cfg, orbit, veh, elapsed)
-            state, obs = out.state, out.obs
-            elapsed += env_cfg.dt
-            if out.status is not Status.RUNNING:
-                break
-        if out.status is Status.REACHED:
-            successes += 1
-            times.append(elapsed)
-    rate = successes / n_episodes if n_episodes else 0.0
+    starts, goals = sample_episodes(np.random.default_rng(seed), env_cfg, n_episodes)
+    res = run_episodes(lambda obs: policy_act(policy, obs), starts, goals,
+                       env_cfg, orbit, veh)
+    times = [t for t, s in zip(res.elapsed, res.status) if s is Status.REACHED]
+    rate = len(times) / n_episodes if n_episodes else 0.0
     return rate, (float(np.mean(times)) if times else float("nan"))
 
 

@@ -176,3 +176,47 @@ def test_dividing_time_steps_run(tmp_path):
                  "--sim-dt", "0.1", "--out", str(out)]) == 0
     config = json.loads((out / "config.json").read_text())
     assert (config["control_dt"], config["sim_dt"]) == (0.3, 0.1)
+
+
+def test_unstable_sim_dt_exits_2_without_files(tmp_path, capsys):
+    # Each step is in range and divides the tick, but one 1e7 s RK4 step
+    # spans ~1.1e4 rad of the orbit and diverges to ~1e20 m.
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--control-dt", "1e7",
+                 "--sim-dt", "1e7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_finite_metric_exits_1_without_bare_nan(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from proxops import cli
+
+    real_run = cli.run
+
+    def nan_run(spec):
+        report, log = real_run(spec)
+        agg = dataclasses.replace(report.aggregate, delta_v=float("nan"))
+        return dataclasses.replace(report, aggregate=agg), log
+
+    monkeypatch.setattr(cli, "run", nan_run)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "metrics.json").exists()
+    for path in out.iterdir():
+        assert "NaN" not in path.read_text()
+
+
+def test_plot_data_minima_are_the_crossing_times(tmp_path):
+    from proxops.harness import crossing_times, run, three_agent_standoff
+
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "standoff", "--rta", "off", "--out", str(out)]) == 0
+    plot = json.loads((out / "plot_data.json").read_text())
+    _, log = run(three_agent_standoff(False))
+    assert plot["crossing_times"] == {key: [list(m) for m in minima]
+                                      for key, minima in crossing_times(log).items()}

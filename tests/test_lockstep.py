@@ -1,0 +1,186 @@
+"""The lock-step episode loop against one-episode stepping, and golden outputs."""
+
+import numpy as np
+import pytest
+
+from proxops.dynamics import (
+    PropagationError,
+    RelativeState,
+    default_orbit,
+    default_vehicle,
+    propagate_cwh,
+    propagate_cwh_batch,
+)
+from proxops.env import (
+    EpisodeConfig,
+    Observation,
+    Status,
+    WaypointTask,
+    observe,
+    rollout,
+    run_episodes,
+    sample_episodes,
+    step,
+)
+from proxops.harness import baseline_stats
+from proxops.policy import MlpPolicy, baseline_act, policy_act
+from proxops.training import evaluate_policy
+
+ORBIT = default_orbit()
+VEH = default_vehicle()
+
+
+def small_policy() -> MlpPolicy:
+    """A fixed 6-6-3 network acting roughly like a PD law: over the sampled
+    episodes of seed 1 some reach the goal, most leave the box, one times out."""
+    rng = np.random.default_rng(5)
+    w1 = 0.5 * np.eye(6) + 0.01 * rng.standard_normal((6, 6))
+    w2 = np.hstack([-10.0 * np.eye(3), -1.0 * np.eye(3)]) + 0.01 * rng.standard_normal((3, 6))
+    return MlpPolicy([w1, w2], [np.zeros(6), np.zeros(3)])
+
+
+def plain_episode(controller, start, goal, cfg, radius, timeout):
+    """One episode stepped with env.step: (status, elapsed, final state, path)."""
+    task = WaypointTask(goal, acceptance_radius=radius, timeout=timeout)
+    state = RelativeState.from_vector(start)
+    obs = observe(state, goal)
+    elapsed = path = 0.0
+    while True:
+        out = step(state, controller(obs), task, cfg, ORBIT, VEH, elapsed)
+        path += float(np.linalg.norm(out.state.pos - state.pos))
+        state, obs = out.state, out.obs
+        elapsed += cfg.dt
+        if out.status is not Status.RUNNING:
+            return out.status, elapsed, state.as_vector(), path
+
+
+POLICY = small_policy()
+CONTROLLERS = {
+    "baseline": lambda obs: baseline_act(obs),
+    "policy": lambda obs: policy_act(POLICY, obs),
+}
+
+
+@pytest.mark.parametrize("name, cfg, radius, timeout", [
+    ("baseline", EpisodeConfig(), 10.0, 500.0),
+    ("baseline", EpisodeConfig(), 10.0, 120.0),
+    ("baseline", EpisodeConfig(dt=2.0, substeps=4), 10.0, 500.0),
+    ("policy", EpisodeConfig(), 10.0, 500.0),
+])
+def test_each_episode_matches_a_plain_step_loop(name, cfg, radius, timeout):
+    controller = CONTROLLERS[name]
+    starts, goals = sample_episodes(np.random.default_rng(1), cfg, 20)
+    res = run_episodes(controller, starts, goals, cfg, ORBIT, VEH, radius, timeout)
+    for k in range(len(starts)):
+        status, elapsed, final, path = plain_episode(
+            controller, starts[k], goals[k], cfg, radius, timeout)
+        assert res.status[k] is status
+        assert res.elapsed[k] == elapsed
+        assert np.array_equal(res.final[k], final)
+        assert res.path_length[k] == path
+
+
+def test_the_compared_batches_cover_every_ending():
+    seen = set()
+    for name, timeout in (("baseline", 120.0), ("policy", 500.0)):
+        starts, goals = sample_episodes(np.random.default_rng(1), EpisodeConfig(), 20)
+        seen |= set(run_episodes(CONTROLLERS[name], starts, goals, EpisodeConfig(),
+                                 ORBIT, VEH, 10.0, timeout).status)
+    assert seen == {Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT}
+
+
+def test_termination_precedence_within_one_tick():
+    # One tick that is also the last: row 0 lands inside the acceptance ball
+    # of a goal outside the box, row 1 is outside the box, row 2 only runs
+    # out of time.
+    starts = np.array([[599.0, 0, 0, 0, 0, 0],
+                       [700.0, 0, 0, 0, 0, 0],
+                       [0.0, 0, 0, 0, 0, 0]])
+    goals = np.array([[600.0, 0, 0], [0.0, 0, 0], [300.0, 0, 0]])
+    coast = lambda obs: np.zeros_like(obs.vel)
+    res = run_episodes(coast, starts, goals, EpisodeConfig(), ORBIT, VEH,
+                       timeout=1.0)
+    assert res.status == [Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT]
+    assert np.array_equal(res.elapsed, [1.0, 1.0, 1.0])
+    for k in range(3):
+        assert res.status[k] is plain_episode(coast, starts[k], goals[k],
+                                              EpisodeConfig(), 10.0, 1.0)[0]
+
+
+def test_no_episodes_never_call_the_controller():
+    def controller(obs):
+        raise AssertionError("called")
+    res = run_episodes(controller, np.empty((0, 6)), np.empty((0, 3)),
+                       EpisodeConfig(), ORBIT, VEH)
+    assert res.status == []
+    assert res.elapsed.shape == (0,) and res.final.shape == (0, 6)
+    assert evaluate_policy(POLICY, 0) == (0.0, pytest.approx(float("nan"), nan_ok=True))
+
+
+def test_rollout_is_the_one_episode_case():
+    cfg = EpisodeConfig()
+    starts, goals = sample_episodes(np.random.default_rng(8), cfg, 4)
+    for start, goal in zip(starts, goals):
+        status, elapsed, state = rollout(baseline_act, RelativeState.from_vector(start),
+                                         WaypointTask(goal), cfg, ORBIT, VEH)
+        want = plain_episode(baseline_act, start, goal, cfg, 10.0, 500.0)
+        assert (status, elapsed) == want[:2]
+        assert np.array_equal(state.as_vector(), want[2])
+
+
+def test_policy_with_wrong_input_width_raises():
+    policy = MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(4, 8, 3))
+    with pytest.raises(ValueError):
+        evaluate_policy(policy, 3)
+
+
+def test_stacked_controllers_match_one_row_calls():
+    rng = np.random.default_rng(2)
+    delta = rng.uniform(-1, 1, (64, 3))
+    delta[0] = 0.0            # at the goal
+    delta[1] = [0.0, -0.0, 1e-3]
+    vel = rng.uniform(-5, 5, (64, 3))
+    obs = Observation(delta, vel)
+    stacked_pd = baseline_act(obs)
+    stacked_mlp = policy_act(POLICY, obs)
+    for k in range(64):
+        one = Observation(delta[k], vel[k])
+        assert np.array_equal(stacked_pd[k], baseline_act(one))
+        assert np.array_equal(stacked_mlp[k], policy_act(POLICY, one))
+
+
+@pytest.mark.parametrize("substeps", [1, 10])
+def test_batched_propagation_matches_each_row(substeps):
+    rng = np.random.default_rng(3)
+    states = rng.uniform(-500, 500, (16, 6))
+    thrust = rng.uniform(-1, 1, (16, 3))
+    got = propagate_cwh_batch(states, thrust, 1.0, ORBIT, VEH, substeps=substeps)
+    for k in range(16):
+        one = propagate_cwh(RelativeState.from_vector(states[k]), thrust[k], 1.0,
+                            ORBIT, VEH, substeps=substeps)
+        assert np.array_equal(got[k], one.as_vector())
+    with pytest.raises(PropagationError):
+        propagate_cwh_batch(states, np.full((16, 3), 1e308), 10.0, ORBIT, VEH, substeps=2)
+
+
+# Outputs of the one-episode-at-a-time implementation, to the last bit.
+BASELINE_GOLDEN = {
+    0: {"n_trials": 50, "success_rate": 1.0, "mean_time": 147.92,
+        "sd_time": 53.26707448780903, "mean_distance": 468.62689668472444,
+        "sd_distance": 213.07326769317174, "mean_excess": -0.02524305349462317},
+    3: {"n_trials": 50, "success_rate": 1.0, "mean_time": 147.92,
+        "sd_time": 58.674070342973856, "mean_distance": 468.2809108442432,
+        "sd_distance": 235.27016795108295, "mean_excess": -0.02646956235632775},
+    4: {"n_trials": 50, "success_rate": 1.0, "mean_time": 166.46,
+        "sd_time": 64.02015307698038, "mean_distance": 542.3505944805073,
+        "sd_distance": 256.5858693097612, "mean_excess": -0.02326159815640337},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BASELINE_GOLDEN))
+def test_baseline_stats_golden(seed):
+    assert baseline_stats(50, seed=seed).as_dict() == BASELINE_GOLDEN[seed]
+
+
+def test_evaluate_policy_golden():
+    assert evaluate_policy(small_policy(), 20, seed=1) == (0.15, 294.6666666666667)

@@ -157,3 +157,12 @@ def test_layer_shape_validation():
         MlpPolicy([np.zeros((4, 6)), np.zeros((3, 5))], [np.zeros(4), np.zeros(3)])
     with pytest.raises(ValueError):
         MlpPolicy([np.zeros((4, 6))], [np.zeros(3)])
+
+
+def test_save_policy_rejects_non_finite_weights_before_writing(tmp_path):
+    policy = MlpPolicy.initialize(np.random.default_rng(0))
+    policy.weights[0][0, 0] = np.nan
+    path = tmp_path / "p.json"
+    with pytest.raises(ValueError):
+        save_policy(policy, path)
+    assert not path.exists()
