@@ -17,7 +17,7 @@ from .dynamics import (
     propagate_cwh,
     propagate_inertial,
 )
-from .env import EpisodeConfig, Observation, RewardParams, Status, WaypointTask
+from .env import EpisodeConfig, Observation, RewardParams, Status
 from .harness import (
     MetricsReport,
     ScenarioSpec,
@@ -55,7 +55,6 @@ __all__ = [
     "TrainerConfig",
     "TrajectoryLog",
     "VehicleParams",
-    "WaypointTask",
     "baseline_act",
     "baseline_stats",
     "cwh_closed_form",

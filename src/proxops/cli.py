@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Identical invocations produce identical files.  ``train`` and
-``baseline-stats`` draw from --seed; ``run`` records --seed in config.json,
-but the built-in scenarios are fixed and do not read it.
+``baseline-stats`` draw from --seed.  ``run`` only echoes --seed into
+config.json: the built-in scenarios are fixed and no scenario setting holds
+a seed.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def cmd_run(args) -> int:
             spec,
             agents=tuple(dataclasses.replace(a, controller=cfg["controller"])
                          for a in spec.agents),
-            control_dt=float(cfg["control_dt"]), sim_dt=float(cfg["sim_dt"]),
-            seed=int(cfg["seed"]))
+            control_dt=float(cfg["control_dt"]), sim_dt=float(cfg["sim_dt"]))
+        int(cfg["seed"])  # run reads no seed; config.json echoes it, so it must convert to int
         make_controller(cfg["controller"], spec.vehicle)  # fail fast
     except (KeyError, ValueError, OSError, json.JSONDecodeError,
             PolicyFileError) as exc:

@@ -174,31 +174,26 @@ def cwh_derivative(state: RelativeState, u, orbit: ChiefOrbit,
     return StateDerivative(state.vel.copy(), accel)
 
 
-def _rk4_cwh(x, y, z, vx, vy, vz, ax_u, ay_u, az_u, n, h, substeps):
-    """``substeps`` classical RK4 steps of size ``h`` on the CWH equations.
+def _rk4(deriv, state, h, substeps: int) -> tuple:
+    """``substeps`` classical RK4 steps of size ``h`` from the six components
+    of ``state`` (position, then velocity).
 
-    The state components and the thrust accelerations (a_u) are either Python
-    floats or equal-shape arrays; each array element then goes through the
-    same floating-point operations, in the same order, as a float would.
-    Returns the six state components.
+    ``deriv`` maps the six components to their six time derivatives.  The
+    components are either Python floats or equal-shape arrays; each array
+    element then goes through the same floating-point operations, in the
+    same order, as a float would.
     """
-    n2 = n * n
-
-    def deriv(x, y, z, vx, vy, vz):
-        return (vx, vy, vz,
-                3.0 * n2 * x + 2.0 * n * vy + ax_u,
-                -2.0 * n * vx + ay_u,
-                -n2 * z + az_u)
-
+    x, y, z, vx, vy, vz = state
+    half = 0.5 * h
+    sixth = h / 6.0
     for _ in range(substeps):
         k1 = deriv(x, y, z, vx, vy, vz)
-        k2 = deriv(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], z + 0.5 * h * k1[2],
-                   vx + 0.5 * h * k1[3], vy + 0.5 * h * k1[4], vz + 0.5 * h * k1[5])
-        k3 = deriv(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], z + 0.5 * h * k2[2],
-                   vx + 0.5 * h * k2[3], vy + 0.5 * h * k2[4], vz + 0.5 * h * k2[5])
+        k2 = deriv(x + half * k1[0], y + half * k1[1], z + half * k1[2],
+                   vx + half * k1[3], vy + half * k1[4], vz + half * k1[5])
+        k3 = deriv(x + half * k2[0], y + half * k2[1], z + half * k2[2],
+                   vx + half * k2[3], vy + half * k2[4], vz + half * k2[5])
         k4 = deriv(x + h * k3[0], y + h * k3[1], z + h * k3[2],
                    vx + h * k3[3], vy + h * k3[4], vz + h * k3[5])
-        sixth = h / 6.0
         x = x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         y = y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         z = z + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
@@ -208,11 +203,23 @@ def _rk4_cwh(x, y, z, vx, vy, vz, ax_u, ay_u, az_u, n, h, substeps):
     return x, y, z, vx, vy, vz
 
 
-def _rk4_steps(dt: float, substeps: int | None) -> int:
+def _cwh_deriv(n, ax_u, ay_u, az_u):
+    """CWH time derivative under the thrust accelerations a_u, for :func:`_rk4`."""
+    n2 = n * n
+
+    def deriv(x, y, z, vx, vy, vz):
+        return (vx, vy, vz,
+                3.0 * n2 * x + 2.0 * n * vy + ax_u,
+                -2.0 * n * vx + ay_u,
+                -n2 * z + az_u)
+    return deriv
+
+
+def _rk4_steps(dt: float, substeps: int | None, default_substep: float) -> int:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if substeps is None:
-        substeps = max(1, int(round(dt / DEFAULT_SUBSTEP)))
+        substeps = max(1, int(round(dt / default_substep)))
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     return substeps
@@ -241,14 +248,12 @@ def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
     PropagationError
         If the propagated state stops being finite.
     """
-    substeps = _rk4_steps(dt, substeps)
+    substeps = _rk4_steps(dt, substeps, DEFAULT_SUBSTEP)
     inv_m = 1.0 / veh.mass
     ux, uy, uz = np.asarray(u, dtype=float).tolist()
-    x, y, z = state.pos.tolist()
-    vx, vy, vz = state.vel.tolist()
     # Python floats keep the hot loop free of array allocation overhead.
-    out = _rk4_cwh(x, y, z, vx, vy, vz, ux * inv_m, uy * inv_m, uz * inv_m,
-                   orbit.mean_motion, dt / substeps, substeps)
+    out = _rk4(_cwh_deriv(orbit.mean_motion, ux * inv_m, uy * inv_m, uz * inv_m),
+               state.pos.tolist() + state.vel.tolist(), dt / substeps, substeps)
     if not all(math.isfinite(v) for v in out):
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return RelativeState(np.array(out[:3]), np.array(out[3:]))
@@ -262,11 +267,12 @@ def propagate_cwh_batch(states: np.ndarray, u: np.ndarray, dt: float,
     ``u`` holds one thrust vector per row (K, 3).  Each returned row equals
     what :func:`propagate_cwh` gives for that row, bit for bit.
     """
-    substeps = _rk4_steps(dt, substeps)
+    substeps = _rk4_steps(dt, substeps, DEFAULT_SUBSTEP)
     a_u = np.asarray(u, dtype=float) * (1.0 / veh.mass)
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        out = np.stack(_rk4_cwh(*np.asarray(states, dtype=float).T, *a_u.T,
-                                orbit.mean_motion, dt / substeps, substeps), axis=1)
+        out = np.stack(_rk4(_cwh_deriv(orbit.mean_motion, *a_u.T),
+                            list(np.asarray(states, dtype=float).T),
+                            dt / substeps, substeps), axis=1)
     if not np.all(np.isfinite(out)):
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return out
@@ -349,13 +355,7 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
     Raises PropagationError if the trajectory leaves the valid domain
     (non-finite values or descent below the body radius).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if substeps is None:
-        substeps = max(1, int(round(dt / DEFAULT_INERTIAL_SUBSTEP)))
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
-
+    substeps = _rk4_steps(dt, substeps, DEFAULT_INERTIAL_SUBSTEP)
     mu = orbit.mu
     j2_on = orbit.j2_enabled
     j2k = -1.5 * orbit.j2_coefficient * orbit.mu * orbit.body_radius**2
@@ -374,29 +374,16 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
         return (vx, vy, vz, ax, ay, az)
 
     h = dt / substeps
-    x, y, z = (float(v) for v in state.pos)
-    vx, vy, vz = (float(v) for v in state.vel)
-    for _ in range(substeps):
-        k1 = deriv(x, y, z, vx, vy, vz)
-        k2 = deriv(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], z + 0.5 * h * k1[2],
-                   vx + 0.5 * h * k1[3], vy + 0.5 * h * k1[4], vz + 0.5 * h * k1[5])
-        k3 = deriv(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], z + 0.5 * h * k2[2],
-                   vx + 0.5 * h * k2[3], vy + 0.5 * h * k2[4], vz + 0.5 * h * k2[5])
-        k4 = deriv(x + h * k3[0], y + h * k3[1], z + h * k3[2],
-                   vx + h * k3[3], vy + h * k3[4], vz + h * k3[5])
-        sixth = h / 6.0
-        x += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        y += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        z += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        vx += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        vy += sixth * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-        vz += sixth * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
+    out = state.pos.tolist() + state.vel.tolist()
+    for _ in range(substeps):  # one RK4 step at a time, each one checked
+        out = _rk4(deriv, out, h, 1)
+        x, y, z, vx = out[:4]
         if not (math.isfinite(x) and math.isfinite(vx)):
             raise PropagationError("inertial propagation diverged to non-finite state")
         if x * x + y * y + z * z < orbit.body_radius**2:
             raise PropagationError("inertial propagation descended below the body radius")
 
-    return InertialState(np.array([x, y, z]), np.array([vx, vy, vz]))
+    return InertialState(np.array(out[:3]), np.array(out[3:]))
 
 
 def _hill_basis(chief: InertialState):

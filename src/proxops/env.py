@@ -23,10 +23,10 @@ from .dynamics import (
 )
 
 TRAINING_ACCEPTANCE_RADIUS = 10.0
-"""Arrival radius used during training, m."""
+"""Arrival radius of a sampled waypoint episode, m."""
 
 DEFAULT_TIMEOUT = 500.0
-"""Episode wall-clock limit, s."""
+"""Default time budget of an episode or scenario leg, simulated s."""
 
 DEFAULT_BOUNDS = (561.6, 1200.0, 480.0)
 """Half-extent of the allowed station-keeping box per axis, m."""
@@ -66,26 +66,11 @@ class RewardParams:
 
 
 @dataclass
-class WaypointTask:
-    """A single goal point with its arrival radius and time budget."""
-
-    goal: np.ndarray
-    acceptance_radius: float = TRAINING_ACCEPTANCE_RADIUS
-    timeout: float = DEFAULT_TIMEOUT
-
-    def __post_init__(self):
-        self.goal = np.asarray(self.goal, dtype=float)
-        if self.goal.shape != (3,):
-            raise ValueError("goal must be a 3-vector")
-        if self.acceptance_radius <= 0.0:
-            raise ValueError("acceptance_radius must be positive")
-        if self.timeout <= 0.0:
-            raise ValueError("timeout must be positive")
-
-
-@dataclass
 class EpisodeConfig:
-    """Episode timing, sampling geometry, and reward coefficients."""
+    """Episode timing, sampling geometry, and reward coefficients.
+
+    ``timeout`` is the time budget of one episode, s.
+    """
 
     dt: float = 1.0
     timeout: float = DEFAULT_TIMEOUT
@@ -191,35 +176,36 @@ def reward(cur_pos, prev_pos, vel, goal, params: RewardParams) -> float:
                    np.asarray(vel, dtype=float), params)
 
 
-def step(state: RelativeState, action, task: WaypointTask, cfg: EpisodeConfig,
+def step(state: RelativeState, action, goal, cfg: EpisodeConfig,
          orbit: ChiefOrbit, veh: VehicleParams, elapsed: float) -> StepOutcome:
-    """Advance one control interval under a clamped thrust command.
+    """Advance one control interval toward ``goal`` under a clamped thrust command.
 
     ``elapsed`` is the episode time before this step; the timeout check uses
-    elapsed + dt so an episode never runs past the task's time budget.
+    elapsed + dt so an episode never runs past ``cfg.timeout``.
     Termination precedence: Reached beats OutOfBounds beats Timeout.
     """
+    goal = np.asarray(goal, dtype=float)
+    if goal.shape != (3,):
+        raise ValueError("goal must be a 3-vector")
     action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
     thrust = veh.thrust_bound * action
     nxt = propagate_cwh(state, thrust, cfg.dt, orbit, veh, substeps=cfg.substeps)
-    dist = _norm(nxt.pos - task.goal)
-    value = _reward(dist, _norm(state.pos - task.goal), nxt.vel, cfg.reward)
+    dist = _norm(nxt.pos - goal)
+    value = _reward(dist, _norm(state.pos - goal), nxt.vel, cfg.reward)
 
-    if dist < task.acceptance_radius:
+    if dist < TRAINING_ACCEPTANCE_RADIUS:
         status = Status.REACHED
     elif any(abs(p) > b for p, b in zip(nxt.pos.tolist(), cfg.bounds)):
         status = Status.OUT_OF_BOUNDS
-    elif elapsed + cfg.dt >= task.timeout:
+    elif elapsed + cfg.dt >= cfg.timeout:
         status = Status.TIMEOUT
     else:
         status = Status.RUNNING
-    return StepOutcome(nxt, observe(nxt, task.goal), value, status)
+    return StepOutcome(nxt, observe(nxt, goal), value, status)
 
 
 def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
-                 orbit: ChiefOrbit, veh: VehicleParams,
-                 acceptance_radius: float = TRAINING_ACCEPTANCE_RADIUS,
-                 timeout: float = DEFAULT_TIMEOUT) -> EpisodeResults:
+                 orbit: ChiefOrbit, veh: VehicleParams) -> EpisodeResults:
     """Step K episodes in lock-step until every one has ended.
 
     ``starts`` (K, 6) holds start positions and velocities and ``goals``
@@ -245,10 +231,10 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
         states = propagate_cwh_batch(states, veh.thrust_bound * action, cfg.dt,
                                      orbit, veh, substeps=cfg.substeps)
         path += norms(states[:, :3] - pos)
-        timed_out = elapsed + cfg.dt >= timeout
+        timed_out = elapsed + cfg.dt >= cfg.timeout
         elapsed += cfg.dt
 
-        reached = norms(states[:, :3] - goals) < acceptance_radius
+        reached = norms(states[:, :3] - goals) < TRAINING_ACCEPTANCE_RADIUS
         out = np.any(np.abs(states[:, :3]) > bounds, axis=1) & ~reached
         ended = np.ones_like(reached) if timed_out else reached | out
         if not ended.any():
@@ -264,19 +250,3 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
         keep = ~ended
         live, states, goals, path = live[keep], states[keep], goals[keep], path[keep]
     return results
-
-
-def rollout(controller, state: RelativeState, task: WaypointTask,
-            cfg: EpisodeConfig, orbit: ChiefOrbit, veh: VehicleParams):
-    """Run ``controller`` (Observation -> action) until the episode ends.
-
-    The one-episode case of :func:`run_episodes`.  Returns (final status,
-    elapsed seconds, final state).
-    """
-    def one_row(obs: Observation) -> np.ndarray:
-        return np.asarray(controller(Observation(obs.scaled_delta[0], obs.vel[0])),
-                          dtype=float)[None]
-
-    res = run_episodes(one_row, state.as_vector(), task.goal, cfg, orbit, veh,
-                       task.acceptance_radius, task.timeout)
-    return res.status[0], float(res.elapsed[0]), RelativeState.from_vector(res.final[0])

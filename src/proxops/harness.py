@@ -88,7 +88,6 @@ class ScenarioSpec:
     sim_dt: float = 0.1
     acceptance_radius: float = HARNESS_ACCEPTANCE_RADIUS
     leg_timeout: float = DEFAULT_TIMEOUT
-    seed: int = 0
     orbit: ChiefOrbit = field(default_factory=default_orbit)
     vehicle: VehicleParams = field(default_factory=default_vehicle)
     rta_params: RtaParams = field(default_factory=RtaParams)
@@ -156,10 +155,6 @@ class TrajectoryLog:
 
     def agent_records(self, k: int) -> list:
         return [r for r in self.records if r.agent == k]
-
-    def times(self) -> np.ndarray:
-        seen = sorted({r.t for r in self.records})
-        return np.asarray(seen, dtype=float)
 
 
 @dataclass(frozen=True)

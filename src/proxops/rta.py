@@ -22,7 +22,7 @@ fails closed: non-finite data or a failed solve gives zero thrust, flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,31 +187,6 @@ def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit,
                params: RtaParams, peer_labels=None) -> list:
     """All constraint rows for one agent, pair rows first."""
     return build_qp(agent, peers, np.zeros(3), orbit, params, peer_labels)[1]
-
-
-def pos_hocbf_row(agent: AgentSnapshot, peer: AgentSnapshot, orbit: ChiefOrbit,
-                  params: RtaParams, slack_index: int, label: str) -> ConstraintRow:
-    """Second-order barrier condition on separation from one peer."""
-    return replace(build_rows(agent, [peer], orbit, params)[0],
-                   slack_index=slack_index, label=label)
-
-
-def vel_row(agent: AgentSnapshot, orbit: ChiefOrbit, params: RtaParams,
-            slack_index: int) -> ConstraintRow:
-    """First-order barrier condition keeping speed below ``max_speed``."""
-    return replace(build_rows(agent, [], orbit, params)[0], slack_index=slack_index)
-
-
-def acc_row(agent: AgentSnapshot, orbit: ChiefOrbit, params: RtaParams,
-            slack_index: int) -> ConstraintRow:
-    """Bound on commanded acceleration along the current acceleration estimate."""
-    return replace(build_rows(agent, [], orbit, params)[1], slack_index=slack_index)
-
-
-def input_rows(params: RtaParams, first_slack_index: int) -> list:
-    """Per-axis thrust box, two rows per axis sharing one slack."""
-    return [ConstraintRow(-a, params.thrust_bound, first_slack_index + k // 2, label)
-            for k, (a, label) in enumerate(zip(_INPUT_COEFFS, _INPUT_LABELS))]
 
 
 def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,

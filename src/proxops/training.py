@@ -18,7 +18,6 @@ from .dynamics import ChiefOrbit, VehicleParams, default_orbit, default_vehicle
 from .env import (
     EpisodeConfig,
     Status,
-    WaypointTask,
     observe,
     run_episodes,
     sample_episode,
@@ -240,8 +239,7 @@ def train(env_cfg: EpisodeConfig | None = None,
     val_views = flat_views(val_grad, value_net.shapes)
 
     state, goal = sample_episode(rng, env_cfg)
-    task = WaypointTask(goal)
-    obs_vec = observe(state, task.goal).vector()
+    obs_vec = observe(state, goal).vector()
     elapsed = ep_return = 0.0
     steps_done = 0
 
@@ -260,7 +258,7 @@ def train(env_cfg: EpisodeConfig | None = None,
         for i in range(n):
             mean = policy.pre_squash(obs_vec)
             z = mean + std * rng.standard_normal(mean.shape)
-            out = step(state, np.tanh(z), task, env_cfg, orbit, veh, elapsed)
+            out = step(state, np.tanh(z), goal, env_cfg, orbit, veh, elapsed)
             elapsed += env_cfg.dt
             ep_return += out.reward
 
@@ -275,8 +273,7 @@ def train(env_cfg: EpisodeConfig | None = None,
                 ep_returns.append(ep_return)
                 ep_successes.append(float(out.status is Status.REACHED))
                 state, goal = sample_episode(rng, env_cfg)
-                task = WaypointTask(goal)
-                obs_vec = observe(state, task.goal).vector()
+                obs_vec = observe(state, goal).vector()
                 elapsed = ep_return = 0.0
         steps_done += n
         logp_old = gaussian_logp(z_buf, mean_buf, policy.log_std)

@@ -4,14 +4,14 @@ import pytest
 from proxops.dynamics import RelativeState, default_orbit, default_vehicle
 from proxops.env import (
     EpisodeConfig,
-    Observation,
     RewardParams,
+    TRAINING_ACCEPTANCE_RADIUS,
     Status,
-    WaypointTask,
     observe,
     reward,
-    rollout,
+    run_episodes,
     sample_episode,
+    sample_episodes,
     step,
 )
 
@@ -106,50 +106,54 @@ def test_speed_penalty_threshold_is_strict():
 
 def test_step_clamps_actions_to_the_unit_box():
     cfg = EpisodeConfig()
-    task = WaypointTask(goal=[400.0, 0, 0])
+    goal = [400.0, 0, 0]
     state = RelativeState([0, 0, 0], [0, 0, 0])
-    big = step(state, [10.0, -7.0, 3.0], task, cfg, ORBIT, VEH, 0.0)
-    unit = step(state, [1.0, -1.0, 1.0], task, cfg, ORBIT, VEH, 0.0)
+    big = step(state, [10.0, -7.0, 3.0], goal, cfg, ORBIT, VEH, 0.0)
+    unit = step(state, [1.0, -1.0, 1.0], goal, cfg, ORBIT, VEH, 0.0)
     np.testing.assert_array_equal(big.state.as_vector(), unit.state.as_vector())
 
 
 def test_step_termination_statuses():
     cfg = EpisodeConfig()
     # arrival
-    task = WaypointTask(goal=[5.0, 0, 0])
-    out = step(RelativeState([4.0, 0, 0], [0, 0, 0]), [0, 0, 0], task, cfg, ORBIT, VEH, 0.0)
+    out = step(RelativeState([4.0, 0, 0], [0, 0, 0]), [0, 0, 0], [5.0, 0, 0], cfg, ORBIT, VEH, 0.0)
     assert out.status is Status.REACHED
     # out of bounds
-    task_far = WaypointTask(goal=[0.0, 0, 0])
-    out = step(RelativeState([561.7, 0, 0], [0, 0, 0]), [0, 0, 0], task_far, cfg, ORBIT, VEH, 0.0)
+    far = [0.0, 0, 0]
+    out = step(RelativeState([561.7, 0, 0], [0, 0, 0]), [0, 0, 0], far, cfg, ORBIT, VEH, 0.0)
     assert out.status is Status.OUT_OF_BOUNDS
     # timeout: elapsed + dt crosses the budget
-    out = step(RelativeState([100.0, 0, 0], [0, 0, 0]), [0, 0, 0], task_far, cfg, ORBIT, VEH, 499.5)
+    out = step(RelativeState([100.0, 0, 0], [0, 0, 0]), [0, 0, 0], far, cfg, ORBIT, VEH, 499.5)
     assert out.status is Status.TIMEOUT
     # still running just before the budget
-    out = step(RelativeState([100.0, 0, 0], [0, 0, 0]), [0, 0, 0], task_far, cfg, ORBIT, VEH, 498.0)
+    out = step(RelativeState([100.0, 0, 0], [0, 0, 0]), [0, 0, 0], far, cfg, ORBIT, VEH, 498.0)
     assert out.status is Status.RUNNING
+
+
+def test_step_reads_the_time_budget_from_the_config():
+    cfg = EpisodeConfig(timeout=100.0)
+    state = RelativeState([100.0, 0, 0], [0, 0, 0])
+    assert step(state, [0, 0, 0], [0.0, 0, 0], cfg, ORBIT, VEH, 99.5).status is Status.TIMEOUT
+    assert step(state, [0, 0, 0], [0.0, 0, 0], cfg, ORBIT, VEH, 98.0).status is Status.RUNNING
 
 
 def test_reached_takes_precedence_over_other_terminations():
     cfg = EpisodeConfig()
     # goal outside the allowed box: landing next to it is still an arrival
-    task = WaypointTask(goal=[600.0, 0, 0])
-    out = step(RelativeState([599.0, 0, 0], [0, 0, 0]), [0, 0, 0], task, cfg, ORBIT, VEH, 499.5)
+    out = step(RelativeState([599.0, 0, 0], [0, 0, 0]), [0, 0, 0], [600.0, 0, 0], cfg, ORBIT,
+               VEH, 499.5)
     assert out.status is Status.REACHED
 
 
 def test_zero_thrust_never_reaches_a_sampled_goal():
     # Drift alone should not complete episodes; arrival requires control
     # unless the start is sampled inside the acceptance ball.
-    rng = np.random.default_rng(21)
     cfg = EpisodeConfig()
-    coast = lambda obs: np.zeros(3)
-    for _ in range(25):
-        state, goal = sample_episode(rng, cfg)
-        task = WaypointTask(goal=goal)
-        started_inside = np.linalg.norm(state.pos - goal) < task.acceptance_radius
-        status, _, _ = rollout(coast, state, task, cfg, ORBIT, VEH)
+    starts, goals = sample_episodes(np.random.default_rng(21), cfg, 25)
+    coast = lambda obs: np.zeros_like(obs.vel)
+    res = run_episodes(coast, starts, goals, cfg, ORBIT, VEH)
+    for start, goal, status in zip(starts, goals, res.status):
+        started_inside = np.linalg.norm(start[:3] - goal) < TRAINING_ACCEPTANCE_RADIUS
         if not started_inside:
             assert status is not Status.REACHED
 
@@ -158,6 +162,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EpisodeConfig(dt=0.0)
     with pytest.raises(ValueError):
-        WaypointTask(goal=[0, 0, 0], acceptance_radius=0.0)
+        EpisodeConfig(timeout=0.0)
     with pytest.raises(ValueError):
-        WaypointTask(goal=[0, 0])
+        step(RelativeState([0, 0, 0], [0, 0, 0]), [0, 0, 0], [0, 0], EpisodeConfig(),
+             ORBIT, VEH, 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxops.dynamics import RelativeState, VehicleParams, default_vehicle
+from proxops.env import EpisodeConfig
 from proxops.harness import (
     CSV_HEADER,
     MAX_SUBSTEPS_PER_TICK,
@@ -159,8 +160,7 @@ def test_no_interaction_without_rta():
                                  control_dt=standoff.control_dt,
                                  sim_dt=standoff.sim_dt,
                                  acceptance_radius=standoff.acceptance_radius,
-                                 leg_timeout=standoff.leg_timeout,
-                                 seed=standoff.seed)
+                                 leg_timeout=standoff.leg_timeout)
         _, solo = run(solo_spec)
         joint_recs = joint.agent_records(k)
         solo_recs = solo.agent_records(0)
@@ -277,3 +277,10 @@ def test_baseline_stats_values_are_sane():
     # near-straight flight: the acceptance ball can even make this slightly
     # negative, but the magnitude stays small
     assert abs(stats.mean_excess) < 0.25
+
+
+def test_baseline_stats_honours_the_episode_time_budget():
+    # Under the default 500 s budget all five trials arrive, 194.2 s on average.
+    stats = baseline_stats(5, seed=1, cfg=EpisodeConfig(timeout=20.0))
+    assert stats.mean_time <= 20.0
+    assert stats.success_rate < 1.0

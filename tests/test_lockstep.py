@@ -15,9 +15,7 @@ from proxops.env import (
     EpisodeConfig,
     Observation,
     Status,
-    WaypointTask,
     observe,
-    rollout,
     run_episodes,
     sample_episodes,
     step,
@@ -39,14 +37,13 @@ def small_policy() -> MlpPolicy:
     return MlpPolicy([w1, w2], [np.zeros(6), np.zeros(3)])
 
 
-def plain_episode(controller, start, goal, cfg, radius, timeout):
+def plain_episode(controller, start, goal, cfg):
     """One episode stepped with env.step: (status, elapsed, final state, path)."""
-    task = WaypointTask(goal, acceptance_radius=radius, timeout=timeout)
     state = RelativeState.from_vector(start)
     obs = observe(state, goal)
     elapsed = path = 0.0
     while True:
-        out = step(state, controller(obs), task, cfg, ORBIT, VEH, elapsed)
+        out = step(state, controller(obs), goal, cfg, ORBIT, VEH, elapsed)
         path += float(np.linalg.norm(out.state.pos - state.pos))
         state, obs = out.state, out.obs
         elapsed += cfg.dt
@@ -61,19 +58,19 @@ CONTROLLERS = {
 }
 
 
-@pytest.mark.parametrize("name, cfg, radius, timeout", [
-    ("baseline", EpisodeConfig(), 10.0, 500.0),
-    ("baseline", EpisodeConfig(), 10.0, 120.0),
-    ("baseline", EpisodeConfig(dt=2.0, substeps=4), 10.0, 500.0),
-    ("policy", EpisodeConfig(), 10.0, 500.0),
+# Each id names the controller, the config, the arrival radius and the time budget.
+@pytest.mark.parametrize("name, cfg", [
+    pytest.param("baseline", EpisodeConfig(), id="baseline-cfg0-10.0-500.0"),
+    pytest.param("baseline", EpisodeConfig(timeout=120.0), id="baseline-cfg1-10.0-120.0"),
+    pytest.param("baseline", EpisodeConfig(dt=2.0, substeps=4), id="baseline-cfg2-10.0-500.0"),
+    pytest.param("policy", EpisodeConfig(), id="policy-cfg3-10.0-500.0"),
 ])
-def test_each_episode_matches_a_plain_step_loop(name, cfg, radius, timeout):
+def test_each_episode_matches_a_plain_step_loop(name, cfg):
     controller = CONTROLLERS[name]
     starts, goals = sample_episodes(np.random.default_rng(1), cfg, 20)
-    res = run_episodes(controller, starts, goals, cfg, ORBIT, VEH, radius, timeout)
+    res = run_episodes(controller, starts, goals, cfg, ORBIT, VEH)
     for k in range(len(starts)):
-        status, elapsed, final, path = plain_episode(
-            controller, starts[k], goals[k], cfg, radius, timeout)
+        status, elapsed, final, path = plain_episode(controller, starts[k], goals[k], cfg)
         assert res.status[k] is status
         assert res.elapsed[k] == elapsed
         assert np.array_equal(res.final[k], final)
@@ -83,9 +80,9 @@ def test_each_episode_matches_a_plain_step_loop(name, cfg, radius, timeout):
 def test_the_compared_batches_cover_every_ending():
     seen = set()
     for name, timeout in (("baseline", 120.0), ("policy", 500.0)):
-        starts, goals = sample_episodes(np.random.default_rng(1), EpisodeConfig(), 20)
-        seen |= set(run_episodes(CONTROLLERS[name], starts, goals, EpisodeConfig(),
-                                 ORBIT, VEH, 10.0, timeout).status)
+        cfg = EpisodeConfig(timeout=timeout)
+        starts, goals = sample_episodes(np.random.default_rng(1), cfg, 20)
+        seen |= set(run_episodes(CONTROLLERS[name], starts, goals, cfg, ORBIT, VEH).status)
     assert seen == {Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT}
 
 
@@ -98,13 +95,12 @@ def test_termination_precedence_within_one_tick():
                        [0.0, 0, 0, 0, 0, 0]])
     goals = np.array([[600.0, 0, 0], [0.0, 0, 0], [300.0, 0, 0]])
     coast = lambda obs: np.zeros_like(obs.vel)
-    res = run_episodes(coast, starts, goals, EpisodeConfig(), ORBIT, VEH,
-                       timeout=1.0)
+    cfg = EpisodeConfig(timeout=1.0)
+    res = run_episodes(coast, starts, goals, cfg, ORBIT, VEH)
     assert res.status == [Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT]
     assert np.array_equal(res.elapsed, [1.0, 1.0, 1.0])
     for k in range(3):
-        assert res.status[k] is plain_episode(coast, starts[k], goals[k],
-                                              EpisodeConfig(), 10.0, 1.0)[0]
+        assert res.status[k] is plain_episode(coast, starts[k], goals[k], cfg)[0]
 
 
 def test_no_episodes_never_call_the_controller():
@@ -115,17 +111,6 @@ def test_no_episodes_never_call_the_controller():
     assert res.status == []
     assert res.elapsed.shape == (0,) and res.final.shape == (0, 6)
     assert evaluate_policy(POLICY, 0) == (0.0, pytest.approx(float("nan"), nan_ok=True))
-
-
-def test_rollout_is_the_one_episode_case():
-    cfg = EpisodeConfig()
-    starts, goals = sample_episodes(np.random.default_rng(8), cfg, 4)
-    for start, goal in zip(starts, goals):
-        status, elapsed, state = rollout(baseline_act, RelativeState.from_vector(start),
-                                         WaypointTask(goal), cfg, ORBIT, VEH)
-        want = plain_episode(baseline_act, start, goal, cfg, 10.0, 500.0)
-        assert (status, elapsed) == want[:2]
-        assert np.array_equal(state.as_vector(), want[2])
 
 
 def test_policy_with_wrong_input_width_raises():

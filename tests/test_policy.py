@@ -8,10 +8,9 @@ from proxops.env import (
     EpisodeConfig,
     Observation,
     Status,
-    WaypointTask,
     observe,
-    rollout,
-    sample_episode,
+    run_episodes,
+    sample_episodes,
 )
 from proxops.policy import (
     BaselineGains,
@@ -67,15 +66,11 @@ def test_baseline_commanded_speed_respects_the_reward_limit():
 
 
 def test_baseline_reaches_sampled_waypoints_within_the_budget():
-    rng = np.random.default_rng(2)
     cfg = EpisodeConfig()
-    ctrl = lambda obs: baseline_act(obs)
-    for _ in range(50):
-        state, goal = sample_episode(rng, cfg)
-        task = WaypointTask(goal=goal)
-        status, elapsed, _ = rollout(ctrl, state, task, cfg, ORBIT, VEH)
-        assert status is Status.REACHED
-        assert elapsed <= task.timeout
+    starts, goals = sample_episodes(np.random.default_rng(2), cfg, 50)
+    res = run_episodes(baseline_act, starts, goals, cfg, ORBIT, VEH)
+    assert res.status == [Status.REACHED] * 50
+    assert np.all(res.elapsed <= cfg.timeout)
 
 
 def test_zero_network_gives_zero_action():

@@ -13,17 +13,13 @@ from proxops.dynamics import (
 from proxops.rta import (
     AgentSnapshot,
     RtaParams,
-    acc_row,
     build_qp,
     build_rows,
     chief_snapshot,
     filter_actions,
     filter_agent,
-    input_rows,
     pos_barrier,
     pos_barrier_dot,
-    pos_hocbf_row,
-    vel_row,
 )
 
 ORBIT = default_orbit()
@@ -85,7 +81,7 @@ def test_pos_hocbf_row_matches_numeric_differentiation():
         peer_accel = cwh_drift_accel(sj, ORBIT) + uj / VEH.mass
         agent = AgentSnapshot(si, np.zeros(3), VEH)
         peer = AgentSnapshot(sj, peer_accel)
-        row = pos_hocbf_row(agent, peer, ORBIT, PARAMS, 0, "pos:0")
+        row = build_rows(agent, [peer], ORBIT, PARAMS)[0]
 
         delta = 1e-2
         def h_at(tau):
@@ -115,7 +111,7 @@ def test_rows_are_affine_in_the_thrust():
 
 def test_vel_row_at_rest_reduces_to_the_static_margin():
     agent = snap([10.0, 0, 0], [0, 0, 0])
-    row = vel_row(agent, ORBIT, PARAMS, 0)
+    row = build_rows(agent, [], ORBIT, PARAMS)[0]
     assert np.array_equal(row.coeff_u, np.zeros(3))
     assert row.rhs == pytest.approx(PARAMS.vel_gain * 0.5 * PARAMS.max_speed**2, rel=1e-12)
 
@@ -123,7 +119,7 @@ def test_vel_row_at_rest_reduces_to_the_static_margin():
 def test_vel_row_blocks_acceleration_at_the_speed_limit():
     # moving along +y at exactly max_speed: any thrust along +y violates
     agent = snap([0.0, 0, 0], [0.0, PARAMS.max_speed, 0])
-    row = vel_row(agent, ORBIT, PARAMS, 0)
+    row = build_rows(agent, [], ORBIT, PARAMS)[0]
     assert row.coeff_u[1] < 0.0
     # barrier itself is zero, so the margin at zero thrust is just the drift term
     drift = cwh_drift_accel(agent.state, ORBIT)
@@ -132,7 +128,7 @@ def test_vel_row_blocks_acceleration_at_the_speed_limit():
 
 def test_acc_row_with_zero_estimate_is_vacuous_for_thrust():
     agent = snap([50.0, 0, 0], [0.5, 0, 0], accel=[0, 0, 0])
-    row = acc_row(agent, ORBIT, PARAMS, 0)
+    row = build_rows(agent, [], ORBIT, PARAMS)[1]
     assert np.array_equal(row.coeff_u, np.zeros(3))
     assert row.rhs == pytest.approx(PARAMS.max_accel**2, rel=1e-12)
 
@@ -141,7 +137,7 @@ def test_acc_row_binds_at_the_acceleration_ceiling():
     # accelerating along +x at the ceiling: commanding the same again binds
     est = np.array([PARAMS.max_accel, 0.0, 0.0])
     agent = snap([0.0, 0, 0], [0, 0, 0], accel=est)
-    row = acc_row(agent, ORBIT, PARAMS, 0)
+    row = build_rows(agent, [], ORBIT, PARAMS)[1]
     u_aligned = est * VEH.mass  # thrust producing exactly the estimate
     drift = cwh_drift_accel(agent.state, ORBIT)
     margin = row.evaluate(u_aligned)
@@ -149,7 +145,7 @@ def test_acc_row_binds_at_the_acceleration_ceiling():
 
 
 def test_input_rows_pair_per_axis():
-    rows = input_rows(PARAMS, 2)
+    rows = build_rows(snap([0.0, 0, 0], [0, 0, 0]), [], ORBIT, PARAMS)[2:]
     assert len(rows) == 6
     assert [r.slack_index for r in rows] == [2, 2, 3, 3, 4, 4]
     for row in rows:

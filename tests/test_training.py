@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxops.dynamics import default_orbit, default_vehicle
-from proxops.env import EpisodeConfig, RelativeState, WaypointTask, observe, step
+from proxops.env import EpisodeConfig, RelativeState, observe, step
 from proxops.policy import MlpPolicy, load_policy, save_policy
 from proxops.training import (
     Adam,
@@ -39,14 +39,14 @@ def _bandit_batch(policy, rng, n=24):
     orbit, veh = default_orbit(), default_vehicle()
     cfg = EpisodeConfig()
     start = RelativeState([150.0, -80.0, 40.0], [0.0, 0.0, 0.0])
-    task = WaypointTask(np.array([0.0, 0.0, 0.0]))
-    obs_vec = observe(start, task.goal).vector()
+    goal = np.zeros(3)
+    obs_vec = observe(start, goal).vector()
 
     obs = np.tile(obs_vec, (n, 1))
     mean = policy.pre_squash(obs)
     z = mean + np.exp(policy.log_std) * rng.standard_normal((n, 3))
     rewards = np.array([
-        step(start, np.tanh(zk), task, cfg, orbit, veh, 0.0).reward for zk in z])
+        step(start, np.tanh(zk), goal, cfg, orbit, veh, 0.0).reward for zk in z])
     adv = rewards - rewards.mean()
     offsets = rng.choice([-0.4, -0.05, 0.05, 0.4], size=n)
     logp_old = gaussian_logp(z, mean, policy.log_std) - np.log1p(offsets)
