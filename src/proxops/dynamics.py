@@ -8,6 +8,7 @@ meters, seconds, kilograms, and newtons throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -175,13 +176,10 @@ def cwh_derivative(state: RelativeState, u, orbit: ChiefOrbit,
 
 
 def _rk4(deriv, state, h, substeps: int) -> tuple:
-    """``substeps`` classical RK4 steps of size ``h`` from the six components
-    of ``state`` (position, then velocity).
+    """``substeps`` classical RK4 steps of size ``h`` from the six float
+    components of ``state`` (position, then velocity).
 
-    ``deriv`` maps the six components to their six time derivatives.  The
-    components are either Python floats or equal-shape arrays; each array
-    element then goes through the same floating-point operations, in the
-    same order, as a float would.
+    ``deriv`` maps the six components to their six time derivatives.
     """
     x, y, z, vx, vy, vz = state
     half = 0.5 * h
@@ -203,18 +201,6 @@ def _rk4(deriv, state, h, substeps: int) -> tuple:
     return x, y, z, vx, vy, vz
 
 
-def _cwh_deriv(n, ax_u, ay_u, az_u):
-    """CWH time derivative under the thrust accelerations a_u, for :func:`_rk4`."""
-    n2 = n * n
-
-    def deriv(x, y, z, vx, vy, vz):
-        return (vx, vy, vz,
-                3.0 * n2 * x + 2.0 * n * vy + ax_u,
-                -2.0 * n * vx + ay_u,
-                -n2 * z + az_u)
-    return deriv
-
-
 def _rk4_steps(dt: float, substeps: int | None, default_substep: float) -> int:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -227,52 +213,66 @@ def _rk4_steps(dt: float, substeps: int | None, default_substep: float) -> int:
 
 def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
                   veh: VehicleParams, substeps: int | None = None) -> RelativeState:
-    """Propagate the CWH dynamics for ``dt`` seconds under constant thrust.
+    """Propagate the CWH dynamics for ``dt`` > 0 seconds under thrust ``u`` (N)
+    held constant, by ``substeps`` >= 1 classical RK4 steps (when omitted, of
+    about DEFAULT_SUBSTEP each).  The harness integrates with it; episodes step
+    with the exact map :func:`propagate_cwh_zoh`, checked against it in tests.
 
-    Classical fixed-step RK4.  When ``substeps`` is omitted the step size is
-    close to DEFAULT_SUBSTEP.
-
-    Parameters
-    ----------
-    state : RelativeState
-        Initial relative state.
-    u : array_like
-        Thrust vector held constant over the interval, N.
-    dt : float
-        Propagation interval, s.  Must be positive.
-    substeps : int, optional
-        Number of RK4 steps; at least 1.
-
-    Raises
-    ------
-    PropagationError
-        If the propagated state stops being finite.
+    Raises PropagationError if the propagated state stops being finite.
     """
     substeps = _rk4_steps(dt, substeps, DEFAULT_SUBSTEP)
-    inv_m = 1.0 / veh.mass
-    ux, uy, uz = np.asarray(u, dtype=float).tolist()
-    # Python floats keep the hot loop free of array allocation overhead.
-    out = _rk4(_cwh_deriv(orbit.mean_motion, ux * inv_m, uy * inv_m, uz * inv_m),
-               state.pos.tolist() + state.vel.tolist(), dt / substeps, substeps)
+    n, inv_m = orbit.mean_motion, 1.0 / veh.mass
+    n2 = n * n
+    ax_u, ay_u, az_u = (v * inv_m for v in np.asarray(u, dtype=float).tolist())
+
+    def deriv(x, y, z, vx, vy, vz):  # Python floats: no array allocation in the hot loop
+        return (vx, vy, vz, 3.0 * n2 * x + 2.0 * n * vy + ax_u,
+                -2.0 * n * vx + ay_u, -n2 * z + az_u)
+
+    out = _rk4(deriv, state.pos.tolist() + state.vel.tolist(), dt / substeps, substeps)
     if not all(math.isfinite(v) for v in out):
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return RelativeState(np.array(out[:3]), np.array(out[3:]))
 
 
-def propagate_cwh_batch(states: np.ndarray, u: np.ndarray, dt: float,
-                        orbit: ChiefOrbit, veh: VehicleParams,
-                        substeps: int | None = None) -> np.ndarray:
-    """:func:`propagate_cwh` on every row of ``states`` (K, 6) at once.
+@functools.lru_cache(maxsize=16)
+def cwh_zoh(dt: float, orbit: ChiefOrbit, veh: VehicleParams) -> np.ndarray:
+    """Exact CWH map over ``dt`` s of thrust held constant (zero-order hold):
+    the read-only (9, 6) matrix G = [Phi Gamma]^T, with x(t + dt) = Phi x(t) +
+    Gamma u = [x, u] G, computed on first use per (dt, orbit, vehicle).
 
-    ``u`` holds one thrust vector per row (K, 3).  Each returned row equals
-    what :func:`propagate_cwh` gives for that row, bit for bit.
+    Phi and Gamma are the top rows of the exponential of [[A, B/m], [0, 0]] dt
+    (Van Loan 1978): scaled to 1-norm 1/2 or less, 18 Taylor terms, squared back.
     """
-    substeps = _rk4_steps(dt, substeps, DEFAULT_SUBSTEP)
-    a_u = np.asarray(u, dtype=float) * (1.0 / veh.mass)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be finite and positive")
+    n = orbit.mean_motion
+    aug = np.zeros((9, 9))  # d/dt [x, u] = aug [x, u]: velocity, CWH drift plus u/m, u held
+    aug[:6, 3:] = np.diag([1.0, 1.0, 1.0] + [1.0 / veh.mass] * 3)
+    aug[3, 0], aug[3, 4], aug[4, 3], aug[5, 2] = 3.0 * n * n, 2.0 * n, -2.0 * n, -n * n
+    squarings = max(0, math.ceil(math.log2(2.0 * dt * np.abs(aug).sum(axis=0).max())))
+    x = aug * (dt / 2.0**squarings)
+    term = out = np.eye(9)
+    for k in range(1, 19):
+        term = term @ x / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    out = np.ascontiguousarray(out[:6].T)
+    out.flags.writeable = False  # one cached array serves every caller
+    return out
+
+
+def propagate_cwh_zoh(states: np.ndarray, u: np.ndarray, dt: float,
+                      orbit: ChiefOrbit, veh: VehicleParams) -> np.ndarray:
+    """Exact CWH step (:func:`cwh_zoh`) of each row of ``states`` (K, 6) under
+    its held thrust ``u`` (K, 3), N; raises PropagationError on a non-finite
+    result.  Rows go through the map as one-row products, so each gets the
+    bits it would get alone (a (K, 9) matrix product rounds differently per K).
+    """
+    xu = np.concatenate([states, u], axis=-1)[..., None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        out = np.stack(_rk4(_cwh_deriv(orbit.mean_motion, *a_u.T),
-                            list(np.asarray(states, dtype=float).T),
-                            dt / substeps, substeps), axis=1)
+        out = (xu @ cwh_zoh(dt, orbit, veh))[..., 0, :]
     if not np.all(np.isfinite(out)):
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return out

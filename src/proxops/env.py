@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
+from .dynamics import (  # noqa: F401 - propagate_cwh stays an env attribute for perfbench's tracer
     ChiefOrbit,
     RelativeState,
     VehicleParams,
     propagate_cwh,
-    propagate_cwh_batch,
+    propagate_cwh_zoh,
 )
 
 TRAINING_ACCEPTANCE_RADIUS = 10.0
@@ -41,11 +41,13 @@ OBS_POSITION_SCALE = 1000.0
 """Divisor applied to the goal offset in observations, m."""
 
 
-class Status(enum.Enum):
-    RUNNING = "running"
-    REACHED = "reached"
-    OUT_OF_BOUNDS = "out_of_bounds"
-    TIMEOUT = "timeout"
+class Status(enum.IntEnum):
+    """Episode status; :func:`step_batch` returns one code per episode."""
+
+    RUNNING = 0
+    REACHED = 1
+    OUT_OF_BOUNDS = 2
+    TIMEOUT = 3
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,11 @@ class EpisodeConfig:
     sample_half_extent: float = DEFAULT_SAMPLE_HALF_EXTENT
     bounds: tuple = DEFAULT_BOUNDS
     reward: RewardParams = field(default_factory=RewardParams)
-    substeps: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.timeout <= 0.0:
-            raise ValueError("timeout must be positive")
+        for name, value in (("dt", self.dt), ("timeout", self.timeout)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if len(self.scale_vector) != 3 or len(self.bounds) != 3:
             raise ValueError("scale_vector and bounds must have 3 entries")
 
@@ -143,9 +143,9 @@ def observe(state: RelativeState, goal) -> Observation:
     return Observation((state.pos - goal) / OBS_POSITION_SCALE, state.vel.copy())
 
 
-def _norm(vec: np.ndarray) -> float:
-    """Euclidean norm of a float vector, as np.linalg.norm computes it."""
-    return math.sqrt(vec.dot(vec))
+def observe_batch(states: np.ndarray, goals: np.ndarray) -> Observation:
+    """:func:`observe` of every row of ``states`` (K, 6) and ``goals`` (K, 3)."""
+    return Observation((states[:, :3] - goals) / OBS_POSITION_SCALE, states[:, 3:])
 
 
 def norms(vecs: np.ndarray) -> np.ndarray:
@@ -158,50 +158,50 @@ def norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt((vecs[..., None, :] @ vecs[..., :, None])[..., 0, 0])
 
 
-def _reward(dist: float, prev_dist: float, vel: np.ndarray,
-            params: RewardParams) -> float:
-    value = params.goal_weight / (dist + 1.0)
-    value += params.progress_weight * (prev_dist - dist)
+def reward(cur_pos, prev_pos, vel, goal, params: RewardParams):
+    """Shaped tracking reward of each row of (..., 3) positions, velocity and
+    goal; see :class:`RewardParams` for the terms."""
+    cur_pos, prev_pos, vel, goal = (np.asarray(a, dtype=float)
+                                    for a in (cur_pos, prev_pos, vel, goal))
+    dist = norms(cur_pos - goal)
+    value = params.goal_weight / (dist + 1.0) + params.progress_weight * (
+        norms(prev_pos - goal) - dist)
     speed_limit = params.speed_limit_margin * params.speed_limit_slope * dist
-    if _norm(vel) > speed_limit:
-        value -= params.speed_penalty_weight * float(np.sum(np.abs(vel)))
-    return value
+    penalty = params.speed_penalty_weight * np.abs(vel).sum(axis=-1)
+    return np.where(norms(vel) > speed_limit, value - penalty, value)[()]
 
 
-def reward(cur_pos, prev_pos, vel, goal, params: RewardParams) -> float:
-    """Shaped tracking reward; see :class:`RewardParams` for the terms."""
-    goal = np.asarray(goal, dtype=float)
-    return _reward(_norm(np.asarray(cur_pos, dtype=float) - goal),
-                   _norm(np.asarray(prev_pos, dtype=float) - goal),
-                   np.asarray(vel, dtype=float), params)
+def step_batch(states, goals, actions, elapsed, cfg: EpisodeConfig,
+               orbit: ChiefOrbit, veh: VehicleParams):
+    """Advance K episodes, one per row of ``states`` (K, 6), ``goals`` and
+    ``actions`` (K, 3), one control interval under clamped thrust commands.
+
+    Returns next states (K, 6), rewards (K,) and :class:`Status` codes (K,);
+    each row gets the bits it would get alone.  ``elapsed`` (scalar or (K,))
+    is the time before this step; timeout is elapsed + dt >= cfg.timeout.
+    Termination precedence: Reached beats OutOfBounds beats Timeout.
+    """
+    thrust = veh.thrust_bound * np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
+    nxt = propagate_cwh_zoh(states, thrust, cfg.dt, orbit, veh)
+    rewards = reward(nxt[:, :3], states[:, :3], nxt[:, 3:], goals, cfg.reward)
+    reached = norms(nxt[:, :3] - goals) < TRAINING_ACCEPTANCE_RADIUS
+    out = (np.abs(nxt[:, :3]) > cfg.bounds).any(axis=1)
+    timed_out = elapsed + cfg.dt >= cfg.timeout
+    status = np.where(reached, Status.REACHED, np.where(out, Status.OUT_OF_BOUNDS, np.where(
+        timed_out, Status.TIMEOUT, Status.RUNNING)))
+    return nxt, rewards, status
 
 
 def step(state: RelativeState, action, goal, cfg: EpisodeConfig,
          orbit: ChiefOrbit, veh: VehicleParams, elapsed: float) -> StepOutcome:
-    """Advance one control interval toward ``goal`` under a clamped thrust command.
-
-    ``elapsed`` is the episode time before this step; the timeout check uses
-    elapsed + dt so an episode never runs past ``cfg.timeout``.
-    Termination precedence: Reached beats OutOfBounds beats Timeout.
-    """
+    """:func:`step_batch` on one episode toward ``goal``."""
     goal = np.asarray(goal, dtype=float)
     if goal.shape != (3,):
         raise ValueError("goal must be a 3-vector")
-    action = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-    thrust = veh.thrust_bound * action
-    nxt = propagate_cwh(state, thrust, cfg.dt, orbit, veh, substeps=cfg.substeps)
-    dist = _norm(nxt.pos - goal)
-    value = _reward(dist, _norm(state.pos - goal), nxt.vel, cfg.reward)
-
-    if dist < TRAINING_ACCEPTANCE_RADIUS:
-        status = Status.REACHED
-    elif any(abs(p) > b for p, b in zip(nxt.pos.tolist(), cfg.bounds)):
-        status = Status.OUT_OF_BOUNDS
-    elif elapsed + cfg.dt >= cfg.timeout:
-        status = Status.TIMEOUT
-    else:
-        status = Status.RUNNING
-    return StepOutcome(nxt, observe(nxt, goal), value, status)
+    nxt, rewards, status = step_batch(state.as_vector()[None], goal[None], [action],
+                                      elapsed, cfg, orbit, veh)
+    nxt = RelativeState.from_vector(nxt[0])
+    return StepOutcome(nxt, observe(nxt, goal), float(rewards[0]), Status(int(status[0])))
 
 
 def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
@@ -211,39 +211,30 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
     ``starts`` (K, 6) holds start positions and velocities and ``goals``
     (K, 3) goal positions.  ``controller`` maps an Observation of (L, 3)
     stacks, one row per live episode, to (L, 3) actions.  Each tick makes one
-    controller call and one batched propagation, then drops the episodes
-    that ended.  Each episode's status, elapsed time, final state and path
-    length equal those of stepping it alone with :func:`step`, bit for bit.
+    controller call and one :func:`step_batch`, then drops the episodes that
+    ended.  Each episode's status, elapsed time, final state and path length
+    equal those of stepping it alone with :func:`step`, bit for bit.
     """
     states = np.array(starts, dtype=float).reshape(-1, 6)
     goals = np.array(goals, dtype=float).reshape(-1, 3)
     n = states.shape[0]
     results = EpisodeResults([Status.RUNNING] * n, np.zeros(n), np.empty((n, 6)),
                              np.zeros(n))
-    bounds = np.asarray(cfg.bounds, dtype=float)
     live = np.arange(n)
     path = np.zeros(n)
     elapsed = 0.0
     while live.size:
-        pos = states[:, :3]
-        obs = Observation((pos - goals) / OBS_POSITION_SCALE, states[:, 3:])
-        action = np.clip(np.asarray(controller(obs), dtype=float), -1.0, 1.0)
-        states = propagate_cwh_batch(states, veh.thrust_bound * action, cfg.dt,
-                                     orbit, veh, substeps=cfg.substeps)
-        path += norms(states[:, :3] - pos)
-        timed_out = elapsed + cfg.dt >= cfg.timeout
+        nxt, _, status = step_batch(states, goals, controller(observe_batch(states, goals)),
+                                    elapsed, cfg, orbit, veh)
+        path += norms(nxt[:, :3] - states[:, :3])
+        states = nxt
         elapsed += cfg.dt
-
-        reached = norms(states[:, :3] - goals) < TRAINING_ACCEPTANCE_RADIUS
-        out = np.any(np.abs(states[:, :3]) > bounds, axis=1) & ~reached
-        ended = np.ones_like(reached) if timed_out else reached | out
+        ended = status != Status.RUNNING
         if not ended.any():
             continue
-        for k, r, o in zip(live[ended].tolist(), reached[ended].tolist(),
-                           out[ended].tolist()):
-            results.status[k] = (Status.REACHED if r else
-                                 Status.OUT_OF_BOUNDS if o else Status.TIMEOUT)
         done = live[ended]
+        for k, code in zip(done.tolist(), status[ended].tolist()):
+            results.status[k] = Status(code)
         results.elapsed[done] = elapsed
         results.final[done] = states[ended]
         results.path_length[done] = path[ended]

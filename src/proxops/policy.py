@@ -142,21 +142,14 @@ class MlpPolicy:
         """Network output before the final tanh (the action mean)."""
         return mlp_forward(self.weights, self.biases, np.asarray(obs_vec, dtype=float))[0]
 
-    def act(self, obs_vec: np.ndarray,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-        """Deterministic action, or a noisy one when ``rng`` is given."""
-        mean = self.pre_squash(obs_vec)
-        if rng is not None:
-            mean = mean + np.exp(self.log_std) * rng.standard_normal(mean.shape)
-        return np.tanh(mean)
-
     def copy(self) -> "MlpPolicy":
         return MlpPolicy(self.weights, self.biases, self.log_std)
 
 
 def policy_act(policy: MlpPolicy, obs: Observation,
                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Policy action; ``obs`` fields may be (..., 3) stacks.
+    """Policy action, with Gaussian exploration noise when ``rng`` is given;
+    ``obs`` fields may be (..., 3) stacks.
 
     Each observation goes through the network as a one-row matrix, so a
     stack's rows get the actions they would get alone, bit for bit (one
@@ -166,7 +159,10 @@ def policy_act(policy: MlpPolicy, obs: Observation,
     if vec.shape[-1] != policy.layer_dims[0]:
         raise ValueError(f"observation dimension {vec.shape[-1]} does not match "
                          f"policy input {policy.layer_dims[0]}")
-    return policy.act(vec[..., None, :], rng)[..., 0, :]
+    mean = policy.pre_squash(vec[..., None, :])
+    if rng is not None:
+        mean = mean + np.exp(policy.log_std) * rng.standard_normal(mean.shape)
+    return np.tanh(mean)[..., 0, :]
 
 
 def save_policy(policy: MlpPolicy, path) -> None:
@@ -206,6 +202,11 @@ def load_policy(path) -> MlpPolicy:
                    for flat, n_in, n_out in zip(payload["weights"], dims[:-1], dims[1:])]
         if len(weights) != len(dims) - 1 or len(payload["biases"]) != len(weights):
             raise ValueError("layer count mismatch")
-        return MlpPolicy(weights, payload["biases"], payload["log_std"])
+        policy = MlpPolicy(weights, payload["biases"], payload["log_std"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PolicyFileError(f"policy file {path} has inconsistent contents: {exc}") from exc
+    n_in, *_, n_out = policy.layer_dims
+    if (n_in, n_out) != (6, 3):  # observation and thrust sizes
+        raise PolicyFileError(f"policy file {path} maps {n_in} inputs to {n_out} "
+                              "outputs, not 6 to 3")
+    return policy

@@ -2,7 +2,8 @@
 
 Pure-numpy PPO: a Gaussian acts on the pre-squash network output, actions are
 tanh-squashed, and advantages come from generalized advantage estimation over
-fixed-size rollout batches collected from a single deterministic env stream.
+fixed-size rollout batches collected from N_STREAMS env streams stepped in
+lock-step.
 The tanh change-of-variables term depends only on the stored sample, so it
 cancels from the importance ratio and never needs computing.
 """
@@ -15,18 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChiefOrbit, VehicleParams, default_orbit, default_vehicle
-from .env import (
+from .env import (  # noqa: F401 - observe and step stay training attributes for perfbench's tracer
     EpisodeConfig,
     Status,
     observe,
+    observe_batch,
     run_episodes,
-    sample_episode,
     sample_episodes,
     step,
+    step_batch,
 )
 from .policy import DEFAULT_LAYER_DIMS, MlpPolicy, flat_views, mlp_forward, policy_act
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+N_STREAMS = 16
+"""Env streams the trainer steps in lock-step, one policy call per tick for all."""
 
 
 class TrainingDivergence(RuntimeError):
@@ -64,7 +69,8 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One training iteration: env steps so far and batch episode stats."""
+    """One training iteration: env steps so far and the stats of the episodes
+    that ended in its batch (if none did, of those in progress, returns so far)."""
 
     steps: int
     mean_return: float
@@ -85,6 +91,24 @@ def gaussian_logp(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.nd
     inv_var = np.exp(-2.0 * log_std)
     quad = 0.5 * np.sum((z - mean) ** 2 * inv_var, axis=-1)
     return -(quad + np.sum(log_std) + 0.5 * z.shape[-1] * LOG_2PI)
+
+
+def gae(rewards, values, next_values, statuses, discount: float, lam: float,
+        streams: int) -> np.ndarray:
+    """Generalized advantage estimates of tick-major transitions: row i + streams
+    is row i's env stream one tick on.  Each stream's recursion runs backwards
+    alone and restarts after every episode end; only a TIMEOUT end (a budget
+    truncation) still bootstraps from the next value."""
+    ended = statuses != Status.RUNNING
+    bootstrap = ~ended | (statuses == Status.TIMEOUT)
+    deltas = rewards + discount * next_values * bootstrap - values
+    decays = discount * lam * ~ended
+    n = len(deltas)
+    adv = np.zeros(n + streams)  # zeros past the batch end
+    for lo in reversed(range(0, n, streams)):
+        hi = min(lo + streams, n)
+        adv[lo:hi] = deltas[lo:hi] + decays[lo:hi] * adv[lo + streams:hi + streams]
+    return adv[:n]
 
 
 def _backprop(weights, hs, g_out, g_w, g_b) -> None:
@@ -238,57 +262,43 @@ def train(env_cfg: EpisodeConfig | None = None,
     pol_views = flat_views(pol_grad, policy.shapes)
     val_views = flat_views(val_grad, value_net.shapes)
 
-    state, goal = sample_episode(rng, env_cfg)
-    obs_vec = observe(state, goal).vector()
-    elapsed = ep_return = 0.0
+    states, goals = sample_episodes(rng, env_cfg, N_STREAMS)
+    elapsed, ep_return = np.zeros(N_STREAMS), np.zeros(N_STREAMS)
     steps_done = 0
 
     while steps_done < cfg.total_steps:
         n = min(cfg.batch_size, cfg.total_steps - steps_done)
-        obs_buf = np.empty((n, dims[0]))
-        next_obs_buf = np.empty_like(obs_buf)
-        mean_buf = np.empty((n, dims[-1]))
-        z_buf = np.empty_like(mean_buf)
-        rew_buf = np.empty(n)
-        terminal_buf = np.zeros(n)   # no bootstrap past these steps
-        boundary_buf = np.zeros(n)   # advantage recursion resets here
-        ep_returns, ep_successes = [], []
-
+        rows, ep_returns, ep_successes = [], [], []
         std = np.exp(policy.log_std)
-        for i in range(n):
-            mean = policy.pre_squash(obs_vec)
-            z = mean + std * rng.standard_normal(mean.shape)
-            out = step(state, np.tanh(z), goal, env_cfg, orbit, veh, elapsed)
-            elapsed += env_cfg.dt
-            ep_return += out.reward
-
-            obs_buf[i], mean_buf[i], z_buf[i], rew_buf[i] = obs_vec, mean, z, out.reward
-            obs_vec = next_obs_buf[i] = out.obs.vector()
-            state = out.state
-
-            if out.status is not Status.RUNNING:
-                # timeouts are budget truncations: bootstrap but reset GAE
-                terminal_buf[i] = float(out.status is not Status.TIMEOUT)
-                boundary_buf[i] = 1.0
-                ep_returns.append(ep_return)
-                ep_successes.append(float(out.status is Status.REACHED))
-                state, goal = sample_episode(rng, env_cfg)
-                obs_vec = observe(state, goal).vector()
-                elapsed = ep_return = 0.0
+        for lo in range(0, n, N_STREAMS):
+            # a short last tick steps the first m streams; the rest resume next batch
+            m = min(N_STREAMS, n - lo)
+            obs = observe_batch(states[:m], goals[:m]).vector()
+            mean = policy.pre_squash(obs)
+            z = mean + std * rng.standard_normal((m, dims[-1]))
+            states[:m], rew, status = step_batch(states[:m], goals[:m], np.tanh(z),
+                                                 elapsed[:m], env_cfg, orbit, veh)
+            rows.append((obs, mean, z, rew, status,
+                         observe_batch(states[:m], goals[:m]).vector()))
+            elapsed[:m] += env_cfg.dt
+            ep_return[:m] += rew
+            ended = np.flatnonzero(status != Status.RUNNING)
+            ep_returns += ep_return[ended].tolist()
+            ep_successes += (status[ended] == Status.REACHED).tolist()
+            states[ended], goals[ended] = sample_episodes(rng, env_cfg, ended.size)
+            elapsed[ended] = ep_return[ended] = 0.0
         steps_done += n
-        logp_old = gaussian_logp(z_buf, mean_buf, policy.log_std)
+        if not ep_returns:  # no episode ended: report the ones in progress
+            ep_returns, ep_successes = ep_return.tolist(), [False] * N_STREAMS
 
-        values = value_net.forward(obs_buf)[0]
-        next_values = value_net.forward(next_obs_buf)[0]
-        deltas = rew_buf + cfg.discount * next_values * (1.0 - terminal_buf) - values
-        decays = cfg.discount * cfg.gae_lambda * (1.0 - boundary_buf)
-        adv = np.empty(n)
-        gae = 0.0
-        for i in range(n - 1, -1, -1):
-            gae = adv[i] = deltas[i] + decays[i] * gae
+        obs, mean, z, rew, status, next_obs = map(np.concatenate, zip(*rows))
+        logp_old = gaussian_logp(z, mean, policy.log_std)
+        values = value_net.forward(obs)[0]
+        adv = gae(rew, values, value_net.forward(next_obs)[0], status,
+                  cfg.discount, cfg.gae_lambda, N_STREAMS)
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        data = (obs_buf, z_buf, logp_old, adv, v_target)
+        data = (obs, z, logp_old, adv, v_target)
 
         for _ in range(cfg.epochs_per_batch):
             order = rng.permutation(n)
@@ -310,10 +320,8 @@ def train(env_cfg: EpisodeConfig | None = None,
         if not np.all(np.isfinite(policy.params)):
             raise TrainingDivergence(f"non-finite parameters at step {steps_done}")
 
-        curve.append(CurvePoint(
-            steps=steps_done,
-            mean_return=float(np.mean(ep_returns)) if ep_returns else float("nan"),
-            success_rate=float(np.mean(ep_successes)) if ep_successes else float("nan")))
+        curve.append(CurvePoint(steps_done, float(np.mean(ep_returns)),
+                                float(np.mean(ep_successes))))
     return policy, curve
 
 

@@ -99,6 +99,20 @@ def test_run_with_policy_controller(tmp_path):
     assert 0 <= metrics["aggregate"]["targets_reached"] <= 4
 
 
+@pytest.mark.parametrize("dims", [(4, 8, 3), (6, 8, 2)])
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_mismatched_policy_file_exits_2_without_files(tmp_path, capsys, command, dims):
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=dims), ppath)
+    out = tmp_path / "o"
+    argv = (["run", "--scenario", "single", "--controller", f"policy:{ppath}"]
+            if command == "run" else ["train", "--steps", "64", "--resume", str(ppath)])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_zero_steps_smoke(tmp_path):
     out = tmp_path / "t"
     assert main(["train", "--steps", "0", "--out", str(out)]) == 0

@@ -13,11 +13,13 @@ from proxops.dynamics import (
     cwh_closed_form,
     cwh_derivative,
     cwh_drift_accel,
+    cwh_zoh,
     default_orbit,
     default_vehicle,
     eci_to_hill,
     hill_to_eci,
     propagate_cwh,
+    propagate_cwh_zoh,
     propagate_inertial,
     two_body_j2_derivative,
 )
@@ -124,6 +126,37 @@ def test_unforced_propagation_matches_closed_form():
         cf = cwh_closed_form(st, dt, ORBIT)
         scale = max(1.0, float(np.max(np.abs(cf.as_vector()))))
         assert np.max(np.abs(rk.as_vector() - cf.as_vector())) / scale < 1e-6
+
+
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0, 60.0])
+def test_zoh_map_without_thrust_is_the_closed_form(dt):
+    rng = np.random.default_rng(5)
+    phi = cwh_zoh(dt, ORBIT, VEH)[:6].T
+    for _ in range(50):
+        st = random_state(rng)
+        exact = cwh_closed_form(st, dt, ORBIT).as_vector()
+        for got in (phi @ st.as_vector(),
+                    propagate_cwh_zoh(st.as_vector(), np.zeros(3), dt, ORBIT, VEH)):
+            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0, 60.0])
+def test_zoh_map_with_thrust_matches_fine_rk4(dt):
+    rng = np.random.default_rng(6)
+    veh = VehicleParams(mass=4.0, thrust_bound=2.0)
+    for _ in range(50):
+        st, u = random_state(rng), rng.uniform(-2.0, 2.0, 3)
+        rk = propagate_cwh(st, u, dt, ORBIT, veh, substeps=50).as_vector()
+        got = propagate_cwh_zoh(st.as_vector(), u, dt, ORBIT, veh)
+        assert np.linalg.norm(got - rk) <= 1e-9 * np.linalg.norm(rk)
+
+
+def test_zoh_map_is_cached_and_read_only():
+    first = cwh_zoh(1.0, ORBIT, VEH)
+    assert cwh_zoh(1.0, default_orbit(), default_vehicle()) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        cwh_zoh(float("nan"), ORBIT, VEH)
 
 
 def test_propagate_rejects_bad_arguments():

@@ -166,3 +166,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         step(RelativeState([0, 0, 0], [0, 0, 0]), [0, 0, 0], [0, 0], EpisodeConfig(),
              ORBIT, VEH, 0.0)
+
+
+@pytest.mark.parametrize("field", ["dt", "timeout"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_times(field, value):
+    # an infinite budget would never end an episode that stays in the box
+    with pytest.raises(ValueError, match="finite"):
+        EpisodeConfig(**{field: value})

@@ -8,8 +8,7 @@ from proxops.dynamics import (
     RelativeState,
     default_orbit,
     default_vehicle,
-    propagate_cwh,
-    propagate_cwh_batch,
+    propagate_cwh_zoh,
 )
 from proxops.env import (
     EpisodeConfig,
@@ -19,6 +18,7 @@ from proxops.env import (
     run_episodes,
     sample_episodes,
     step,
+    step_batch,
 )
 from proxops.harness import baseline_stats
 from proxops.policy import MlpPolicy, baseline_act, policy_act
@@ -62,7 +62,7 @@ CONTROLLERS = {
 @pytest.mark.parametrize("name, cfg", [
     pytest.param("baseline", EpisodeConfig(), id="baseline-cfg0-10.0-500.0"),
     pytest.param("baseline", EpisodeConfig(timeout=120.0), id="baseline-cfg1-10.0-120.0"),
-    pytest.param("baseline", EpisodeConfig(dt=2.0, substeps=4), id="baseline-cfg2-10.0-500.0"),
+    pytest.param("baseline", EpisodeConfig(dt=2.0), id="baseline-cfg2-10.0-500.0"),
     pytest.param("policy", EpisodeConfig(), id="policy-cfg3-10.0-500.0"),
 ])
 def test_each_episode_matches_a_plain_step_loop(name, cfg):
@@ -134,22 +134,60 @@ def test_stacked_controllers_match_one_row_calls():
         assert np.array_equal(stacked_mlp[k], policy_act(POLICY, one))
 
 
-@pytest.mark.parametrize("substeps", [1, 10])
-def test_batched_propagation_matches_each_row(substeps):
+def test_zoh_propagation_matches_each_row():
     rng = np.random.default_rng(3)
     states = rng.uniform(-500, 500, (16, 6))
     thrust = rng.uniform(-1, 1, (16, 3))
-    got = propagate_cwh_batch(states, thrust, 1.0, ORBIT, VEH, substeps=substeps)
+    got = propagate_cwh_zoh(states, thrust, 1.0, ORBIT, VEH)
     for k in range(16):
-        one = propagate_cwh(RelativeState.from_vector(states[k]), thrust[k], 1.0,
-                            ORBIT, VEH, substeps=substeps)
-        assert np.array_equal(got[k], one.as_vector())
+        assert np.array_equal(got[k], propagate_cwh_zoh(states[k], thrust[k], 1.0, ORBIT, VEH))
+        assert np.array_equal(got[k], propagate_cwh_zoh(states[k:k + 1], thrust[k:k + 1],
+                                                        1.0, ORBIT, VEH)[0])
+
+
+def test_step_batch_rows_equal_one_row_steps():
+    rng = np.random.default_rng(4)
+    cfg = EpisodeConfig(timeout=100.0)
+    states = np.zeros((32, 6))
+    states[:, :3] = rng.uniform(-600, 600, (32, 3))
+    states[:, 3:] = rng.uniform(-3, 3, (32, 3))
+    goals = states[:, :3] + rng.uniform(-20, 20, (32, 3))
+    actions = rng.uniform(-1.5, 1.5, (32, 3))
+    elapsed = rng.choice([0.0, 98.0, 99.5], 32)
+    nxt, rewards, status = step_batch(states, goals, actions, elapsed, cfg, ORBIT, VEH)
+    assert set(status.tolist()) == set(Status)
+    for k in range(32):
+        out = step(RelativeState.from_vector(states[k]), actions[k], goals[k], cfg,
+                   ORBIT, VEH, elapsed[k])
+        assert np.array_equal(nxt[k], out.state.as_vector())
+        assert rewards[k] == out.reward
+        assert status[k] == out.status
+
+
+@pytest.mark.parametrize("bad", ["state", "thrust"])
+def test_non_finite_step_inputs_raise(bad):
+    states = np.zeros((3, 6))
+    thrust = np.zeros((3, 3))
+    (states if bad == "state" else thrust)[1, 2] = np.inf if bad == "thrust" else np.nan
     with pytest.raises(PropagationError):
-        propagate_cwh_batch(states, np.full((16, 3), 1e308), 10.0, ORBIT, VEH, substeps=2)
+        propagate_cwh_zoh(states, thrust, 1.0, ORBIT, VEH)
 
 
-# Outputs of the one-episode-at-a-time implementation, to the last bit.
+# Outputs of the exact zero-order-hold step, to the last bit.
 BASELINE_GOLDEN = {
+    0: {"n_trials": 50, "success_rate": 1.0, "mean_time": 147.92,
+        "sd_time": 53.26707448780903, "mean_distance": 468.6268966847228,
+        "sd_distance": 213.0732676931716, "mean_excess": -0.02524305349462706},
+    3: {"n_trials": 50, "success_rate": 1.0, "mean_time": 147.92,
+        "sd_time": 58.674070342973856, "mean_distance": 468.28091084424153,
+        "sd_distance": 235.27016795108278, "mean_excess": -0.026469562356332018},
+    4: {"n_trials": 50, "success_rate": 1.0, "mean_time": 166.46,
+        "sd_time": 64.02015307698038, "mean_distance": 542.3505944805057,
+        "sd_distance": 256.5858693097611, "mean_excess": -0.023261598156407003},
+}
+
+# The same statistics from one-substep RK4 steps, before the exact map.
+BASELINE_RK4 = {
     0: {"n_trials": 50, "success_rate": 1.0, "mean_time": 147.92,
         "sd_time": 53.26707448780903, "mean_distance": 468.62689668472444,
         "sd_distance": 213.07326769317174, "mean_excess": -0.02524305349462317},
@@ -167,5 +205,15 @@ def test_baseline_stats_golden(seed):
     assert baseline_stats(50, seed=seed).as_dict() == BASELINE_GOLDEN[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(BASELINE_RK4))
+def test_baseline_stats_agree_with_rk4_steps(seed):
+    new, old = BASELINE_GOLDEN[seed], BASELINE_RK4[seed]
+    for key in ("n_trials", "success_rate", "mean_time", "sd_time"):
+        assert new[key] == old[key]
+    for key in ("mean_distance", "sd_distance", "mean_excess"):
+        assert new[key] == pytest.approx(old[key], rel=1e-9, abs=0)
+
+
 def test_evaluate_policy_golden():
+    # unchanged from one-substep RK4 steps, to the last bit
     assert evaluate_policy(small_policy(), 20, seed=1) == (0.15, 294.6666666666667)

@@ -147,6 +147,16 @@ def test_wrong_format_raises(tmp_path):
         load_policy(path)
 
 
+@pytest.mark.parametrize("dims", [(4, 8, 3), (6, 8, 2)])
+def test_policy_file_must_map_6_inputs_to_3_outputs(tmp_path, dims):
+    path = tmp_path / "policy.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=dims), path)
+    with pytest.raises(PolicyFileError, match="not 6 to 3"):
+        load_policy(path)
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 8, 8, 3)), path)
+    assert load_policy(path).layer_dims == (6, 8, 8, 3)
+
+
 def test_layer_shape_validation():
     with pytest.raises(ValueError):
         MlpPolicy([np.zeros((4, 6)), np.zeros((3, 5))], [np.zeros(4), np.zeros(3)])

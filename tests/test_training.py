@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from proxops import training
 from proxops.dynamics import default_orbit, default_vehicle
-from proxops.env import EpisodeConfig, RelativeState, observe, step
+from proxops.env import EpisodeConfig, RelativeState, Status, observe, step
 from proxops.policy import MlpPolicy, load_policy, save_policy
 from proxops.training import (
     Adam,
     _clip_grad,
     CurvePoint,
+    N_STREAMS,
     RolloutBatch,
     TrainerConfig,
     TrainingDivergence,
     curve_rows,
     evaluate_policy,
+    gae,
     gaussian_logp,
     surrogate_loss_and_grad,
     train,
@@ -210,6 +213,73 @@ def test_returns_improve_early():
     assert all(b.steps > a.steps for a, b in zip(curve, curve[1:]))
     for p in curve:
         assert math.isnan(p.success_rate) or 0.0 <= p.success_rate <= 1.0
+
+
+def _scalar_gae(rewards, values, next_values, statuses, discount, lam):
+    """One stream's advantages by the scalar recursion, as a plain loop."""
+    adv, acc = [0.0] * len(rewards), 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        ended = statuses[t] is not Status.RUNNING
+        bootstrap = 0.0 if ended and statuses[t] is not Status.TIMEOUT else 1.0
+        delta = rewards[t] + discount * next_values[t] * bootstrap - values[t]
+        acc = adv[t] = delta + (0.0 if ended else discount * lam) * acc
+    return adv
+
+
+@pytest.mark.parametrize("n", [60, 57])
+def test_gae_runs_the_scalar_recursion_on_each_stream(n):
+    # 12 ticks of 5 streams, tick-major; at n = 57 the last tick steps 2 streams
+    rng = np.random.default_rng(8)
+    ticks, streams = 12, 5
+    rewards, values, next_values = rng.normal(size=(3, ticks, streams))
+    statuses = np.full((ticks, streams), Status.RUNNING)
+    statuses[3, 0] = Status.REACHED
+    statuses[5, 1] = Status.OUT_OF_BOUNDS
+    statuses[4, 2] = Status.TIMEOUT
+    statuses[[2, 7], 3] = [Status.TIMEOUT, Status.REACHED]
+    flat = [a.reshape(-1)[:n] for a in (rewards, values, next_values, statuses)]
+    adv = np.full(ticks * streams, np.nan)
+    adv[:n] = gae(*flat, 0.99, 0.95, streams)
+    adv = adv.reshape(ticks, streams)
+    for k in range(streams):
+        t_end = ticks if k < n - (ticks - 1) * streams else ticks - 1
+        column = [Status(int(code)) for code in statuses[:t_end, k]]
+        expected = _scalar_gae(rewards[:t_end, k], values[:t_end, k],
+                               next_values[:t_end, k], column, 0.99, 0.95)
+        np.testing.assert_array_equal(adv[:t_end, k], expected)
+    # an episode end restarts the recursion, and only a timeout bootstraps
+    assert adv[3, 0] == rewards[3, 0] - values[3, 0]
+    assert adv[4, 2] == rewards[4, 2] + 0.99 * next_values[4, 2] - values[4, 2]
+
+
+@pytest.mark.parametrize("batch_size", [100, 8])
+def test_every_batch_holds_exactly_its_transitions(monkeypatch, batch_size):
+    assert batch_size % N_STREAMS or batch_size < N_STREAMS
+    stepped = []
+    real_step_batch = training.step_batch
+
+    def counting_step_batch(states, *args):
+        stepped.append(len(states))
+        return real_step_batch(states, *args)
+
+    monkeypatch.setattr(training, "step_batch", counting_step_batch)
+    cfg = TrainerConfig(total_steps=3000, batch_size=batch_size, epochs_per_batch=1, seed=2)
+    _, curve = train(trainer_cfg=cfg)
+    assert curve[-1].steps == 3000 == sum(stepped)
+    assert [p.steps for p in curve] == [min(3000, (i + 1) * batch_size)
+                                        for i in range(len(curve))]
+    assert max(stepped) == min(batch_size, N_STREAMS)
+    for p in curve:
+        assert math.isfinite(p.mean_return) and 0.0 <= p.success_rate <= 1.0
+
+
+def test_a_batch_without_episode_ends_reports_the_running_episodes():
+    cfg = TrainerConfig(total_steps=2 * N_STREAMS, batch_size=N_STREAMS,
+                        epochs_per_batch=1, seed=3)
+    _, curve = train(trainer_cfg=cfg)
+    assert [p.success_rate for p in curve] == [0.0, 0.0]
+    assert all(math.isfinite(p.mean_return) for p in curve)
+    assert curve[0].mean_return != curve[1].mean_return
 
 
 def test_divergent_learning_rate_raises():
