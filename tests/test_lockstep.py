@@ -134,15 +134,23 @@ def test_stacked_controllers_match_one_row_calls():
         assert np.array_equal(stacked_mlp[k], policy_act(POLICY, one))
 
 
-def test_zoh_propagation_matches_each_row():
+@pytest.mark.parametrize("ticks", [1, 10])
+def test_batched_propagation_matches_each_row(ticks):
     rng = np.random.default_rng(3)
     states = rng.uniform(-500, 500, (16, 6))
     thrust = rng.uniform(-1, 1, (16, 3))
-    got = propagate_cwh_zoh(states, thrust, 1.0, ORBIT, VEH)
+    got = states
+    for _ in range(ticks):
+        got = propagate_cwh_zoh(got, thrust, 1.0, ORBIT, VEH)
     for k in range(16):
-        assert np.array_equal(got[k], propagate_cwh_zoh(states[k], thrust[k], 1.0, ORBIT, VEH))
-        assert np.array_equal(got[k], propagate_cwh_zoh(states[k:k + 1], thrust[k:k + 1],
-                                                        1.0, ORBIT, VEH)[0])
+        alone, single = states[k], states[k:k + 1]
+        for _ in range(ticks):
+            alone = propagate_cwh_zoh(alone, thrust[k], 1.0, ORBIT, VEH)
+            single = propagate_cwh_zoh(single, thrust[k:k + 1], 1.0, ORBIT, VEH)
+        assert np.array_equal(got[k], alone)
+        assert np.array_equal(got[k], single[0])
+    with pytest.raises(PropagationError):
+        propagate_cwh_zoh(states, np.full((16, 3), 1e308), 10.0, ORBIT, VEH)
 
 
 def test_step_batch_rows_equal_one_row_steps():
