@@ -15,8 +15,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
+from .env import norms
 from .harness import (
     baseline_stats,
     builtin_scenario,
@@ -57,15 +56,11 @@ def _merge_config(args) -> dict:
 
 def _plot_data(log) -> dict:
     """Per-agent and pairwise time series for distance/speed/RTA plots."""
-    agents = {}
-    for k in range(log.n_agents):
-        recs = log.agent_records(k)
-        agents[str(k)] = {
-            "t": [r.t for r in recs],
-            "dist_goal": [r.dist_goal for r in recs],
-            "speed": [float(np.linalg.norm(r.vel)) for r in recs],
-            "rta_active": [int(r.rta_active) for r in recs],
-        }
+    times, speeds = log.t.tolist(), norms(log.vel)
+    agents = {str(k): {"t": times, "dist_goal": log.dist_goal[:, k].tolist(),
+                       "speed": speeds[:, k].tolist(),
+                       "rta_active": log.rta_active[:, k].astype(int).tolist()}
+              for k in range(log.n_agents)}
     distances = pair_distances(log)
     pairs = {key: {"t": [t for t, _ in series], "dist": [d for _, d in series]}
              for key, series in distances.items()}

@@ -151,14 +151,15 @@ def cwh_drift_accel(state: RelativeState, orbit: ChiefOrbit) -> np.ndarray:
     This is the linear drift term of the relative dynamics; thrust enters
     separately as u / mass.
     """
+    return cwh_drift_rows(state.as_vector(), orbit)
+
+
+def cwh_drift_rows(states: np.ndarray, orbit: ChiefOrbit) -> np.ndarray:
+    """:func:`cwh_drift_accel` of each row of ``states`` (..., 6), position
+    then velocity; each row gets the bits it would get alone."""
     n = orbit.mean_motion
-    x, _, z = state.pos
-    vx, vy, _ = state.vel
-    return np.array([
-        3.0 * n * n * x + 2.0 * n * vy,
-        -2.0 * n * vx,
-        -n * n * z,
-    ])
+    x, _, z, vx, vy, _ = states.T
+    return np.array([3.0 * n * n * x + 2.0 * n * vy, -2.0 * n * vx, -n * n * z]).T
 
 
 def cwh_derivative(state: RelativeState, u, orbit: ChiefOrbit,
@@ -215,8 +216,9 @@ def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
                   veh: VehicleParams, substeps: int | None = None) -> RelativeState:
     """Propagate the CWH dynamics for ``dt`` > 0 seconds under thrust ``u`` (N)
     held constant, by ``substeps`` >= 1 classical RK4 steps (when omitted, of
-    about DEFAULT_SUBSTEP each).  The harness integrates with it; episodes step
-    with the exact map :func:`propagate_cwh_zoh`, checked against it in tests.
+    about DEFAULT_SUBSTEP each).  Scenarios and episodes step with the exact
+    map :func:`propagate_cwh_zoh`; tests check that map and the closed form
+    against this integrator.
 
     Raises PropagationError if the propagated state stops being finite.
     """

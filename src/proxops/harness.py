@@ -1,11 +1,12 @@
 """Scenario harness: multi-agent control loop, metrics, and trajectory logs.
 
 A scenario assigns each deputy a waypoint queue and a controller.  The run
-loop advances all agents on a shared clock: controllers fire every
-``control_dt`` seconds with zero-order-hold thrust, dynamics integrate at
-``sim_dt``, and the optional runtime-assurance filter rewrites commands
-before they are applied.  Waypoints are accepted at tick boundaries and
-velocity carries over between legs.
+loop advances all agents on a shared clock, one array tick at a time:
+controllers fire every ``control_dt`` seconds, the optional runtime-assurance
+filter rewrites their commands, and the exact zero-order-hold CWH map steps
+every agent under its held thrust.  Waypoints are accepted at tick boundaries
+and velocity carries over between legs.  The log is columnar: (T, N, ...)
+arrays, one row per tick.
 """
 
 from __future__ import annotations
@@ -16,22 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
+from .dynamics import (  # noqa: F401 - propagate_cwh stays a harness attribute for perfbench's tracer
     ChiefOrbit,
     PropagationError,
     RelativeState,
     VehicleParams,
-    cwh_drift_accel,
+    cwh_drift_rows,
     default_orbit,
     default_vehicle,
     propagate_cwh,
+    propagate_cwh_zoh,
 )
-from .env import (  # noqa: F401 - step stays a harness attribute for perfbench's tracer
+from .env import (  # noqa: F401 - observe and step stay harness attributes for perfbench's tracer
     DEFAULT_TIMEOUT,
     EpisodeConfig,
     Status,
     norms,
     observe,
+    observe_batch,
     run_episodes,
     sample_episodes,
     step,
@@ -42,16 +45,8 @@ from .rta import AgentSnapshot, RtaParams, filter_actions
 HARNESS_ACCEPTANCE_RADIUS = 15.0
 INTERVENTION_TOL = 1e-6
 
-MAX_SUBSTEPS_PER_TICK = 1000
-"""Most dynamics substeps (control_dt / sim_dt) a scenario may take per tick."""
-
-MAX_SUBSTEP_PHASE = 0.1
-"""Largest orbital phase mean_motion * sim_dt one RK4 substep may span, rad.
-
-About 90 s on the default orbit.  One RK4 step that long is within 1e-6 of
-the closed-form solution, relative to the state with velocities scaled by
-1 / mean_motion; steps far beyond it make RK4 diverge.
-"""
+MAX_TICKS_PER_LEG = 100_000
+"""Most control ticks (leg_timeout / control_dt) one waypoint leg may take."""
 
 CSV_HEADER = ("t,agent,rx,ry,rz,vx,vy,vz,ux_des,uy_des,uz_des,ux,uy,uz,"
               "rta_active,slack_pos,slack_vel,slack_acc,slack_u1,slack_u2,"
@@ -81,6 +76,10 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario's agents and settings.  ``sim_dt`` must be finite, positive
+    and at most ``control_dt``, so configurations naming it still load, but
+    nothing reads it: each tick is one exact zero-order-hold step."""
+
     name: str
     agents: tuple
     rta_enabled: bool = False
@@ -100,25 +99,13 @@ class ScenarioSpec:
             raise ValueError("time steps must be finite and positive")
         if self.sim_dt > self.control_dt:
             raise ValueError("sim_dt must not exceed control_dt")
-        if self.orbit.mean_motion * self.sim_dt > MAX_SUBSTEP_PHASE:
-            raise ValueError(f"sim_dt {self.sim_dt:g} s exceeds "
-                             f"{MAX_SUBSTEP_PHASE / self.orbit.mean_motion:g} s, "
-                             f"{MAX_SUBSTEP_PHASE} rad of the chief orbit")
-        ratio = self.control_dt / self.sim_dt
-        if ratio >= MAX_SUBSTEPS_PER_TICK + 0.5:  # rounds above the maximum
-            raise ValueError(f"control_dt / sim_dt = {ratio:g} exceeds "
-                             f"{MAX_SUBSTEPS_PER_TICK} substeps per tick")
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:  # roundoff: 0.1 divides 0.3
-            raise ValueError(f"sim_dt {self.sim_dt:g} does not divide "
-                             f"control_dt {self.control_dt:g}")
-        if self.acceptance_radius <= 0.0 or self.leg_timeout <= 0.0:
-            raise ValueError("acceptance radius and timeout must be positive")
+        if self.acceptance_radius <= 0.0:
+            raise ValueError("acceptance radius must be positive")
+        ticks = self.leg_timeout / self.control_dt
+        if not 1.0 <= ticks <= MAX_TICKS_PER_LEG:  # also rejects NaN
+            raise ValueError(f"leg_timeout / control_dt = {ticks:g} ticks per leg; "
+                             f"it must be from 1 to {MAX_TICKS_PER_LEG}")
         object.__setattr__(self, "agents", tuple(self.agents))
-
-    @property
-    def substeps(self) -> int:
-        """Dynamics substeps per control tick: control_dt / sim_dt."""
-        return round(self.control_dt / self.sim_dt)
 
 
 @dataclass(frozen=True)
@@ -141,10 +128,22 @@ class TickRecord:
 
 @dataclass
 class TrajectoryLog:
-    """Per-tick records plus the run metadata metrics need."""
+    """Columnar run log plus the run metadata metrics need.
 
-    records: list
-    n_agents: int
+    Row i of each array is tick i, at time ``t[i]``, before that tick's
+    propagation; axis 1 is the agent.  ``slack`` holds the six logged slack
+    columns: the worst pair slack, then velocity, acceleration and the three
+    thrust axes.
+    """
+
+    t: np.ndarray           # (T,) s
+    pos: np.ndarray         # (T, N, 3) m
+    vel: np.ndarray         # (T, N, 3) m/s
+    u_des: np.ndarray       # (T, N, 3) N, controller command
+    u: np.ndarray           # (T, N, 3) N, applied thrust
+    rta_active: np.ndarray  # (T, N) bool
+    slack: np.ndarray       # (T, N, 6)
+    dist_goal: np.ndarray   # (T, N) m
     control_dt: float
     mass: float
     waypoints_assigned: list
@@ -153,8 +152,22 @@ class TrajectoryLog:
     aborted: bool = False
     timed_out: bool = False
 
+    @property
+    def n_agents(self) -> int:
+        return self.pos.shape[1]
+
+    @property
+    def records(self) -> list:
+        """Tick-major :class:`TickRecord` view of the arrays, built on access."""
+        return [TickRecord(t=t, agent=k, pos=self.pos[i, k], vel=self.vel[i, k],
+                           u_des=self.u_des[i, k], u=self.u[i, k],
+                           rta_active=bool(self.rta_active[i, k]), slack_pos=float(s[0]),
+                           slack_vel=float(s[1]), slack_acc=float(s[2]), slack_u=s[3:],
+                           dist_goal=float(self.dist_goal[i, k]))
+                for i, t in enumerate(self.t.tolist()) for k, s in enumerate(self.slack[i])]
+
     def agent_records(self, k: int) -> list:
-        return [r for r in self.records if r.agent == k]
+        return self.records[k::self.n_agents]
 
 
 @dataclass(frozen=True)
@@ -229,176 +242,155 @@ def make_controller(choice: str, vehicle: VehicleParams):
     raise ValueError(f"unknown controller {choice!r}")
 
 
-def _slack_summary(decision, n_pairs: int):
-    """Collapse per-row slacks into the six logged columns.
-
-    The position column reports the worst (most negative) pair slack.
-    """
-    s = decision.slacks
-    slack_pos = float(np.min(s[:n_pairs])) if n_pairs else 0.0
-    return (slack_pos, float(s[n_pairs]), float(s[n_pairs + 1]),
-            np.array(s[n_pairs + 2:n_pairs + 5], dtype=float))
-
-
 def run(spec: ScenarioSpec):
-    """Execute a scenario; returns (MetricsReport, TrajectoryLog)."""
+    """Execute a scenario; returns (MetricsReport, TrajectoryLog).
+
+    Each tick accepts every waypoint within the acceptance radius, makes one
+    controller call per controller choice on the stacked observations of its
+    agents with waypoints left (the others command zero thrust), filters the
+    commands when RTA is on, clips them to the thrust bound and steps all
+    agents with one :func:`propagate_cwh_zoh`.  Each agent's rows get the
+    bits they would get alone, so without RTA a joint run matches each
+    agent's solo run exactly.
+    """
     n = len(spec.agents)
-    states = [a.start.copy() for a in spec.agents]
+    dt, mass, bound = spec.control_dt, spec.vehicle.mass, spec.vehicle.thrust_bound
+    states = np.array([a.start.as_vector() for a in spec.agents])
     queues = [list(a.waypoints) for a in spec.agents]
-    controllers = [make_controller(a.controller, spec.vehicle) for a in spec.agents]
-    final_goals = [np.asarray(a.waypoints[-1], dtype=float) for a in spec.agents]
-    accel_est = [np.zeros(3) for _ in range(n)]
-    leg_start = [0.0] * n
-    mass = spec.vehicle.mass
-    bound = spec.vehicle.thrust_bound
-
-    log = TrajectoryLog(records=[], n_agents=n, control_dt=spec.control_dt,
-                        mass=mass,
-                        waypoints_assigned=[len(a.waypoints) for a in spec.agents],
-                        targets_reached=[0] * n,
-                        completion_times=[None] * n)
-
-    def emit(t, k, u_des, u, decision, n_pairs):
-        if decision is None:
-            slack_pos = slack_vel = slack_acc = 0.0
-            slack_u = np.zeros(3)
-            active = False
-        else:
-            slack_pos, slack_vel, slack_acc, slack_u = _slack_summary(decision, n_pairs)
-            active = decision.fallback or decision.intervened(u_des, INTERVENTION_TOL)
-        goal = queues[k][0] if queues[k] else final_goals[k]
-        log.records.append(TickRecord(
-            t=t, agent=k, pos=states[k].pos.copy(), vel=states[k].vel.copy(),
-            u_des=np.asarray(u_des, dtype=float).copy(),
-            u=np.asarray(u, dtype=float).copy(), rta_active=active,
-            slack_pos=slack_pos, slack_vel=slack_vel, slack_acc=slack_acc,
-            slack_u=slack_u,
-            dist_goal=float(np.linalg.norm(states[k].pos - goal))))
+    goals = np.array([q[0] for q in queues])  # the last waypoint once a queue is empty
+    live = np.ones(n, dtype=bool)  # agents with waypoints left
+    groups: dict = {}
+    for k, agent in enumerate(spec.agents):
+        groups.setdefault(agent.controller, []).append(k)
+    controllers = [(make_controller(choice, spec.vehicle), np.array(members))
+                   for choice, members in groups.items()]
+    accel_est = np.zeros((n, 3))
+    leg_start = np.zeros(n)
+    oldest_leg, done = 0.0, False  # start of the oldest open leg; no leg open
+    targets_reached, completion_times = [0] * n, [None] * n
+    rows = []  # per tick: states, u_des, u, rta_active, slack, dist_goal
+    no_slack = np.zeros((n, 6))
+    aborted = False
 
     tick = 0
     while True:
-        t = tick * spec.control_dt
-        for k in range(n):
-            while queues[k] and (np.linalg.norm(states[k].pos - queues[k][0])
-                                 <= spec.acceptance_radius):
-                queues[k].pop(0)
-                log.targets_reached[k] += 1
+        t = tick * dt
+        dist = norms(states[:, :3] - goals)
+        accepted = np.flatnonzero(live & (dist <= spec.acceptance_radius)).tolist()
+        for k in accepted:
+            queue = queues[k]
+            while queue and norms(states[k, :3] - queue[0]) <= spec.acceptance_radius:
+                goals[k] = queue.pop(0)
+                targets_reached[k] += 1
                 leg_start[k] = t
-                if not queues[k]:
-                    log.completion_times[k] = t
+            if queue:
+                goals[k] = queue[0]
+            else:
+                live[k] = False
+                completion_times[k] = t
+        if accepted:
+            dist = norms(states[:, :3] - goals)
+            done = not live.any()
+            # Rounding keeps t - x monotone in x, so the oldest leg times out first.
+            oldest_leg = float(leg_start[live].min(initial=math.inf))
 
-        done = all(not q for q in queues)
-        timed_out = any(q and t - leg_start[k] >= spec.leg_timeout
-                        for k, q in enumerate(queues))
+        timed_out = t - oldest_leg >= spec.leg_timeout
         if done or timed_out:
-            zeros = np.zeros(3)
-            for k in range(n):
-                emit(t, k, zeros, zeros, None, 0)
-            log.timed_out = timed_out and not done
+            zeros = np.zeros((n, 3))
+            rows.append((states, zeros, zeros, np.zeros(n, dtype=bool), no_slack, dist))
             break
 
-        desired = []
-        for k in range(n):
-            if queues[k]:
-                action = controllers[k](observe(states[k], queues[k][0]))
-                desired.append(np.asarray(action, dtype=float) * bound)
-            else:
-                desired.append(np.zeros(3))
+        u_des = np.zeros((n, 3))
+        for controller, members in controllers:
+            ks = members[live[members]]
+            if ks.size:
+                u_des[ks] = controller(observe_batch(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
-            snaps = [AgentSnapshot(states[k], accel_est[k], spec.vehicle)
-                     for k in range(n)]
-            decisions = filter_actions(snaps, desired, spec.orbit, spec.rta_params)
-            applied = [d.u_safe for d in decisions]
-            n_pairs = n  # n-1 peers plus the chief
+            snaps = [AgentSnapshot(RelativeState(s[:3], s[3:]), a, spec.vehicle)
+                     for s, a in zip(states, accel_est)]
+            decisions = filter_actions(snaps, u_des, spec.orbit, spec.rta_params)
+            u = np.array([d.u_safe for d in decisions])
+            active = (np.array([d.fallback for d in decisions])
+                      | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL))
+            slacks = np.array([d.slacks for d in decisions])  # n pair rows, then 5 shared
+            slack = np.column_stack([slacks[:, :n].min(axis=1), slacks[:, n:n + 5]])
         else:
-            decisions = [None] * n
-            applied = desired
-            n_pairs = 0
+            u, active, slack = u_des, np.zeros(n, dtype=bool), no_slack
+        u = np.minimum(np.maximum(u, -bound), bound)  # the actuator box, whatever the filter returns
 
-        for k in range(n):
-            emit(t, k, desired[k], applied[k], decisions[k], n_pairs)
+        rows.append((states, u_des, u, active, slack, dist))
 
+        if spec.rta_enabled:
+            accel_est = cwh_drift_rows(states, spec.orbit) + u / mass
         try:
-            for k in range(n):
-                accel_est[k] = cwh_drift_accel(states[k], spec.orbit) + applied[k] / mass
-                states[k] = propagate_cwh(states[k], applied[k], spec.control_dt, spec.orbit,
-                                          spec.vehicle, substeps=spec.substeps)
+            states = propagate_cwh_zoh(states, u, dt, spec.orbit, spec.vehicle)
         except PropagationError:
-            log.aborted = True
+            aborted = True
             break
         tick += 1
 
+    state, u_des, u, active, slack, dist = (np.array(column) for column in zip(*rows))
+    log = TrajectoryLog(t=np.arange(len(rows)) * dt, pos=state[..., :3],
+                        vel=state[..., 3:], u_des=u_des, u=u, rta_active=active,
+                        slack=slack, dist_goal=dist, control_dt=dt, mass=mass,
+                        waypoints_assigned=[len(a.waypoints) for a in spec.agents],
+                        targets_reached=targets_reached,
+                        completion_times=completion_times,
+                        aborted=aborted, timed_out=timed_out)
     return compute_metrics(log), log
 
 
 def compute_metrics(log: TrajectoryLog) -> MetricsReport:
     """Per-agent and aggregate counts, times, path lengths, and fuel use.
 
-    Distance sums position increments between consecutive records; delta-v
+    Distance sums position increments between consecutive ticks; delta-v
     charges the 1-norm of the applied thrust over each hold interval.  An
-    agent's time is its queue-completion tick, or the last record time when
+    agent's time is its queue-completion tick, or the last tick's time when
     it never finished.  Aggregate values are the per-agent sums.
     """
-    per_agent = []
-    for k in range(log.n_agents):
-        recs = log.agent_records(k)
-        dist = 0.0
-        dv = 0.0
-        for prev, cur in zip(recs, recs[1:]):
-            dist += float(np.linalg.norm(cur.pos - prev.pos))
-        for r in recs:
-            dv += float(np.sum(np.abs(r.u))) / log.mass * log.control_dt
-        if log.completion_times[k] is not None:
-            time_taken = float(log.completion_times[k])
-        else:
-            time_taken = float(recs[-1].t) if recs else 0.0
-        per_agent.append(AgentMetrics(targets_reached=log.targets_reached[k],
-                                      time_taken=time_taken,
-                                      distance_traveled=dist, delta_v=dv))
+    dists = norms(np.diff(log.pos, axis=0)).sum(axis=0).tolist()
+    dvs = (np.abs(log.u).sum(axis=-1) / log.mass * log.control_dt).sum(axis=0).tolist()
+    last_t = float(log.t[-1]) if len(log.t) else 0.0
+    per_agent = tuple(
+        AgentMetrics(targets_reached=log.targets_reached[k],
+                     time_taken=last_t if done is None else float(done),
+                     distance_traveled=dists[k], delta_v=dvs[k])
+        for k, done in enumerate(log.completion_times))
     agg = AgentMetrics(
         targets_reached=sum(m.targets_reached for m in per_agent),
         time_taken=sum(m.time_taken for m in per_agent),
         distance_traveled=sum(m.distance_traveled for m in per_agent),
         delta_v=sum(m.delta_v for m in per_agent))
-    return MetricsReport(per_agent=tuple(per_agent), aggregate=agg,
+    return MetricsReport(per_agent=per_agent, aggregate=agg,
                          aborted=log.aborted, timed_out=log.timed_out)
 
 
 def write_csv(log: TrajectoryLog, path) -> None:
-    """Write the trajectory log with the fixed column schema (SI units)."""
+    """Write the trajectory log with the fixed column schema (SI units).
+
+    Rows are tick-major; every float is written as ``repr`` of its Python
+    float, the agent index and ``rta_active`` as integers.
+    """
+    motion = np.concatenate([log.pos, log.vel, log.u_des, log.u], axis=-1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
-        for r in log.records:
-            writer.writerow([repr(float(r.t)), r.agent,
-                             *(repr(float(v)) for v in r.pos),
-                             *(repr(float(v)) for v in r.vel),
-                             *(repr(float(v)) for v in r.u_des),
-                             *(repr(float(v)) for v in r.u),
-                             int(r.rta_active),
-                             repr(float(r.slack_pos)), repr(float(r.slack_vel)),
-                             repr(float(r.slack_acc)),
-                             *(repr(float(v)) for v in r.slack_u),
-                             repr(float(r.dist_goal))])
+        for i, t in enumerate(log.t.tolist()):  # one tick at a time keeps memory small
+            columns = (motion[i], log.rta_active[i], log.slack[i], log.dist_goal[i])
+            writer.writerows([t, k, *m, int(a), *s, d] for k, (m, a, s, d)
+                             in enumerate(zip(*(c.tolist() for c in columns))))
 
 
 def pair_distances(log: TrajectoryLog, include_chief: bool = True) -> dict:
     """Time series of pairwise separations, keyed "i-j" and "i-chief"."""
-    by_time: dict = {}
-    for r in log.records:
-        by_time.setdefault(r.t, {})[r.agent] = r.pos
-    times = sorted(by_time)
+    times = log.t.tolist()
     series: dict = {}
     for i in range(log.n_agents):
         for j in range(i + 1, log.n_agents):
-            key = f"{i}-{j}"
-            series[key] = [(t, float(np.linalg.norm(by_time[t][i] - by_time[t][j])))
-                           for t in times if i in by_time[t] and j in by_time[t]]
+            series[f"{i}-{j}"] = list(zip(times, norms(log.pos[:, i] - log.pos[:, j]).tolist()))
         if include_chief:
-            key = f"{i}-chief"
-            series[key] = [(t, float(np.linalg.norm(by_time[t][i])))
-                           for t in times if i in by_time[t]]
+            series[f"{i}-chief"] = list(zip(times, norms(log.pos[:, i]).tolist()))
     return series
 
 

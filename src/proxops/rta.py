@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ChiefOrbit, RelativeState, VehicleParams, cwh_drift_accel
+from .dynamics import ChiefOrbit, RelativeState, VehicleParams, cwh_drift_rows
 from . import qp as qp_mod
 
 N_SHARED_SLACKS = 5  # velocity, acceleration, and one per thrust axis
@@ -149,7 +149,7 @@ def qp_arrays(agents, peer_kin, orbit: ChiefOrbit, params: RtaParams):
         raise ValueError("the filtered agent needs vehicle parameters")
     pos, vel, accel = _kinematics(agents).transpose(1, 0, 2)
     mass = np.array([agent.veh.mass for agent in agents])[:, None]
-    drift = np.array([cwh_drift_accel(a.state, orbit) for a in agents]).reshape(-1, 3)
+    drift = cwh_drift_rows(np.concatenate([pos, vel], axis=-1), orbit)
     d = pos[:, None] - peer_kin[:, :, 0]
     dv = vel[:, None] - peer_kin[:, :, 1]
     gain_sum = params.pos_gain_inner + params.pos_gain_outer

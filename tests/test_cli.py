@@ -171,9 +171,9 @@ def test_negative_trials_exits_2():
     ["--control-dt", "nan"],
     ["--control-dt", "inf"],
     ["--sim-dt", "nan"],
-    ["--control-dt", "1e7"],             # 1e8 substeps per tick
-    ["--control-dt", "200"],             # 2000 substeps, above the maximum
-    ["--sim-dt", "0.3"],                 # does not divide 1 s
+    ["--control-dt", "1e7"],             # one tick longer than the 500 s leg
+    ["--control-dt", "1e-6", "--sim-dt", "1e-6"],    # 5e8 ticks per leg
+    ["--control-dt", "0.004", "--sim-dt", "0.004"],  # 125,000 ticks, above the maximum
     ["--control-dt", "1", "--sim-dt", "2"],
 ])
 def test_bad_time_steps_exit_2_without_files(tmp_path, capsys, flags):
@@ -182,6 +182,22 @@ def test_bad_time_steps_exit_2_without_files(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--control-dt", "200"],  # 2.5 ticks per leg; sim_dt is not read
+    ["--sim-dt", "0.3"],      # need not divide control_dt
+])
+def test_time_steps_only_bound_the_ticks_per_leg(tmp_path, flags):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", *flags, "--out", str(out)]) == 0
+    for name in ("metrics.json", "plot_data.json", "config.json"):
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+    assert (out / "trajectory.csv").exists()
 
 
 def test_dividing_time_steps_run(tmp_path):
@@ -193,8 +209,8 @@ def test_dividing_time_steps_run(tmp_path):
 
 
 def test_unstable_sim_dt_exits_2_without_files(tmp_path, capsys):
-    # Each step is in range and divides the tick, but one 1e7 s RK4 step
-    # spans ~1.1e4 rad of the orbit and diverges to ~1e20 m.
+    # Each step is finite and positive, but one 1e7 s tick is longer than
+    # the whole 500 s leg.
     out = tmp_path / "o"
     assert main(["run", "--scenario", "single", "--control-dt", "1e7",
                  "--sim-dt", "1e7", "--out", str(out)]) == 2

@@ -1,16 +1,24 @@
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from proxops.dynamics import RelativeState, VehicleParams, default_vehicle
+from proxops import harness
+from proxops.dynamics import (
+    RelativeState,
+    VehicleParams,
+    cwh_drift_accel,
+    default_vehicle,
+    propagate_cwh_zoh,
+)
 from proxops.env import EpisodeConfig
 from proxops.harness import (
     CSV_HEADER,
-    MAX_SUBSTEPS_PER_TICK,
+    MAX_TICKS_PER_LEG,
     AgentSpec,
     ScenarioSpec,
-    TickRecord,
     TrajectoryLog,
     baseline_stats,
     builtin_scenario,
@@ -72,16 +80,21 @@ def test_spec_validation():
         AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ())
 
 
-def test_substeps_per_tick_and_their_maximum():
+def test_ticks_per_leg_and_their_maximum():
     agent = AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ((1.0, 0, 0),))
-    assert ScenarioSpec(name="x", agents=(agent,), control_dt=0.3,
-                        sim_dt=0.1).substeps == 3
-    dt = 1.0 / MAX_SUBSTEPS_PER_TICK
-    assert ScenarioSpec(name="x", agents=(agent,), sim_dt=dt).substeps == \
-        MAX_SUBSTEPS_PER_TICK
-    with pytest.raises(ValueError):
-        ScenarioSpec(name="x", agents=(agent,),
-                     sim_dt=1.0 / (MAX_SUBSTEPS_PER_TICK + 1))
+    for control_dt, sim_dt, leg_timeout in ((0.3, 0.1, 500.0), (1.0, 0.3, 500.0),
+                                            (500.0, 0.1, 500.0),
+                                            (1.0, 1.0, float(MAX_TICKS_PER_LEG))):
+        ScenarioSpec(name="x", agents=(agent,), control_dt=control_dt,
+                     sim_dt=sim_dt, leg_timeout=leg_timeout)
+    # 1e-6 s ticks would take 5e8 ticks per 500 s leg; the other legs take
+    # under one tick, over the maximum, or NaN ticks.
+    for control_dt, leg_timeout in ((1e-6, 500.0), (1.0, MAX_TICKS_PER_LEG + 1.0),
+                                    (501.0, 500.0), (1.0, 0.5), (1.0, -5.0),
+                                    (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="ticks per leg"):
+            ScenarioSpec(name="x", agents=(agent,), control_dt=control_dt,
+                         sim_dt=min(control_dt, 0.1), leg_timeout=leg_timeout)
 
 
 def test_all_waypoints_already_inside_finish_at_time_zero():
@@ -97,16 +110,14 @@ def test_all_waypoints_already_inside_finish_at_time_zero():
 
 
 def _synthetic_log(positions, thrusts, mass=1.0, dt=1.0):
-    records = [TickRecord(t=float(i * dt), agent=0,
-                          pos=np.asarray(p, dtype=float),
-                          vel=np.zeros(3), u_des=np.asarray(u, dtype=float),
-                          u=np.asarray(u, dtype=float), rta_active=False,
-                          slack_pos=0.0, slack_vel=0.0, slack_acc=0.0,
-                          slack_u=np.zeros(3), dist_goal=0.0)
-               for i, (p, u) in enumerate(zip(positions, thrusts))]
-    return TrajectoryLog(records=records, n_agents=1, control_dt=dt, mass=mass,
-                         waypoints_assigned=[1], targets_reached=[0],
-                         completion_times=[None])
+    pos = np.asarray(positions, dtype=float).reshape(-1, 1, 3)
+    u = np.asarray(thrusts, dtype=float).reshape(-1, 1, 3)
+    ticks = len(pos)
+    return TrajectoryLog(t=np.arange(ticks) * dt, pos=pos, vel=np.zeros_like(pos),
+                         u_des=u, u=u, rta_active=np.zeros((ticks, 1), dtype=bool),
+                         slack=np.zeros((ticks, 1, 6)), dist_goal=np.zeros((ticks, 1)),
+                         control_dt=dt, mass=mass, waypoints_assigned=[1],
+                         targets_reached=[0], completion_times=[None])
 
 
 def test_metrics_zero_thrust_stationary():
@@ -165,8 +176,127 @@ def test_no_interaction_without_rta():
         joint_recs = joint.agent_records(k)
         solo_recs = solo.agent_records(0)
         for jr, sr in zip(joint_recs, solo_recs):
-            np.testing.assert_allclose(jr.pos, sr.pos, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(jr.vel, sr.vel, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(jr.pos, sr.pos)
+            np.testing.assert_array_equal(jr.vel, sr.vel)
+
+
+def test_mixed_controllers_match_their_solo_runs(tmp_path):
+    # One stacked call per controller choice: the two baseline agents share
+    # one, the policy agent has its own, and each flies as it does alone.
+    path = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0)), path)
+    first, second = three_agent_standoff(rta_enabled=False).agents
+    agents = (first, dataclasses.replace(second, controller=f"policy:{path}"),
+              AgentSpec(RelativeState([0.0, 0, 150.0], [0.1, 0, 0]),
+                        ((0.0, 0, -150.0), (0.0, 0, 150.0))))
+    spec = ScenarioSpec(name="mixed", agents=agents)
+    _, joint = run(spec)
+    for k, agent in enumerate(agents):
+        _, solo = run(dataclasses.replace(spec, agents=(agent,)))
+        ticks = min(len(joint.t), len(solo.t))
+        assert ticks > 100
+        np.testing.assert_array_equal(joint.pos[:ticks, k], solo.pos[:ticks, 0])
+        np.testing.assert_array_equal(joint.vel[:ticks, k], solo.vel[:ticks, 0])
+
+
+def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
+    # A filter command beyond the 1 N bound is clipped before it is applied;
+    # the clipped thrust is logged, charged as delta-v and enters the next
+    # tick's acceleration estimates.
+    real_filter = harness.filter_actions
+    estimates = []
+
+    def overdrive(agents, desired, orbit, params):
+        estimates.append([a.accel_est for a in agents])
+        decisions = real_filter(agents, desired, orbit, params)
+        for decision in decisions:
+            decision.u_safe = np.array([3.0, -3.0, 0.5])
+        return decisions
+
+    monkeypatch.setattr(harness, "filter_actions", overdrive)
+    spec = dataclasses.replace(three_agent_standoff(rta_enabled=True), leg_timeout=5.0)
+    report, log = run(spec)
+    applied = np.array([1.0, -1.0, 0.5])
+    assert report.timed_out and len(log.t) == 6
+    np.testing.assert_array_equal(log.u[:-1], np.broadcast_to(applied, (5, 2, 3)))
+    assert np.abs(log.u_des).max() <= 1.0 and log.rta_active[:-1].all()
+    assert report.aggregate.delta_v == 2 * 5 * 2.5
+    states = np.concatenate([log.pos, log.vel], axis=-1)
+    np.testing.assert_array_equal(
+        states[1], propagate_cwh_zoh(states[0], log.u[0], 1.0, spec.orbit, spec.vehicle))
+    for k in range(2):
+        drift = cwh_drift_accel(RelativeState(log.pos[0, k], log.vel[0, k]), spec.orbit)
+        np.testing.assert_array_equal(estimates[1][k], drift + applied / spec.vehicle.mass)
+
+
+def test_records_are_views_of_the_arrays():
+    _, log = run(dataclasses.replace(three_agent_standoff(rta_enabled=True),
+                                     leg_timeout=60.0))
+    ticks, n = log.dist_goal.shape
+    assert (ticks, n) == (61, 2) and log.rta_active.any()
+
+    def fields(r):
+        return (r.t, r.agent, *r.pos, *r.vel, *r.u_des, *r.u, r.rta_active,
+                r.slack_pos, r.slack_vel, r.slack_acc, *r.slack_u, r.dist_goal)
+
+    records = log.records
+    by_agent = [log.agent_records(k) for k in range(n)]
+    assert len(records) == ticks * n
+    assert all(len(recs) == ticks for recs in by_agent)
+    for i in range(ticks):
+        for k in range(n):
+            expected = (log.t[i], k, *log.pos[i, k], *log.vel[i, k], *log.u_des[i, k],
+                        *log.u[i, k], log.rta_active[i, k], *log.slack[i, k],
+                        log.dist_goal[i, k])
+            assert fields(records[i * n + k]) == expected
+            assert fields(by_agent[k][i]) == expected
+
+
+def test_array_metrics_equal_the_record_loops():
+    # Reference: sums and norms over the record views, one record at a time.
+    report, log = run(three_agent_standoff(rta_enabled=False))
+    for k, m in enumerate(report.per_agent):
+        recs = log.agent_records(k)
+        dist = dv = 0.0
+        for prev, cur in zip(recs, recs[1:]):
+            dist += float(np.linalg.norm(cur.pos - prev.pos))
+        for r in recs:
+            dv += float(np.sum(np.abs(r.u))) / log.mass * log.control_dt
+        assert (m.distance_traveled, m.delta_v) == (dist, dv)
+    by_time = {}
+    for r in log.records:
+        by_time.setdefault(r.t, {})[r.agent] = r.pos
+    assert pair_distances(log) == {
+        "0-1": [(t, float(np.linalg.norm(p[0] - p[1]))) for t, p in by_time.items()],
+        "0-chief": [(t, float(np.linalg.norm(p[0]))) for t, p in by_time.items()],
+        "1-chief": [(t, float(np.linalg.norm(p[1]))) for t, p in by_time.items()]}
+
+
+# Per agent: targets, time taken, distance and delta-v of each built-in run
+# under the 10-substep RK4 integrator (sim_dt 0.1 s) the harness stepped with
+# before the exact zero-order-hold map.
+RK4_GOLDENS = {
+    "single": (single_agent_passes(),
+               [(4, 653.0, 2200.3286928182097, 36.72789599684194)]),
+    "standoff-off": (three_agent_standoff(rta_enabled=False),
+                     [(4, 653.0, 2203.8431211568945, 36.72789599684194),
+                      (4, 657.0, 2204.5637004011264, 36.42099160220735)]),
+    "standoff-on": (three_agent_standoff(rta_enabled=True),
+                    [(4, 1103.0, 2315.047272773006, 64.56048301552325),
+                     (4, 1102.0, 2316.640810328723, 64.16865156037471)]),
+}
+
+
+@pytest.mark.parametrize("name", RK4_GOLDENS)
+def test_runs_agree_with_rk4_goldens(name):
+    spec, goldens = RK4_GOLDENS[name]
+    report, _ = run(spec)
+    assert not report.aborted and not report.timed_out
+    assert len(report.per_agent) == len(goldens)
+    for m, (targets, time_taken, distance, delta_v) in zip(report.per_agent, goldens):
+        assert (m.targets_reached, m.time_taken) == (targets, time_taken)
+        assert m.distance_traveled == pytest.approx(distance, rel=1e-9, abs=0)
+        assert m.delta_v == pytest.approx(delta_v, rel=1e-9, abs=0)
 
 
 def test_standoff_without_rta_has_designed_conflicts():
@@ -185,15 +315,15 @@ def test_standoff_with_rta_keeps_safety_margins():
     assert max(speeds) <= 1.1 * 3.0
 
 
-def test_halving_sim_dt_barely_moves_metrics():
-    coarse, _ = run(single_agent_passes())
-    spec = single_agent_passes()
-    fine, _ = run(ScenarioSpec(name=spec.name, agents=spec.agents,
-                               control_dt=spec.control_dt, sim_dt=0.05))
-    for attr in ("time_taken", "distance_traveled", "delta_v"):
-        a = getattr(coarse.aggregate, attr)
-        b = getattr(fine.aggregate, attr)
-        assert abs(a - b) <= 0.005 * max(abs(a), abs(b))
+def test_halving_sim_dt_barely_moves_metrics(tmp_path):
+    # The exact zero-order-hold step does not read sim_dt at all.
+    texts = []
+    for sim_dt in (0.1, 0.05):
+        _, log = run(dataclasses.replace(single_agent_passes(), sim_dt=sim_dt))
+        path = tmp_path / f"{sim_dt}.csv"
+        write_csv(log, path)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_leg_timeout_ends_the_run():
@@ -231,6 +361,13 @@ def test_csv_schema_and_round_trip(tmp_path):
     assert float(r0["rx"]) == -200.0
     assert r0["rta_active"] == "0"
     assert float(rows[-1]["dist_goal"]) <= 15.0
+    # tick-major rows, each float as repr of its Python float
+    assert text[1:] == [",".join([repr(r.t), str(r.agent),
+                                  *(repr(float(v)) for v in (*r.pos, *r.vel, *r.u_des, *r.u)),
+                                  str(int(r.rta_active)),
+                                  *(repr(v) for v in (r.slack_pos, r.slack_vel, r.slack_acc)),
+                                  *(repr(float(v)) for v in r.slack_u), repr(r.dist_goal)])
+                        for r in log.records]
 
 
 def test_crossing_times_catch_the_conflicts():
