@@ -28,7 +28,8 @@ from .harness import (
 from .policy import PolicyFileError, load_policy, save_policy
 from .training import TrainerConfig, TrainingDivergence, curve_rows, train
 
-CONFIG_KEYS = ("scenario", "rta", "controller", "seed", "control_dt", "sim_dt")
+CONFIG_TYPES = {"scenario": str, "rta": str, "controller": str, "seed": int,
+                "control_dt": (int, float), "sim_dt": (int, float)}
 DEFAULT_CONFIG = {"scenario": "single", "rta": "off", "controller": "baseline",
                   "seed": 0, "control_dt": 1.0, "sim_dt": 0.1}
 
@@ -39,16 +40,17 @@ def _merge_config(args) -> dict:
     if args.config is not None:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {loaded!r}")
+        for key, value in loaded.items():
+            if key not in CONFIG_TYPES:
+                raise ValueError(f"unknown config key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, CONFIG_TYPES[key]):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         cfg.update(loaded)
-    for key, value in (("scenario", args.scenario), ("rta", args.rta),
-                       ("controller", args.controller), ("seed", args.seed),
-                       ("control_dt", args.control_dt),
-                       ("sim_dt", args.sim_dt)):
-        if value is not None:
-            cfg[key] = value
+    for key in CONFIG_TYPES:  # each config key is also a flag's dest
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     if cfg["rta"] not in ("on", "off"):
         raise ValueError(f"rta must be 'on' or 'off', got {cfg['rta']!r}")
     return cfg
@@ -87,10 +89,8 @@ def cmd_run(args) -> int:
             agents=tuple(dataclasses.replace(a, controller=cfg["controller"])
                          for a in spec.agents),
             control_dt=float(cfg["control_dt"]), sim_dt=float(cfg["sim_dt"]))
-        int(cfg["seed"])  # run reads no seed; config.json echoes it, so it must convert to int
         make_controller(cfg["controller"], spec.vehicle)  # fail fast
-    except (KeyError, ValueError, OSError, json.JSONDecodeError,
-            PolicyFileError) as exc:
+    except (KeyError, ValueError, OSError, PolicyFileError) as exc:  # JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

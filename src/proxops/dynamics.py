@@ -125,10 +125,10 @@ class VehicleParams:
     thrust_bound: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.thrust_bound < 0.0:
-            raise ValueError("thrust_bound must be nonnegative")
+        if not (math.isfinite(self.mass) and self.mass > 0.0):
+            raise ValueError("mass must be finite and positive")
+        if not (math.isfinite(self.thrust_bound) and self.thrust_bound >= 0.0):
+            raise ValueError("thrust_bound must be finite and nonnegative")
 
 
 def default_orbit(j2_enabled: bool = False) -> ChiefOrbit:

@@ -40,10 +40,9 @@ from .env import (  # noqa: F401 - observe and step stay harness attributes for 
     step,
 )
 from .policy import BaselineGains, baseline_act, load_policy, policy_act
-from .rta import AgentSnapshot, RtaParams, filter_actions
+from .rta import INTERVENTION_TOL, RtaParams, filter_actions
 
 HARNESS_ACCEPTANCE_RADIUS = 15.0
-INTERVENTION_TOL = 1e-6
 
 MAX_TICKS_PER_LEG = 100_000
 """Most control ticks (leg_timeout / control_dt) one waypoint leg may take."""
@@ -99,8 +98,8 @@ class ScenarioSpec:
             raise ValueError("time steps must be finite and positive")
         if self.sim_dt > self.control_dt:
             raise ValueError("sim_dt must not exceed control_dt")
-        if self.acceptance_radius <= 0.0:
-            raise ValueError("acceptance radius must be positive")
+        if not (math.isfinite(self.acceptance_radius) and self.acceptance_radius > 0.0):
+            raise ValueError("acceptance radius must be finite and positive")
         ticks = self.leg_timeout / self.control_dt
         if not 1.0 <= ticks <= MAX_TICKS_PER_LEG:  # also rejects NaN
             raise ValueError(f"leg_timeout / control_dt = {ticks:g} ticks per leg; "
@@ -307,9 +306,8 @@ def run(spec: ScenarioSpec):
                 u_des[ks] = controller(observe_batch(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
-            snaps = [AgentSnapshot(RelativeState(s[:3], s[3:]), a, spec.vehicle)
-                     for s, a in zip(states, accel_est)]
-            decisions = filter_actions(snaps, u_des, spec.orbit, spec.rta_params)
+            decisions = filter_actions(states, u_des, accel_est, spec.orbit,
+                                       spec.rta_params, spec.vehicle)
             u = np.array([d.u_safe for d in decisions])
             active = (np.array([d.fallback for d in decisions])
                       | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL))
@@ -382,15 +380,14 @@ def write_csv(log: TrajectoryLog, path) -> None:
                              in enumerate(zip(*(c.tolist() for c in columns))))
 
 
-def pair_distances(log: TrajectoryLog, include_chief: bool = True) -> dict:
+def pair_distances(log: TrajectoryLog) -> dict:
     """Time series of pairwise separations, keyed "i-j" and "i-chief"."""
     times = log.t.tolist()
     series: dict = {}
     for i in range(log.n_agents):
         for j in range(i + 1, log.n_agents):
             series[f"{i}-{j}"] = list(zip(times, norms(log.pos[:, i] - log.pos[:, j]).tolist()))
-        if include_chief:
-            series[f"{i}-chief"] = list(zip(times, norms(log.pos[:, i]).tolist()))
+        series[f"{i}-chief"] = list(zip(times, norms(log.pos[:, i]).tolist()))
     return series
 
 
@@ -401,9 +398,9 @@ def local_minima(distances: dict) -> dict:
             for key, series in distances.items()}
 
 
-def crossing_times(log: TrajectoryLog, include_chief: bool = True) -> dict:
+def crossing_times(log: TrajectoryLog) -> dict:
     """Strict local minima of each pairwise-distance series: (t, distance)."""
-    return local_minima(pair_distances(log, include_chief))
+    return local_minima(pair_distances(log))
 
 
 @dataclass(frozen=True)

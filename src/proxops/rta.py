@@ -22,7 +22,8 @@ fails closed: non-finite data or a failed solve gives zero thrust, flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .dynamics import ChiefOrbit, RelativeState, VehicleParams, cwh_drift_rows
 from . import qp as qp_mod
 
 N_SHARED_SLACKS = 5  # velocity, acceleration, and one per thrust axis
-# Thrust-box rows sign * u[axis] <= thrust_bound, in +x, -x, +y, -y, +z, -z order.
+INTERVENTION_TOL = 1e-6  # N; the filter intervened when a thrust axis moved further
+ACTIVE_TOL = 1e-7  # a row binds when its margin at the solution is at most this
+# Thrust-box rows sign * u[axis] <= vehicle.thrust_bound, in +x, -x, +y, -y, +z, -z order.
 _INPUT_COEFFS = np.kron(np.eye(3), [[1.0], [-1.0]])
 _INPUT_LABELS = [f"input:{tag}{name}" for name in "xyz" for tag in "+-"]
 
@@ -42,23 +45,23 @@ class RtaParams:
     ``pos_gain_inner`` and ``pos_gain_outer`` chain the separation barrier
     down to an acceleration condition; both 0.1/s gives an alert horizon of
     roughly 100 m at scenario speeds of a few m/s.  ``slack_penalty``
-    multiplies the squared slacks in the QP objective.
+    multiplies the squared slacks in the QP objective.  The thrust box comes
+    from the vehicle's :class:`VehicleParams`, not from here.
     """
 
     collision_radius: float = 50.0
     max_speed: float = 3.0
     max_accel: float = 1.732
-    thrust_bound: float = 1.0
     pos_gain_inner: float = 0.1
     pos_gain_outer: float = 0.1
     vel_gain: float = 1.0
     slack_penalty: float = 1e6
 
     def __post_init__(self):
-        for name in ("collision_radius", "max_speed", "max_accel", "thrust_bound",
-                     "pos_gain_inner", "pos_gain_outer", "vel_gain", "slack_penalty"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{f.name} must be finite and positive")
 
 
 @dataclass
@@ -107,17 +110,9 @@ class RtaDecision:
     labels: list
     fallback: bool = False
 
-    def intervened(self, desired, tol: float = 1e-6) -> bool:
-        return bool(np.max(np.abs(self.u_safe - np.asarray(desired, dtype=float))) > tol)
-
 
 def _dot(a, b):
     return (a * b).sum(axis=-1)
-
-
-def _kinematics(snaps) -> np.ndarray:
-    """Positions, velocities and acceleration estimates as a (k, 3, 3) array."""
-    return np.array([(s.state.pos, s.state.vel, s.accel_est) for s in snaps]).reshape(-1, 3, 3)
 
 
 def _pos_barrier(d, collision_radius):
@@ -135,20 +130,18 @@ def pos_barrier_dot(state_i: RelativeState, state_j: RelativeState) -> float:
     return float(_dot(state_i.pos - state_j.pos, state_i.vel - state_j.vel))
 
 
-def qp_arrays(agents, peer_kin, orbit: ChiefOrbit, params: RtaParams):
+def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: VehicleParams):
     """Every agent's QP rows, ``coeffs[i, k] . [u, slacks] <= rhs[i, k]``.
 
-    ``agents`` are N snapshots with vehicle parameters; ``peer_kin`` (N, P, 3,
-    3) holds the position, velocity and acceleration estimate of each agent's
-    P peers.  The m = P + 8 variables are the thrust, one slack per peer and
-    the shared slacks.  The m rows are P pair rows (second-order barriers on
-    separation), a first-order barrier on speed, a bound on commanded
-    acceleration along the agent's estimate, and the thrust box.
+    ``kin`` (N, 3, 3) holds each filtered agent's position, velocity and
+    acceleration estimate; ``peer_kin`` (N, P, 3, 3) the same for each
+    agent's P peers.  The m = P + 8 variables are the thrust, one slack per
+    peer and the shared slacks.  The m rows are P pair rows (second-order
+    barriers on separation), a first-order barrier on speed, a bound on
+    commanded acceleration along the agent's estimate, and the thrust box at
+    ``vehicle.thrust_bound``.
     """
-    if any(agent.veh is None for agent in agents):
-        raise ValueError("the filtered agent needs vehicle parameters")
-    pos, vel, accel = _kinematics(agents).transpose(1, 0, 2)
-    mass = np.array([agent.veh.mass for agent in agents])[:, None]
+    pos, vel, accel = np.asarray(kin, dtype=float).transpose(1, 0, 2)
     drift = cwh_drift_rows(np.concatenate([pos, vel], axis=-1), orbit)
     d = pos[:, None] - peer_kin[:, :, 0]
     dv = vel[:, None] - peer_kin[:, :, 1]
@@ -162,13 +155,13 @@ def qp_arrays(agents, peer_kin, orbit: ChiefOrbit, params: RtaParams):
     acc_rhs = params.max_accel**2 - _dot(accel, drift)
     n, p = d.shape[:2]
     coeffs = np.zeros((n, p + 8, p + 8))
-    coeffs[:, :p + 2, :3] = np.concatenate([-d, vel[:, None], accel[:, None]], 1) / mass[:, None]
+    coeffs[:, :p + 2, :3] = np.concatenate([-d, vel[:, None], accel[:, None]], 1) / vehicle.mass
     coeffs[:, p + 2:, :3] = _INPUT_COEFFS
     # Each row has its own slack, except that an axis's two box rows share one.
     slack = np.concatenate([np.arange(p + 2), p + 2 + np.arange(6) // 2])
     coeffs[:, :, 3:] = slack[:, None] == np.arange(p + N_SHARED_SLACKS)
     rhs = np.concatenate([pair_rhs, vel_rhs[:, None], acc_rhs[:, None],
-                          np.full((n, 6), params.thrust_bound)], axis=1)
+                          np.full((n, 6), vehicle.thrust_bound)], axis=1)
     return coeffs, rhs
 
 
@@ -183,6 +176,14 @@ def _problem(coeffs, rhs, desired, params: RtaParams) -> qp_mod.QpProblem:
     return qp_mod.QpProblem.from_arrays(weights, center, coeffs, rhs)
 
 
+def _one_agent(agent: AgentSnapshot, peers):
+    """One agent's kinematics (see :func:`qp_arrays`), (1, 3, 3), and its peers'."""
+    if agent.veh is None:
+        raise ValueError("the filtered agent needs vehicle parameters")
+    kin = np.array([(s.state.pos, s.state.vel, s.accel_est) for s in [agent, *peers]])
+    return kin[:1], kin[None, 1:]
+
+
 def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit,
                params: RtaParams, peer_labels=None) -> list:
     """All constraint rows for one agent, pair rows first."""
@@ -192,17 +193,17 @@ def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit,
 def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
              params: RtaParams, peer_labels=None):
     """The slack-relaxed QP for one agent (see :func:`qp_arrays`) and its rows."""
-    coeffs, rhs = qp_arrays([agent], _kinematics(peers)[None], orbit, params)
+    coeffs, rhs = qp_arrays(*_one_agent(agent, peers), orbit, params, agent.veh)
     rows = [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
             for a, b, label in zip(coeffs[0], rhs[0], _labels(peer_labels, len(peers)))]
     return _problem(coeffs[0], rhs[0], np.asarray(desired, dtype=float), params), rows
 
 
-def _filter(agents, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams, labels,
-            active_tol: float) -> list:
+def _filter(kin, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams,
+            vehicle: VehicleParams, labels) -> list:
     """One decision per agent; zero thrust and ``fallback`` on non-finite data,
     a non-optimal status or a non-finite solution."""
-    coeffs, rhs = qp_arrays(agents, peer_kin, orbit, params)
+    coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle)
     desired = np.asarray(desired, dtype=float).reshape(len(rhs), 3)
     finite = (np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
               & np.isfinite(desired).all(axis=1))
@@ -212,34 +213,34 @@ def _filter(agents, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams, lab
         fallback = (solution is None or solution.status != qp_mod.OPTIMAL
                     or not np.isfinite(solution.x).all())
         x = np.zeros(len(b)) if fallback else solution.x
-        active = (not fallback) & (np.abs(b - a @ x) <= active_tol)
+        active = (not fallback) & (np.abs(b - a @ x) <= ACTIVE_TOL)
         decisions.append(RtaDecision(x[:3], x[3:], b - a[:, :3] @ x[:3], active,
                                      names, fallback))
     return decisions
 
 
 def filter_agent(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
-                 params: RtaParams, peer_labels=None,
-                 active_tol: float = 1e-7) -> RtaDecision:
+                 params: RtaParams, peer_labels=None) -> RtaDecision:
     """Filter one agent's desired thrust against its constraint rows."""
-    return _filter([agent], _kinematics(peers)[None], [desired], orbit, params,
-                   [_labels(peer_labels, len(peers))], active_tol)[0]
+    return _filter(*_one_agent(agent, peers), [desired], orbit, params, agent.veh,
+                   [_labels(peer_labels, len(peers))])[0]
 
 
-def filter_actions(agents, desired_actions, orbit: ChiefOrbit,
-                   params: RtaParams, include_chief: bool = True) -> list:
-    """Filter every agent's desired thrust, treating the others as peers.
+def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
+                   vehicle: VehicleParams) -> list:
+    """Filter every agent's desired thrust against the others and the chief.
 
-    ``agents`` is a list of AgentSnapshot; ``desired_actions`` the matching
-    thrust commands in newtons.  When ``include_chief`` is set, a motionless
-    chief at the origin joins each agent's peer list.
+    ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
+    commanded thrusts in newtons and ``accel`` (N, 3) each agent's
+    acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
+    are the other agents, then the chief, motionless at the origin.
     """
-    if len(agents) != len(desired_actions):
-        raise ValueError("agents and desired_actions must align")
-    everyone = [*agents, chief_snapshot()] if include_chief else list(agents)
-    n, total = len(agents), len(everyone)
-    peer_kin = np.broadcast_to(_kinematics(everyone), (n, total, 3, 3))[
-        ~np.eye(n, total, dtype=bool)].reshape(n, max(total - 1, 0), 3, 3)
-    names = [f"pos:peer{j}" for j in range(n)] + ["pos:chief"] * include_chief
-    return _filter(agents, peer_kin, desired_actions, orbit, params,
-                   [_labels(names[:i] + names[i + 1:], 0) for i in range(n)], 1e-7)
+    states, n = np.asarray(states, dtype=float), len(states)
+    if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
+        raise ValueError("states, desired and accel must be (N, 6), (N, 3) and (N, 3)")
+    kin = np.concatenate([states.reshape(n, 2, 3), np.reshape(accel, (n, 1, 3))], axis=1)
+    everyone = np.concatenate([kin, np.zeros((1, 3, 3))])  # the agents, then the chief
+    peer_kin = everyone[np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])]  # all but i
+    names = [f"pos:peer{j}" for j in range(n)] + ["pos:chief"]
+    return _filter(kin, peer_kin, desired, orbit, params, vehicle,
+                   [_labels(names[:i] + names[i + 1:], 0) for i in range(n)])

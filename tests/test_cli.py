@@ -50,6 +50,31 @@ def test_unknown_config_key_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "5", "[]", '"standoff"', "null",                        # not a JSON object
+    '{"seed": null}', '{"seed": 1.5}', '{"seed": true}',
+    '{"control_dt": null}', '{"control_dt": "1"}', '{"sim_dt": [1]}',
+    '{"controller": 5}', '{"scenario": ["single"]}', '{"rta": true}',
+])
+def test_malformed_config_exits_2_without_files(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_integer_time_steps_in_config_run_as_floats(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"control_dt": 1, "sim_dt": 1}))
+    assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["run", "--control-dt", "1", "--sim-dt", "1", "--out", str(b)]) == 0
+    assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+
 def test_same_seed_gives_byte_identical_csv(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--scenario", "single", "--seed", "7",

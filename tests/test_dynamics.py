@@ -258,3 +258,7 @@ def test_vehicle_params_validation():
         VehicleParams(mass=0.0)
     with pytest.raises(ValueError):
         VehicleParams(thrust_bound=-1.0)
+    for field in ("mass", "thrust_bound"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=field):
+                VehicleParams(**{field: bad})

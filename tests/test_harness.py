@@ -78,6 +78,10 @@ def test_spec_validation():
         ScenarioSpec(name="x", agents=())
     with pytest.raises(ValueError):
         AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ())
+    # A NaN radius accepts no waypoint, so the run would idle out its legs.
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="acceptance radius"):
+            ScenarioSpec(name="x", agents=(agent,), acceptance_radius=radius)
 
 
 def test_ticks_per_leg_and_their_maximum():
@@ -206,9 +210,9 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     real_filter = harness.filter_actions
     estimates = []
 
-    def overdrive(agents, desired, orbit, params):
-        estimates.append([a.accel_est for a in agents])
-        decisions = real_filter(agents, desired, orbit, params)
+    def overdrive(states, desired, accel, orbit, params, vehicle):
+        estimates.append(accel.copy())
+        decisions = real_filter(states, desired, accel, orbit, params, vehicle)
         for decision in decisions:
             decision.u_safe = np.array([3.0, -3.0, 0.5])
         return decisions
@@ -227,6 +231,40 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     for k in range(2):
         drift = cwh_drift_accel(RelativeState(log.pos[0, k], log.vel[0, k]), spec.orbit)
         np.testing.assert_array_equal(estimates[1][k], drift + applied / spec.vehicle.mass)
+
+
+def _ring(n_agents, phase):
+    """N deputies on chords through the chief, each out to 300 m and back twice."""
+    agents = []
+    for k in range(n_agents):
+        theta = phase + k * math.pi / n_agents
+        chord = np.array([math.cos(theta), math.sin(theta), 0.0])
+        agents.append(AgentSpec(RelativeState(-200.0 * chord, np.zeros(3)),
+                                tuple(sign * 300.0 * chord for sign in (1, -1, 1, -1))))
+    return ScenarioSpec(name="ring", agents=tuple(agents), rta_enabled=True)
+
+
+def test_filter_certifies_the_thrust_the_vehicle_applies(monkeypatch):
+    # With a 0.5 N vehicle, the six-deputy ring at phase 0.3 pushes one
+    # agent's box rows into their slack at t = 143 s.  The box rows sit at the
+    # vehicle's bound, so the filter returns at most that bound plus the slack.
+    # A 1 N box of the filter's own would return 1.0002 N there, and the
+    # harness would clip it to a command no barrier row was checked against.
+    real_filter = harness.filter_actions
+    peaks = []
+
+    def spy(*args):
+        decisions = real_filter(*args)
+        peaks.append(max(np.abs(d.u_safe).max() for d in decisions))
+        return decisions
+
+    monkeypatch.setattr(harness, "filter_actions", spy)
+    spec = dataclasses.replace(_ring(6, 0.3), vehicle=VehicleParams(thrust_bound=0.5),
+                               leg_timeout=150.0)
+    _, log = run(spec)
+    assert len(peaks) == 150 and max(peaks) > 0.5
+    assert max(peaks) <= 0.5 + 1e-3
+    assert np.abs(log.u).max() == 0.5
 
 
 def test_records_are_views_of_the_arrays():

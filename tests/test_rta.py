@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ PARAMS = RtaParams()
 
 def snap(pos, vel, accel=(0, 0, 0), veh=VEH):
     return AgentSnapshot(RelativeState(pos, vel), np.asarray(accel, dtype=float), veh)
+
+
+def filter_snapshots(snaps, desired, veh=VEH):
+    """``filter_actions`` on the (N, 6) states and (N, 3) estimates of ``snaps``."""
+    states = np.array([s.state.as_vector() for s in snaps])
+    accel = np.array([s.accel_est for s in snaps])
+    return filter_actions(states, np.array(desired, dtype=float), accel, ORBIT, PARAMS, veh)
 
 
 def test_pos_barrier_zero_at_the_collision_radius():
@@ -145,15 +154,16 @@ def test_acc_row_binds_at_the_acceleration_ceiling():
 
 
 def test_input_rows_pair_per_axis():
-    rows = build_rows(snap([0.0, 0, 0], [0, 0, 0]), [], ORBIT, PARAMS)[2:]
-    assert len(rows) == 6
-    assert [r.slack_index for r in rows] == [2, 2, 3, 3, 4, 4]
-    for row in rows:
-        assert row.evaluate(np.zeros(3)) == PARAMS.thrust_bound
-    at_bound = np.array([PARAMS.thrust_bound, 0.0, 0.0])
-    margins = sorted(r.evaluate(at_bound) for r in rows[:2])
-    assert margins[0] == pytest.approx(0.0, abs=0)
-    assert margins[1] == pytest.approx(2.0 * PARAMS.thrust_bound, abs=0)
+    for veh in (VEH, VehicleParams(thrust_bound=2.0)):
+        rows = build_rows(snap([0.0, 0, 0], [0, 0, 0], veh=veh), [], ORBIT, PARAMS)[2:]
+        assert len(rows) == 6
+        assert [r.slack_index for r in rows] == [2, 2, 3, 3, 4, 4]
+        for row in rows:
+            assert row.evaluate(np.zeros(3)) == veh.thrust_bound
+        at_bound = np.array([veh.thrust_bound, 0.0, 0.0])
+        margins = sorted(r.evaluate(at_bound) for r in rows[:2])
+        assert margins[0] == pytest.approx(0.0, abs=0)
+        assert margins[1] == pytest.approx(2.0 * veh.thrust_bound, abs=0)
 
 
 def test_build_qp_dimensions():
@@ -197,8 +207,21 @@ def test_filter_clamps_oversized_commands():
     agent = snap([0.0, 0, 0], [0, 0, 0])
     desired = np.array([1.8, -0.4, 0.2])
     decision = filter_agent(agent, [], desired, ORBIT, PARAMS)
-    clamp = np.clip(desired, -PARAMS.thrust_bound, PARAMS.thrust_bound)
+    clamp = np.clip(desired, -VEH.thrust_bound, VEH.thrust_bound)
     np.testing.assert_allclose(decision.u_safe, clamp, rtol=0, atol=5e-6)
+
+
+def test_filter_certifies_the_vehicle_thrust_bound():
+    # The box rows sit at the vehicle's bound, the one the actuator applies.
+    weak = VehicleParams(thrust_bound=0.5)
+    desired = np.array([0.8, -0.8, 0.3])
+    decision = filter_agent(snap([0.0, 0, 0], [0, 0, 0], veh=weak), [], desired,
+                            ORBIT, PARAMS)
+    np.testing.assert_allclose(decision.u_safe, [0.5, -0.5, 0.3], rtol=0, atol=5e-6)
+    assert decision.active[2:].sum() == 2  # the +x and -y box rows bind
+    far = [snap([0.0, 0, 0], [0, 0, 0]), snap([0.0, 0, 400.0], [0, 0, 0])]
+    for d in filter_snapshots(far, [desired, -desired], weak):
+        np.testing.assert_allclose(np.abs(d.u_safe), [0.5, 0.5, 0.3], rtol=0, atol=5e-6)
 
 
 def test_thrust_bound_holds_up_to_slack():
@@ -211,7 +234,7 @@ def test_thrust_bound_holds_up_to_slack():
         decision = filter_agent(agent, [peer, chief_snapshot()], desired, ORBIT, PARAMS)
         input_slacks = decision.slacks[-3:]
         for axis in range(3):
-            assert abs(decision.u_safe[axis]) <= (PARAMS.thrust_bound
+            assert abs(decision.u_safe[axis]) <= (VEH.thrust_bound
                                                   + abs(input_slacks[axis]) + 1e-6)
 
 
@@ -242,26 +265,30 @@ def test_solver_failure_falls_back_to_zero_thrust(monkeypatch):
 
 
 def test_filter_actions_symmetry():
-    # Mirrored head-on geometry must produce mirrored decisions.
-    a = snap([-100.0, 0, 0], [2.0, 0, 0])
-    b = snap([100.0, 0, 0], [-2.0, 0, 0])
-    desired = [np.array([0.5, 0, 0]), np.array([-0.5, 0, 0])]
-    decisions = filter_actions([a, b], desired, ORBIT, PARAMS, include_chief=False)
-    np.testing.assert_allclose(decisions[0].u_safe, -decisions[1].u_safe, atol=1e-7)
+    # Head-on geometry mirrored by a half turn about z, which maps the CWH
+    # dynamics and the chief at the origin onto themselves, must produce
+    # mirrored decisions.  The pair sits 400 m off the chief along z, so the
+    # pair rows, not the chief's, shape the answer.
+    a = snap([-100.0, 0, 400.0], [2.0, 0, 0])
+    b = snap([100.0, 0, 400.0], [-2.0, 0, 0])
+    decisions = filter_snapshots([a, b], [[0.5, 0, 0], [-0.5, 0, 0]])
+    assert decisions[0].active[0]  # the pair row binds
+    np.testing.assert_allclose(decisions[0].u_safe, decisions[1].u_safe * [-1, -1, 1],
+                               atol=1e-7)
 
 
 def test_head_on_approach_keeps_separation():
     # Closed loop: both agents stubbornly thrust toward each other at 1 Hz;
-    # the filter must keep them outside 90% of the collision radius.
+    # the filter must keep them outside 90% of the collision radius.  The
+    # pair flies 400 m off the chief along z, clear of the chief's rows.
     dt = 1.0
-    states = [RelativeState([-150.0, 3.0, 0.0], [2.5, 0.0, 0.0]),
-              RelativeState([150.0, -3.0, 0.0], [-2.5, 0.0, 0.0])]
+    states = [RelativeState([-150.0, 3.0, 400.0], [2.5, 0.0, 0.0]),
+              RelativeState([150.0, -3.0, 400.0], [-2.5, 0.0, 0.0])]
     accel_est = [np.zeros(3), np.zeros(3)]
     min_sep = np.inf
     for _ in range(240):
-        desired = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])]
         snaps = [AgentSnapshot(states[k], accel_est[k], VEH) for k in range(2)]
-        decisions = filter_actions(snaps, desired, ORBIT, PARAMS, include_chief=False)
+        decisions = filter_snapshots(snaps, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         for k in range(2):
             drift = cwh_drift_accel(states[k], ORBIT)
             accel_est[k] = drift + decisions[k].u_safe / VEH.mass
@@ -292,6 +319,19 @@ def test_params_validation():
         RtaParams(collision_radius=0.0)
     with pytest.raises(ValueError):
         RtaParams(slack_penalty=-1.0)
+    # NaN slips past a "<= 0" check; an infinite penalty fails every QP later.
+    for field in dataclasses.fields(RtaParams):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=field.name):
+                RtaParams(**{field.name: bad})
+
+
+def test_filter_actions_rejects_misshapen_arrays():
+    states, commands = np.zeros((2, 6)), np.zeros((2, 3))
+    for args in ((states, commands[:1], commands), (states, commands, commands[:, :2]),
+                 (states[:, :3], commands, commands)):
+        with pytest.raises(ValueError):
+            filter_actions(*args, ORBIT, PARAMS, VEH)
 
 
 def _unit(rng):
@@ -308,25 +348,20 @@ def test_filter_actions_matches_one_agent_filters():
     # The batched pass against per-agent calls that list each agent's peers.
     rng = np.random.default_rng(8)
     for n in range(1, 9):
-        for include_chief in (True, False):
-            for _ in range(3):
-                snaps = _random_snapshots(rng, n, spread=40.0 * n + 60.0)
-                desired = list(rng.uniform(-1.5, 1.5, (n, 3)))
-                batched = filter_actions(snaps, desired, ORBIT, PARAMS,
-                                         include_chief=include_chief)
-                assert len(batched) == n
-                for i, decision in enumerate(batched):
-                    peers = [s for j, s in enumerate(snaps) if j != i]
-                    labels = [f"pos:peer{j}" for j in range(n) if j != i]
-                    if include_chief:
-                        peers.append(chief_snapshot())
-                        labels.append("pos:chief")
-                    alone = filter_agent(snaps[i], peers, desired[i], ORBIT, PARAMS, labels)
-                    np.testing.assert_allclose(decision.u_safe, alone.u_safe,
-                                               rtol=0, atol=1e-7)
-                    assert decision.fallback == alone.fallback
-                    assert decision.labels == alone.labels
-                    assert len(decision.slacks) == len(peers) + 5
+        for _ in range(3):
+            snaps = _random_snapshots(rng, n, spread=40.0 * n + 60.0)
+            desired = rng.uniform(-1.5, 1.5, (n, 3))
+            batched = filter_snapshots(snaps, desired)
+            assert len(batched) == n
+            for i, decision in enumerate(batched):
+                peers = [s for j, s in enumerate(snaps) if j != i] + [chief_snapshot()]
+                labels = [f"pos:peer{j}" for j in range(n) if j != i] + ["pos:chief"]
+                alone = filter_agent(snaps[i], peers, desired[i], ORBIT, PARAMS, labels)
+                np.testing.assert_allclose(decision.u_safe, alone.u_safe,
+                                           rtol=0, atol=1e-7)
+                assert decision.fallback == alone.fallback
+                assert decision.labels == alone.labels
+                assert len(decision.slacks) == len(peers) + 5
 
 
 def test_solver_failure_falls_back_for_every_agent(monkeypatch):
@@ -339,7 +374,7 @@ def test_solver_failure_falls_back_for_every_agent(monkeypatch):
 
     monkeypatch.setattr("proxops.rta.qp_mod.solve", broken_solve)
     snaps = _random_snapshots(np.random.default_rng(4), 4)
-    decisions = filter_actions(snaps, [np.array([0.5, 0, 0])] * 4, ORBIT, PARAMS)
+    decisions = filter_snapshots(snaps, [[0.5, 0, 0]] * 4)
     assert [d.fallback for d in decisions] == [True] * 4
     for decision in decisions:
         assert np.array_equal(decision.u_safe, np.zeros(3))
@@ -378,7 +413,7 @@ def test_non_finite_inputs_fail_closed(field, bad):
     assert np.array_equal(decision.u_safe, np.zeros(3))
 
     other = snap([-150.0, 30.0, 0.0], [0.0, -0.3, 0.0])
-    decisions = filter_actions([agent, other], [desired, np.zeros(3)], ORBIT, PARAMS)
+    decisions = filter_snapshots([agent, other], [desired, np.zeros(3)])
     assert decisions[0].fallback
     assert np.array_equal(decisions[0].u_safe, np.zeros(3))
     for d in decisions:
