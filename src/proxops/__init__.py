@@ -27,7 +27,7 @@ from .harness import (
     single_agent_passes,
     three_agent_standoff,
 )
-from .policy import BaselineGains, MlpPolicy, baseline_act, load_policy, save_policy
+from .policy import MlpPolicy, baseline_act, load_policy, save_policy
 from .qp import QpProblem, QpSolution, solve
 from .rta import AgentSnapshot, RtaDecision, RtaParams, filter_actions, filter_agent
 from .training import TrainerConfig, evaluate_policy, train
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentSnapshot",
-    "BaselineGains",
     "ChiefOrbit",
     "EpisodeConfig",
     "InertialState",

@@ -127,8 +127,8 @@ class VehicleParams:
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise ValueError("mass must be finite and positive")
-        if not (math.isfinite(self.thrust_bound) and self.thrust_bound >= 0.0):
-            raise ValueError("thrust_bound must be finite and nonnegative")
+        if not (math.isfinite(self.thrust_bound) and self.thrust_bound > 0.0):
+            raise ValueError("thrust_bound must be finite and positive")
 
 
 def default_orbit(j2_enabled: bool = False) -> ChiefOrbit:
@@ -377,6 +377,9 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
 
     h = dt / substeps
     out = state.pos.tolist() + state.vel.tolist()
+    x, y, z = out[:3]
+    if x * x + y * y + z * z < orbit.body_radius**2:
+        raise PropagationError("inertial propagation starts below the body radius")
     for _ in range(substeps):  # one RK4 step at a time, each one checked
         out = _rk4(deriv, out, h, 1)
         x, y, z, vx = out[:4]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,26 +67,22 @@ class RewardParams:
     speed_limit_margin: float = 1.0
 
 
+REWARD = RewardParams()
+"""The reward every episode step scores with."""
+
+
 @dataclass
 class EpisodeConfig:
-    """Episode timing, sampling geometry, and reward coefficients.
-
-    ``timeout`` is the time budget of one episode, s.
-    """
+    """Episode timing: the control interval ``dt`` and the time budget
+    ``timeout`` of one episode, s."""
 
     dt: float = 1.0
     timeout: float = DEFAULT_TIMEOUT
-    scale_vector: tuple = DEFAULT_SCALE_VECTOR
-    sample_half_extent: float = DEFAULT_SAMPLE_HALF_EXTENT
-    bounds: tuple = DEFAULT_BOUNDS
-    reward: RewardParams = field(default_factory=RewardParams)
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("timeout", self.timeout)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if len(self.scale_vector) != 3 or len(self.bounds) != 3:
-            raise ValueError("scale_vector and bounds must have 3 entries")
 
 
 @dataclass
@@ -118,22 +114,22 @@ class EpisodeResults:
     path_length: np.ndarray   # (K,) summed lengths of position increments, m
 
 
-def sample_episode(rng: np.random.Generator, cfg: EpisodeConfig):
+def sample_episode(rng: np.random.Generator):
     """Draw a start state (at rest) and a goal position.
 
-    Both are uniform over a cube of half-extent ``cfg.sample_half_extent``
-    stretched per-axis by ``cfg.scale_vector``.
+    Both are uniform over a cube of half-extent ``DEFAULT_SAMPLE_HALF_EXTENT``
+    stretched per-axis by ``DEFAULT_SCALE_VECTOR``.
     """
-    scale = np.asarray(cfg.scale_vector, dtype=float)
-    ext = cfg.sample_half_extent
+    scale = np.asarray(DEFAULT_SCALE_VECTOR, dtype=float)
+    ext = DEFAULT_SAMPLE_HALF_EXTENT
     start = scale * rng.uniform(-ext, ext, 3)
     goal = scale * rng.uniform(-ext, ext, 3)
     return RelativeState(start, np.zeros(3)), goal
 
 
-def sample_episodes(rng: np.random.Generator, cfg: EpisodeConfig, n: int):
+def sample_episodes(rng: np.random.Generator, n: int):
     """``n`` draws of :func:`sample_episode`: starts (n, 6) and goals (n, 3)."""
-    episodes = [sample_episode(rng, cfg) for _ in range(n)]
+    episodes = [sample_episode(rng) for _ in range(n)]
     return (np.array([state.as_vector() for state, _ in episodes]).reshape(n, 6),
             np.array([goal for _, goal in episodes]).reshape(n, 3))
 
@@ -183,9 +179,9 @@ def step_batch(states, goals, actions, elapsed, cfg: EpisodeConfig,
     """
     thrust = veh.thrust_bound * np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
     nxt = propagate_cwh_zoh(states, thrust, cfg.dt, orbit, veh)
-    rewards = reward(nxt[:, :3], states[:, :3], nxt[:, 3:], goals, cfg.reward)
+    rewards = reward(nxt[:, :3], states[:, :3], nxt[:, 3:], goals, REWARD)
     reached = norms(nxt[:, :3] - goals) < TRAINING_ACCEPTANCE_RADIUS
-    out = (np.abs(nxt[:, :3]) > cfg.bounds).any(axis=1)
+    out = (np.abs(nxt[:, :3]) > DEFAULT_BOUNDS).any(axis=1)
     timed_out = elapsed + cfg.dt >= cfg.timeout
     status = np.where(reached, Status.REACHED, np.where(out, Status.OUT_OF_BOUNDS, np.where(
         timed_out, Status.TIMEOUT, Status.RUNNING)))

@@ -39,7 +39,7 @@ from .env import (  # noqa: F401 - observe and step stay harness attributes for 
     sample_episodes,
     step,
 )
-from .policy import BaselineGains, baseline_act, load_policy, policy_act
+from .policy import baseline_act, load_policy, policy_act
 from .rta import INTERVENTION_TOL, RtaParams, filter_actions
 
 HARNESS_ACCEPTANCE_RADIUS = 15.0
@@ -145,7 +145,6 @@ class TrajectoryLog:
     dist_goal: np.ndarray   # (T, N) m
     control_dt: float
     mass: float
-    waypoints_assigned: list
     targets_reached: list
     completion_times: list
     aborted: bool = False
@@ -232,9 +231,7 @@ def builtin_scenario(name: str, rta_enabled: bool | None = None) -> ScenarioSpec
 def make_controller(choice: str, vehicle: VehicleParams):
     """Resolve a controller choice string to a callable obs -> action."""
     if choice == "baseline":
-        gains = BaselineGains()
-        return lambda obs: baseline_act(obs, gains, vehicle.mass,
-                                        vehicle.thrust_bound)
+        return lambda obs: baseline_act(obs, vehicle.mass, vehicle.thrust_bound)
     if choice.startswith("policy:"):
         policy = load_policy(choice[len("policy:"):])
         return lambda obs: policy_act(policy, obs)
@@ -332,7 +329,6 @@ def run(spec: ScenarioSpec):
     log = TrajectoryLog(t=np.arange(len(rows)) * dt, pos=state[..., :3],
                         vel=state[..., 3:], u_des=u_des, u=u, rta_active=active,
                         slack=slack, dist_goal=dist, control_dt=dt, mass=mass,
-                        waypoints_assigned=[len(a.waypoints) for a in spec.agents],
                         targets_reached=targets_reached,
                         completion_times=completion_times,
                         aborted=aborted, timed_out=timed_out)
@@ -421,9 +417,7 @@ class BaselineStats:
 
 
 def baseline_stats(n_trials: int, seed: int = 0,
-                   cfg: EpisodeConfig | None = None,
-                   orbit: ChiefOrbit | None = None,
-                   vehicle: VehicleParams | None = None) -> BaselineStats:
+                   cfg: EpisodeConfig | None = None) -> BaselineStats:
     """Run the baseline controller on sampled training episodes.
 
     All trials step in lock-step through :func:`env.run_episodes`.
@@ -437,14 +431,10 @@ def baseline_stats(n_trials: int, seed: int = 0,
     if n_trials == 0:
         return BaselineStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     cfg = cfg if cfg is not None else EpisodeConfig()
-    orbit = orbit if orbit is not None else default_orbit()
-    vehicle = vehicle if vehicle is not None else default_vehicle()
-    gains = BaselineGains()
-    rng = np.random.default_rng(seed)
-    starts, goals = sample_episodes(rng, cfg, n_trials)
-    res = run_episodes(
-        lambda obs: baseline_act(obs, gains, vehicle.mass, vehicle.thrust_bound),
-        starts, goals, cfg, orbit, vehicle)
+    vehicle = default_vehicle()
+    starts, goals = sample_episodes(np.random.default_rng(seed), n_trials)
+    res = run_episodes(lambda obs: baseline_act(obs, vehicle.mass, vehicle.thrust_bound),
+                       starts, goals, cfg, default_orbit(), vehicle)
 
     times, dists, excesses = [], [], []
     for k, straight in enumerate(norms(starts[:, :3] - goals).tolist()):

@@ -9,16 +9,28 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Observation, OBS_POSITION_SCALE, RewardParams, norms
+from .env import REWARD, Observation, OBS_POSITION_SCALE, norms
 
 POLICY_FORMAT = "proxops-mlp-policy"
 POLICY_VERSION = 1
 
 DEFAULT_LAYER_DIMS = (6, 64, 64, 3)
+INIT_LOG_STD = -0.7
+"""Log standard deviation of a fresh policy's exploration noise."""
+
+# PD baseline gains.  The commanded speed toward a goal d metres away is
+# min(BASELINE_KP / BASELINE_KV * d, BASELINE_SPEED_CAP, the reward's speed
+# limit at d), so the baseline stays inside that limit by construction.
+BASELINE_KP = 4e-3
+BASELINE_KV = 0.12
+BASELINE_SPEED_CAP = 4.0
+# Both speed limits are proportional to d >= 0, and rounding is monotone, so
+# the smaller coefficient gives the smaller product.
+_BASELINE_RATE = min(BASELINE_KP / BASELINE_KV,
+                     REWARD.speed_limit_margin * REWARD.speed_limit_slope)
 
 
 class PolicyFileError(ValueError):
@@ -29,24 +41,8 @@ class UnsupportedPolicyVersion(PolicyFileError):
     """Raised when a policy file declares a version this code cannot read."""
 
 
-@dataclass(frozen=True)
-class BaselineGains:
-    """PD tracking gains with a commanded-speed cap.
-
-    The commanded speed toward the goal is min(kp/kv * d, speed_cap,
-    speed_limit_margin * speed_limit_slope * d), which keeps the baseline
-    inside the reward's distance-proportional speed limit by construction.
-    """
-
-    kp: float = 4e-3
-    kv: float = 0.12
-    speed_cap: float = 4.0
-    speed_limit_slope: float = RewardParams.speed_limit_slope
-    speed_limit_margin: float = RewardParams.speed_limit_margin
-
-
-def baseline_act(obs: Observation, gains: BaselineGains = BaselineGains(),
-                 mass: float = 1.0, thrust_bound: float = 1.0) -> np.ndarray:
+def baseline_act(obs: Observation, mass: float = 1.0,
+                 thrust_bound: float = 1.0) -> np.ndarray:
     """PD thrust command toward the goal, in [-1, 1] per axis.
 
     ``obs`` fields may be (..., 3) stacks; each row gets the command it would
@@ -55,16 +51,12 @@ def baseline_act(obs: Observation, gains: BaselineGains = BaselineGains(),
     """
     delta = obs.scaled_delta * OBS_POSITION_SCALE
     dist = norms(delta)
-    # Both speed limits are proportional to dist >= 0, and rounding is
-    # monotone, so the smaller coefficient gives the smaller product.
-    rate = min(gains.kp / gains.kv,
-               gains.speed_limit_margin * gains.speed_limit_slope)
-    speed = np.minimum(rate * dist, gains.speed_cap)
+    speed = np.minimum(_BASELINE_RATE * dist, BASELINE_SPEED_CAP)
     # At the goal speed is 0, so dividing by 1 instead of 0 commands rest.
     # Negating the divisor, not delta, gives the same bits (IEEE division is
     # sign-symmetric) with one scalar operation instead of a vector one.
     vel_des = (delta.T / -(dist + (dist == 0.0)).T * speed.T).T
-    accel_cmd = gains.kv * (vel_des - obs.vel)
+    accel_cmd = BASELINE_KV * (vel_des - obs.vel)
     action = accel_cmd * mass / thrust_bound
     return np.minimum(np.maximum(action, -1.0), 1.0)  # np.clip, less overhead
 
@@ -92,7 +84,7 @@ class MlpPolicy:
 
     Hidden activations are tanh; the linear output is squashed through a
     final tanh.  ``log_std`` is the log standard deviation of Gaussian
-    exploration noise added before the squash in stochastic mode.  All three
+    exploration noise the trainer adds before the squash.  All three
     are views into one flat vector ``params``; the constructor copies inputs.
     """
 
@@ -127,8 +119,7 @@ class MlpPolicy:
 
     @classmethod
     def initialize(cls, rng: np.random.Generator,
-                   layer_dims=DEFAULT_LAYER_DIMS,
-                   init_log_std: float = -0.7) -> "MlpPolicy":
+                   layer_dims=DEFAULT_LAYER_DIMS) -> "MlpPolicy":
         """Orthogonal-ish random init; small final layer for gentle actions."""
         weights = []
         biases = []
@@ -136,7 +127,7 @@ class MlpPolicy:
             scale = 0.01 if k == len(layer_dims) - 2 else np.sqrt(2.0 / n_in)
             weights.append(rng.normal(0.0, scale, (n_out, n_in)))
             biases.append(np.zeros(n_out))
-        return cls(weights, biases, np.full(layer_dims[-1], init_log_std))
+        return cls(weights, biases, np.full(layer_dims[-1], INIT_LOG_STD))
 
     def pre_squash(self, obs_vec: np.ndarray) -> np.ndarray:
         """Network output before the final tanh (the action mean)."""
@@ -146,10 +137,8 @@ class MlpPolicy:
         return MlpPolicy(self.weights, self.biases, self.log_std)
 
 
-def policy_act(policy: MlpPolicy, obs: Observation,
-               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Policy action, with Gaussian exploration noise when ``rng`` is given;
-    ``obs`` fields may be (..., 3) stacks.
+def policy_act(policy: MlpPolicy, obs: Observation) -> np.ndarray:
+    """Deterministic policy action; ``obs`` fields may be (..., 3) stacks.
 
     Each observation goes through the network as a one-row matrix, so a
     stack's rows get the actions they would get alone, bit for bit (one
@@ -159,10 +148,7 @@ def policy_act(policy: MlpPolicy, obs: Observation,
     if vec.shape[-1] != policy.layer_dims[0]:
         raise ValueError(f"observation dimension {vec.shape[-1]} does not match "
                          f"policy input {policy.layer_dims[0]}")
-    mean = policy.pre_squash(vec[..., None, :])
-    if rng is not None:
-        mean = mean + np.exp(policy.log_std) * rng.standard_normal(mean.shape)
-    return np.tanh(mean)[..., 0, :]
+    return np.tanh(policy.pre_squash(vec[..., None, :]))[..., 0, :]
 
 
 def save_policy(policy: MlpPolicy, path) -> None:

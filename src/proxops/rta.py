@@ -105,9 +105,7 @@ class RtaDecision:
 
     u_safe: np.ndarray
     slacks: np.ndarray
-    margins: np.ndarray
     active: np.ndarray
-    labels: list
     fallback: bool = False
 
 
@@ -165,10 +163,6 @@ def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: Vehi
     return coeffs, rhs
 
 
-def _labels(peer_labels, n_peers: int) -> list:
-    return [*(peer_labels or [f"pos:{k}" for k in range(n_peers)]), "vel", "acc", *_INPUT_LABELS]
-
-
 def _problem(coeffs, rhs, desired, params: RtaParams) -> qp_mod.QpProblem:
     """Thrust close to ``desired``, slacks close to zero under their penalty."""
     weights = np.concatenate([np.ones(3), np.full(len(rhs) - 3, params.slack_penalty)])
@@ -184,23 +178,23 @@ def _one_agent(agent: AgentSnapshot, peers):
     return kin[:1], kin[None, 1:]
 
 
-def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit,
-               params: RtaParams, peer_labels=None) -> list:
+def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit, params: RtaParams) -> list:
     """All constraint rows for one agent, pair rows first."""
-    return build_qp(agent, peers, np.zeros(3), orbit, params, peer_labels)[1]
+    return build_qp(agent, peers, np.zeros(3), orbit, params)[1]
 
 
-def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
-             params: RtaParams, peer_labels=None):
-    """The slack-relaxed QP for one agent (see :func:`qp_arrays`) and its rows."""
+def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit, params: RtaParams):
+    """The slack-relaxed QP for one agent (see :func:`qp_arrays`) and its rows,
+    labelled ``pos:k`` for peer k, then ``vel``, ``acc`` and the box rows."""
     coeffs, rhs = qp_arrays(*_one_agent(agent, peers), orbit, params, agent.veh)
+    labels = [*(f"pos:{k}" for k in range(len(peers))), "vel", "acc", *_INPUT_LABELS]
     rows = [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
-            for a, b, label in zip(coeffs[0], rhs[0], _labels(peer_labels, len(peers)))]
+            for a, b, label in zip(coeffs[0], rhs[0], labels)]
     return _problem(coeffs[0], rhs[0], np.asarray(desired, dtype=float), params), rows
 
 
 def _filter(kin, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams,
-            vehicle: VehicleParams, labels) -> list:
+            vehicle: VehicleParams) -> list:
     """One decision per agent; zero thrust and ``fallback`` on non-finite data,
     a non-optimal status or a non-finite solution."""
     coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle)
@@ -208,22 +202,20 @@ def _filter(kin, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams,
     finite = (np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
               & np.isfinite(desired).all(axis=1))
     decisions = []
-    for a, b, u, ok, names in zip(coeffs, rhs, desired, finite, labels):
+    for a, b, u, ok in zip(coeffs, rhs, desired, finite):
         solution = qp_mod.solve(_problem(a, b, u, params)) if ok else None
         fallback = (solution is None or solution.status != qp_mod.OPTIMAL
                     or not np.isfinite(solution.x).all())
         x = np.zeros(len(b)) if fallback else solution.x
         active = (not fallback) & (np.abs(b - a @ x) <= ACTIVE_TOL)
-        decisions.append(RtaDecision(x[:3], x[3:], b - a[:, :3] @ x[:3], active,
-                                     names, fallback))
+        decisions.append(RtaDecision(x[:3], x[3:], active, fallback))
     return decisions
 
 
 def filter_agent(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
-                 params: RtaParams, peer_labels=None) -> RtaDecision:
+                 params: RtaParams) -> RtaDecision:
     """Filter one agent's desired thrust against its constraint rows."""
-    return _filter(*_one_agent(agent, peers), [desired], orbit, params, agent.veh,
-                   [_labels(peer_labels, len(peers))])[0]
+    return _filter(*_one_agent(agent, peers), [desired], orbit, params, agent.veh)[0]
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
@@ -241,6 +233,4 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     kin = np.concatenate([states.reshape(n, 2, 3), np.reshape(accel, (n, 1, 3))], axis=1)
     everyone = np.concatenate([kin, np.zeros((1, 3, 3))])  # the agents, then the chief
     peer_kin = everyone[np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])]  # all but i
-    names = [f"pos:peer{j}" for j in range(n)] + ["pos:chief"]
-    return _filter(kin, peer_kin, desired, orbit, params, vehicle,
-                   [_labels(names[:i] + names[i + 1:], 0) for i in range(n)])
+    return _filter(kin, peer_kin, desired, orbit, params, vehicle)

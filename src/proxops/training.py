@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChiefOrbit, VehicleParams, default_orbit, default_vehicle
+from .dynamics import default_orbit, default_vehicle
 from .env import (  # noqa: F401 - observe and step stay training attributes for perfbench's tracer
     EpisodeConfig,
     Status,
@@ -26,12 +26,22 @@ from .env import (  # noqa: F401 - observe and step stay training attributes for
     step,
     step_batch,
 )
-from .policy import DEFAULT_LAYER_DIMS, MlpPolicy, flat_views, mlp_forward, policy_act
+from .policy import MlpPolicy, flat_views, mlp_forward, policy_act
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 N_STREAMS = 16
 """Env streams the trainer steps in lock-step, one policy call per tick for all."""
+
+# The PPO recipe (Schulman et al. 2017), fixed for every run.
+LEARNING_RATE = 3e-4
+DISCOUNT = 0.99
+GAE_LAMBDA = 0.95
+CLIP_RATIO = 0.2
+EPOCHS_PER_BATCH = 10
+MINIBATCH_SIZE = 64
+GRAD_CLIP = 0.5  # largest norm of one network's gradient per minibatch
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergence(RuntimeError):
@@ -40,31 +50,18 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainerConfig:
+    """The run length in env steps, the seed and the rollout batch size; the
+    rest of the recipe is the module constants."""
+
     total_steps: int = 300_000
     batch_size: int = 2048
-    learning_rate: float = 3e-4
-    discount: float = 0.99
-    clip_ratio: float = 0.2
-    epochs_per_batch: int = 10
     seed: int = 0
-    gae_lambda: float = 0.95
-    minibatch_size: int = 64
-    entropy_coef: float = 0.0
-    grad_clip: float = 0.5
-    init_log_std: float = -0.7
-    layer_dims: tuple = DEFAULT_LAYER_DIMS
 
     def __post_init__(self):
         if self.total_steps < 0:
             raise ValueError("total_steps must be nonnegative")
-        for name in ("batch_size", "learning_rate", "discount",
-                     "epochs_per_batch", "minibatch_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.clip_ratio < 1.0:
-            raise ValueError("clip_ratio must lie in (0, 1)")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must lie in [0, 1]")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,16 +119,10 @@ def _backprop(weights, hs, g_out, g_w, g_b) -> None:
 
 
 def surrogate_loss_and_grad(policy: MlpPolicy, batch: RolloutBatch,
-                            clip_ratio: float, entropy_coef: float = 0.0,
-                            out: np.ndarray | None = None):
-    """Clipped-surrogate loss and its exact gradient.
-
-    The gradient goes into ``out`` (a new vector when omitted), laid out like
-    ``policy.params``.  Returns (loss, grads), grads holding views into it
-    keyed "weights", "biases", "log_std".
-    """
-    grad = np.empty_like(policy.params) if out is None else out
-    g_w, g_b, g_log_std = policy.unflatten(grad)
+                            clip_ratio: float, out: np.ndarray) -> float:
+    """Clipped-surrogate loss; its exact gradient goes into ``out``, laid out
+    like ``policy.params``."""
+    g_w, g_b, g_log_std = policy.unflatten(out)
     mean, hs = mlp_forward(policy.weights, policy.biases, batch.obs)
     logp = gaussian_logp(batch.z, mean, policy.log_std)
     ratio = np.exp(logp - batch.logp_old)
@@ -149,13 +140,8 @@ def surrogate_loss_and_grad(policy: MlpPolicy, batch: RolloutBatch,
     diff = batch.z - mean
     g_mean = d_logp[:, None] * diff * inv_var
     (d_logp[:, None] * (diff ** 2 * inv_var - 1.0)).sum(axis=0, out=g_log_std)
-    if entropy_coef:
-        # Gaussian entropy is sum(log_std) + const, per sample
-        loss -= entropy_coef * float(np.sum(policy.log_std) +
-                                     0.5 * batch.z.shape[1] * (1.0 + LOG_2PI))
-        g_log_std -= entropy_coef
     _backprop(policy.weights, hs, g_mean, g_w, g_b)
-    return loss, {"weights": g_w, "biases": g_b, "log_std": g_log_std}
+    return loss
 
 
 class ValueNet:
@@ -185,55 +171,45 @@ class ValueNet:
 
 
 def value_loss_and_grad(net: ValueNet, obs: np.ndarray, target: np.ndarray,
-                        out: np.ndarray | None = None):
+                        out: np.ndarray) -> float:
     """Half mean squared error; its gradient goes into ``out`` as above."""
-    g_w, g_b = net.unflatten(np.empty_like(net.params) if out is None else out)
+    g_w, g_b = net.unflatten(out)
     v, hs = net.forward(obs)
     err = v - target
     loss = 0.5 * float(np.mean(err ** 2))
     g_out = (err / err.shape[0])[:, None]
     _backprop(net.weights, hs, g_out, g_w, g_b)
-    return loss, {"weights": g_w, "biases": g_b}
+    return loss
 
 
 class Adam:
-    """Plain Adam over a list of parameter arrays, updated in place."""
+    """Plain Adam on one parameter array, updated in place."""
 
-    def __init__(self, params: list, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list, grads: list) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 def _clip_grad(grad: np.ndarray, views: list, max_norm: float) -> None:
     """Scale ``grad`` in place to norm max_norm if longer; norm summed over ``views``."""
-    if max_norm <= 0.0:
-        return
     total = math.sqrt(sum(float((g * g).sum()) for g in views))
     if total > max_norm:
         grad *= max_norm / total
 
 
-def train(env_cfg: EpisodeConfig | None = None,
-          trainer_cfg: TrainerConfig | None = None,
-          orbit: ChiefOrbit | None = None,
-          veh: VehicleParams | None = None,
+def train(trainer_cfg: TrainerConfig | None = None,
           init_policy: MlpPolicy | None = None):
     """Train a waypoint policy; returns (MlpPolicy, list of CurvePoint).
 
@@ -241,28 +217,25 @@ def train(env_cfg: EpisodeConfig | None = None,
     existing network instead of a fresh initialization.  Raises
     TrainingDivergence when a loss or parameter turns non-finite.
     """
-    env_cfg = env_cfg if env_cfg is not None else EpisodeConfig()
     cfg = trainer_cfg if trainer_cfg is not None else TrainerConfig()
-    orbit = orbit if orbit is not None else default_orbit()
-    veh = veh if veh is not None else default_vehicle()
+    env_cfg, orbit, veh = EpisodeConfig(), default_orbit(), default_vehicle()
 
     rng = np.random.default_rng(cfg.seed)
-    policy = (init_policy.copy() if init_policy is not None else MlpPolicy.initialize(
-        rng, layer_dims=cfg.layer_dims, init_log_std=cfg.init_log_std))
+    policy = init_policy.copy() if init_policy is not None else MlpPolicy.initialize(rng)
     dims = policy.layer_dims
     value_net = ValueNet.initialize(rng, (dims[0], 64, 64, 1))
     curve: list = []
     if cfg.total_steps == 0:
         return policy, curve
 
-    pol_opt = Adam([policy.params], cfg.learning_rate)
-    val_opt = Adam([value_net.params], cfg.learning_rate)
+    pol_opt = Adam(policy.params, LEARNING_RATE)
+    val_opt = Adam(value_net.params, LEARNING_RATE)
     pol_grad = np.empty_like(policy.params)
     val_grad = np.empty_like(value_net.params)
     pol_views = flat_views(pol_grad, policy.shapes)
     val_views = flat_views(val_grad, value_net.shapes)
 
-    states, goals = sample_episodes(rng, env_cfg, N_STREAMS)
+    states, goals = sample_episodes(rng, N_STREAMS)
     elapsed, ep_return = np.zeros(N_STREAMS), np.zeros(N_STREAMS)
     steps_done = 0
 
@@ -285,7 +258,7 @@ def train(env_cfg: EpisodeConfig | None = None,
             ended = np.flatnonzero(status != Status.RUNNING)
             ep_returns += ep_return[ended].tolist()
             ep_successes += (status[ended] == Status.REACHED).tolist()
-            states[ended], goals[ended] = sample_episodes(rng, env_cfg, ended.size)
+            states[ended], goals[ended] = sample_episodes(rng, ended.size)
             elapsed[ended] = ep_return[ended] = 0.0
         steps_done += n
         if not ep_returns:  # no episode ended: report the ones in progress
@@ -295,28 +268,26 @@ def train(env_cfg: EpisodeConfig | None = None,
         logp_old = gaussian_logp(z, mean, policy.log_std)
         values = value_net.forward(obs)[0]
         adv = gae(rew, values, value_net.forward(next_obs)[0], status,
-                  cfg.discount, cfg.gae_lambda, N_STREAMS)
+                  DISCOUNT, GAE_LAMBDA, N_STREAMS)
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         data = (obs, z, logp_old, adv, v_target)
 
-        for _ in range(cfg.epochs_per_batch):
+        for _ in range(EPOCHS_PER_BATCH):
             order = rng.permutation(n)
-            for lo in range(0, n, cfg.minibatch_size):
-                idx = order[lo:lo + cfg.minibatch_size]
+            for lo in range(0, n, MINIBATCH_SIZE):
+                idx = order[lo:lo + MINIBATCH_SIZE]
                 mini = RolloutBatch(*(a[idx] for a in data))
-                p_loss, _ = surrogate_loss_and_grad(
-                    policy, mini, cfg.clip_ratio, cfg.entropy_coef, out=pol_grad)
-                v_loss, _ = value_loss_and_grad(
-                    value_net, mini.obs, mini.v_target, out=val_grad)
+                p_loss = surrogate_loss_and_grad(policy, mini, CLIP_RATIO, pol_grad)
+                v_loss = value_loss_and_grad(value_net, mini.obs, mini.v_target, val_grad)
                 if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
                     raise TrainingDivergence(
                         f"non-finite loss at step {steps_done}: "
                         f"policy {p_loss}, value {v_loss}")
-                _clip_grad(pol_grad, pol_views, cfg.grad_clip)
-                pol_opt.step([policy.params], [pol_grad])
-                _clip_grad(val_grad, val_views, cfg.grad_clip)
-                val_opt.step([value_net.params], [val_grad])
+                _clip_grad(pol_grad, pol_views, GRAD_CLIP)
+                pol_opt.step(policy.params, pol_grad)
+                _clip_grad(val_grad, val_views, GRAD_CLIP)
+                val_opt.step(value_net.params, val_grad)
         if not np.all(np.isfinite(policy.params)):
             raise TrainingDivergence(f"non-finite parameters at step {steps_done}")
 
@@ -325,22 +296,16 @@ def train(env_cfg: EpisodeConfig | None = None,
     return policy, curve
 
 
-def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0,
-                    env_cfg: EpisodeConfig | None = None,
-                    orbit: ChiefOrbit | None = None,
-                    veh: VehicleParams | None = None):
+def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0):
     """Deterministic rollouts on sampled episodes: (success rate, mean time).
 
     All episodes step in lock-step through :func:`env.run_episodes`.
     """
-    env_cfg = env_cfg if env_cfg is not None else EpisodeConfig()
-    orbit = orbit if orbit is not None else default_orbit()
-    veh = veh if veh is not None else default_vehicle()
     if n_episodes < 0:
         raise ValueError("n_episodes must be nonnegative")
-    starts, goals = sample_episodes(np.random.default_rng(seed), env_cfg, n_episodes)
+    starts, goals = sample_episodes(np.random.default_rng(seed), n_episodes)
     res = run_episodes(lambda obs: policy_act(policy, obs), starts, goals,
-                       env_cfg, orbit, veh)
+                       EpisodeConfig(), default_orbit(), default_vehicle())
     times = [t for t, s in zip(res.elapsed, res.status) if s is Status.REACHED]
     rate = len(times) / n_episodes if n_episodes else 0.0
     return rate, (float(np.mean(times)) if times else float("nan"))

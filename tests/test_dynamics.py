@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from proxops import dynamics
 from proxops.dynamics import (
     ChiefOrbit,
     InertialState,
@@ -192,6 +193,17 @@ def test_two_body_circular_orbit_closes():
     assert np.linalg.norm(end.vel - chief.vel) / np.linalg.norm(chief.vel) < 1e-6
 
 
+@pytest.mark.parametrize("radius", [0.0, 1e5])
+def test_inertial_start_below_the_body_radius_raises_before_stepping(monkeypatch, radius):
+    def no_step(*args):
+        raise AssertionError("stepped from below the body radius")
+
+    monkeypatch.setattr(dynamics, "_rk4", no_step)
+    start = InertialState([radius, 0.0, 0.0], [0.0, 7000.0, 0.0])
+    with pytest.raises(PropagationError, match="body radius"):
+        propagate_inertial(start, 10.0, ORBIT)
+
+
 def test_j2_term_is_radial_on_the_equator():
     st = InertialState([ORBIT.semi_major_axis, 0.0, 0.0], [0.0, 7000.0, 0.0])
     with_j2 = two_body_j2_derivative(st, default_orbit(j2_enabled=True))
@@ -256,8 +268,9 @@ def test_linearization_tracks_nonlinear_coast():
 def test_vehicle_params_validation():
     with pytest.raises(ValueError):
         VehicleParams(mass=0.0)
-    with pytest.raises(ValueError):
-        VehicleParams(thrust_bound=-1.0)
+    for bound in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="thrust_bound"):
+            VehicleParams(thrust_bound=bound)
     for field in ("mass", "thrust_bound"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=field):

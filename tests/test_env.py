@@ -3,6 +3,8 @@ import pytest
 
 from proxops.dynamics import RelativeState, default_orbit, default_vehicle
 from proxops.env import (
+    DEFAULT_SAMPLE_HALF_EXTENT,
+    DEFAULT_SCALE_VECTOR,
     EpisodeConfig,
     RewardParams,
     TRAINING_ACCEPTANCE_RADIUS,
@@ -22,12 +24,11 @@ PARAMS = RewardParams()
 
 def test_sampled_episodes_start_at_rest_inside_the_scaled_box():
     rng = np.random.default_rng(0)
-    cfg = EpisodeConfig()
-    extents = np.array(cfg.scale_vector) * cfg.sample_half_extent
+    extents = np.array(DEFAULT_SCALE_VECTOR) * DEFAULT_SAMPLE_HALF_EXTENT
     starts = []
     goals = []
     for _ in range(1000):
-        state, goal = sample_episode(rng, cfg)
+        state, goal = sample_episode(rng)
         assert np.array_equal(state.vel, np.zeros(3))
         assert np.all(np.abs(state.pos) <= extents)
         assert np.all(np.abs(goal) <= extents)
@@ -149,7 +150,7 @@ def test_zero_thrust_never_reaches_a_sampled_goal():
     # Drift alone should not complete episodes; arrival requires control
     # unless the start is sampled inside the acceptance ball.
     cfg = EpisodeConfig()
-    starts, goals = sample_episodes(np.random.default_rng(21), cfg, 25)
+    starts, goals = sample_episodes(np.random.default_rng(21), 25)
     coast = lambda obs: np.zeros_like(obs.vel)
     res = run_episodes(coast, starts, goals, cfg, ORBIT, VEH)
     for start, goal, status in zip(starts, goals, res.status):

@@ -120,8 +120,7 @@ def _synthetic_log(positions, thrusts, mass=1.0, dt=1.0):
     return TrajectoryLog(t=np.arange(ticks) * dt, pos=pos, vel=np.zeros_like(pos),
                          u_des=u, u=u, rta_active=np.zeros((ticks, 1), dtype=bool),
                          slack=np.zeros((ticks, 1, 6)), dist_goal=np.zeros((ticks, 1)),
-                         control_dt=dt, mass=mass, waypoints_assigned=[1],
-                         targets_reached=[0], completion_times=[None])
+                         control_dt=dt, mass=mass, targets_reached=[0], completion_times=[None])
 
 
 def test_metrics_zero_thrust_stationary():

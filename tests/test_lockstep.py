@@ -67,7 +67,7 @@ CONTROLLERS = {
 ])
 def test_each_episode_matches_a_plain_step_loop(name, cfg):
     controller = CONTROLLERS[name]
-    starts, goals = sample_episodes(np.random.default_rng(1), cfg, 20)
+    starts, goals = sample_episodes(np.random.default_rng(1), 20)
     res = run_episodes(controller, starts, goals, cfg, ORBIT, VEH)
     for k in range(len(starts)):
         status, elapsed, final, path = plain_episode(controller, starts[k], goals[k], cfg)
@@ -81,7 +81,7 @@ def test_the_compared_batches_cover_every_ending():
     seen = set()
     for name, timeout in (("baseline", 120.0), ("policy", 500.0)):
         cfg = EpisodeConfig(timeout=timeout)
-        starts, goals = sample_episodes(np.random.default_rng(1), cfg, 20)
+        starts, goals = sample_episodes(np.random.default_rng(1), 20)
         seen |= set(run_episodes(CONTROLLERS[name], starts, goals, cfg, ORBIT, VEH).status)
     assert seen == {Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT}
 

@@ -355,12 +355,10 @@ def test_filter_actions_matches_one_agent_filters():
             assert len(batched) == n
             for i, decision in enumerate(batched):
                 peers = [s for j, s in enumerate(snaps) if j != i] + [chief_snapshot()]
-                labels = [f"pos:peer{j}" for j in range(n) if j != i] + ["pos:chief"]
-                alone = filter_agent(snaps[i], peers, desired[i], ORBIT, PARAMS, labels)
+                alone = filter_agent(snaps[i], peers, desired[i], ORBIT, PARAMS)
                 np.testing.assert_allclose(decision.u_safe, alone.u_safe,
                                            rtol=0, atol=1e-7)
                 assert decision.fallback == alone.fallback
-                assert decision.labels == alone.labels
                 assert len(decision.slacks) == len(peers) + 5
 
 
