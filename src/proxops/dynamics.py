@@ -101,6 +101,9 @@ class ChiefOrbit:
     body_radius: float = R_EARTH
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mean_motion, self.semi_major_axis, self.mu,
+                                       self.j2_coefficient, self.body_radius))):
+            raise ValueError("orbit parameters must be finite")
         if self.semi_major_axis <= 0.0 or self.mu <= 0.0:
             raise ValueError("semi_major_axis and mu must be positive")
         expected = math.sqrt(self.mu / self.semi_major_axis**3)

@@ -70,6 +70,18 @@ def flat_views(flat: np.ndarray, shapes) -> list:
     return views
 
 
+def init_layers(rng: np.random.Generator, layer_dims, last_scale=None):
+    """Tanh-MLP (weights, biases) drawn layer by layer: N(0, 2 / n_in) weights,
+    or standard deviation ``last_scale`` in the last layer if given; zero biases."""
+    weights, biases = [], []
+    for k, (n_in, n_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        last = k == len(layer_dims) - 2 and last_scale is not None
+        scale = last_scale if last else math.sqrt(2.0 / n_in)
+        weights.append(rng.normal(0.0, scale, (n_out, n_in)))
+        biases.append(np.zeros(n_out))
+    return weights, biases
+
+
 def mlp_forward(weights, biases, x: np.ndarray):
     """Tanh hidden layers, linear output: (output, input of every layer)."""
     hs = [x]
@@ -85,7 +97,7 @@ class MlpPolicy:
     Hidden activations are tanh; the linear output is squashed through a
     final tanh.  ``log_std`` is the log standard deviation of Gaussian
     exploration noise the trainer adds before the squash.  All three
-    are views into one flat vector ``params``; the constructor copies inputs.
+    are views into one flat vector ``params``, copied from finite inputs.
     """
 
     def __init__(self, weights, biases, log_std=None):
@@ -105,6 +117,8 @@ class MlpPolicy:
             raise ValueError("log_std must match the output dimension")
         self.shapes = [a.shape for a in (*weights, *biases, log_std)]
         self.params = np.concatenate([a.ravel() for a in (*weights, *biases, log_std)])
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("policy parameters must be finite")
         self.weights, self.biases, self.log_std = self.unflatten(self.params)
 
     def unflatten(self, flat: np.ndarray):
@@ -120,13 +134,8 @@ class MlpPolicy:
     @classmethod
     def initialize(cls, rng: np.random.Generator,
                    layer_dims=DEFAULT_LAYER_DIMS) -> "MlpPolicy":
-        """Orthogonal-ish random init; small final layer for gentle actions."""
-        weights = []
-        biases = []
-        for k, (n_in, n_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-            scale = 0.01 if k == len(layer_dims) - 2 else np.sqrt(2.0 / n_in)
-            weights.append(rng.normal(0.0, scale, (n_out, n_in)))
-            biases.append(np.zeros(n_out))
+        """Random init; small final layer for gentle actions."""
+        weights, biases = init_layers(rng, layer_dims, last_scale=0.01)
         return cls(weights, biases, np.full(layer_dims[-1], INIT_LOG_STD))
 
     def pre_squash(self, obs_vec: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .env import (  # noqa: F401 - observe and step stay training attributes for
     step,
     step_batch,
 )
-from .policy import MlpPolicy, flat_views, mlp_forward, policy_act
+from .policy import MlpPolicy, flat_views, init_layers, mlp_forward, policy_act
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -118,13 +118,14 @@ def _backprop(weights, hs, g_out, g_w, g_b) -> None:
             g = (g @ weights[layer]) * (1.0 - hs[layer] ** 2)
 
 
-def surrogate_loss_and_grad(policy: MlpPolicy, batch: RolloutBatch,
-                            clip_ratio: float, out: np.ndarray) -> float:
-    """Clipped-surrogate loss; its exact gradient goes into ``out``, laid out
-    like ``policy.params``."""
-    g_w, g_b, g_log_std = policy.unflatten(out)
-    mean, hs = mlp_forward(policy.weights, policy.biases, batch.obs)
-    logp = gaussian_logp(batch.z, mean, policy.log_std)
+def surrogate_loss_and_grad(params, batch: RolloutBatch, clip_ratio: float,
+                            grads) -> float:
+    """Clipped-surrogate loss of the policy views ``params`` = (weights, biases,
+    log_std); its exact gradient goes into ``grads``, views of the same shapes."""
+    weights, biases, log_std = params
+    g_w, g_b, g_log_std = grads
+    mean, hs = mlp_forward(weights, biases, batch.obs)
+    logp = gaussian_logp(batch.z, mean, log_std)
     ratio = np.exp(logp - batch.logp_old)
     adv = batch.adv
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
@@ -136,49 +137,24 @@ def surrogate_loss_and_grad(policy: MlpPolicy, batch: RolloutBatch,
     n = batch.obs.shape[0]
     d_logp = -(adv * ratio * unclipped_active) / n
 
-    inv_var = np.exp(-2.0 * policy.log_std)
+    inv_var = np.exp(-2.0 * log_std)
     diff = batch.z - mean
     g_mean = d_logp[:, None] * diff * inv_var
     (d_logp[:, None] * (diff ** 2 * inv_var - 1.0)).sum(axis=0, out=g_log_std)
-    _backprop(policy.weights, hs, g_mean, g_w, g_b)
+    _backprop(weights, hs, g_mean, g_w, g_b)
     return loss
 
 
-class ValueNet:
-    """Tanh MLP state value; weights and biases are views into ``params``."""
-
-    def __init__(self, weights: list, biases: list):
-        self.shapes = [a.shape for a in (*weights, *biases)]
-        self.params = np.concatenate([a.ravel() for a in (*weights, *biases)])
-        self.weights, self.biases = self.unflatten(self.params)
-
-    def unflatten(self, flat: np.ndarray):
-        """Views (weights, biases) into a vector laid out like ``params``."""
-        views = flat_views(flat, self.shapes)
-        return views[:len(views) // 2], views[len(views) // 2:]
-
-    @classmethod
-    def initialize(cls, rng: np.random.Generator, layer_dims=(6, 64, 64, 1)):
-        weights, biases = [], []
-        for n_in, n_out in zip(layer_dims, layer_dims[1:]):
-            weights.append(rng.normal(0.0, math.sqrt(2.0 / n_in), (n_out, n_in)))
-            biases.append(np.zeros(n_out))
-        return cls(weights, biases)
-
-    def forward(self, obs: np.ndarray):
-        v, hs = mlp_forward(self.weights, self.biases, obs)
-        return v[..., 0], hs
-
-
-def value_loss_and_grad(net: ValueNet, obs: np.ndarray, target: np.ndarray,
-                        out: np.ndarray) -> float:
-    """Half mean squared error; its gradient goes into ``out`` as above."""
-    g_w, g_b = net.unflatten(out)
-    v, hs = net.forward(obs)
-    err = v - target
+def value_loss_and_grad(params, obs: np.ndarray, target: np.ndarray,
+                        grads) -> float:
+    """Half mean squared error of the value-net views ``params`` = (weights,
+    biases); its gradient goes into ``grads`` as above."""
+    weights, biases = params
+    v, hs = mlp_forward(weights, biases, obs)
+    err = v[:, 0] - target
     loss = 0.5 * float(np.mean(err ** 2))
     g_out = (err / err.shape[0])[:, None]
-    _backprop(net.weights, hs, g_out, g_w, g_b)
+    _backprop(weights, hs, g_out, *grads)
     return loss
 
 
@@ -221,19 +197,28 @@ def train(trainer_cfg: TrainerConfig | None = None,
     env_cfg, orbit, veh = EpisodeConfig(), default_orbit(), default_vehicle()
 
     rng = np.random.default_rng(cfg.seed)
-    policy = init_policy.copy() if init_policy is not None else MlpPolicy.initialize(rng)
-    dims = policy.layer_dims
-    value_net = ValueNet.initialize(rng, (dims[0], 64, 64, 1))
-    curve: list = []
-    if cfg.total_steps == 0:
-        return policy, curve
+    policy = init_policy if init_policy is not None else MlpPolicy.initialize(rng)
+    value_w, value_b = init_layers(rng, (policy.layer_dims[0], 64, 64, 1))
+    # Both networks live in one vector, the policy's layout then the value
+    # net's, so one Adam steps both; the gradient vector shares the layout.
+    value_shapes = [a.shape for a in (*value_w, *value_b)]
+    n_pol, n_val = policy.params.size, len(value_w)
+    params = np.concatenate([policy.params, *(a.ravel() for a in (*value_w, *value_b))])
+    grad = np.empty_like(params)
+    opt = Adam(params, LEARNING_RATE)
 
-    pol_opt = Adam(policy.params, LEARNING_RATE)
-    val_opt = Adam(value_net.params, LEARNING_RATE)
-    pol_grad = np.empty_like(policy.params)
-    val_grad = np.empty_like(value_net.params)
-    pol_views = flat_views(pol_grad, policy.shapes)
-    val_views = flat_views(val_grad, value_net.shapes)
+    def views(flat):
+        """(policy, value net) views into a vector laid out like ``params``."""
+        value = flat_views(flat[n_pol:], value_shapes)
+        return policy.unflatten(flat[:n_pol]), (value[:n_val], value[n_val:])
+
+    pol, val = views(params)
+    pol_grad, val_grad = views(grad)
+    # each network's gradient is clipped alone, its norm summed view by view
+    pol_norm_views = [*pol_grad[0], *pol_grad[1], pol_grad[2]]
+    val_norm_views = [*val_grad[0], *val_grad[1]]
+    log_std = pol[2]
+    curve: list = []
 
     states, goals = sample_episodes(rng, N_STREAMS)
     elapsed, ep_return = np.zeros(N_STREAMS), np.zeros(N_STREAMS)
@@ -242,13 +227,13 @@ def train(trainer_cfg: TrainerConfig | None = None,
     while steps_done < cfg.total_steps:
         n = min(cfg.batch_size, cfg.total_steps - steps_done)
         rows, ep_returns, ep_successes = [], [], []
-        std = np.exp(policy.log_std)
+        std = np.exp(log_std)
         for lo in range(0, n, N_STREAMS):
             # a short last tick steps the first m streams; the rest resume next batch
             m = min(N_STREAMS, n - lo)
             obs = observe_batch(states[:m], goals[:m]).vector()
-            mean = policy.pre_squash(obs)
-            z = mean + std * rng.standard_normal((m, dims[-1]))
+            mean = mlp_forward(*pol[:2], obs)[0]
+            z = mean + std * rng.standard_normal(mean.shape)
             states[:m], rew, status = step_batch(states[:m], goals[:m], np.tanh(z),
                                                  elapsed[:m], env_cfg, orbit, veh)
             rows.append((obs, mean, z, rew, status,
@@ -265,9 +250,9 @@ def train(trainer_cfg: TrainerConfig | None = None,
             ep_returns, ep_successes = ep_return.tolist(), [False] * N_STREAMS
 
         obs, mean, z, rew, status, next_obs = map(np.concatenate, zip(*rows))
-        logp_old = gaussian_logp(z, mean, policy.log_std)
-        values = value_net.forward(obs)[0]
-        adv = gae(rew, values, value_net.forward(next_obs)[0], status,
+        logp_old = gaussian_logp(z, mean, log_std)
+        values = mlp_forward(*val, obs)[0][:, 0]
+        adv = gae(rew, values, mlp_forward(*val, next_obs)[0][:, 0], status,
                   DISCOUNT, GAE_LAMBDA, N_STREAMS)
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -278,22 +263,21 @@ def train(trainer_cfg: TrainerConfig | None = None,
             for lo in range(0, n, MINIBATCH_SIZE):
                 idx = order[lo:lo + MINIBATCH_SIZE]
                 mini = RolloutBatch(*(a[idx] for a in data))
-                p_loss = surrogate_loss_and_grad(policy, mini, CLIP_RATIO, pol_grad)
-                v_loss = value_loss_and_grad(value_net, mini.obs, mini.v_target, val_grad)
+                p_loss = surrogate_loss_and_grad(pol, mini, CLIP_RATIO, pol_grad)
+                v_loss = value_loss_and_grad(val, mini.obs, mini.v_target, val_grad)
                 if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
                     raise TrainingDivergence(
                         f"non-finite loss at step {steps_done}: "
                         f"policy {p_loss}, value {v_loss}")
-                _clip_grad(pol_grad, pol_views, GRAD_CLIP)
-                pol_opt.step(policy.params, pol_grad)
-                _clip_grad(val_grad, val_views, GRAD_CLIP)
-                val_opt.step(value_net.params, val_grad)
-        if not np.all(np.isfinite(policy.params)):
+                _clip_grad(grad[:n_pol], pol_norm_views, GRAD_CLIP)
+                _clip_grad(grad[n_pol:], val_norm_views, GRAD_CLIP)
+                opt.step(params, grad)
+        if not np.all(np.isfinite(params)):
             raise TrainingDivergence(f"non-finite parameters at step {steps_done}")
 
         curve.append(CurvePoint(steps_done, float(np.mean(ep_returns)),
                                 float(np.mean(ep_successes))))
-    return policy, curve
+    return MlpPolicy(*pol), curve
 
 
 def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0):

@@ -138,6 +138,24 @@ def test_mismatched_policy_file_exits_2_without_files(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_non_finite_policy_file_exits_2_without_files(tmp_path, capsys, command, token):
+    # json reads NaN and Infinity; such a network once ran idle under RTA
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0)), ppath)
+    payload = json.loads(ppath.read_text())
+    payload["biases"][0][0] = "BAD"
+    ppath.write_text(json.dumps(payload).replace('"BAD"', token))
+    out = tmp_path / "o"
+    argv = (["run", "--scenario", "single", "--rta", "on", "--controller", f"policy:{ppath}"]
+            if command == "run" else ["train", "--steps", "64", "--resume", str(ppath)])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_zero_steps_smoke(tmp_path):
     out = tmp_path / "t"
     assert main(["train", "--steps", "0", "--out", str(out)]) == 0

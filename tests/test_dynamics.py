@@ -183,6 +183,20 @@ def test_mean_motion_consistency_is_enforced():
     assert orbit.mean_motion == pytest.approx(math.sqrt(orbit.mu / orbit.semi_major_axis**3), rel=1e-15)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ChiefOrbit.circular(math.nan),
+    lambda: ChiefOrbit.circular(math.inf),
+    lambda: ChiefOrbit.circular(mu=math.inf),
+    lambda: ChiefOrbit(mean_motion=math.nan, semi_major_axis=7e6),
+    lambda: ChiefOrbit(mean_motion=1e-3, semi_major_axis=7e6, mu=math.inf),
+    lambda: ChiefOrbit.circular(j2_coefficient=math.nan),
+    lambda: ChiefOrbit.circular(body_radius=math.inf),
+], ids=["a_nan", "a_inf", "mu_inf", "n_nan", "n_with_mu_inf", "j2_nan", "radius_inf"])
+def test_orbit_rejects_non_finite_fields(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_two_body_circular_orbit_closes():
     # Analytic oracle: a circular two-body orbit returns to its initial state
     # after one period T = 2 pi sqrt(a^3 / mu).

@@ -171,3 +171,26 @@ def test_save_policy_rejects_non_finite_weights_before_writing(tmp_path):
     with pytest.raises(ValueError):
         save_policy(policy, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_policy_rejects_non_finite_parameters(bad):
+    policy = MlpPolicy.initialize(np.random.default_rng(0))
+    biases = [b.copy() for b in policy.biases]
+    biases[0][0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MlpPolicy(policy.weights, biases, policy.log_std)
+    with pytest.raises(ValueError, match="finite"):
+        MlpPolicy(policy.weights, policy.biases, [0.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_load_policy_rejects_non_finite_parameters(tmp_path, token):
+    # json reads NaN and Infinity, which save_policy never writes
+    path = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0)), path)
+    payload = json.loads(path.read_text())
+    payload["biases"][0][0] = "BAD"
+    path.write_text(json.dumps(payload).replace('"BAD"', token))
+    with pytest.raises(PolicyFileError, match="finite"):
+        load_policy(path)

@@ -6,7 +6,7 @@ import pytest
 from proxops import training
 from proxops.dynamics import default_orbit, default_vehicle
 from proxops.env import EpisodeConfig, RelativeState, Status, observe, step
-from proxops.policy import MlpPolicy, load_policy, save_policy
+from proxops.policy import MlpPolicy, init_layers, load_policy, save_policy
 from proxops.training import (
     Adam,
     _clip_grad,
@@ -22,7 +22,6 @@ from proxops.training import (
     surrogate_loss_and_grad,
     train,
     value_loss_and_grad,
-    ValueNet,
 )
 
 
@@ -56,58 +55,51 @@ def _bandit_batch(policy, rng, n=24):
     return RolloutBatch(obs, z, logp_old, adv, np.zeros(n))
 
 
+def _check_gradient(loss_at, arrays, grads, eps=1e-6):
+    """Central differences on a sample of each array's entries against ``grads``."""
+    for arr, g in zip(arrays, grads):
+        flat, gflat = arr.ravel(), g.ravel()
+        assert np.shares_memory(flat, arr)
+        for k in range(0, flat.size, max(1, flat.size // 8)):
+            orig = flat[k]
+            flat[k] = orig + eps
+            lp = loss_at()
+            flat[k] = orig - eps
+            lm = loss_at()
+            flat[k] = orig
+            fd = (lp - lm) / (2 * eps)
+            denom = max(abs(fd), abs(gflat[k]), 1e-8)
+            assert abs(fd - gflat[k]) / denom < 1e-4
+
+
 def test_surrogate_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     for trial in range(3):
         policy = MlpPolicy.initialize(rng, layer_dims=(6, 8, 8, 3))
         batch = _bandit_batch(policy, rng)
-
-        def loss_at():
-            return surrogate_loss_and_grad(policy, batch, 0.2, np.empty_like(policy.params))
-
-        grad = np.empty_like(policy.params)
-        surrogate_loss_and_grad(policy, batch, 0.2, grad)
-        g_w, g_b, g_log_std = policy.unflatten(grad)
-        eps = 1e-6
-        for arrs, g_arrs in ((policy.weights, g_w), (policy.biases, g_b),
-                             ([policy.log_std], [g_log_std])):
-            for arr, g in zip(arrs, g_arrs):
-                flat, gflat = arr.ravel(), np.asarray(g).ravel()
-                for k in range(0, flat.size, max(1, flat.size // 8)):
-                    orig = flat[k]
-                    flat[k] = orig + eps
-                    lp = loss_at()
-                    flat[k] = orig - eps
-                    lm = loss_at()
-                    flat[k] = orig
-                    fd = (lp - lm) / (2 * eps)
-                    denom = max(abs(fd), abs(gflat[k]), 1e-8)
-                    assert abs(fd - gflat[k]) / denom < 1e-4
+        params = (policy.weights, policy.biases, policy.log_std)
+        scratch = policy.unflatten(np.empty_like(policy.params))
+        g_w, g_b, g_log_std = grads = policy.unflatten(np.empty_like(policy.params))
+        surrogate_loss_and_grad(params, batch, 0.2, grads)
+        _check_gradient(lambda: surrogate_loss_and_grad(params, batch, 0.2, scratch),
+                        [*policy.weights, *policy.biases, policy.log_std],
+                        [*g_w, *g_b, g_log_std])
 
 
 def test_value_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    net = ValueNet.initialize(rng, (6, 8, 8, 1))
+    weights, biases = params = init_layers(rng, (6, 8, 8, 1))
     obs = rng.uniform(-1, 1, (16, 6))
     target = rng.normal(size=16)
 
-    grad = np.empty_like(net.params)
-    value_loss_and_grad(net, obs, target, grad)
-    scratch = np.empty_like(net.params)
-    eps = 1e-6
-    for arrs, g_arrs in zip((net.weights, net.biases), net.unflatten(grad)):
-        for arr, g in zip(arrs, g_arrs):
-            flat, gflat = arr.ravel(), np.asarray(g).ravel()
-            for k in range(0, flat.size, max(1, flat.size // 8)):
-                orig = flat[k]
-                flat[k] = orig + eps
-                lp = value_loss_and_grad(net, obs, target, scratch)
-                flat[k] = orig - eps
-                lm = value_loss_and_grad(net, obs, target, scratch)
-                flat[k] = orig
-                fd = (lp - lm) / (2 * eps)
-                denom = max(abs(fd), abs(gflat[k]), 1e-8)
-                assert abs(fd - gflat[k]) / denom < 1e-4
+    def empty_like_params():
+        return [np.empty_like(w) for w in weights], [np.empty_like(b) for b in biases]
+
+    g_w, g_b = grads = empty_like_params()
+    value_loss_and_grad(params, obs, target, grads)
+    scratch = empty_like_params()
+    _check_gradient(lambda: value_loss_and_grad(params, obs, target, scratch),
+                    [*weights, *biases], [*g_w, *g_b])
 
 
 def test_adam_first_step_is_signed_lr():
@@ -115,6 +107,36 @@ def test_adam_first_step_is_signed_lr():
     opt = Adam(p, lr=0.01)
     opt.step(p, np.array([0.5, -3.0]))
     np.testing.assert_allclose(p, [1.0 - 0.01, -2.0 + 0.01], atol=1e-9)
+
+
+def test_one_adam_over_a_concatenation_equals_one_adam_per_part():
+    # the trainer steps both networks with one Adam over their joint vector
+    rng = np.random.default_rng(6)
+    joint = rng.normal(size=67)
+    parts = [joint[:37].copy(), joint[37:].copy()]
+    joint_opt = Adam(joint, lr=3e-4)
+    part_opts = [Adam(part, lr=3e-4) for part in parts]
+    for _ in range(30):
+        grad = rng.normal(size=67) * 10.0 ** rng.uniform(-8, 3, 67)
+        joint_opt.step(joint, grad)
+        for part, opt, g in zip(parts, part_opts, (grad[:37], grad[37:])):
+            opt.step(part, g)
+    np.testing.assert_array_equal(joint, np.concatenate(parts))
+
+
+def test_train_steps_both_networks_with_one_adam(monkeypatch):
+    sizes = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, params, lr):
+            sizes.append(params.size)
+            super().__init__(params, lr)
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    trained, _ = train(trainer_cfg=TrainerConfig(total_steps=64, batch_size=64, seed=0))
+    value_size = sum(w.size + b.size for w, b in zip(*init_layers(
+        np.random.default_rng(0), (6, 64, 64, 1))))
+    assert sizes == [trained.params.size + value_size]
 
 
 def _clip_per_array(grads, max_norm):
@@ -128,8 +150,9 @@ def test_flat_clipping_matches_per_array_clipping(norm_fraction):
     rng = np.random.default_rng(4)
     policy = MlpPolicy.initialize(rng, layer_dims=(6, 8, 8, 3))
     grad = np.empty_like(policy.params)
-    surrogate_loss_and_grad(policy, _bandit_batch(policy, rng), 0.2, grad)
-    g_w, g_b, g_log_std = policy.unflatten(grad)
+    g_w, g_b, g_log_std = grads = policy.unflatten(grad)
+    surrogate_loss_and_grad((policy.weights, policy.biases, policy.log_std),
+                            _bandit_batch(policy, rng), 0.2, grads)
     arrays = [*g_w, *g_b, g_log_std]
     assert all(np.shares_memory(a, grad) for a in arrays)
     max_norm = norm_fraction * math.sqrt(sum(float(np.sum(g * g)) for g in arrays))
