@@ -245,7 +245,9 @@ def run(spec: ScenarioSpec):
     controller call per controller choice on the stacked observations of its
     agents with waypoints left (the others command zero thrust), filters the
     commands when RTA is on, clips them to the thrust bound and steps all
-    agents with one :func:`propagate_cwh_zoh`.  Each agent's rows get the
+    agents with one :func:`propagate_cwh_zoh`.  The filter's solver starts
+    from the binding rows of the run's previous tick, which changes its step
+    count and its answer only by roundoff.  Each agent's rows get the
     bits they would get alone, so without RTA a joint run matches each
     agent's solo run exactly.
     """
@@ -267,6 +269,7 @@ def run(spec: ScenarioSpec):
     rows = []  # per tick: states, u_des, u, rta_active, slack, dist_goal
     no_slack = np.zeros((n, 6))
     aborted = False
+    warm = None  # the last tick's binding rows: the guess at this tick's working sets
 
     tick = 0
     while True:
@@ -304,7 +307,8 @@ def run(spec: ScenarioSpec):
 
         if spec.rta_enabled:
             decisions = filter_actions(states, u_des, accel_est, spec.orbit,
-                                       spec.rta_params, spec.vehicle)
+                                       spec.rta_params, spec.vehicle, warm=warm)
+            warm = np.array([d.active for d in decisions])
             u = np.array([d.u_safe for d in decisions])
             active = (np.array([d.fallback for d in decisions])
                       | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL))

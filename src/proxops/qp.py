@@ -2,15 +2,26 @@
 
 Solves
     min_x  sum_i w_i (x_i - c_i)^2    s.t.  A x <= b
-with strictly positive weights ``w``.  Problems of interest have at most a
-dozen variables and around a dozen rows, so a dense active-set method with
-exact KKT solves is both simple and predictable: it terminates in finitely
-many steps, unlike first-order schemes.
+with strictly positive weights ``w``.  Problems of interest have around a
+dozen variables and rows, so a dense active-set method with exact KKT
+solves is both simple and predictable: it terminates in finitely many
+steps, unlike first-order schemes.
 
-The solver starts from the unconstrained minimum ``x = c`` and alternately
-adds the lowest-indexed violated row to the working set and drops the
-lowest-indexed row with a negative multiplier (Bland-style selection, which
-prevents cycling on degenerate instances).
+:func:`solve_batch` runs the dual active-set iteration of Goldfarb and
+Idnani on a stack of same-shape problems in lock-step.  Each problem starts
+from the unconstrained minimum ``x = c`` and alternately adds the
+lowest-indexed violated row to its working set and releases blocking rows
+(Bland-style selection, which prevents cycling on degenerate instances).
+Each step makes one violation scan and one stacked linear solve on the
+normalised Gram matrices ``A Q^-1 A^T``, which are built once per call; a
+problem that has finished stops changing.  :func:`solve` is the call on a
+stack of one.
+
+A warm start guesses each problem's working set.  The solver solves the
+equality-constrained problem on the guess and starts there when its
+multipliers are finite and nonnegative, and cold otherwise.  The problem is
+strictly convex, so the guess changes the number of steps and the computed
+minimiser only by roundoff.
 """
 
 from __future__ import annotations
@@ -23,8 +34,19 @@ OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 200
+TOL = 1e-8  # on rows scaled to unit norm, so scale-free
+ITERATION_LIMIT = 200
+
+
+def _row_scale(coeffs):
+    """Each row's Euclidean norm, or 1 for a zero row."""
+    norms = np.sqrt((coeffs * coeffs).sum(axis=-1))
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def _matvec(a, v):
+    """``a @ v`` for a stack of matrices and a stack of vectors."""
+    return (a @ v[..., None])[..., 0]
 
 
 class QpProblem:
@@ -61,8 +83,7 @@ class QpProblem:
             raise ValueError("QP data must be finite")
         if (self.cost_weights <= 0.0).any():
             raise ValueError("cost_weights must be strictly positive")
-        norms = np.sqrt(np.einsum("ij,ij->i", self.coeffs, self.coeffs))
-        self.row_scale = np.where(norms > 0.0, norms, 1.0)  # 1 for zero rows
+        self.row_scale = _row_scale(self.coeffs)
 
     @property
     def rows(self) -> list:
@@ -80,6 +101,9 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
+    """One problem's solution; from :func:`solve_batch`, every field is an
+    array with one entry (or row) per problem."""
+
     x: np.ndarray
     multipliers: np.ndarray
     status: str
@@ -87,86 +111,135 @@ class QpSolution:
     kkt_residual: float
 
 
+def _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers):
+    natural = np.minimum(multipliers * scale, (rhs - _matvec(coeffs, x)) / scale)
+    grad = 2.0 * weights * (x - centres) + _matvec(coeffs.swapaxes(-1, -2), multipliers)
+    return np.maximum(np.abs(grad).max(axis=-1, initial=0.0),
+                      np.abs(natural).max(axis=-1, initial=0.0))
+
+
 def kkt_residual(qp: QpProblem, x, multipliers) -> float:
     """Max of the stationarity residual and, on each row i scaled to unit norm
     with residual s_i and multiplier l_i, the natural residual |min(l_i, -s_i)|.
     Zero (up to roundoff) exactly at the optimum, so it certifies any candidate;
     unlike |l_i s_i| it does not grow with a large slack-penalty multiplier."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(multipliers, dtype=float)
-    natural = np.minimum(lam * qp.row_scale, (qp.rhs - qp.coeffs @ x) / qp.row_scale)
-    grad = 2.0 * qp.cost_weights * (x - qp.cost_center) + qp.coeffs.T @ lam
-    return float(max(np.abs(grad).max(initial=0.0), np.abs(natural).max(initial=0.0)))
+    data = (qp.cost_weights, qp.cost_center, qp.coeffs, qp.rhs, qp.row_scale,
+            np.asarray(x, dtype=float), np.asarray(multipliers, dtype=float))
+    return float(_kkt_residuals(*(v[None] for v in data))[0])
 
 
-def solve(qp: QpProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
-    """Solve the QP; returns the unique minimizer when status is optimal.
+def solve(qp: QpProblem) -> QpSolution:
+    """Solve one QP (:func:`solve_batch` on a stack of one); returns the
+    unique minimizer when status is optimal."""
+    s = solve_batch(qp.cost_weights[None], qp.cost_center[None], qp.coeffs[None], qp.rhs[None])
+    return QpSolution(s.x[0], s.multipliers[0], str(s.status[0]), int(s.iterations[0]),
+                      float(s.kkt_residual[0]))
 
-    Dual active-set iteration in the style of Goldfarb and Idnani: starting
-    from the unconstrained minimum, repeatedly pick the lowest-indexed
-    violated row and drive it into the active set, releasing blocking rows
-    via a ratio test on the multipliers.  Stationarity and dual feasibility
-    hold at every step, and each release strictly increases the dual
-    objective, so the iteration cannot cycle.  Rows are normalized
-    internally, which makes ``tol`` scale-free; multipliers are reported for
-    the rows as given.
+
+def _solve_each(systems, rhs):
+    """Stacked ``np.linalg.solve``, NaN for each exactly singular system."""
+    out = np.full(rhs.shape, np.nan)
+    for k, (system, b) in enumerate(zip(systems, rhs)):
+        try:
+            out[k] = np.linalg.solve(system, b)
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def _warm_start(gram, rows_a, rows_b, inv_q, centres, guess):
+    """The equality-constrained minimiser on each guessed working set, as
+    (x, multipliers, working set); the cold start ``x = c`` with an empty set
+    where the guess is singular, inconsistent or has a negative multiplier."""
+    eye = np.eye(guess.shape[1])
+    systems = np.where(guess[:, :, None] & guess[:, None, :], gram, eye)
+    rhs = np.where(guess, _matvec(rows_a, centres) - rows_b, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad guess is rejected below
+        try:
+            lam = np.linalg.solve(systems, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            lam = _solve_each(systems, rhs)
+        x = centres - inv_q * _matvec(rows_a.swapaxes(1, 2), lam)
+        kept = (np.isfinite(lam).all(axis=1) & (lam >= 0.0).all(axis=1)
+                & ((np.abs(_matvec(rows_a, x) - rows_b) <= TOL) | ~guess).all(axis=1))
+    return (np.where(kept[:, None], x, centres), np.where(guess & kept[:, None], lam, 0.0),
+            guess & kept[:, None])
+
+
+def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
+    """Solve B same-shape QPs in lock-step; returns stacked solutions.
+
+    ``weights`` and ``centres`` are (B, n), ``coeffs`` (B, m, n) and ``rhs``
+    (B, m); ``warm``, if given, is a (B, m) boolean guess of each problem's
+    binding rows.  Per problem this is the dual active-set iteration of
+    Goldfarb and Idnani: pick the lowest-indexed violated row and drive it
+    into the working set, releasing blocking rows via a ratio test on the
+    multipliers.  Stationarity and dual feasibility hold at every step, and
+    each release strictly increases the dual objective, so the iteration
+    cannot cycle.  Rows are normalized internally, which makes ``TOL``
+    scale-free; multipliers are reported for the rows as given.
     """
-    m = qp.rhs.shape[0]
-    inv_q = 0.5 / qp.cost_weights  # inverse of the Hessian diagonal
+    weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
+                                     for v in (weights, centres, coeffs, rhs))
+    b, m = rhs.shape
+    inv_q = 0.5 / weights  # inverses of the Hessian diagonals
+    scale = _row_scale(coeffs)
+    rows_a = coeffs / scale[..., None]
+    rows_b = rhs / scale
+    gram = (rows_a * inv_q[:, None]) @ rows_a.swapaxes(1, 2)
 
     # 0 . x <= rhs is vacuous or hopeless regardless of x.  A vacuous zero
-    # row keeps scale 1, so its violation -rhs never exceeds tol.
-    if ((qp.rhs < -tol) & ~qp.coeffs.any(axis=1)).any():
-        return QpSolution(qp.cost_center.copy(), np.zeros(m), INFEASIBLE, 0, float("inf"))
-    scale = qp.row_scale
-    rows_a = qp.coeffs / scale[:, None]
-    rows_b = qp.rhs / scale
+    # row keeps scale 1, so its violation -rhs never exceeds TOL.
+    hopeless = ((rhs < -TOL) & ~coeffs.any(axis=2)).any(axis=1)
+    active = (np.zeros((b, m), dtype=bool) if warm is None
+              else np.asarray(warm, dtype=bool) & ~hopeless[:, None])
+    if active.any():
+        x, lam, active = _warm_start(gram, rows_a, rows_b, inv_q, centres, active)
+    else:  # an empty guess is the cold start
+        x, lam = centres.copy(), np.zeros((b, m))
+    iterations = np.zeros(b, dtype=int)
+    running, infeasible = ~hopeless, hopeless
+    entering = np.full(b, -1)  # the row being driven in, or -1 to scan
+    every, eye = np.arange(b), np.eye(m)
+    for _ in range(ITERATION_LIMIT):
+        iterations += running
+        scan = running & (entering < 0)
+        violated = (_matvec(rows_a, x) - rows_b > TOL) & ~active
+        running &= violated.any(axis=1) | ~scan
+        if not running.any():
+            break
+        entering = np.where(scan, violated.argmax(axis=1), entering)
 
-    x = qp.cost_center.copy()
-    lam = np.zeros(m)
-    active = np.zeros(m, dtype=bool)
-    status, iterations, entering = MAX_ITER, 0, -1
-    while iterations < max_iter:
-        iterations += 1
-        if entering < 0:
-            violated = (rows_a @ x - rows_b > tol) & ~active
-            if not violated.any():
-                status = OPTIMAL
-                break
-            entering = int(violated.argmax())
+        a_p = rows_a[every, entering]
+        g_p = gram[every, :, entering]  # every row's inner product with a_p
+        r = np.linalg.solve(np.where(active[:, :, None] & active[:, None, :], gram, eye),
+                            np.where(active, g_p, 0.0)[..., None])[..., 0]
+        z = inv_q * (a_p - _matvec(rows_a.swapaxes(1, 2), r))
+        curvature = (a_p * z).sum(axis=1)  # zero iff a_p depends on the active rows
+        flat = curvature <= 1e-11 * g_p[every, entering]
 
-        a_p = rows_a[entering]
-        work = active.nonzero()[0]
-        a_w = rows_a[work]
-        r = (np.linalg.solve((a_w * inv_q) @ a_w.T, a_w @ (inv_q * a_p))
-             if work.size else np.zeros(0))
-        z = inv_q * (a_p - a_w.T @ r)
-        curvature = float(a_p @ z)  # zero iff a_p depends on the active rows
+        blocking = np.where(active & (r > 1e-12), lam, np.inf) / np.maximum(r, 1e-12)
+        drop = blocking.argmin(axis=1)
+        t_block = blocking[every, drop]
+        stuck = running & flat & (t_block == np.inf)
+        infeasible = infeasible | stuck
+        running &= ~stuck
+        # A flat step is dual-only: it moves multiplier mass, not x.
+        t_full = (np.where(flat, np.inf, (a_p * x).sum(axis=1) - rows_b[every, entering])
+                  / np.where(flat, 1.0, curvature))
+        t = np.where(running, np.minimum(t_full, t_block), 0.0)
+        x = np.where((running & ~flat)[:, None], x - t[:, None] * z, x)
+        lam = np.where(running[:, None] & active, lam - t[:, None] * r, lam)
+        lam[every, entering] += t
+        join = running & (t_full <= t_block)
+        release = running & ~join
+        active[join, entering[join]] = True
+        entering[join] = -1
+        lam[release, drop[release]] = 0.0
+        active[release, drop[release]] = False
 
-        blocking = np.where(r > 1e-12, lam[work], np.inf) / np.maximum(r, 1e-12)
-        k = int(blocking.argmin()) if work.size else -1
-        t_block = float(blocking[k]) if k >= 0 else np.inf
-        drop = int(work[k]) if t_block < np.inf else -1
-
-        if curvature <= 1e-11 * float(a_p @ (inv_q * a_p)):
-            if drop < 0:
-                status = INFEASIBLE
-                break
-            t_full = np.inf  # dual-only step: move multiplier mass, not x
-        else:
-            t_full = (float(a_p @ x) - rows_b[entering]) / curvature
-        t = min(t_full, t_block)
-        if t_full < np.inf:
-            x = x - t * z
-        lam[work] -= t * r
-        lam[entering] += t
-        if t_full <= t_block:
-            active[entering] = True
-            entering = -1
-        else:
-            lam[drop] = 0.0
-            active[drop] = False
-
+    status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE, OPTIMAL))
     multipliers = np.maximum(lam, 0.0) / scale
-    return QpSolution(x, multipliers, status, iterations, kkt_residual(qp, x, multipliers))
+    kkt = np.where(hopeless, np.inf,
+                   _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers))
+    return QpSolution(x, multipliers, status, iterations, kkt)

@@ -16,7 +16,8 @@ estimate (the harness uses each peer's previous realized acceleration).
 Every row carries a slack variable with a large quadratic penalty; slacks
 stay at zero unless the hard constraints are momentarily incompatible.
 
-:func:`qp_arrays` builds every agent's rows in one numpy pass.  The filter
+:func:`qp_arrays` builds every agent's rows in one numpy pass, and one
+:func:`qp.solve_batch` call solves every agent's QP in lock-step.  The filter
 fails closed: non-finite data or a failed solve gives zero thrust, flagged.
 """
 
@@ -107,6 +108,8 @@ class RtaDecision:
     slacks: np.ndarray
     active: np.ndarray
     fallback: bool = False
+    iterations: int = 0  # solver iterations on this agent's QP; 0 if it was not solved
+    kkt_residual: float = math.inf  # the solution's KKT residual; inf if it was not solved
 
 
 def _dot(a, b):
@@ -163,11 +166,14 @@ def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: Vehi
     return coeffs, rhs
 
 
-def _problem(coeffs, rhs, desired, params: RtaParams) -> qp_mod.QpProblem:
-    """Thrust close to ``desired``, slacks close to zero under their penalty."""
-    weights = np.concatenate([np.ones(3), np.full(len(rhs) - 3, params.slack_penalty)])
-    center = np.concatenate([desired, np.zeros(len(rhs) - 3)])
-    return qp_mod.QpProblem.from_arrays(weights, center, coeffs, rhs)
+def _costs(desired, m: int, params: RtaParams):
+    """Weights and centres, (N, m): thrust close to ``desired`` (N, 3), slacks
+    close to zero under their penalty."""
+    weights = np.full((len(desired), m), params.slack_penalty)
+    weights[:, :3] = 1.0
+    centres = np.zeros((len(desired), m))
+    centres[:, :3] = desired
+    return weights, centres
 
 
 def _one_agent(agent: AgentSnapshot, peers):
@@ -190,26 +196,33 @@ def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit, params: Rt
     labels = [*(f"pos:{k}" for k in range(len(peers))), "vel", "acc", *_INPUT_LABELS]
     rows = [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
             for a, b, label in zip(coeffs[0], rhs[0], labels)]
-    return _problem(coeffs[0], rhs[0], np.asarray(desired, dtype=float), params), rows
+    weights, centres = _costs(np.reshape(desired, (1, 3)), len(rhs[0]), params)
+    return qp_mod.QpProblem.from_arrays(weights[0], centres[0], coeffs[0], rhs[0]), rows
 
 
 def _filter(kin, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams,
-            vehicle: VehicleParams) -> list:
-    """One decision per agent; zero thrust and ``fallback`` on non-finite data,
-    a non-optimal status or a non-finite solution."""
+            vehicle: VehicleParams, warm=None) -> list:
+    """One decision per agent from one batched solve, warm-started from the
+    (N, m) guess ``warm``; zero thrust and ``fallback`` on non-finite data, a
+    non-optimal status or a non-finite solution."""
     coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle)
-    desired = np.asarray(desired, dtype=float).reshape(len(rhs), 3)
+    n, m = rhs.shape
+    desired = np.asarray(desired, dtype=float).reshape(n, 3)
+    weights, centres = _costs(desired, m, params)
     finite = (np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
               & np.isfinite(desired).all(axis=1))
-    decisions = []
-    for a, b, u, ok in zip(coeffs, rhs, desired, finite):
-        solution = qp_mod.solve(_problem(a, b, u, params)) if ok else None
-        fallback = (solution is None or solution.status != qp_mod.OPTIMAL
-                    or not np.isfinite(solution.x).all())
-        x = np.zeros(len(b)) if fallback else solution.x
-        active = (not fallback) & (np.abs(b - a @ x) <= ACTIVE_TOL)
-        decisions.append(RtaDecision(x[:3], x[3:], active, fallback))
-    return decisions
+    keep = slice(None) if finite.all() else finite
+    solution = qp_mod.solve_batch(weights[keep], centres[keep], coeffs[keep], rhs[keep],
+                                  None if warm is None else warm[keep])
+    x, solved = np.zeros((n, m)), np.zeros(n, dtype=bool)
+    iterations, kkt = np.zeros(n, dtype=int), np.full(n, math.inf)
+    x[keep], iterations[keep], kkt[keep] = solution.x, solution.iterations, solution.kkt_residual
+    solved[keep] = solution.status == qp_mod.OPTIMAL
+    fallback = ~(solved & np.isfinite(x).all(axis=1))
+    x[fallback] = 0.0
+    active = ~fallback[:, None] & (np.abs(rhs - (coeffs @ x[..., None])[..., 0]) <= ACTIVE_TOL)
+    return [RtaDecision(*fields) for fields in zip(
+        x[:, :3], x[:, 3:], active, fallback.tolist(), iterations.tolist(), kkt.tolist())]
 
 
 def filter_agent(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
@@ -219,13 +232,17 @@ def filter_agent(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
-                   vehicle: VehicleParams) -> list:
+                   vehicle: VehicleParams, warm=None) -> list:
     """Filter every agent's desired thrust against the others and the chief.
 
     ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
     commanded thrusts in newtons and ``accel`` (N, 3) each agent's
     acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
     are the other agents, then the chief, motionless at the origin.
+    ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
+    rows, such as the last tick's :attr:`RtaDecision.active` masks.  It changes
+    how many solver steps the decisions take, and the decisions only by
+    roundoff.
     """
     states, n = np.asarray(states, dtype=float), len(states)
     if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
@@ -233,4 +250,8 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     kin = np.concatenate([states.reshape(n, 2, 3), np.reshape(accel, (n, 1, 3))], axis=1)
     everyone = np.concatenate([kin, np.zeros((1, 3, 3))])  # the agents, then the chief
     peer_kin = everyone[np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])]  # all but i
-    return _filter(kin, peer_kin, desired, orbit, params, vehicle)
+    if warm is not None:
+        warm = np.asarray(warm, dtype=bool)
+        if warm.shape != (n, n + 8):
+            raise ValueError("warm must be an (N, N + 8) boolean mask")
+    return _filter(kin, peer_kin, desired, orbit, params, vehicle, warm)

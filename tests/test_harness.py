@@ -209,9 +209,9 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     real_filter = harness.filter_actions
     estimates = []
 
-    def overdrive(states, desired, accel, orbit, params, vehicle):
+    def overdrive(states, desired, accel, orbit, params, vehicle, warm=None):
         estimates.append(accel.copy())
-        decisions = real_filter(states, desired, accel, orbit, params, vehicle)
+        decisions = real_filter(states, desired, accel, orbit, params, vehicle, warm=warm)
         for decision in decisions:
             decision.u_safe = np.array([3.0, -3.0, 0.5])
         return decisions
@@ -252,8 +252,8 @@ def test_filter_certifies_the_thrust_the_vehicle_applies(monkeypatch):
     real_filter = harness.filter_actions
     peaks = []
 
-    def spy(*args):
-        decisions = real_filter(*args)
+    def spy(*args, warm=None):
+        decisions = real_filter(*args, warm=warm)
         peaks.append(max(np.abs(d.u_safe).max() for d in decisions))
         return decisions
 
@@ -264,6 +264,36 @@ def test_filter_certifies_the_thrust_the_vehicle_applies(monkeypatch):
     assert len(peaks) == 150 and max(peaks) > 0.5
     assert max(peaks) <= 0.5 + 1e-3
     assert np.abs(log.u).max() == 0.5
+
+
+def test_warm_started_ring_solves_are_certified(monkeypatch):
+    # Each tick's solves start from the last tick's binding rows; every one of
+    # the six-deputy ring's decisions still comes with a small KKT residual.
+    real_filter = harness.filter_actions
+    decisions, guesses = [], []
+
+    def spy(*args, warm=None):
+        guesses.append(warm)
+        out = real_filter(*args, warm=warm)
+        decisions.extend(out)
+        return out
+
+    monkeypatch.setattr(harness, "filter_actions", spy)
+    run(dataclasses.replace(_ring(6, 0.1), leg_timeout=150.0))
+    assert len(decisions) == 6 * 150
+    assert guesses[0] is None and all(g.shape == (6, 14) for g in guesses[1:])
+    assert not any(d.fallback for d in decisions)
+    assert max(d.kkt_residual for d in decisions) <= 1e-7
+
+
+def test_no_warm_state_leaks_between_runs(tmp_path):
+    # A ring run between two standoff runs leaves the second standoff run's
+    # trajectory byte-identical to the first.
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    write_csv(run(three_agent_standoff(rta_enabled=True))[1], paths[0])
+    run(dataclasses.replace(_ring(6, 0.1), leg_timeout=150.0))
+    write_csv(run(three_agent_standoff(rta_enabled=True))[1], paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_records_are_views_of_the_arrays():

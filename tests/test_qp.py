@@ -7,6 +7,7 @@ from proxops.qp import (
     QpProblem,
     kkt_residual,
     solve,
+    solve_batch,
 )
 
 
@@ -221,3 +222,76 @@ def test_problem_data_are_read_only_copies():
             array[0] = 0.0
     qp.rows.append((np.array([1.0, 1.0]), 0.0))  # a fresh list: the problem is unchanged
     assert len(qp.rows) == 2 and np.allclose(solve(qp).x, [1.0, 1.0])
+
+
+def _mixed_stack(rng, dim=5, n_rows=7):
+    """Same-shape problems: random feasible ones, one with a hopeless zero row,
+    one with a duplicated row and one already optimal at ``x = c``."""
+    problems = [random_feasible_problem(rng, dim, n_rows) for _ in range(6)]
+    base = problems[0]
+    hopeless = base.coeffs.copy(), base.rhs.copy()
+    hopeless[0][3], hopeless[1][3] = 0.0, -1.0
+    duplicated = base.coeffs.copy(), base.rhs.copy()
+    duplicated[0][4], duplicated[1][4] = duplicated[0][2], duplicated[1][2]
+    centre = np.zeros(dim)  # strictly feasible, so no row binds
+    problems += [QpProblem.from_arrays(base.cost_weights, base.cost_center, *hopeless),
+                 QpProblem.from_arrays(base.cost_weights, base.cost_center, *duplicated),
+                 QpProblem.from_arrays(base.cost_weights, centre, base.coeffs, base.rhs)]
+    return problems
+
+
+def _stack(problems):
+    return [np.array([getattr(p, f) for p in problems])
+            for f in ("cost_weights", "cost_center", "coeffs", "rhs")]
+
+
+def test_solve_batch_matches_single_solves():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        problems = _mixed_stack(rng)
+        batch = solve_batch(*_stack(problems))
+        for k, problem in enumerate(problems):
+            alone = solve(problem)
+            assert batch.status[k] == alone.status
+            assert batch.iterations[k] == alone.iterations
+            np.testing.assert_allclose(batch.x[k], alone.x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.multipliers[k], alone.multipliers,
+                                       rtol=1e-12, atol=1e-12)
+        assert list(batch.status[-3:]) == [INFEASIBLE, OPTIMAL, OPTIMAL]
+
+
+def test_finished_problems_stop_changing():
+    # The hopeless problem never starts and the already-optimal one finishes
+    # on its first scan; both keep x = c exactly while the others iterate.
+    problems = _mixed_stack(np.random.default_rng(3))
+    batch = solve_batch(*_stack(problems))
+    assert batch.iterations.max() > 2
+    for k, rounds in ((-3, 0), (-1, 1)):
+        assert batch.iterations[k] == rounds
+        assert np.array_equal(batch.x[k], problems[k].cost_center)
+        assert not batch.multipliers[k].any()
+    assert batch.kkt_residual[-3] == np.inf and batch.kkt_residual[-1] == 0.0
+
+
+def test_warm_guesses_change_only_the_step_count():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        problems = _mixed_stack(rng)
+        data = _stack(problems)
+        cold = solve_batch(*data)
+        binding = np.abs(data[3] - np.einsum("bij,bj->bi", data[2], cold.x)) <= 1e-7
+        guesses = [np.ones_like(binding), rng.random(binding.shape) < 0.4, binding,
+                   np.roll(binding, 1, axis=0)]
+        duplicates = binding.copy()
+        duplicates[-2, [2, 4]] = True  # the duplicated problem's two equal rows: singular
+        for guess in guesses + [duplicates]:
+            warm = solve_batch(*data, warm=guess)
+            assert list(warm.status) == list(cold.status)
+            np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-9)
+        assert solve_batch(*data, warm=binding).iterations.max() <= cold.iterations.max()
+
+
+def test_solve_batch_takes_an_empty_stack():
+    batch = solve_batch(np.ones((0, 3)), np.zeros((0, 3)), np.zeros((0, 4, 3)), np.zeros((0, 4)),
+                        warm=np.zeros((0, 4), dtype=bool))
+    assert batch.x.shape == (0, 3) and batch.status.shape == (0,)

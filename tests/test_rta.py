@@ -251,14 +251,14 @@ def test_coincident_positions_do_not_break_the_filter():
 def test_solver_failure_falls_back_to_zero_thrust(monkeypatch):
     agent = snap([100.0, 0, 0], [0, 0, 0])
 
-    real_solve = qp_mod.solve
+    real_solve = qp_mod.solve_batch
 
-    def broken_solve(problem, *args, **kwargs):
-        sol = real_solve(problem)
-        sol.status = qp_mod.MAX_ITER
+    def broken_solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        sol.status[:] = qp_mod.MAX_ITER
         return sol
 
-    monkeypatch.setattr("proxops.rta.qp_mod.solve", broken_solve)
+    monkeypatch.setattr("proxops.rta.qp_mod.solve_batch", broken_solve)
     decision = filter_agent(agent, [chief_snapshot()], np.array([0.5, 0, 0]), ORBIT, PARAMS)
     assert decision.fallback
     assert np.array_equal(decision.u_safe, np.zeros(3))
@@ -362,15 +362,54 @@ def test_filter_actions_matches_one_agent_filters():
                 assert len(decision.slacks) == len(peers) + 5
 
 
-def test_solver_failure_falls_back_for_every_agent(monkeypatch):
-    real_solve = qp_mod.solve
+def test_warm_guesses_change_no_decision():
+    # The guess changes the solver's step count, never its answer: all rows,
+    # random masks, a stale mask from another tick and a guess that holds a
+    # duplicated peer's rows all give the cold decisions.
+    rng = np.random.default_rng(15)
+    stale = None
+    for n in (2, 4, 6):
+        for _ in range(4):
+            snaps = _random_snapshots(rng, n, spread=30.0 * n + 40.0)
+            snaps[-1] = snaps[0]  # a duplicated peer: two equal pair rows for the others
+            desired = rng.uniform(-1.5, 1.5, (n, 3))
+            cold = filter_snapshots(snaps, desired)
+            binding = np.array([d.active for d in cold])
+            guesses = [np.ones_like(binding), rng.random(binding.shape) < 0.5, binding]
+            if stale is not None and stale.shape == binding.shape:
+                guesses.append(stale)
+            for guess in guesses:
+                states = np.array([s.state.as_vector() for s in snaps])
+                accel = np.array([s.accel_est for s in snaps])
+                warm = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, warm=guess)
+                for w, c in zip(warm, cold):
+                    np.testing.assert_allclose(w.u_safe, c.u_safe, rtol=0, atol=1e-9)
+                    assert w.fallback == c.fallback
+            stale = binding
+    with pytest.raises(ValueError):
+        filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, warm=binding[:, :-1])
 
-    def broken_solve(problem, *args, **kwargs):
-        sol = real_solve(problem)
-        sol.status = qp_mod.MAX_ITER
+
+def test_decisions_report_the_solver_certificate():
+    snaps = _random_snapshots(np.random.default_rng(2), 3, spread=80.0)
+    for decision in filter_snapshots(snaps, [[1.0, 0, 0]] * 3):
+        assert not decision.fallback
+        assert decision.iterations >= 1
+        assert 0.0 <= decision.kkt_residual <= 1e-7
+    bad = filter_agent(snap([np.nan, 0, 0], [0, 0, 0]), [chief_snapshot()], np.zeros(3),
+                       ORBIT, PARAMS)
+    assert bad.fallback and bad.iterations == 0 and bad.kkt_residual == np.inf
+
+
+def test_solver_failure_falls_back_for_every_agent(monkeypatch):
+    real_solve = qp_mod.solve_batch
+
+    def broken_solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        sol.status[:] = qp_mod.MAX_ITER
         return sol
 
-    monkeypatch.setattr("proxops.rta.qp_mod.solve", broken_solve)
+    monkeypatch.setattr("proxops.rta.qp_mod.solve_batch", broken_solve)
     snaps = _random_snapshots(np.random.default_rng(4), 4)
     decisions = filter_snapshots(snaps, [[0.5, 0, 0]] * 4)
     assert [d.fallback for d in decisions] == [True] * 4
@@ -380,14 +419,14 @@ def test_solver_failure_falls_back_for_every_agent(monkeypatch):
 
 
 def test_non_finite_solution_falls_back(monkeypatch):
-    real_solve = qp_mod.solve
+    real_solve = qp_mod.solve_batch
 
-    def nan_solve(problem, *args, **kwargs):
-        sol = real_solve(problem)
+    def nan_solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
         sol.x = np.full_like(sol.x, np.nan)
         return sol
 
-    monkeypatch.setattr("proxops.rta.qp_mod.solve", nan_solve)
+    monkeypatch.setattr("proxops.rta.qp_mod.solve_batch", nan_solve)
     decision = filter_agent(snap([100.0, 0, 0], [0, 0, 0]), [chief_snapshot()],
                             np.array([0.5, 0, 0]), ORBIT, PARAMS)
     assert decision.fallback
