@@ -86,8 +86,9 @@ def mlp_forward(weights, biases, x: np.ndarray):
     """Tanh hidden layers, linear output: (output, input of every layer)."""
     hs = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        x = np.tanh(x @ w.T + b)
-        hs.append(x)
+        x = x @ w.T  # a fresh array, so the bias and tanh go in place
+        x += b
+        hs.append(np.tanh(x, out=x))
     return x @ weights[-1].T + biases[-1], hs
 
 

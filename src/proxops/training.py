@@ -86,8 +86,8 @@ class RolloutBatch:
 def gaussian_logp(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Row-wise log density of independent Gaussians (z, mean: (N, d))."""
     inv_var = np.exp(-2.0 * log_std)
-    quad = 0.5 * np.sum((z - mean) ** 2 * inv_var, axis=-1)
-    return -(quad + np.sum(log_std) + 0.5 * z.shape[-1] * LOG_2PI)
+    quad = 0.5 * ((z - mean) ** 2 * inv_var).sum(axis=-1)
+    return -(quad + log_std.sum() + 0.5 * z.shape[-1] * LOG_2PI)
 
 
 def gae(rewards, values, next_values, statuses, discount: float, lam: float,
@@ -115,7 +115,9 @@ def _backprop(weights, hs, g_out, g_w, g_b) -> None:
         np.matmul(g.T, hs[layer], out=g_w[layer])
         g.sum(axis=0, out=g_b[layer])
         if layer > 0:
-            g = (g @ weights[layer]) * (1.0 - hs[layer] ** 2)
+            d = np.square(hs[layer])
+            g = g @ weights[layer]
+            g *= np.subtract(1.0, d, out=d)
 
 
 def surrogate_loss_and_grad(params, batch: RolloutBatch, clip_ratio: float,
@@ -128,14 +130,14 @@ def surrogate_loss_and_grad(params, batch: RolloutBatch, clip_ratio: float,
     logp = gaussian_logp(batch.z, mean, log_std)
     ratio = np.exp(logp - batch.logp_old)
     adv = batch.adv
-    clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
-    per_sample = np.minimum(ratio * adv, clipped * adv)
-    loss = -float(np.mean(per_sample))
+    surr = ratio * adv
+    surr_clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
+    n = batch.obs.shape[0]
+    loss = -float(np.minimum(surr, surr_clipped).sum()) / n
 
     # gradient flows only where the unclipped branch attains the minimum
-    unclipped_active = ratio * adv <= clipped * adv
-    n = batch.obs.shape[0]
-    d_logp = -(adv * ratio * unclipped_active) / n
+    d_logp = surr * (surr <= surr_clipped)
+    d_logp /= -n
 
     inv_var = np.exp(-2.0 * log_std)
     diff = batch.z - mean
@@ -152,35 +154,43 @@ def value_loss_and_grad(params, obs: np.ndarray, target: np.ndarray,
     weights, biases = params
     v, hs = mlp_forward(weights, biases, obs)
     err = v[:, 0] - target
-    loss = 0.5 * float(np.mean(err ** 2))
-    g_out = (err / err.shape[0])[:, None]
+    loss = 0.5 * (float(np.square(err).sum()) / err.size)
+    g_out = (err / err.size)[:, None]
     _backprop(weights, hs, g_out, *grads)
     return loss
 
 
 class Adam:
-    """Plain Adam on one parameter array, updated in place."""
+    """Plain Adam on one parameter array, updated in place, with the bias
+    corrections folded into the step size and epsilon (Kingma & Ba 2015)."""
 
     def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._scratch = np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        b1c = 1.0 - ADAM_BETA1 ** self.t
-        b2c = 1.0 - ADAM_BETA2 ** self.t
-        self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grad
-        self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * grad * grad
-        params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
+        root_b2c = math.sqrt(1.0 - ADAM_BETA2 ** self.t)
+        step_size = self.lr * root_b2c / (1.0 - ADAM_BETA1 ** self.t)
+        m, v, tmp = self.m, self.v, self._scratch
+        m *= ADAM_BETA1
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        np.sqrt(v, out=tmp)
+        tmp += ADAM_EPS * root_b2c
+        np.divide(m, tmp, out=tmp)
+        tmp *= step_size
+        params -= tmp
 
 
-def _clip_grad(grad: np.ndarray, views: list, max_norm: float) -> None:
-    """Scale ``grad`` in place to norm max_norm if longer; norm summed over ``views``."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in views))
+def _clip_grad(grad: np.ndarray, max_norm: float) -> None:
+    """Scale one network's contiguous gradient in place to norm max_norm if longer."""
+    total = math.sqrt(grad @ grad)
     if total > max_norm:
         grad *= max_norm / total
 
@@ -214,9 +224,6 @@ def train(trainer_cfg: TrainerConfig | None = None,
 
     pol, val = views(params)
     pol_grad, val_grad = views(grad)
-    # each network's gradient is clipped alone, its norm summed view by view
-    pol_norm_views = [*pol_grad[0], *pol_grad[1], pol_grad[2]]
-    val_norm_views = [*val_grad[0], *val_grad[1]]
     log_std = pol[2]
     curve: list = []
 
@@ -260,17 +267,18 @@ def train(trainer_cfg: TrainerConfig | None = None,
 
         for _ in range(EPOCHS_PER_BATCH):
             order = rng.permutation(n)
+            shuffled = [a[order] for a in data]
             for lo in range(0, n, MINIBATCH_SIZE):
-                idx = order[lo:lo + MINIBATCH_SIZE]
-                mini = RolloutBatch(*(a[idx] for a in data))
+                mini = RolloutBatch(*[a[lo:lo + MINIBATCH_SIZE] for a in shuffled])
                 p_loss = surrogate_loss_and_grad(pol, mini, CLIP_RATIO, pol_grad)
                 v_loss = value_loss_and_grad(val, mini.obs, mini.v_target, val_grad)
                 if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
                     raise TrainingDivergence(
                         f"non-finite loss at step {steps_done}: "
                         f"policy {p_loss}, value {v_loss}")
-                _clip_grad(grad[:n_pol], pol_norm_views, GRAD_CLIP)
-                _clip_grad(grad[n_pol:], val_norm_views, GRAD_CLIP)
+                # each network's gradient is clipped alone
+                _clip_grad(grad[:n_pol], GRAD_CLIP)
+                _clip_grad(grad[n_pol:], GRAD_CLIP)
                 opt.step(params, grad)
         if not np.all(np.isfinite(params)):
             raise TrainingDivergence(f"non-finite parameters at step {steps_done}")

@@ -21,6 +21,7 @@ from proxops.policy import (
     UnsupportedPolicyVersion,
     baseline_act,
     load_policy,
+    mlp_forward,
     policy_act,
     save_policy,
 )
@@ -97,6 +98,28 @@ def test_policy_actions_stay_in_the_open_unit_box():
         obs = Observation(rng.uniform(-2, 2, 3), rng.uniform(-10, 10, 3))
         action = policy_act(policy, obs)
         assert np.all(np.abs(action) < 1.0)
+
+
+@pytest.mark.parametrize("shape", [(64, 6), (5, 1, 6)])
+def test_mlp_forward_is_the_plain_layer_formula_and_writes_no_input(shape):
+    rng = np.random.default_rng(21)
+    policy = MlpPolicy.initialize(rng)
+    x = rng.uniform(-1, 1, shape)
+    inputs = [x, *policy.weights, *policy.biases]
+    before = [a.copy() for a in inputs]
+    out, hs = mlp_forward(policy.weights, policy.biases, x)
+    for a, b in zip(inputs, before):
+        np.testing.assert_array_equal(a, b)
+    assert hs[0] is x
+    assert len(hs) == len(policy.weights)
+    for k, (w, b) in enumerate(zip(policy.weights, policy.biases)):
+        expected = hs[k] @ w.T + b
+        if k + 1 < len(hs):
+            expected = np.tanh(expected)
+            assert not any(np.shares_memory(hs[k + 1], a) for a in [*inputs, *hs[:k + 1]])
+            np.testing.assert_array_equal(hs[k + 1], expected)
+    np.testing.assert_array_equal(out, expected)
+    assert not any(np.shares_memory(out, a) for a in [*inputs, *hs])
 
 
 def test_policy_rejects_wrong_observation_size():

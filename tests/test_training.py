@@ -8,6 +8,9 @@ from proxops.dynamics import default_orbit, default_vehicle
 from proxops.env import EpisodeConfig, RelativeState, Status, observe, step
 from proxops.policy import MlpPolicy, init_layers, load_policy, save_policy
 from proxops.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     _clip_grad,
     CurvePoint,
@@ -109,6 +112,25 @@ def test_adam_first_step_is_signed_lr():
     np.testing.assert_allclose(p, [1.0 - 0.01, -2.0 + 0.01], atol=1e-9)
 
 
+def test_folded_adam_matches_the_textbook_update():
+    # Kingma & Ba 2015, Algorithm 1, with the bias-corrected moments spelled out;
+    # a zero vector stepped each time receives the update itself
+    rng = np.random.default_rng(9)
+    n, lr = 64, 3e-4
+    opt = Adam(np.zeros(n), lr)
+    m, v = np.zeros(n), np.zeros(n)
+    for t in range(1, 301):
+        grad = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, n)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        update = np.zeros(n)
+        opt.step(update, grad)
+        np.testing.assert_allclose(update, -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS),
+                                   rtol=1e-12, atol=0.0)
+
+
 def test_one_adam_over_a_concatenation_equals_one_adam_per_part():
     # the trainer steps both networks with one Adam over their joint vector
     rng = np.random.default_rng(6)
@@ -157,8 +179,21 @@ def test_flat_clipping_matches_per_array_clipping(norm_fraction):
     assert all(np.shares_memory(a, grad) for a in arrays)
     max_norm = norm_fraction * math.sqrt(sum(float(np.sum(g * g)) for g in arrays))
     expected = np.concatenate([g.ravel() for g in _clip_per_array(arrays, max_norm)])
-    _clip_grad(grad, arrays, max_norm)
-    np.testing.assert_array_equal(grad, expected)
+    _clip_grad(grad, max_norm)
+    # one dot product sums the squares in another order than the per-array sums
+    np.testing.assert_allclose(grad, expected, rtol=1e-14, atol=0.0)
+
+
+def test_clipping_the_policy_segment_leaves_the_value_segment_unchanged():
+    # the trainer clips each network's slice of one joint gradient vector alone
+    rng = np.random.default_rng(5)
+    joint = rng.normal(size=500)
+    n_pol, value_before = 300, joint[300:].copy()
+    policy_norm = math.sqrt(float(np.sum(joint[:n_pol] ** 2)))
+    _clip_grad(joint[:n_pol], 0.1 * policy_norm)
+    np.testing.assert_array_equal(joint[n_pol:], value_before)
+    assert math.sqrt(float(np.sum(joint[:n_pol] ** 2))) == pytest.approx(
+        0.1 * policy_norm, rel=1e-14)
 
 
 def test_policy_arrays_are_views_into_one_flat_vector():
