@@ -29,13 +29,12 @@ from .harness import (
 )
 from .policy import MlpPolicy, baseline_act, load_policy, save_policy
 from .qp import QpProblem, QpSolution, solve
-from .rta import AgentSnapshot, RtaDecision, RtaParams, filter_actions, filter_agent
+from .rta import RtaDecision, RtaParams, filter_actions
 from .training import TrainerConfig, evaluate_policy, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentSnapshot",
     "ChiefOrbit",
     "EpisodeConfig",
     "InertialState",
@@ -61,7 +60,6 @@ __all__ = [
     "default_vehicle",
     "evaluate_policy",
     "filter_actions",
-    "filter_agent",
     "load_policy",
     "propagate_cwh",
     "propagate_inertial",

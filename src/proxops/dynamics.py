@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,40 +142,13 @@ def default_vehicle() -> VehicleParams:
     return VehicleParams()
 
 
-class StateDerivative(NamedTuple):
-    vel: np.ndarray
-    accel: np.ndarray
-
-
-def cwh_drift_accel(state: RelativeState, orbit: ChiefOrbit) -> np.ndarray:
-    """Unforced Clohessy-Wiltshire acceleration at ``state``, m/s^2.
-
-    This is the linear drift term of the relative dynamics; thrust enters
-    separately as u / mass.
-    """
-    return cwh_drift_rows(state.as_vector(), orbit)
-
-
 def cwh_drift_rows(states: np.ndarray, orbit: ChiefOrbit) -> np.ndarray:
-    """:func:`cwh_drift_accel` of each row of ``states`` (..., 6), position
-    then velocity; each row gets the bits it would get alone."""
+    """Unforced Clohessy-Wiltshire acceleration, m/s^2, of each row of
+    ``states`` (..., 6), position then velocity; each row gets the bits it
+    would get alone.  Thrust enters separately as u / mass."""
     n = orbit.mean_motion
     x, _, z, vx, vy, _ = states.T
     return np.array([3.0 * n * n * x + 2.0 * n * vy, -2.0 * n * vx, -n * n * z]).T
-
-
-def cwh_derivative(state: RelativeState, u, orbit: ChiefOrbit,
-                   veh: VehicleParams) -> StateDerivative:
-    """Time derivative of the relative state under thrust ``u`` (N).
-
-    Returns
-    -------
-    StateDerivative
-        ``vel`` is the state's velocity, ``accel`` the CWH drift plus u/m.
-    """
-    u = _vec3(u)
-    accel = cwh_drift_accel(state, orbit) + u / veh.mass
-    return StateDerivative(state.vel.copy(), accel)
 
 
 def _rk4(deriv, state, h, substeps: int) -> tuple:
@@ -318,39 +290,6 @@ def cwh_closed_form(state: RelativeState, dt: float, orbit: ChiefOrbit) -> Relat
     pos = phi_rr @ state.pos + phi_rv @ state.vel
     vel = phi_vr @ state.pos + phi_vv @ state.vel
     return RelativeState(pos, vel)
-
-
-def two_body_j2_derivative(state: InertialState, orbit: ChiefOrbit) -> StateDerivative:
-    """Two-body acceleration with an optional first-order J2 zonal term.
-
-    Parameters
-    ----------
-    state : InertialState
-        ECI state of the vehicle.
-    orbit : ChiefOrbit
-        Supplies mu, the J2 flag/coefficient, and the body radius.
-
-    Raises
-    ------
-    ValueError
-        If the position has zero norm.
-    """
-    r = state.pos
-    r2 = float(r @ r)
-    if r2 == 0.0:
-        raise ValueError("position norm must be positive")
-    rn = math.sqrt(r2)
-    accel = (-orbit.mu / (r2 * rn)) * r
-    if orbit.j2_enabled:
-        x, y, z = r
-        z2_r2 = z * z / r2
-        k = -1.5 * orbit.j2_coefficient * orbit.mu * orbit.body_radius**2 / (r2 * r2 * rn)
-        accel = accel + k * np.array([
-            x * (1.0 - 5.0 * z2_r2),
-            y * (1.0 - 5.0 * z2_r2),
-            z * (3.0 - 5.0 * z2_r2),
-        ])
-    return StateDerivative(state.vel.copy(), accel)
 
 
 def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,

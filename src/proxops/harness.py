@@ -398,11 +398,6 @@ def local_minima(distances: dict) -> dict:
             for key, series in distances.items()}
 
 
-def crossing_times(log: TrajectoryLog) -> dict:
-    """Strict local minima of each pairwise-distance series: (t, distance)."""
-    return local_minima(pair_distances(log))
-
-
 @dataclass(frozen=True)
 class BaselineStats:
     n_trials: int

@@ -17,18 +17,19 @@ Every row carries a slack variable with a large quadratic penalty; slacks
 stay at zero unless the hard constraints are momentarily incompatible.
 
 :func:`qp_arrays` builds every agent's rows in one numpy pass, and one
-:func:`qp.solve_batch` call solves every agent's QP in lock-step.  The filter
-fails closed: non-finite data or a failed solve gives zero thrust, flagged.
+:func:`qp.solve_batch` call solves every agent's QP in lock-step;
+:func:`build_qp` is one agent's QP from the same arrays.  The filter fails
+closed: non-finite data or a failed solve gives zero thrust, flagged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import ChiefOrbit, RelativeState, VehicleParams, cwh_drift_rows
+from .dynamics import ChiefOrbit, VehicleParams, cwh_drift_rows
 from . import qp as qp_mod
 
 N_SHARED_SLACKS = 5  # velocity, acceleration, and one per thrust axis
@@ -36,7 +37,6 @@ INTERVENTION_TOL = 1e-6  # N; the filter intervened when a thrust axis moved fur
 ACTIVE_TOL = 1e-7  # a row binds when its margin at the solution is at most this
 # Thrust-box rows sign * u[axis] <= vehicle.thrust_bound, in +x, -x, +y, -y, +z, -z order.
 _INPUT_COEFFS = np.kron(np.eye(3), [[1.0], [-1.0]])
-_INPUT_LABELS = [f"input:{tag}{name}" for name in "xyz" for tag in "+-"]
 
 
 @dataclass(frozen=True)
@@ -66,41 +66,6 @@ class RtaParams:
 
 
 @dataclass
-class AgentSnapshot:
-    """One agent's state, an estimate of its current acceleration, and its
-    actuation parameters.  ``veh`` may be omitted for peers (only their state
-    and acceleration enter another agent's constraints)."""
-
-    state: RelativeState
-    accel_est: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    veh: VehicleParams | None = None
-
-    def __post_init__(self):
-        self.accel_est = np.asarray(self.accel_est, dtype=float)
-        if self.accel_est.shape != (3,):
-            raise ValueError("accel_est must be a 3-vector")
-
-
-def chief_snapshot() -> AgentSnapshot:
-    """The chief as seen by the filter: fixed at the Hill-frame origin."""
-    return AgentSnapshot(RelativeState(np.zeros(3), np.zeros(3)), np.zeros(3))
-
-
-@dataclass
-class ConstraintRow:
-    """One affine condition coeff_u . u + rhs >= slack[slack_index]."""
-
-    coeff_u: np.ndarray
-    rhs: float
-    slack_index: int
-    label: str
-
-    def evaluate(self, u) -> float:
-        """Constraint margin at thrust ``u`` with the slack at zero."""
-        return float(self.coeff_u @ np.asarray(u, dtype=float)) + self.rhs
-
-
-@dataclass
 class RtaDecision:
     """Filter output for one agent."""
 
@@ -118,17 +83,6 @@ def _dot(a, b):
 
 def _pos_barrier(d, collision_radius):
     return 0.5 * (_dot(d, d) - collision_radius**2)
-
-
-def pos_barrier(state_i: RelativeState, state_j: RelativeState,
-                collision_radius: float) -> float:
-    """Half the squared separation in excess of the collision radius."""
-    return float(_pos_barrier(state_i.pos - state_j.pos, collision_radius))
-
-
-def pos_barrier_dot(state_i: RelativeState, state_j: RelativeState) -> float:
-    """Time derivative of :func:`pos_barrier` along the joint motion."""
-    return float(_dot(state_i.pos - state_j.pos, state_i.vel - state_j.vel))
 
 
 def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: VehicleParams):
@@ -176,38 +130,56 @@ def _costs(desired, m: int, params: RtaParams):
     return weights, centres
 
 
-def _one_agent(agent: AgentSnapshot, peers):
-    """One agent's kinematics (see :func:`qp_arrays`), (1, 3, 3), and its peers'."""
-    if agent.veh is None:
-        raise ValueError("the filtered agent needs vehicle parameters")
-    kin = np.array([(s.state.pos, s.state.vel, s.accel_est) for s in [agent, *peers]])
-    return kin[:1], kin[None, 1:]
+def _kinematics(states, desired, accel):
+    """Each agent's kinematics, its peers' (see :func:`qp_arrays`) and the
+    desired thrusts from the arrays :func:`filter_actions` takes.  Agent i's
+    peers are the other agents in index order, then the chief, motionless at
+    the origin."""
+    states, n = np.asarray(states, dtype=float), len(states)
+    if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
+        raise ValueError("states, desired and accel must be (N, 6), (N, 3) and (N, 3)")
+    kin = np.concatenate([states.reshape(n, 2, 3), np.reshape(accel, (n, 1, 3))], axis=1)
+    everyone = np.concatenate([kin, np.zeros((1, 3, 3))])  # the agents, then the chief
+    peer_kin = everyone[np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])]  # all but i
+    return kin, peer_kin, np.asarray(desired, dtype=float)
 
 
-def build_rows(agent: AgentSnapshot, peers, orbit: ChiefOrbit, params: RtaParams) -> list:
-    """All constraint rows for one agent, pair rows first."""
-    return build_qp(agent, peers, np.zeros(3), orbit, params)[1]
+def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
+             vehicle: VehicleParams, k: int) -> qp_mod.QpProblem:
+    """Agent ``k``'s slack-relaxed QP: the one :func:`filter_actions` solves
+    for agent ``k`` from the same arguments, with the rows of :func:`qp_arrays`."""
+    kin, peer_kin, desired = _kinematics(states, desired, accel)
+    coeffs, rhs = qp_arrays(kin[[k]], peer_kin[[k]], orbit, params, vehicle)
+    weights, centres = _costs(desired[[k]], rhs.shape[1], params)
+    return qp_mod.QpProblem.from_arrays(weights[0], centres[0], coeffs[0], rhs[0])
 
 
-def build_qp(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit, params: RtaParams):
-    """The slack-relaxed QP for one agent (see :func:`qp_arrays`) and its rows,
-    labelled ``pos:k`` for peer k, then ``vel``, ``acc`` and the box rows."""
-    coeffs, rhs = qp_arrays(*_one_agent(agent, peers), orbit, params, agent.veh)
-    labels = [*(f"pos:{k}" for k in range(len(peers))), "vel", "acc", *_INPUT_LABELS]
-    rows = [ConstraintRow(-a[:3], float(b), int(a[3:].argmax()), label)
-            for a, b, label in zip(coeffs[0], rhs[0], labels)]
-    weights, centres = _costs(np.reshape(desired, (1, 3)), len(rhs[0]), params)
-    return qp_mod.QpProblem.from_arrays(weights[0], centres[0], coeffs[0], rhs[0]), rows
+def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
+                   vehicle: VehicleParams, warm=None) -> list:
+    """Filter every agent's desired thrust against the others and the chief.
 
+    ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
+    commanded thrusts in newtons and ``accel`` (N, 3) each agent's
+    acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
+    are the other agents, then the chief, motionless at the origin.
+    ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
+    rows, such as the last tick's :attr:`RtaDecision.active` masks.  It changes
+    how many solver steps the decisions take, and the decisions only by
+    roundoff.
 
-def _filter(kin, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams,
-            vehicle: VehicleParams, warm=None) -> list:
-    """One decision per agent from one batched solve, warm-started from the
-    (N, m) guess ``warm``; zero thrust and ``fallback`` on non-finite data, a
-    non-optimal status or a non-finite solution."""
+    One batched solve gives every decision.  An agent gets zero thrust and
+    ``fallback`` on non-finite data in its rows or command, a non-optimal
+    status or a non-finite solution; a non-finite peer makes the rows of
+    every agent that sees it non-finite, so none of them is certified.
+    """
+    kin, peer_kin, desired = _kinematics(states, desired, accel)
+    n = len(kin)
+    if warm is not None:
+        warm = np.asarray(warm, dtype=bool)
+        if warm.shape != (n, n + 8):
+            raise ValueError("warm must be an (N, N + 8) boolean mask")
     coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle)
-    n, m = rhs.shape
-    desired = np.asarray(desired, dtype=float).reshape(n, 3)
+    m = rhs.shape[1]
     weights, centres = _costs(desired, m, params)
     finite = (np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
               & np.isfinite(desired).all(axis=1))
@@ -223,35 +195,3 @@ def _filter(kin, peer_kin, desired, orbit: ChiefOrbit, params: RtaParams,
     active = ~fallback[:, None] & (np.abs(rhs - (coeffs @ x[..., None])[..., 0]) <= ACTIVE_TOL)
     return [RtaDecision(*fields) for fields in zip(
         x[:, :3], x[:, 3:], active, fallback.tolist(), iterations.tolist(), kkt.tolist())]
-
-
-def filter_agent(agent: AgentSnapshot, peers, desired, orbit: ChiefOrbit,
-                 params: RtaParams) -> RtaDecision:
-    """Filter one agent's desired thrust against its constraint rows."""
-    return _filter(*_one_agent(agent, peers), [desired], orbit, params, agent.veh)[0]
-
-
-def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
-                   vehicle: VehicleParams, warm=None) -> list:
-    """Filter every agent's desired thrust against the others and the chief.
-
-    ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
-    commanded thrusts in newtons and ``accel`` (N, 3) each agent's
-    acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
-    are the other agents, then the chief, motionless at the origin.
-    ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
-    rows, such as the last tick's :attr:`RtaDecision.active` masks.  It changes
-    how many solver steps the decisions take, and the decisions only by
-    roundoff.
-    """
-    states, n = np.asarray(states, dtype=float), len(states)
-    if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
-        raise ValueError("states, desired and accel must be (N, 6), (N, 3) and (N, 3)")
-    kin = np.concatenate([states.reshape(n, 2, 3), np.reshape(accel, (n, 1, 3))], axis=1)
-    everyone = np.concatenate([kin, np.zeros((1, 3, 3))])  # the agents, then the chief
-    peer_kin = everyone[np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])]  # all but i
-    if warm is not None:
-        warm = np.asarray(warm, dtype=bool)
-        if warm.shape != (n, n + 8):
-            raise ValueError("warm must be an (N, N + 8) boolean mask")
-    return _filter(kin, peer_kin, desired, orbit, params, vehicle, warm)

@@ -285,11 +285,11 @@ def test_non_finite_metric_exits_1_without_bare_nan(tmp_path, capsys, monkeypatc
 
 
 def test_plot_data_minima_are_the_crossing_times(tmp_path):
-    from proxops.harness import crossing_times, run, three_agent_standoff
+    from proxops.harness import local_minima, pair_distances, run, three_agent_standoff
 
     out = tmp_path / "o"
     assert main(["run", "--scenario", "standoff", "--rta", "off", "--out", str(out)]) == 0
     plot = json.loads((out / "plot_data.json").read_text())
     _, log = run(three_agent_standoff(False))
     assert plot["crossing_times"] == {key: [list(m) for m in minima]
-                                      for key, minima in crossing_times(log).items()}
+                                      for key, minima in local_minima(pair_distances(log)).items()}

@@ -12,8 +12,7 @@ from proxops.dynamics import (
     VehicleParams,
     circular_chief_state,
     cwh_closed_form,
-    cwh_derivative,
-    cwh_drift_accel,
+    cwh_drift_rows,
     cwh_zoh,
     default_orbit,
     default_vehicle,
@@ -22,7 +21,6 @@ from proxops.dynamics import (
     propagate_cwh,
     propagate_cwh_zoh,
     propagate_inertial,
-    two_body_j2_derivative,
 )
 
 ORBIT = default_orbit()
@@ -35,48 +33,56 @@ def random_state(rng):
 
 
 def test_zero_state_zero_thrust_has_zero_derivative():
-    der = cwh_derivative(RelativeState([0, 0, 0], [0, 0, 0]), [0, 0, 0], ORBIT, VEH)
-    assert np.array_equal(der.vel, np.zeros(3))
-    assert np.array_equal(der.accel, np.zeros(3))
+    assert np.array_equal(cwh_drift_rows(np.zeros(6), ORBIT), np.zeros(3))
+    zero = np.zeros((1, 6))
+    assert np.array_equal(propagate_cwh_zoh(zero, np.zeros((1, 3)), 1.0, ORBIT, VEH), zero)
 
 
 def test_pure_radial_offset_accelerates_radially():
-    der = cwh_derivative(RelativeState([100.0, 0, 0], [0, 0, 0]), [0, 0, 0], ORBIT, VEH)
-    assert der.accel[0] == pytest.approx(3.0 * N * N * 100.0, rel=1e-15)
-    assert der.accel[1] == 0.0 and der.accel[2] == 0.0
+    accel = cwh_drift_rows(np.array([100.0, 0, 0, 0, 0, 0]), ORBIT)
+    assert accel[0] == pytest.approx(3.0 * N * N * 100.0, rel=1e-15)
+    assert accel[1] == 0.0 and accel[2] == 0.0
 
 
 def test_cross_track_is_a_pure_oscillator():
-    der = cwh_derivative(RelativeState([0, 0, 80.0], [0, 0, 0]), [0, 0, 0], ORBIT, VEH)
-    assert der.accel[2] == pytest.approx(-N * N * 80.0, rel=1e-15)
-    assert der.accel[0] == 0.0 and der.accel[1] == 0.0
+    accel = cwh_drift_rows(np.array([0, 0, 80.0, 0, 0, 0]), ORBIT)
+    assert accel[2] == pytest.approx(-N * N * 80.0, rel=1e-15)
+    assert accel[0] == 0.0 and accel[1] == 0.0
+
+
+def zoh_step(state, u, veh=VEH, dt=1.0):
+    """One exact CWH step of one (6,) state under the held thrust ``u``."""
+    return propagate_cwh_zoh(np.reshape(state, (1, 6)), np.reshape(u, (1, 3)), dt, ORBIT, veh)[0]
 
 
 def test_thrust_enters_affinely():
-    # Zero drift state makes the affine identity exact in floating point.
-    zero = RelativeState([0, 0, 0], [0, 0, 0])
+    # On the map scenarios step with: from the zero state only thrust moves
+    # the vehicle, and the step is affine in the thrust up to roundoff.
+    zero = np.zeros(6)
     u1 = np.array([0.5, -0.25, 1.0])
     u2 = np.array([-1.0, 0.5, 0.25])
-    lhs = cwh_derivative(zero, u1 + u2, ORBIT, VEH).accel - cwh_derivative(zero, u2, ORBIT, VEH).accel
-    rhs = cwh_derivative(zero, u1, ORBIT, VEH).accel - cwh_derivative(zero, [0, 0, 0], ORBIT, VEH).accel
-    assert np.array_equal(lhs, rhs)
+    for dt in (1.0, 10.0):
+        lhs = zoh_step(zero, u1 + u2, dt=dt) - zoh_step(zero, u2, dt=dt)
+        rhs = zoh_step(zero, u1, dt=dt) - zoh_step(zero, np.zeros(3), dt=dt)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-15)
 
     rng = np.random.default_rng(7)
     for _ in range(20):
-        st = random_state(rng)
+        st = random_state(rng).as_vector()
         ua, ub = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        lhs = cwh_derivative(st, ua + ub, ORBIT, VEH).accel - cwh_derivative(st, ub, ORBIT, VEH).accel
-        rhs = cwh_derivative(st, ua, ORBIT, VEH).accel - cwh_derivative(st, [0, 0, 0], ORBIT, VEH).accel
-        np.testing.assert_allclose(lhs, rhs, atol=1e-15)
+        lhs = zoh_step(st, ua + ub) - zoh_step(st, ub)
+        rhs = zoh_step(st, ua) - zoh_step(st, np.zeros(3))
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_derivative_mass_scaling():
+    # Thrust enters the step as u / mass: a 4 kg vehicle under u moves as the
+    # 1 kg vehicle under u / 4.
     heavy = VehicleParams(mass=4.0)
-    st = RelativeState([10.0, -20.0, 5.0], [0.1, 0.2, -0.3])
     u = np.array([1.0, -0.5, 0.25])
-    drift = cwh_drift_accel(st, ORBIT)
-    der = cwh_derivative(st, u, ORBIT, heavy)
-    np.testing.assert_allclose(der.accel, drift + u / 4.0, rtol=0, atol=1e-18)
+    for dt in (1.0, 10.0):
+        np.testing.assert_allclose(zoh_step(np.zeros(6), u, heavy, dt),
+                                   zoh_step(np.zeros(6), u / 4.0, VEH, dt), rtol=1e-15, atol=0)
 
 
 def test_propagate_matches_derivative_for_small_dt():
@@ -84,12 +90,12 @@ def test_propagate_matches_derivative_for_small_dt():
     for _ in range(10):
         st = random_state(rng)
         u = rng.uniform(-1, 1, 3)
-        der = cwh_derivative(st, u, ORBIT, VEH)
+        accel = cwh_drift_rows(st.as_vector(), ORBIT) + u / VEH.mass
         # First-order truncation leaves an O(accel * dt / 2) gap.
         dt = 1e-4
         nxt = propagate_cwh(st, u, dt, ORBIT, VEH, substeps=1)
-        np.testing.assert_allclose((nxt.pos - st.pos) / dt, der.vel, rtol=1e-6, atol=dt)
-        np.testing.assert_allclose((nxt.vel - st.vel) / dt, der.accel, rtol=1e-6, atol=dt)
+        np.testing.assert_allclose((nxt.pos - st.pos) / dt, st.vel, rtol=1e-6, atol=dt)
+        np.testing.assert_allclose((nxt.vel - st.vel) / dt, accel, rtol=1e-6, atol=dt)
 
 
 def test_propagation_composes():
@@ -219,17 +225,19 @@ def test_inertial_start_below_the_body_radius_raises_before_stepping(monkeypatch
 
 
 def test_j2_term_is_radial_on_the_equator():
-    st = InertialState([ORBIT.semi_major_axis, 0.0, 0.0], [0.0, 7000.0, 0.0])
-    with_j2 = two_body_j2_derivative(st, default_orbit(j2_enabled=True))
-    without = two_body_j2_derivative(st, ORBIT)
-    delta = with_j2.accel - without.accel
-    assert delta[0] < 0.0  # extra pull toward the body
-    assert delta[1] == 0.0 and delta[2] == 0.0
-
-
-def test_two_body_rejects_zero_position():
-    with pytest.raises(ValueError):
-        two_body_j2_derivative(InertialState([0, 0, 0], [0, 0, 0]), ORBIT)
+    # One short step on the equator with J2 on and off: J2 adds a pull toward
+    # the body of 1.5 J2 mu R^2 / r^4, in the orbit plane.
+    a = ORBIT.semi_major_axis
+    st = InertialState([a, 0.0, 0.0], [0.0, N * a, 0.0])
+    dt = 1.0
+    with_j2 = propagate_inertial(st, dt, default_orbit(j2_enabled=True), substeps=1)
+    without = propagate_inertial(st, dt, ORBIT, substeps=1)
+    delta = with_j2.vel - without.vel
+    pull = 1.5 * ORBIT.j2_coefficient * ORBIT.mu * ORBIT.body_radius**2 / a**4
+    assert delta[0] == pytest.approx(-pull * dt, rel=1e-3)  # toward the body
+    # the step turns the radial direction by N dt rad, so half of that remains
+    assert abs(delta[1]) <= N * dt * abs(delta[0])
+    assert delta[2] == 0.0
 
 
 def test_hill_transform_of_chief_is_zero():

@@ -9,7 +9,7 @@ from proxops import harness
 from proxops.dynamics import (
     RelativeState,
     VehicleParams,
-    cwh_drift_accel,
+    cwh_drift_rows,
     default_vehicle,
     propagate_cwh_zoh,
 )
@@ -23,7 +23,7 @@ from proxops.harness import (
     baseline_stats,
     builtin_scenario,
     compute_metrics,
-    crossing_times,
+    local_minima,
     make_controller,
     pair_distances,
     run,
@@ -228,7 +228,7 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     np.testing.assert_array_equal(
         states[1], propagate_cwh_zoh(states[0], log.u[0], 1.0, spec.orbit, spec.vehicle))
     for k in range(2):
-        drift = cwh_drift_accel(RelativeState(log.pos[0, k], log.vel[0, k]), spec.orbit)
+        drift = cwh_drift_rows(states[0, k], spec.orbit)
         np.testing.assert_array_equal(estimates[1][k], drift + applied / spec.vehicle.mass)
 
 
@@ -439,7 +439,7 @@ def test_csv_schema_and_round_trip(tmp_path):
 
 def test_crossing_times_catch_the_conflicts():
     _, log = run(three_agent_standoff(rta_enabled=False))
-    crossings = crossing_times(log)
+    crossings = local_minima(pair_distances(log))
     assert len(crossings["0-1"]) >= 1
     assert min(d for _, d in crossings["0-1"]) < 50.0
     assert all(len(v) >= 1 for v in crossings.values())

@@ -7,175 +7,138 @@ import proxops.qp as qp_mod
 from proxops.dynamics import (
     RelativeState,
     VehicleParams,
-    cwh_drift_accel,
+    cwh_drift_rows,
     default_orbit,
     default_vehicle,
     propagate_cwh,
 )
-from proxops.rta import (
-    AgentSnapshot,
-    RtaParams,
-    build_qp,
-    build_rows,
-    chief_snapshot,
-    filter_actions,
-    filter_agent,
-    pos_barrier,
-    pos_barrier_dot,
-)
+from proxops.rta import RtaParams, _pos_barrier, build_qp, filter_actions
 
 ORBIT = default_orbit()
 VEH = default_vehicle()
 PARAMS = RtaParams()
 
 
-def snap(pos, vel, accel=(0, 0, 0), veh=VEH):
-    return AgentSnapshot(RelativeState(pos, vel), np.asarray(accel, dtype=float), veh)
+def margins(problem, u):
+    """Each row's margin at thrust ``u`` with every slack at zero."""
+    return problem.rhs - problem.coeffs[:, :3] @ np.asarray(u, dtype=float)
 
 
-def filter_snapshots(snaps, desired, veh=VEH):
-    """``filter_actions`` on the (N, 6) states and (N, 3) estimates of ``snaps``."""
-    states = np.array([s.state.as_vector() for s in snaps])
-    accel = np.array([s.accel_est for s in snaps])
-    return filter_actions(states, np.array(desired, dtype=float), accel, ORBIT, PARAMS, veh)
+def lone_qp(pos, vel, accel=(0, 0, 0), veh=VEH):
+    """The QP of one agent flying alone with the chief: rows ``pos:chief``,
+    ``vel``, ``acc``, then the thrust box."""
+    return build_qp([[*pos, *vel]], np.zeros((1, 3)), [accel], ORBIT, PARAMS, veh, 0)
 
 
 def test_pos_barrier_zero_at_the_collision_radius():
-    a = RelativeState([50.0, 0, 0], [0, 0, 0])
-    b = RelativeState([0.0, 0, 0], [0, 0, 0])
-    assert pos_barrier(a, b, PARAMS.collision_radius) == 0.0
+    assert _pos_barrier(np.array([50.0, 0, 0]), PARAMS.collision_radius) == 0.0
 
 
 def test_pos_barrier_value_at_100m():
-    a = RelativeState([100.0, 0, 0], [0, 0, 0])
-    b = RelativeState([0.0, 0, 0], [0, 0, 0])
-    assert pos_barrier(a, b, 50.0) == pytest.approx(3750.0, abs=0)
-
-
-def test_pos_barrier_dot_sign_matches_closing_speed():
-    a = RelativeState([100.0, 0, 0], [-1.0, 0, 0])
-    b = RelativeState([0.0, 0, 0], [0.0, 0, 0])
-    assert pos_barrier_dot(a, b) == pytest.approx(-100.0, abs=0)
-    a_open = RelativeState([100.0, 0, 0], [2.0, 0, 0])
-    assert pos_barrier_dot(a_open, b) == pytest.approx(200.0, abs=0)
-
-
-def test_pos_barrier_dot_matches_finite_differences():
-    # Oracle: differentiate the barrier numerically along the true motion of
-    # both vehicles under constant thrusts.
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        si = RelativeState(rng.uniform(-200, 200, 3), rng.uniform(-2, 2, 3))
-        sj = RelativeState(rng.uniform(-200, 200, 3), rng.uniform(-2, 2, 3))
-        ui, uj = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        delta = 1e-3
-        def h_at(tau):
-            a = propagate_cwh(si, ui, tau, ORBIT, VEH, substeps=1)
-            b = propagate_cwh(sj, uj, tau, ORBIT, VEH, substeps=1)
-            return pos_barrier(a, b, PARAMS.collision_radius)
-        # forward difference about t=0 carries O(delta * hddot) truncation
-        fd = (h_at(delta) - pos_barrier(si, sj, PARAMS.collision_radius)) / delta
-        assert fd == pytest.approx(pos_barrier_dot(si, sj), abs=2e-2, rel=1e-3)
+    assert _pos_barrier(np.array([100.0, 0, 0]), 50.0) == pytest.approx(3750.0, abs=0)
 
 
 def test_pos_hocbf_row_matches_numeric_differentiation():
     # Oracle: the row's margin at thrust u must equal hddot + (g0+g1) hdot +
-    # g0 g1 h with hddot measured by second differences of the barrier along
+    # g0 g1 h with hdot and hddot measured by differences of the barrier along
     # the jointly propagated motion.
     rng = np.random.default_rng(42)
     for _ in range(10):
         si = RelativeState(rng.uniform(-300, 300, 3), rng.uniform(-3, 3, 3))
         sj = RelativeState(rng.uniform(-300, 300, 3), rng.uniform(-3, 3, 3))
         ui, uj = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        peer_accel = cwh_drift_accel(sj, ORBIT) + uj / VEH.mass
-        agent = AgentSnapshot(si, np.zeros(3), VEH)
-        peer = AgentSnapshot(sj, peer_accel)
-        row = build_rows(agent, [peer], ORBIT, PARAMS)[0]
+        peer_accel = cwh_drift_rows(sj.as_vector(), ORBIT) + uj / VEH.mass
+        states = np.array([si.as_vector(), sj.as_vector()])
+        accel = np.array([np.zeros(3), peer_accel])
+        problem = build_qp(states, np.zeros((2, 3)), accel, ORBIT, PARAMS, VEH, 0)
 
         delta = 1e-2
         def h_at(tau):
             a = propagate_cwh(si, ui, tau, ORBIT, VEH, substeps=2)
             b = propagate_cwh(sj, uj, tau, ORBIT, VEH, substeps=2)
-            return pos_barrier(a, b, PARAMS.collision_radius)
-        h0 = pos_barrier(si, sj, PARAMS.collision_radius)
-        hddot = (h_at(2 * delta) - 2.0 * h_at(delta) + h0) / delta**2
-        hdot = pos_barrier_dot(si, sj)
+            return _pos_barrier(a.pos - b.pos, PARAMS.collision_radius)
+        h0 = _pos_barrier(si.pos - sj.pos, PARAMS.collision_radius)
+        h1, h2 = h_at(delta), h_at(2 * delta)
+        hdot = (4.0 * h1 - 3.0 * h0 - h2) / (2.0 * delta)
+        hddot = (h2 - 2.0 * h1 + h0) / delta**2
         gain_sum = PARAMS.pos_gain_inner + PARAMS.pos_gain_outer
         gain_prod = PARAMS.pos_gain_inner * PARAMS.pos_gain_outer
         expected = hddot + gain_sum * hdot + gain_prod * h0
         # second differences carry O(delta) truncation from the third
         # derivative, which scales with velocity * acceleration here
-        assert row.evaluate(ui) == pytest.approx(expected, abs=0.5, rel=1e-3)
+        assert margins(problem, ui)[0] == pytest.approx(expected, abs=0.5, rel=1e-3)
 
 
 def test_rows_are_affine_in_the_thrust():
-    agent = snap([100.0, -50.0, 20.0], [1.0, -0.5, 0.2], accel=[0.1, 0.0, -0.05])
-    rows = build_rows(agent, [chief_snapshot()], ORBIT, PARAMS)
+    # The thrust is a QP variable, so every row is affine in it; the desired
+    # thrust moves only the cost's centre, never a row.
+    states = np.array([[100.0, -50.0, 20.0, 1.0, -0.5, 0.2], [-80.0, 40.0, 0.0, 0.0, 0.3, 0.0]])
+    accel = np.array([[0.1, 0.0, -0.05], [0.0, 0.02, 0.0]])
+    rest = build_qp(states, np.zeros((2, 3)), accel, ORBIT, PARAMS, VEH, 0)
     rng = np.random.default_rng(3)
-    for row in rows:
-        for _ in range(5):
-            u = rng.uniform(-2, 2, 3)
-            assert row.evaluate(u) == row.evaluate(np.zeros(3)) + float(row.coeff_u @ u)
+    for _ in range(5):
+        desired = rng.uniform(-2, 2, (2, 3))
+        problem = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, 0)
+        assert np.array_equal(problem.coeffs, rest.coeffs)
+        assert np.array_equal(problem.rhs, rest.rhs)
+        assert np.array_equal(problem.cost_center[:3], desired[0])
+        assert not problem.cost_center[3:].any()
 
 
 def test_vel_row_at_rest_reduces_to_the_static_margin():
-    agent = snap([10.0, 0, 0], [0, 0, 0])
-    row = build_rows(agent, [], ORBIT, PARAMS)[0]
-    assert np.array_equal(row.coeff_u, np.zeros(3))
-    assert row.rhs == pytest.approx(PARAMS.vel_gain * 0.5 * PARAMS.max_speed**2, rel=1e-12)
+    problem = lone_qp([10.0, 0, 0], [0, 0, 0])
+    assert np.array_equal(problem.coeffs[1, :3], np.zeros(3))
+    assert problem.rhs[1] == pytest.approx(PARAMS.vel_gain * 0.5 * PARAMS.max_speed**2, rel=1e-12)
 
 
 def test_vel_row_blocks_acceleration_at_the_speed_limit():
     # moving along +y at exactly max_speed: any thrust along +y violates
-    agent = snap([0.0, 0, 0], [0.0, PARAMS.max_speed, 0])
-    row = build_rows(agent, [], ORBIT, PARAMS)[0]
-    assert row.coeff_u[1] < 0.0
+    state = [0.0, 0, 0, 0.0, PARAMS.max_speed, 0]
+    problem = lone_qp(state[:3], state[3:])
+    assert problem.coeffs[1, 1] > 0.0
     # barrier itself is zero, so the margin at zero thrust is just the drift term
-    drift = cwh_drift_accel(agent.state, ORBIT)
-    assert row.rhs == pytest.approx(-PARAMS.max_speed * drift[1], rel=1e-9, abs=1e-12)
+    drift = cwh_drift_rows(np.array(state), ORBIT)
+    assert problem.rhs[1] == pytest.approx(-PARAMS.max_speed * drift[1], rel=1e-9, abs=1e-12)
 
 
 def test_acc_row_with_zero_estimate_is_vacuous_for_thrust():
-    agent = snap([50.0, 0, 0], [0.5, 0, 0], accel=[0, 0, 0])
-    row = build_rows(agent, [], ORBIT, PARAMS)[1]
-    assert np.array_equal(row.coeff_u, np.zeros(3))
-    assert row.rhs == pytest.approx(PARAMS.max_accel**2, rel=1e-12)
+    problem = lone_qp([50.0, 0, 0], [0.5, 0, 0], accel=[0, 0, 0])
+    assert np.array_equal(problem.coeffs[2, :3], np.zeros(3))
+    assert problem.rhs[2] == pytest.approx(PARAMS.max_accel**2, rel=1e-12)
 
 
 def test_acc_row_binds_at_the_acceleration_ceiling():
     # accelerating along +x at the ceiling: commanding the same again binds
     est = np.array([PARAMS.max_accel, 0.0, 0.0])
-    agent = snap([0.0, 0, 0], [0, 0, 0], accel=est)
-    row = build_rows(agent, [], ORBIT, PARAMS)[1]
+    problem = lone_qp([0.0, 0, 0], [0, 0, 0], accel=est)
     u_aligned = est * VEH.mass  # thrust producing exactly the estimate
-    drift = cwh_drift_accel(agent.state, ORBIT)
-    margin = row.evaluate(u_aligned)
-    assert margin == pytest.approx(-float(est @ drift) * 2.0, abs=1e-9)
+    drift = cwh_drift_rows(np.zeros(6), ORBIT)
+    assert margins(problem, u_aligned)[2] == pytest.approx(-float(est @ drift) * 2.0, abs=1e-9)
 
 
 def test_input_rows_pair_per_axis():
     for veh in (VEH, VehicleParams(thrust_bound=2.0)):
-        rows = build_rows(snap([0.0, 0, 0], [0, 0, 0], veh=veh), [], ORBIT, PARAMS)[2:]
-        assert len(rows) == 6
-        assert [r.slack_index for r in rows] == [2, 2, 3, 3, 4, 4]
-        for row in rows:
-            assert row.evaluate(np.zeros(3)) == veh.thrust_bound
+        problem = lone_qp([0.0, 0, 0], [0, 0, 0], veh=veh)
+        box = problem.coeffs[3:]
+        assert len(box) == 6
+        assert box[:, 3:].argmax(axis=1).tolist() == [3, 3, 4, 4, 5, 5]
+        assert margins(problem, np.zeros(3))[3:].tolist() == [veh.thrust_bound] * 6
         at_bound = np.array([veh.thrust_bound, 0.0, 0.0])
-        margins = sorted(r.evaluate(at_bound) for r in rows[:2])
-        assert margins[0] == pytest.approx(0.0, abs=0)
-        assert margins[1] == pytest.approx(2.0 * veh.thrust_bound, abs=0)
+        assert sorted(margins(problem, at_bound)[3:5]) == [0.0, 2.0 * veh.thrust_bound]
 
 
 def test_build_qp_dimensions():
-    agent = snap([100.0, 0, 0], [0, 0, 0])
-    one_peer, rows1 = build_qp(agent, [chief_snapshot()], np.zeros(3), ORBIT, PARAMS)
-    assert one_peer.dim == 9 and len(one_peer.rows) == 9 and len(rows1) == 9
-    two_peers, rows2 = build_qp(agent, [chief_snapshot(), snap([300.0, 0, 0], [0, 0, 0])],
-                                np.zeros(3), ORBIT, PARAMS)
-    assert two_peers.dim == 10 and len(two_peers.rows) == 10 and len(rows2) == 10
+    one_peer = lone_qp([100.0, 0, 0], [0, 0, 0])
+    assert one_peer.dim == 9 and len(one_peer.rows) == 9
+    states = np.array([[100.0, 0, 0, 0, 0, 0], [300.0, 0, 0, 0, 0, 0]])
+    for k in (0, 1):
+        two_peers = build_qp(states, np.zeros((2, 3)), np.zeros((2, 3)), ORBIT, PARAMS, VEH, k)
+        assert two_peers.dim == 10 and len(two_peers.rows) == 10
     # slack weights carry the penalty, thrust weights stay at one
     assert np.all(one_peer.cost_weights[:3] == 1.0)
     assert np.all(one_peer.cost_weights[3:] == PARAMS.slack_penalty)
+    with pytest.raises(IndexError):
+        build_qp(states, np.zeros((2, 3)), np.zeros((2, 3)), ORBIT, PARAMS, VEH, 2)
 
 
 def test_filter_leaves_safe_commands_alone():
@@ -184,29 +147,30 @@ def test_filter_leaves_safe_commands_alone():
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(200):
-        agent = snap(rng.uniform(-200, 200, 3), rng.uniform(-1.5, 1.5, 3),
-                     accel=rng.uniform(-0.2, 0.2, 3))
-        peer_pos = agent.state.pos + rng.uniform(200, 400) * _unit(rng)
-        peer = snap(peer_pos, rng.uniform(-1.5, 1.5, 3))
-        desired = rng.uniform(-0.8, 0.8, 3)
-        rows = build_rows(agent, [peer, chief_snapshot()], ORBIT, PARAMS)
-        if min(row.evaluate(desired) for row in rows) <= 1e-3:
+        pos, vel, est = (rng.uniform(-200, 200, 3), rng.uniform(-1.5, 1.5, 3),
+                         rng.uniform(-0.2, 0.2, 3))
+        peer_pos = pos + rng.uniform(200, 400) * _unit(rng)
+        states = np.array([[*pos, *vel], [*peer_pos, *rng.uniform(-1.5, 1.5, 3)]])
+        desired = np.array([rng.uniform(-0.8, 0.8, 3), np.zeros(3)])
+        accel = np.array([est, np.zeros(3)])
+        problem = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, 0)
+        if margins(problem, desired[0]).min() <= 1e-3:
             continue
         checked += 1
-        decision = filter_agent(agent, [peer, chief_snapshot()], desired, ORBIT, PARAMS)
+        decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)[0]
         assert not decision.fallback
-        np.testing.assert_allclose(decision.u_safe, desired, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(decision.u_safe, desired[0], rtol=0, atol=1e-6)
         np.testing.assert_allclose(decision.slacks, np.zeros_like(decision.slacks),
                                    rtol=0, atol=1e-9)
     assert checked > 50
 
 
 def test_filter_clamps_oversized_commands():
-    # At rest, far from everything: only the thrust box can bind, so the
+    # At rest, far from the chief: only the thrust box can bind, so the
     # filtered command is the componentwise clamp up to the slack penalty.
-    agent = snap([0.0, 0, 0], [0, 0, 0])
     desired = np.array([1.8, -0.4, 0.2])
-    decision = filter_agent(agent, [], desired, ORBIT, PARAMS)
+    decision = filter_actions([[0.0, 0, 400.0, 0, 0, 0]], [desired], np.zeros((1, 3)),
+                              ORBIT, PARAMS, VEH)[0]
     clamp = np.clip(desired, -VEH.thrust_bound, VEH.thrust_bound)
     np.testing.assert_allclose(decision.u_safe, clamp, rtol=0, atol=5e-6)
 
@@ -215,23 +179,23 @@ def test_filter_certifies_the_vehicle_thrust_bound():
     # The box rows sit at the vehicle's bound, the one the actuator applies.
     weak = VehicleParams(thrust_bound=0.5)
     desired = np.array([0.8, -0.8, 0.3])
-    decision = filter_agent(snap([0.0, 0, 0], [0, 0, 0], veh=weak), [], desired,
-                            ORBIT, PARAMS)
+    decision = filter_actions([[0.0, 0, 400.0, 0, 0, 0]], [desired], np.zeros((1, 3)),
+                              ORBIT, PARAMS, weak)[0]
     np.testing.assert_allclose(decision.u_safe, [0.5, -0.5, 0.3], rtol=0, atol=5e-6)
-    assert decision.active[2:].sum() == 2  # the +x and -y box rows bind
-    far = [snap([0.0, 0, 0], [0, 0, 0]), snap([0.0, 0, 400.0], [0, 0, 0])]
-    for d in filter_snapshots(far, [desired, -desired], weak):
+    assert decision.active[3:].sum() == 2  # the +x and -y box rows bind
+    far = np.array([[0.0, 0, 0, 0, 0, 0], [0.0, 0, 400.0, 0, 0, 0]])
+    for d in filter_actions(far, [desired, -desired], np.zeros((2, 3)), ORBIT, PARAMS, weak):
         np.testing.assert_allclose(np.abs(d.u_safe), [0.5, 0.5, 0.3], rtol=0, atol=5e-6)
 
 
 def test_thrust_bound_holds_up_to_slack():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        agent = snap(rng.uniform(-300, 300, 3), rng.uniform(-4, 4, 3),
-                     accel=rng.uniform(-1, 1, 3))
-        peer = snap(rng.uniform(-300, 300, 3), rng.uniform(-4, 4, 3))
-        desired = rng.uniform(-2, 2, 3)
-        decision = filter_agent(agent, [peer, chief_snapshot()], desired, ORBIT, PARAMS)
+        pos, vel, est = rng.uniform(-300, 300, 3), rng.uniform(-4, 4, 3), rng.uniform(-1, 1, 3)
+        states = np.array([[*pos, *vel], [*rng.uniform(-300, 300, 3), *rng.uniform(-4, 4, 3)]])
+        accel = np.array([est, np.zeros(3)])
+        desired = np.array([rng.uniform(-2, 2, 3), np.zeros(3)])
+        decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)[0]
         input_slacks = decision.slacks[-3:]
         for axis in range(3):
             assert abs(decision.u_safe[axis]) <= (VEH.thrust_bound
@@ -241,25 +205,28 @@ def test_thrust_bound_holds_up_to_slack():
 def test_coincident_positions_do_not_break_the_filter():
     # Degenerate geometry: zero separation zeroes the pair row's thrust
     # coefficients; the slack absorbs the (already violated) barrier.
-    agent = snap([10.0, 0, 0], [0, 0, 0])
-    peer = snap([10.0, 0, 0], [0, 0, 0])
-    decision = filter_agent(agent, [peer], np.zeros(3), ORBIT, PARAMS)
+    states = np.array([[10.0, 0, 400.0, 0, 0, 0]] * 2)
+    decision = filter_actions(states, np.zeros((2, 3)), np.zeros((2, 3)), ORBIT, PARAMS, VEH)[0]
     assert not decision.fallback
     assert decision.slacks[0] < 0.0
 
 
-def test_solver_failure_falls_back_to_zero_thrust(monkeypatch):
-    agent = snap([100.0, 0, 0], [0, 0, 0])
-
+def _break_solver(monkeypatch, how):
+    """Make every batched solve report ``how`` applied to its real solution."""
     real_solve = qp_mod.solve_batch
 
     def broken_solve(*args, **kwargs):
         sol = real_solve(*args, **kwargs)
-        sol.status[:] = qp_mod.MAX_ITER
+        how(sol)
         return sol
 
     monkeypatch.setattr("proxops.rta.qp_mod.solve_batch", broken_solve)
-    decision = filter_agent(agent, [chief_snapshot()], np.array([0.5, 0, 0]), ORBIT, PARAMS)
+
+
+def test_solver_failure_falls_back_to_zero_thrust(monkeypatch):
+    _break_solver(monkeypatch, lambda sol: sol.status.fill(qp_mod.MAX_ITER))
+    decision = filter_actions([[100.0, 0, 0, 0, 0, 0]], [[0.5, 0, 0]], np.zeros((1, 3)),
+                              ORBIT, PARAMS, VEH)[0]
     assert decision.fallback
     assert np.array_equal(decision.u_safe, np.zeros(3))
 
@@ -269,9 +236,9 @@ def test_filter_actions_symmetry():
     # dynamics and the chief at the origin onto themselves, must produce
     # mirrored decisions.  The pair sits 400 m off the chief along z, so the
     # pair rows, not the chief's, shape the answer.
-    a = snap([-100.0, 0, 400.0], [2.0, 0, 0])
-    b = snap([100.0, 0, 400.0], [-2.0, 0, 0])
-    decisions = filter_snapshots([a, b], [[0.5, 0, 0], [-0.5, 0, 0]])
+    states = np.array([[-100.0, 0, 400.0, 2.0, 0, 0], [100.0, 0, 400.0, -2.0, 0, 0]])
+    decisions = filter_actions(states, [[0.5, 0, 0], [-0.5, 0, 0]], np.zeros((2, 3)),
+                               ORBIT, PARAMS, VEH)
     assert decisions[0].active[0]  # the pair row binds
     np.testing.assert_allclose(decisions[0].u_safe, decisions[1].u_safe * [-1, -1, 1],
                                atol=1e-7)
@@ -284,30 +251,30 @@ def test_head_on_approach_keeps_separation():
     dt = 1.0
     states = [RelativeState([-150.0, 3.0, 400.0], [2.5, 0.0, 0.0]),
               RelativeState([150.0, -3.0, 400.0], [-2.5, 0.0, 0.0])]
-    accel_est = [np.zeros(3), np.zeros(3)]
+    accel_est = np.zeros((2, 3))
     min_sep = np.inf
     for _ in range(240):
-        snaps = [AgentSnapshot(states[k], accel_est[k], VEH) for k in range(2)]
-        decisions = filter_snapshots(snaps, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        for k in range(2):
-            drift = cwh_drift_accel(states[k], ORBIT)
-            accel_est[k] = drift + decisions[k].u_safe / VEH.mass
-            states[k] = propagate_cwh(states[k], decisions[k].u_safe, dt, ORBIT, VEH, substeps=10)
+        vectors = np.array([s.as_vector() for s in states])
+        decisions = filter_actions(vectors, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], accel_est,
+                                   ORBIT, PARAMS, VEH)
+        u_safe = np.array([d.u_safe for d in decisions])
+        accel_est = cwh_drift_rows(vectors, ORBIT) + u_safe / VEH.mass
+        states = [propagate_cwh(s, u, dt, ORBIT, VEH, substeps=10)
+                  for s, u in zip(states, u_safe)]
         min_sep = min(min_sep, float(np.linalg.norm(states[0].pos - states[1].pos)))
     assert min_sep >= 0.9 * PARAMS.collision_radius
 
 
 def test_speed_limit_holds_in_closed_loop():
+    # 400 m off the chief along z, clear of the chief's rows
     dt = 1.0
-    state = RelativeState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    accel_est = np.zeros(3)
+    state = RelativeState([0.0, 0.0, 400.0], [0.0, 0.0, 0.0])
+    accel_est = np.zeros((1, 3))
     top_speed = 0.0
     for _ in range(60):
-        desired = np.array([1.0, 0.0, 0.0])
-        decision = filter_agent(AgentSnapshot(state, accel_est, VEH), [], desired,
-                                ORBIT, PARAMS)
-        drift = cwh_drift_accel(state, ORBIT)
-        accel_est = drift + decision.u_safe / VEH.mass
+        desired = np.array([[1.0, 0.0, 0.0]])
+        decision = filter_actions([state.as_vector()], desired, accel_est, ORBIT, PARAMS, VEH)[0]
+        accel_est = cwh_drift_rows(state.as_vector(), ORBIT)[None] + decision.u_safe / VEH.mass
         state = propagate_cwh(state, decision.u_safe, dt, ORBIT, VEH, substeps=10)
         top_speed = max(top_speed, float(np.linalg.norm(state.vel)))
     assert top_speed <= 1.1 * PARAMS.max_speed
@@ -332,6 +299,8 @@ def test_filter_actions_rejects_misshapen_arrays():
                  (states[:, :3], commands, commands)):
         with pytest.raises(ValueError):
             filter_actions(*args, ORBIT, PARAMS, VEH)
+        with pytest.raises(ValueError):
+            build_qp(*args, ORBIT, PARAMS, VEH, 0)
 
 
 def _unit(rng):
@@ -339,27 +308,30 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
-def _random_snapshots(rng, n, spread=300.0):
-    return [snap(rng.uniform(-spread, spread, 3), rng.uniform(-3, 3, 3),
-                 accel=rng.uniform(-0.5, 0.5, 3)) for _ in range(n)]
+def _random_agents(rng, n, spread=300.0):
+    """(N, 6) states and (N, 3) acceleration estimates, drawn agent by agent."""
+    draws = [(rng.uniform(-spread, spread, 3), rng.uniform(-3, 3, 3),
+              rng.uniform(-0.5, 0.5, 3)) for _ in range(n)]
+    return np.array([[*pos, *vel] for pos, vel, _ in draws]), np.array([a for *_, a in draws])
 
 
 def test_filter_actions_matches_one_agent_filters():
-    # The batched pass against per-agent calls that list each agent's peers.
+    # The batched pass against one solve per agent of the QP build_qp gives,
+    # with the filter's fallback rule.
     rng = np.random.default_rng(8)
     for n in range(1, 9):
         for _ in range(3):
-            snaps = _random_snapshots(rng, n, spread=40.0 * n + 60.0)
+            states, accel = _random_agents(rng, n, spread=40.0 * n + 60.0)
             desired = rng.uniform(-1.5, 1.5, (n, 3))
-            batched = filter_snapshots(snaps, desired)
+            batched = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
             assert len(batched) == n
-            for i, decision in enumerate(batched):
-                peers = [s for j, s in enumerate(snaps) if j != i] + [chief_snapshot()]
-                alone = filter_agent(snaps[i], peers, desired[i], ORBIT, PARAMS)
-                np.testing.assert_allclose(decision.u_safe, alone.u_safe,
-                                           rtol=0, atol=1e-7)
-                assert decision.fallback == alone.fallback
-                assert len(decision.slacks) == len(peers) + 5
+            for k, decision in enumerate(batched):
+                alone = qp_mod.solve(build_qp(states, desired, accel, ORBIT, PARAMS, VEH, k))
+                fallback = alone.status != qp_mod.OPTIMAL or not np.isfinite(alone.x).all()
+                u_alone = np.zeros(3) if fallback else alone.x[:3]
+                np.testing.assert_allclose(decision.u_safe, u_alone, rtol=0, atol=1e-7)
+                assert decision.fallback == fallback
+                assert len(decision.slacks) == n + 5  # the other agents, the chief, shared
 
 
 def test_warm_guesses_change_no_decision():
@@ -370,17 +342,16 @@ def test_warm_guesses_change_no_decision():
     stale = None
     for n in (2, 4, 6):
         for _ in range(4):
-            snaps = _random_snapshots(rng, n, spread=30.0 * n + 40.0)
-            snaps[-1] = snaps[0]  # a duplicated peer: two equal pair rows for the others
+            states, accel = _random_agents(rng, n, spread=30.0 * n + 40.0)
+            # a duplicated peer: two equal pair rows for the others
+            states[-1], accel[-1] = states[0], accel[0]
             desired = rng.uniform(-1.5, 1.5, (n, 3))
-            cold = filter_snapshots(snaps, desired)
+            cold = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
             binding = np.array([d.active for d in cold])
             guesses = [np.ones_like(binding), rng.random(binding.shape) < 0.5, binding]
             if stale is not None and stale.shape == binding.shape:
                 guesses.append(stale)
             for guess in guesses:
-                states = np.array([s.state.as_vector() for s in snaps])
-                accel = np.array([s.accel_est for s in snaps])
                 warm = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, warm=guess)
                 for w, c in zip(warm, cold):
                     np.testing.assert_allclose(w.u_safe, c.u_safe, rtol=0, atol=1e-9)
@@ -391,27 +362,20 @@ def test_warm_guesses_change_no_decision():
 
 
 def test_decisions_report_the_solver_certificate():
-    snaps = _random_snapshots(np.random.default_rng(2), 3, spread=80.0)
-    for decision in filter_snapshots(snaps, [[1.0, 0, 0]] * 3):
+    states, accel = _random_agents(np.random.default_rng(2), 3, spread=80.0)
+    for decision in filter_actions(states, [[1.0, 0, 0]] * 3, accel, ORBIT, PARAMS, VEH):
         assert not decision.fallback
         assert decision.iterations >= 1
         assert 0.0 <= decision.kkt_residual <= 1e-7
-    bad = filter_agent(snap([np.nan, 0, 0], [0, 0, 0]), [chief_snapshot()], np.zeros(3),
-                       ORBIT, PARAMS)
+    bad = filter_actions([[np.nan, 0, 0, 0, 0, 0]], np.zeros((1, 3)), np.zeros((1, 3)),
+                         ORBIT, PARAMS, VEH)[0]
     assert bad.fallback and bad.iterations == 0 and bad.kkt_residual == np.inf
 
 
 def test_solver_failure_falls_back_for_every_agent(monkeypatch):
-    real_solve = qp_mod.solve_batch
-
-    def broken_solve(*args, **kwargs):
-        sol = real_solve(*args, **kwargs)
-        sol.status[:] = qp_mod.MAX_ITER
-        return sol
-
-    monkeypatch.setattr("proxops.rta.qp_mod.solve_batch", broken_solve)
-    snaps = _random_snapshots(np.random.default_rng(4), 4)
-    decisions = filter_snapshots(snaps, [[0.5, 0, 0]] * 4)
+    _break_solver(monkeypatch, lambda sol: sol.status.fill(qp_mod.MAX_ITER))
+    states, accel = _random_agents(np.random.default_rng(4), 4)
+    decisions = filter_actions(states, [[0.5, 0, 0]] * 4, accel, ORBIT, PARAMS, VEH)
     assert [d.fallback for d in decisions] == [True] * 4
     for decision in decisions:
         assert np.array_equal(decision.u_safe, np.zeros(3))
@@ -419,16 +383,9 @@ def test_solver_failure_falls_back_for_every_agent(monkeypatch):
 
 
 def test_non_finite_solution_falls_back(monkeypatch):
-    real_solve = qp_mod.solve_batch
-
-    def nan_solve(*args, **kwargs):
-        sol = real_solve(*args, **kwargs)
-        sol.x = np.full_like(sol.x, np.nan)
-        return sol
-
-    monkeypatch.setattr("proxops.rta.qp_mod.solve_batch", nan_solve)
-    decision = filter_agent(snap([100.0, 0, 0], [0, 0, 0]), [chief_snapshot()],
-                            np.array([0.5, 0, 0]), ORBIT, PARAMS)
+    _break_solver(monkeypatch, lambda sol: sol.x.fill(np.nan))
+    decision = filter_actions([[100.0, 0, 0, 0, 0, 0]], [[0.5, 0, 0]], np.zeros((1, 3)),
+                              ORBIT, PARAMS, VEH)[0]
     assert decision.fallback
     assert np.array_equal(decision.u_safe, np.zeros(3))
 
@@ -443,17 +400,32 @@ def test_non_finite_inputs_fail_closed(field, bad):
               "accel": [0.01, 0.0, 0.0], "desired": [0.3, -0.2, 0.1]}
     values[field] = list(values[field])
     values[field][1] = bad
-    agent = snap(values["pos"], values["vel"], accel=values["accel"])
+    state = [*values["pos"], *values["vel"]]
     desired = np.array(values["desired"])
-    decision = filter_agent(agent, [chief_snapshot()], desired, ORBIT, PARAMS)
+    decision = filter_actions([state], [desired], [values["accel"]], ORBIT, PARAMS, VEH)[0]
     assert decision.fallback
     assert np.array_equal(decision.u_safe, np.zeros(3))
 
-    other = snap([-150.0, 30.0, 0.0], [0.0, -0.3, 0.0])
-    decisions = filter_snapshots([agent, other], [desired, np.zeros(3)])
+    states = np.array([state, [-150.0, 30.0, 0.0, 0.0, -0.3, 0.0]])
+    decisions = filter_actions(states, [desired, np.zeros(3)], [values["accel"], np.zeros(3)],
+                               ORBIT, PARAMS, VEH)
     assert decisions[0].fallback
     assert np.array_equal(decisions[0].u_safe, np.zeros(3))
     for d in decisions:
+        assert np.all(np.isfinite(d.u_safe))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("column", range(6))
+def test_a_peer_of_unknown_state_fails_every_agent_closed(column):
+    # No agent can be certified against a peer whose position or velocity is
+    # unknown, so one agent's NaN state sends every agent to zero thrust.
+    states, accel = _random_agents(np.random.default_rng(6), 3, spread=200.0)
+    states[1, column] = np.nan
+    decisions = filter_actions(states, np.full((3, 3), 0.3), accel, ORBIT, PARAMS, VEH)
+    for d in decisions:
+        assert d.fallback
+        assert np.array_equal(d.u_safe, np.zeros(3))
         assert np.all(np.isfinite(d.u_safe))
 
 
@@ -464,12 +436,15 @@ def test_kkt_residual_stays_small_with_penalized_active_pair_rows():
     rng = np.random.default_rng(0)
     penalized = 0
     for _ in range(200):
-        agent = snap(45.0 * _unit(rng), rng.uniform(-2.5, 2.5, 3),
-                     accel=rng.uniform(-0.5, 0.5, 3))
-        peers = [snap(agent.state.pos + rng.uniform(45, 85) * _unit(rng),
-                      rng.uniform(-2.5, 2.5, 3), accel=rng.uniform(-0.5, 0.5, 3))
-                 for _ in range(3)] + [chief_snapshot()]
-        problem, _ = build_qp(agent, peers, rng.uniform(-1, 1, 3), ORBIT, PARAMS)
+        pos = 45.0 * _unit(rng)
+        kin = [(pos, rng.uniform(-2.5, 2.5, 3), rng.uniform(-0.5, 0.5, 3))]
+        kin += [(pos + rng.uniform(45, 85) * _unit(rng), rng.uniform(-2.5, 2.5, 3),
+                 rng.uniform(-0.5, 0.5, 3)) for _ in range(3)]
+        states = np.array([[*p, *v] for p, v, _ in kin])
+        accel = np.array([a for *_, a in kin])
+        desired = np.zeros((4, 3))
+        desired[0] = rng.uniform(-1, 1, 3)
+        problem = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, 0)
         sol = qp_mod.solve(problem)
         assert sol.status == qp_mod.OPTIMAL
         assert sol.kkt_residual <= 1e-6
