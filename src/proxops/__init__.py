@@ -17,7 +17,7 @@ from .dynamics import (
     propagate_cwh,
     propagate_inertial,
 )
-from .env import EpisodeConfig, Observation, RewardParams, Status
+from .env import EpisodeConfig, Status
 from .harness import (
     MetricsReport,
     ScenarioSpec,
@@ -40,12 +40,10 @@ __all__ = [
     "InertialState",
     "MetricsReport",
     "MlpPolicy",
-    "Observation",
     "PropagationError",
     "QpProblem",
     "QpSolution",
     "RelativeState",
-    "RewardParams",
     "RtaDecision",
     "RtaParams",
     "ScenarioSpec",

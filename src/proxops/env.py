@@ -50,28 +50,17 @@ class Status(enum.IntEnum):
     TIMEOUT = 3
 
 
+# The shaped tracking reward of a step that ends d metres from the goal:
+# GOAL_WEIGHT / (d + 1) plus PROGRESS_WEIGHT times the decrease in goal
+# distance, minus SPEED_PENALTY times the 1-norm of velocity whenever speed
+# exceeds the distance-proportional limit SPEED_LIMIT_SLOPE * d.
+GOAL_WEIGHT = 1e-3
+PROGRESS_WEIGHT = 1e-2
+SPEED_PENALTY = 1e-2
+SPEED_LIMIT_SLOPE = 0.308
+
+
 @dataclass(frozen=True)
-class RewardParams:
-    """Coefficients of the shaped tracking reward.
-
-    The reward is goal_weight / (d + 1) plus progress_weight times the
-    decrease in goal distance, minus speed_penalty_weight times the 1-norm of
-    velocity whenever speed exceeds the distance-proportional limit
-    speed_limit_margin * speed_limit_slope * d.
-    """
-
-    goal_weight: float = 1e-3
-    progress_weight: float = 1e-2
-    speed_penalty_weight: float = 1e-2
-    speed_limit_slope: float = 0.308
-    speed_limit_margin: float = 1.0
-
-
-REWARD = RewardParams()
-"""The reward every episode step scores with."""
-
-
-@dataclass
 class EpisodeConfig:
     """Episode timing: the control interval ``dt`` and the time budget
     ``timeout`` of one episode, s."""
@@ -86,20 +75,9 @@ class EpisodeConfig:
 
 
 @dataclass
-class Observation:
-    """Policy input: goal offset scaled to ~unit range, plus raw velocity."""
-
-    scaled_delta: np.ndarray
-    vel: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.scaled_delta, self.vel], axis=-1)
-
-
-@dataclass
 class StepOutcome:
     state: RelativeState
-    obs: Observation
+    obs: np.ndarray  # (6,) observation of ``state``
     reward: float
     status: Status
 
@@ -114,34 +92,26 @@ class EpisodeResults:
     path_length: np.ndarray   # (K,) summed lengths of position increments, m
 
 
-def sample_episode(rng: np.random.Generator):
-    """Draw a start state (at rest) and a goal position.
-
-    Both are uniform over a cube of half-extent ``DEFAULT_SAMPLE_HALF_EXTENT``
-    stretched per-axis by ``DEFAULT_SCALE_VECTOR``.
-    """
-    scale = np.asarray(DEFAULT_SCALE_VECTOR, dtype=float)
-    ext = DEFAULT_SAMPLE_HALF_EXTENT
-    start = scale * rng.uniform(-ext, ext, 3)
-    goal = scale * rng.uniform(-ext, ext, 3)
-    return RelativeState(start, np.zeros(3)), goal
-
-
 def sample_episodes(rng: np.random.Generator, n: int):
-    """``n`` draws of :func:`sample_episode`: starts (n, 6) and goals (n, 3)."""
-    episodes = [sample_episode(rng) for _ in range(n)]
-    return (np.array([state.as_vector() for state, _ in episodes]).reshape(n, 6),
-            np.array([goal for _, goal in episodes]).reshape(n, 3))
+    """Draw ``n`` episodes: starts (n, 6) at rest and goals (n, 3).
+
+    Positions are uniform over a cube of half-extent
+    ``DEFAULT_SAMPLE_HALF_EXTENT`` stretched per axis by
+    ``DEFAULT_SCALE_VECTOR``, drawn episode by episode, start then goal, so
+    one call for n episodes draws what n calls for one episode do.
+    """
+    ext = DEFAULT_SAMPLE_HALF_EXTENT
+    pos = np.asarray(DEFAULT_SCALE_VECTOR) * rng.uniform(-ext, ext, (n, 2, 3))
+    return np.concatenate([pos[:, 0], np.zeros((n, 3))], axis=1), pos[:, 1]
 
 
-def observe(state: RelativeState, goal) -> Observation:
-    goal = np.asarray(goal, dtype=float)
-    return Observation((state.pos - goal) / OBS_POSITION_SCALE, state.vel.copy())
-
-
-def observe_batch(states: np.ndarray, goals: np.ndarray) -> Observation:
-    """:func:`observe` of every row of ``states`` (K, 6) and ``goals`` (K, 3)."""
-    return Observation((states[:, :3] - goals) / OBS_POSITION_SCALE, states[:, 3:])
+def observe(states, goals) -> np.ndarray:
+    """Controller input of (6,) or (K, 6) ``states`` toward (3,) or (K, 3)
+    ``goals``: the goal offset over ``OBS_POSITION_SCALE``, then the velocity,
+    in a new (6,) or (K, 6) array."""
+    states = np.asarray(states, dtype=float)
+    return np.concatenate([(states[..., :3] - goals) / OBS_POSITION_SCALE,
+                           states[..., 3:]], axis=-1)
 
 
 def norms(vecs: np.ndarray) -> np.ndarray:
@@ -154,17 +124,15 @@ def norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt((vecs[..., None, :] @ vecs[..., :, None])[..., 0, 0])
 
 
-def reward(cur_pos, prev_pos, vel, goal, params: RewardParams):
+def reward(cur_pos, prev_pos, vel, goal):
     """Shaped tracking reward of each row of (..., 3) positions, velocity and
-    goal; see :class:`RewardParams` for the terms."""
+    goal; the terms are described above ``GOAL_WEIGHT``."""
     cur_pos, prev_pos, vel, goal = (np.asarray(a, dtype=float)
                                     for a in (cur_pos, prev_pos, vel, goal))
     dist = norms(cur_pos - goal)
-    value = params.goal_weight / (dist + 1.0) + params.progress_weight * (
-        norms(prev_pos - goal) - dist)
-    speed_limit = params.speed_limit_margin * params.speed_limit_slope * dist
-    penalty = params.speed_penalty_weight * np.abs(vel).sum(axis=-1)
-    return np.where(norms(vel) > speed_limit, value - penalty, value)[()]
+    value = GOAL_WEIGHT / (dist + 1.0) + PROGRESS_WEIGHT * (norms(prev_pos - goal) - dist)
+    penalty = SPEED_PENALTY * np.abs(vel).sum(axis=-1)
+    return np.where(norms(vel) > SPEED_LIMIT_SLOPE * dist, value - penalty, value)[()]
 
 
 def step_batch(states, goals, actions, elapsed, cfg: EpisodeConfig,
@@ -179,7 +147,7 @@ def step_batch(states, goals, actions, elapsed, cfg: EpisodeConfig,
     """
     thrust = veh.thrust_bound * np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
     nxt = propagate_cwh_zoh(states, thrust, cfg.dt, orbit, veh)
-    rewards = reward(nxt[:, :3], states[:, :3], nxt[:, 3:], goals, REWARD)
+    rewards = reward(nxt[:, :3], states[:, :3], nxt[:, 3:], goals)
     reached = norms(nxt[:, :3] - goals) < TRAINING_ACCEPTANCE_RADIUS
     out = (np.abs(nxt[:, :3]) > DEFAULT_BOUNDS).any(axis=1)
     timed_out = elapsed + cfg.dt >= cfg.timeout
@@ -196,8 +164,8 @@ def step(state: RelativeState, action, goal, cfg: EpisodeConfig,
         raise ValueError("goal must be a 3-vector")
     nxt, rewards, status = step_batch(state.as_vector()[None], goal[None], [action],
                                       elapsed, cfg, orbit, veh)
-    nxt = RelativeState.from_vector(nxt[0])
-    return StepOutcome(nxt, observe(nxt, goal), float(rewards[0]), Status(int(status[0])))
+    return StepOutcome(RelativeState.from_vector(nxt[0]), observe(nxt[0], goal),
+                       float(rewards[0]), Status(int(status[0])))
 
 
 def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
@@ -205,8 +173,8 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
     """Step K episodes in lock-step until every one has ended.
 
     ``starts`` (K, 6) holds start positions and velocities and ``goals``
-    (K, 3) goal positions.  ``controller`` maps an Observation of (L, 3)
-    stacks, one row per live episode, to (L, 3) actions.  Each tick makes one
+    (K, 3) goal positions.  ``controller`` maps the (L, 6) :func:`observe`
+    rows of the live episodes to (L, 3) actions.  Each tick makes one
     controller call and one :func:`step_batch`, then drops the episodes that
     ended.  Each episode's status, elapsed time, final state and path length
     equal those of stepping it alone with :func:`step`, bit for bit.
@@ -220,7 +188,7 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
     path = np.zeros(n)
     elapsed = 0.0
     while live.size:
-        nxt, _, status = step_batch(states, goals, controller(observe_batch(states, goals)),
+        nxt, _, status = step_batch(states, goals, controller(observe(states, goals)),
                                     elapsed, cfg, orbit, veh)
         path += norms(nxt[:, :3] - states[:, :3])
         states = nxt

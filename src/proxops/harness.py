@@ -28,13 +28,12 @@ from .dynamics import (  # noqa: F401 - propagate_cwh stays a harness attribute 
     propagate_cwh,
     propagate_cwh_zoh,
 )
-from .env import (  # noqa: F401 - observe and step stay harness attributes for perfbench's tracer
+from .env import (  # noqa: F401 - step stays a harness attribute for perfbench's tracer
     DEFAULT_TIMEOUT,
     EpisodeConfig,
     Status,
     norms,
     observe,
-    observe_batch,
     run_episodes,
     sample_episodes,
     step,
@@ -303,7 +302,7 @@ def run(spec: ScenarioSpec):
         for controller, members in controllers:
             ks = members[live[members]]
             if ks.size:
-                u_des[ks] = controller(observe_batch(states[ks], goals[ks])) * bound
+                u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
             decisions = filter_actions(states, u_des, accel_est, spec.orbit,

@@ -2,7 +2,8 @@
 
 Two controllers are provided: a hand-tuned proportional-derivative baseline
 that needs no training, and a small tanh MLP whose weights come from the
-trainer.  Both map an Observation to a thrust command in [-1, 1]^3.
+trainer.  Both map an :func:`env.observe` array to a thrust command in
+[-1, 1]^3.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .env import REWARD, Observation, OBS_POSITION_SCALE, norms
+from .env import OBS_POSITION_SCALE, SPEED_LIMIT_SLOPE, norms
 
 POLICY_FORMAT = "proxops-mlp-policy"
 POLICY_VERSION = 1
@@ -29,8 +30,7 @@ BASELINE_KV = 0.12
 BASELINE_SPEED_CAP = 4.0
 # Both speed limits are proportional to d >= 0, and rounding is monotone, so
 # the smaller coefficient gives the smaller product.
-_BASELINE_RATE = min(BASELINE_KP / BASELINE_KV,
-                     REWARD.speed_limit_margin * REWARD.speed_limit_slope)
+_BASELINE_RATE = min(BASELINE_KP / BASELINE_KV, SPEED_LIMIT_SLOPE)
 
 
 class PolicyFileError(ValueError):
@@ -41,22 +41,23 @@ class UnsupportedPolicyVersion(PolicyFileError):
     """Raised when a policy file declares a version this code cannot read."""
 
 
-def baseline_act(obs: Observation, mass: float = 1.0,
+def baseline_act(obs: np.ndarray, mass: float = 1.0,
                  thrust_bound: float = 1.0) -> np.ndarray:
     """PD thrust command toward the goal, in [-1, 1] per axis.
 
-    ``obs`` fields may be (..., 3) stacks; each row gets the command it would
-    get alone, bit for bit.  Per-row scalars broadcast against the transposed
-    (3, ...) vectors, so one observation's scalars stay numpy scalars.
+    ``obs`` may be one (6,) observation or a (..., 6) stack; each row gets the
+    command it would get alone, bit for bit.  Per-row scalars broadcast
+    against the transposed (3, ...) vectors, so one observation's scalars stay
+    numpy scalars.
     """
-    delta = obs.scaled_delta * OBS_POSITION_SCALE
+    delta = obs[..., :3] * OBS_POSITION_SCALE
     dist = norms(delta)
     speed = np.minimum(_BASELINE_RATE * dist, BASELINE_SPEED_CAP)
     # At the goal speed is 0, so dividing by 1 instead of 0 commands rest.
     # Negating the divisor, not delta, gives the same bits (IEEE division is
     # sign-symmetric) with one scalar operation instead of a vector one.
     vel_des = (delta.T / -(dist + (dist == 0.0)).T * speed.T).T
-    accel_cmd = BASELINE_KV * (vel_des - obs.vel)
+    accel_cmd = BASELINE_KV * (vel_des - obs[..., 3:])
     action = accel_cmd * mass / thrust_bound
     return np.minimum(np.maximum(action, -1.0), 1.0)  # np.clip, less overhead
 
@@ -147,18 +148,17 @@ class MlpPolicy:
         return MlpPolicy(self.weights, self.biases, self.log_std)
 
 
-def policy_act(policy: MlpPolicy, obs: Observation) -> np.ndarray:
-    """Deterministic policy action; ``obs`` fields may be (..., 3) stacks.
+def policy_act(policy: MlpPolicy, obs: np.ndarray) -> np.ndarray:
+    """Deterministic policy action of a (6,) observation or a (..., 6) stack.
 
     Each observation goes through the network as a one-row matrix, so a
     stack's rows get the actions they would get alone, bit for bit (one
     (K, 6) matrix product rounds differently).
     """
-    vec = obs.vector()
-    if vec.shape[-1] != policy.layer_dims[0]:
-        raise ValueError(f"observation dimension {vec.shape[-1]} does not match "
+    if obs.shape[-1] != policy.layer_dims[0]:
+        raise ValueError(f"observation dimension {obs.shape[-1]} does not match "
                          f"policy input {policy.layer_dims[0]}")
-    return np.tanh(policy.pre_squash(vec[..., None, :]))[..., 0, :]
+    return np.tanh(policy.pre_squash(obs[..., None, :]))[..., 0, :]
 
 
 def save_policy(policy: MlpPolicy, path) -> None:

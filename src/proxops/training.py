@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import default_orbit, default_vehicle
-from .env import (  # noqa: F401 - observe and step stay training attributes for perfbench's tracer
+from .env import (  # noqa: F401 - step stays a training attribute for perfbench's tracer
     EpisodeConfig,
     Status,
     observe,
-    observe_batch,
     run_episodes,
     sample_episodes,
     step,
@@ -238,13 +237,12 @@ def train(trainer_cfg: TrainerConfig | None = None,
         for lo in range(0, n, N_STREAMS):
             # a short last tick steps the first m streams; the rest resume next batch
             m = min(N_STREAMS, n - lo)
-            obs = observe_batch(states[:m], goals[:m]).vector()
+            obs = observe(states[:m], goals[:m])
             mean = mlp_forward(*pol[:2], obs)[0]
             z = mean + std * rng.standard_normal(mean.shape)
             states[:m], rew, status = step_batch(states[:m], goals[:m], np.tanh(z),
                                                  elapsed[:m], env_cfg, orbit, veh)
-            rows.append((obs, mean, z, rew, status,
-                         observe_batch(states[:m], goals[:m]).vector()))
+            rows.append((obs, mean, z, rew, status, observe(states[:m], goals[:m])))
             elapsed[:m] += env_cfg.dt
             ep_return[:m] += rew
             ended = np.flatnonzero(status != Status.RUNNING)

@@ -22,7 +22,7 @@ from proxops.dynamics import (
     propagate_cwh,
     propagate_inertial,
 )
-from proxops.env import DEFAULT_BOUNDS, RewardParams, reward
+from proxops.env import DEFAULT_BOUNDS, reward
 from proxops.harness import (
     ScenarioSpec,
     pair_distances,
@@ -155,12 +155,11 @@ def test_criterion_03_qp_solver():
 
 
 def test_criterion_04_reward_examples():
-    p = RewardParams()
     errs = [
-        abs(reward([0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], p) - 1e-3),
-        abs(reward([100.0, 0, 0], [101.0, 0, 0], [0.1, 0, 0], np.zeros(3), p)
+        abs(reward([0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]) - 1e-3),
+        abs(reward([100.0, 0, 0], [101.0, 0, 0], [0.1, 0, 0], np.zeros(3))
             - 0.01000990099009901),
-        abs(reward([1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], np.zeros(3), p)
+        abs(reward([1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], np.zeros(3))
             - (-0.0195)),
     ]
     ok = max(errs) <= 1e-12

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,37 +7,33 @@ from proxops.dynamics import RelativeState, default_orbit, default_vehicle
 from proxops.env import (
     DEFAULT_SAMPLE_HALF_EXTENT,
     DEFAULT_SCALE_VECTOR,
+    GOAL_WEIGHT,
+    SPEED_LIMIT_SLOPE,
+    SPEED_PENALTY,
     EpisodeConfig,
-    RewardParams,
     TRAINING_ACCEPTANCE_RADIUS,
     Status,
     observe,
     reward,
     run_episodes,
-    sample_episode,
     sample_episodes,
     step,
 )
+from proxops.policy import baseline_act
 
 ORBIT = default_orbit()
 VEH = default_vehicle()
-PARAMS = RewardParams()
 
 
 def test_sampled_episodes_start_at_rest_inside_the_scaled_box():
     rng = np.random.default_rng(0)
     extents = np.array(DEFAULT_SCALE_VECTOR) * DEFAULT_SAMPLE_HALF_EXTENT
-    starts = []
-    goals = []
-    for _ in range(1000):
-        state, goal = sample_episode(rng)
-        assert np.array_equal(state.vel, np.zeros(3))
-        assert np.all(np.abs(state.pos) <= extents)
-        assert np.all(np.abs(goal) <= extents)
-        starts.append(state.pos)
-        goals.append(goal)
-    starts = np.array(starts)
-    goals = np.array(goals)
+    states, goals = sample_episodes(rng, 1000)
+    assert states.shape == (1000, 6) and goals.shape == (1000, 3)
+    assert np.array_equal(states[:, 3:], np.zeros((1000, 3)))
+    starts = states[:, :3]
+    assert np.all(np.abs(starts) <= extents)
+    assert np.all(np.abs(goals) <= extents)
     # Sampling oracle: uniform over the box, so means sit near zero and the
     # extremes approach the box edges.
     assert np.all(np.abs(starts.mean(axis=0)) < 0.1 * extents)
@@ -43,35 +41,83 @@ def test_sampled_episodes_start_at_rest_inside_the_scaled_box():
     assert np.all(np.abs(starts).max(axis=0) > 0.9 * extents)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 16])
+def test_sample_episodes_draws_episode_by_episode(n):
+    # Training stays byte-identical only if one call for n episodes draws the
+    # doubles of n one-episode calls, start then goal, and no more.
+    scale = np.array(DEFAULT_SCALE_VECTOR)
+    ext = DEFAULT_SAMPLE_HALF_EXTENT
+    at_once, one_by_one, by_hand = (np.random.default_rng(7) for _ in range(3))
+    starts, goals = sample_episodes(at_once, n)
+    singles = [sample_episodes(one_by_one, 1) for _ in range(n)]
+    pairs = [(scale * by_hand.uniform(-ext, ext, 3), scale * by_hand.uniform(-ext, ext, 3))
+             for _ in range(n)]
+    assert starts.shape == (n, 6) and goals.shape == (n, 3)
+    for k in range(n):
+        assert np.array_equal(starts[k], singles[k][0][0])
+        assert np.array_equal(goals[k], singles[k][1][0])
+        assert np.array_equal(starts[k], np.concatenate([pairs[k][0], np.zeros(3)]))
+        assert np.array_equal(goals[k], pairs[k][1])
+    state = at_once.bit_generator.state
+    assert state == one_by_one.bit_generator.state == by_hand.bit_generator.state
+    if n == 0:
+        assert state == np.random.default_rng(7).bit_generator.state
+
+
 def test_observation_is_zero_at_the_goal():
-    state = RelativeState([50.0, -20.0, 5.0], [0, 0, 0])
-    obs = observe(state, [50.0, -20.0, 5.0])
-    assert np.array_equal(obs.scaled_delta, np.zeros(3))
-    assert np.array_equal(obs.vel, np.zeros(3))
-    assert obs.vector().shape == (6,)
+    obs = observe(np.array([50.0, -20.0, 5.0, 0, 0, 0]), [50.0, -20.0, 5.0])
+    assert obs.shape == (6,)
+    assert np.array_equal(obs, np.zeros(6))
 
 
 def test_observation_scales_position_by_1000():
-    state = RelativeState([1000.0, 0.0, 0.0], [0.5, 0.0, 0.0])
-    obs = observe(state, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(obs.scaled_delta, [1.0, 0.0, 0.0], atol=0)
-    np.testing.assert_allclose(obs.vel, [0.5, 0.0, 0.0], atol=0)
+    obs = observe(np.array([1000.0, 0.0, 0.0, 0.5, 0.0, 0.0]), [0.0, 0.0, 0.0])
+    np.testing.assert_allclose(obs, [1.0, 0.0, 0.0, 0.5, 0.0, 0.0], atol=0)
+
+
+def test_observing_a_stack_observes_each_row_in_a_new_array():
+    rng = np.random.default_rng(3)
+    states = rng.uniform(-500, 500, (7, 6))
+    goals = rng.uniform(-500, 500, (7, 3))
+    obs = observe(states, goals)
+    assert obs.shape == (7, 6)
+    assert not np.shares_memory(obs, states) and not np.shares_memory(obs, goals)
+    for k in range(7):
+        assert np.array_equal(obs[k], observe(states[k], goals[k]))
+
+
+def test_a_controller_writing_its_observation_leaves_the_run_unchanged():
+    starts, goals = sample_episodes(np.random.default_rng(5), 8)
+
+    def scribbler(obs):
+        action = baseline_act(obs)
+        obs[...] = 0.0
+        return action
+
+    cfg = EpisodeConfig()
+    clean = run_episodes(baseline_act, starts, goals, cfg, ORBIT, VEH)
+    dirty = run_episodes(scribbler, starts, goals, cfg, ORBIT, VEH)
+    assert dirty.status == clean.status
+    assert np.array_equal(dirty.elapsed, clean.elapsed)
+    assert np.array_equal(dirty.final, clean.final)
+    assert np.array_equal(dirty.path_length, clean.path_length)
+    assert np.abs(clean.final[:, 3:]).max() > 0.0  # a write into the states would show
 
 
 def test_reward_at_goal_with_zero_velocity():
-    value = reward([0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], PARAMS)
+    value = reward([0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
     assert value == pytest.approx(1e-3, abs=1e-12)
 
 
 def test_reward_one_meter_of_progress():
     goal = np.zeros(3)
-    value = reward([100.0, 0, 0], [101.0, 0, 0], [0.1, 0, 0], goal, PARAMS)
+    value = reward([100.0, 0, 0], [101.0, 0, 0], [0.1, 0, 0], goal)
     assert value == pytest.approx(0.01000990099009901, abs=1e-12)
 
 
 def test_reward_speeding_near_the_goal_is_penalized():
     goal = np.zeros(3)
-    value = reward([1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], goal, PARAMS)
+    value = reward([1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], goal)
     assert value == pytest.approx(-0.0195, abs=1e-12)
 
 
@@ -80,8 +126,8 @@ def test_reward_proximity_term_is_bounded_by_its_weight():
     for _ in range(200):
         pos = rng.uniform(-500, 500, 3)
         goal = rng.uniform(-500, 500, 3)
-        value = reward(pos, pos, np.zeros(3), goal, PARAMS)
-        assert 0.0 < value <= PARAMS.goal_weight
+        value = reward(pos, pos, np.zeros(3), goal)
+        assert 0.0 < value <= GOAL_WEIGHT
 
 
 def test_reward_progress_term_is_antisymmetric():
@@ -90,19 +136,19 @@ def test_reward_progress_term_is_antisymmetric():
         a = rng.uniform(-400, 400, 3)
         b = rng.uniform(-400, 400, 3)
         goal = rng.uniform(-400, 400, 3)
-        fwd = reward(b, a, np.zeros(3), goal, PARAMS) - reward(b, b, np.zeros(3), goal, PARAMS)
-        rev = reward(a, b, np.zeros(3), goal, PARAMS) - reward(a, a, np.zeros(3), goal, PARAMS)
+        fwd = reward(b, a, np.zeros(3), goal) - reward(b, b, np.zeros(3), goal)
+        rev = reward(a, b, np.zeros(3), goal) - reward(a, a, np.zeros(3), goal)
         assert fwd == pytest.approx(-rev, abs=1e-12)
 
 
 def test_speed_penalty_threshold_is_strict():
     goal = np.zeros(3)
     d = 10.0
-    limit = PARAMS.speed_limit_margin * PARAMS.speed_limit_slope * d
-    at_limit = reward([d, 0, 0], [d, 0, 0], [limit, 0, 0], goal, PARAMS)
-    above = reward([d, 0, 0], [d, 0, 0], [limit + 1e-9, 0, 0], goal, PARAMS)
-    assert at_limit == pytest.approx(PARAMS.goal_weight / (d + 1.0), abs=1e-15)
-    assert above < at_limit - PARAMS.speed_penalty_weight * limit * 0.9
+    limit = SPEED_LIMIT_SLOPE * d
+    at_limit = reward([d, 0, 0], [d, 0, 0], [limit, 0, 0], goal)
+    above = reward([d, 0, 0], [d, 0, 0], [limit + 1e-9, 0, 0], goal)
+    assert at_limit == pytest.approx(GOAL_WEIGHT / (d + 1.0), abs=1e-15)
+    assert above < at_limit - SPEED_PENALTY * limit * 0.9
 
 
 def test_step_clamps_actions_to_the_unit_box():
@@ -151,7 +197,7 @@ def test_zero_thrust_never_reaches_a_sampled_goal():
     # unless the start is sampled inside the acceptance ball.
     cfg = EpisodeConfig()
     starts, goals = sample_episodes(np.random.default_rng(21), 25)
-    coast = lambda obs: np.zeros_like(obs.vel)
+    coast = lambda obs: np.zeros_like(obs[..., 3:])
     res = run_episodes(coast, starts, goals, cfg, ORBIT, VEH)
     for start, goal, status in zip(starts, goals, res.status):
         started_inside = np.linalg.norm(start[:3] - goal) < TRAINING_ACCEPTANCE_RADIUS
@@ -167,6 +213,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         step(RelativeState([0, 0, 0], [0, 0, 0]), [0, 0, 0], [0, 0], EpisodeConfig(),
              ORBIT, VEH, 0.0)
+
+
+@pytest.mark.parametrize("field", ["dt", "timeout"])
+def test_a_checked_config_cannot_be_changed(field):
+    # a budget set to NaN afterwards would never end a deputy coasting in the box
+    cfg = EpisodeConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, float("nan"))
+    assert (cfg.dt, cfg.timeout) == (1.0, 500.0)
 
 
 @pytest.mark.parametrize("field", ["dt", "timeout"])

@@ -453,7 +453,7 @@ def test_make_controller_choices(tmp_path):
     save_policy(policy, path)
     pol = make_controller(f"policy:{path}", veh)
     from proxops.env import observe
-    obs = observe(RelativeState([100.0, 0, 0], [0, 0, 0]), np.zeros(3))
+    obs = observe(np.array([100.0, 0, 0, 0, 0, 0]), np.zeros(3))
     for ctrl in (base, pol):
         action = np.asarray(ctrl(obs), dtype=float)
         assert action.shape == (3,)

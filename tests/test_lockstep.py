@@ -12,7 +12,6 @@ from proxops.dynamics import (
 )
 from proxops.env import (
     EpisodeConfig,
-    Observation,
     Status,
     observe,
     run_episodes,
@@ -40,7 +39,7 @@ def small_policy() -> MlpPolicy:
 def plain_episode(controller, start, goal, cfg):
     """One episode stepped with env.step: (status, elapsed, final state, path)."""
     state = RelativeState.from_vector(start)
-    obs = observe(state, goal)
+    obs = observe(start, goal)
     elapsed = path = 0.0
     while True:
         out = step(state, controller(obs), goal, cfg, ORBIT, VEH, elapsed)
@@ -94,7 +93,7 @@ def test_termination_precedence_within_one_tick():
                        [700.0, 0, 0, 0, 0, 0],
                        [0.0, 0, 0, 0, 0, 0]])
     goals = np.array([[600.0, 0, 0], [0.0, 0, 0], [300.0, 0, 0]])
-    coast = lambda obs: np.zeros_like(obs.vel)
+    coast = lambda obs: np.zeros_like(obs[..., 3:])
     cfg = EpisodeConfig(timeout=1.0)
     res = run_episodes(coast, starts, goals, cfg, ORBIT, VEH)
     assert res.status == [Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT]
@@ -125,11 +124,11 @@ def test_stacked_controllers_match_one_row_calls():
     delta[0] = 0.0            # at the goal
     delta[1] = [0.0, -0.0, 1e-3]
     vel = rng.uniform(-5, 5, (64, 3))
-    obs = Observation(delta, vel)
+    obs = np.concatenate([delta, vel], axis=1)
     stacked_pd = baseline_act(obs)
     stacked_mlp = policy_act(POLICY, obs)
     for k in range(64):
-        one = Observation(delta[k], vel[k])
+        one = obs[k]
         assert np.array_equal(stacked_pd[k], baseline_act(one))
         assert np.array_equal(stacked_mlp[k], policy_act(POLICY, one))
 

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from proxops.dynamics import RelativeState, default_orbit, default_vehicle
+from proxops.dynamics import default_orbit, default_vehicle
 from proxops.env import (
-    REWARD,
+    SPEED_LIMIT_SLOPE,
     EpisodeConfig,
-    Observation,
     Status,
     observe,
     run_episodes,
@@ -31,20 +30,20 @@ VEH = default_vehicle()
 
 
 def test_baseline_is_quiet_at_the_goal():
-    obs = Observation(np.zeros(3), np.zeros(3))
+    obs = np.zeros(6)
     assert np.array_equal(baseline_act(obs), np.zeros(3))
 
 
 def test_baseline_pushes_toward_the_goal():
     # goal 200 m in +x, at rest: thrust must point along +x only
-    obs = observe(RelativeState([0, 0, 0], [0, 0, 0]), [200.0, 0.0, 0.0])
+    obs = observe(np.zeros(6), [200.0, 0.0, 0.0])
     action = baseline_act(obs)
     assert action[0] > 0.0
     assert action[1] == 0.0 and action[2] == 0.0
 
 
 def test_baseline_brakes_excess_velocity():
-    obs = Observation(np.zeros(3), np.array([2.0, 0.0, 0.0]))
+    obs = np.array([0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     action = baseline_act(obs)
     assert action[0] < 0.0
 
@@ -52,18 +51,18 @@ def test_baseline_brakes_excess_velocity():
 def test_baseline_actions_stay_in_the_unit_box():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        obs = Observation(rng.uniform(-1, 1, 3), rng.uniform(-10, 10, 3))
+        obs = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-10, 10, 3)])
         action = baseline_act(obs)
         assert np.all(np.abs(action) <= 1.0)
 
 
 def test_baseline_commanded_speed_respects_the_reward_limit():
     for dist in (5.0, 20.0, 100.0, 700.0):
-        obs = observe(RelativeState([dist, 0, 0], [0, 0, 0]), [0.0, 0.0, 0.0])
+        obs = observe(np.array([dist, 0, 0, 0, 0, 0]), [0.0, 0.0, 0.0])
         # recover the commanded velocity from the proportional term
         action = baseline_act(obs)
         vel_des = action / BASELINE_KV  # at rest, action = kv * vel_des (mass 1)
-        limit = REWARD.speed_limit_margin * REWARD.speed_limit_slope * dist
+        limit = SPEED_LIMIT_SLOPE * dist
         assert np.linalg.norm(vel_des) <= min(limit, BASELINE_SPEED_CAP) + 1e-9
 
 
@@ -78,14 +77,14 @@ def test_baseline_reaches_sampled_waypoints_within_the_budget():
 def test_zero_network_gives_zero_action():
     policy = MlpPolicy([np.zeros((4, 6)), np.zeros((3, 4))],
                        [np.zeros(4), np.zeros(3)])
-    obs = Observation(np.array([0.3, -0.2, 0.1]), np.array([1.0, 0.0, -2.0]))
+    obs = np.array([0.3, -0.2, 0.1, 1.0, 0.0, -2.0])
     assert np.array_equal(policy_act(policy, obs), np.zeros(3))
 
 
 def test_policy_act_is_deterministic_without_rng():
     rng = np.random.default_rng(8)
     policy = MlpPolicy.initialize(rng)
-    obs = Observation(rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3))
+    obs = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3)])
     first = policy_act(policy, obs)
     second = policy_act(policy, obs)
     assert np.array_equal(first, second)
@@ -95,7 +94,7 @@ def test_policy_actions_stay_in_the_open_unit_box():
     rng = np.random.default_rng(17)
     policy = MlpPolicy.initialize(rng)
     for _ in range(200):
-        obs = Observation(rng.uniform(-2, 2, 3), rng.uniform(-10, 10, 3))
+        obs = np.concatenate([rng.uniform(-2, 2, 3), rng.uniform(-10, 10, 3)])
         action = policy_act(policy, obs)
         assert np.all(np.abs(action) < 1.0)
 
@@ -125,7 +124,7 @@ def test_mlp_forward_is_the_plain_layer_formula_and_writes_no_input(shape):
 def test_policy_rejects_wrong_observation_size():
     rng = np.random.default_rng(3)
     policy = MlpPolicy.initialize(rng, layer_dims=(4, 8, 3))
-    obs = Observation(np.zeros(3), np.zeros(3))
+    obs = np.zeros(6)
     with pytest.raises(ValueError):
         policy_act(policy, obs)
 
@@ -137,7 +136,7 @@ def test_save_load_round_trip(tmp_path):
     save_policy(policy, path)
     loaded = load_policy(path)
     assert loaded.layer_dims == policy.layer_dims
-    obs = Observation(np.array([0.25, -0.5, 0.75]), np.array([1.5, -0.5, 0.0]))
+    obs = np.array([0.25, -0.5, 0.75, 1.5, -0.5, 0.0])
     assert np.array_equal(policy_act(loaded, obs), policy_act(policy, obs))
     assert np.array_equal(loaded.log_std, policy.log_std)
 

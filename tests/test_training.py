@@ -45,7 +45,7 @@ def _bandit_batch(policy, rng, n=24):
     cfg = EpisodeConfig()
     start = RelativeState([150.0, -80.0, 40.0], [0.0, 0.0, 0.0])
     goal = np.zeros(3)
-    obs_vec = observe(start, goal).vector()
+    obs_vec = observe(start.as_vector(), goal)
 
     obs = np.tile(obs_vec, (n, 1))
     mean = policy.pre_squash(obs)
