@@ -12,8 +12,6 @@ from .dynamics import (
     RelativeState,
     VehicleParams,
     cwh_closed_form,
-    default_orbit,
-    default_vehicle,
     propagate_cwh,
     propagate_inertial,
 )
@@ -54,8 +52,6 @@ __all__ = [
     "baseline_act",
     "baseline_stats",
     "cwh_closed_form",
-    "default_orbit",
-    "default_vehicle",
     "evaluate_policy",
     "filter_actions",
     "load_policy",

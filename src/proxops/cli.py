@@ -1,6 +1,8 @@
 """Command-line entry point: scenario runs, training, baseline statistics.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error,
+including an --out that cannot be made a directory; each command checks its
+inputs and creates --out before any work.
 Identical invocations produce identical files.  ``train`` and
 ``baseline-stats`` draw from --seed.  ``run`` only echoes --seed into
 config.json: the built-in scenarios are fixed and no scenario setting holds
@@ -90,12 +92,12 @@ def cmd_run(args) -> int:
                          for a in spec.agents),
             control_dt=float(cfg["control_dt"]), sim_dt=float(cfg["sim_dt"]))
         make_controller(cfg["controller"], spec.vehicle)  # fail fast
+        os.makedirs(args.out, exist_ok=True)
     except (KeyError, ValueError, OSError, PolicyFileError) as exc:  # JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     report, log = run(spec)
-    os.makedirs(args.out, exist_ok=True)
     write_csv(log, os.path.join(args.out, "trajectory.csv"))
     for name, payload in (("metrics.json", report.as_dict()),
                           ("plot_data.json", _plot_data(log)),
@@ -116,6 +118,7 @@ def cmd_train(args) -> int:
     try:
         trainer_cfg = TrainerConfig(total_steps=args.steps, seed=args.seed)
         init_policy = load_policy(args.resume) if args.resume else None
+        os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError, PolicyFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -126,7 +129,6 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
     save_policy(policy, os.path.join(args.out, "policy.json"))
     with open(os.path.join(args.out, "learning_curve.csv"), "w") as fh:
         fh.write("steps,mean_return,success_rate\n")
@@ -137,11 +139,14 @@ def cmd_train(args) -> int:
 
 def cmd_baseline_stats(args) -> int:
     try:
-        stats = baseline_stats(args.trials, seed=args.seed)
-    except ValueError as exc:
+        if args.trials < 0:
+            raise ValueError("n_trials must be nonnegative")
+        if args.out is not None:
+            os.makedirs(args.out, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = stats.as_dict()
+    payload = baseline_stats(args.trials, seed=args.seed).as_dict()
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -149,7 +154,6 @@ def cmd_baseline_stats(args) -> int:
         for key, value in payload.items():
             print(f"{key:<{width}}  {value}")
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "baseline_stats.json"), payload)
     return 0
 

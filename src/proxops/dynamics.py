@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,37 +86,21 @@ class InertialState:
 
 @dataclass(frozen=True)
 class ChiefOrbit:
-    """Circular chief orbit defining the Hill frame rotation rate.
+    """Circular chief orbit of radius ``semi_major_axis`` (m) about the Earth.
 
-    ``mean_motion`` must equal sqrt(mu / semi_major_axis^3); both fields are
-    stored so either view is cheap to read.
+    Its mean motion sqrt(MU_EARTH / semi_major_axis^3), rad/s, is the Hill
+    frame's rate, derived when the orbit is made.  ``j2_enabled`` adds the
+    Earth's J2 term to the inertial dynamics.
     """
 
-    mean_motion: float
-    semi_major_axis: float
-    mu: float = MU_EARTH
+    semi_major_axis: float = DEFAULT_SEMI_MAJOR_AXIS
     j2_enabled: bool = False
-    j2_coefficient: float = J2_EARTH
-    body_radius: float = R_EARTH
+    mean_motion: float = field(init=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.mean_motion, self.semi_major_axis, self.mu,
-                                       self.j2_coefficient, self.body_radius))):
-            raise ValueError("orbit parameters must be finite")
-        if self.semi_major_axis <= 0.0 or self.mu <= 0.0:
-            raise ValueError("semi_major_axis and mu must be positive")
-        expected = math.sqrt(self.mu / self.semi_major_axis**3)
-        if abs(self.mean_motion - expected) > 1e-12 * expected:
-            raise ValueError(
-                f"mean_motion {self.mean_motion} inconsistent with "
-                f"sqrt(mu/a^3) = {expected}"
-            )
-
-    @classmethod
-    def circular(cls, semi_major_axis: float = DEFAULT_SEMI_MAJOR_AXIS,
-                 mu: float = MU_EARTH, **kwargs) -> "ChiefOrbit":
-        return cls(mean_motion=math.sqrt(mu / semi_major_axis**3),
-                   semi_major_axis=semi_major_axis, mu=mu, **kwargs)
+        if not (math.isfinite(self.semi_major_axis) and self.semi_major_axis > 0.0):
+            raise ValueError("semi_major_axis must be finite and positive")
+        object.__setattr__(self, "mean_motion", math.sqrt(MU_EARTH / self.semi_major_axis**3))
 
 
 @dataclass(frozen=True)
@@ -131,15 +115,6 @@ class VehicleParams:
             raise ValueError("mass must be finite and positive")
         if not (math.isfinite(self.thrust_bound) and self.thrust_bound > 0.0):
             raise ValueError("thrust_bound must be finite and positive")
-
-
-def default_orbit(j2_enabled: bool = False) -> ChiefOrbit:
-    """Chief orbit used across scenarios: circular at 6378.137+500 km."""
-    return ChiefOrbit.circular(DEFAULT_SEMI_MAJOR_AXIS, j2_enabled=j2_enabled)
-
-
-def default_vehicle() -> VehicleParams:
-    return VehicleParams()
 
 
 def cwh_drift_rows(states: np.ndarray, orbit: ChiefOrbit) -> np.ndarray:
@@ -300,14 +275,13 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
     (non-finite values or descent below the body radius).
     """
     substeps = _rk4_steps(dt, substeps, DEFAULT_INERTIAL_SUBSTEP)
-    mu = orbit.mu
     j2_on = orbit.j2_enabled
-    j2k = -1.5 * orbit.j2_coefficient * orbit.mu * orbit.body_radius**2
+    j2k = -1.5 * J2_EARTH * MU_EARTH * R_EARTH**2
 
     def deriv(x, y, z, vx, vy, vz):
         r2 = x * x + y * y + z * z
         rn = math.sqrt(r2)
-        g = -mu / (r2 * rn)
+        g = -MU_EARTH / (r2 * rn)
         ax, ay, az = g * x, g * y, g * z
         if j2_on:
             k = j2k / (r2 * r2 * rn)
@@ -320,14 +294,14 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
     h = dt / substeps
     out = state.pos.tolist() + state.vel.tolist()
     x, y, z = out[:3]
-    if x * x + y * y + z * z < orbit.body_radius**2:
+    if x * x + y * y + z * z < R_EARTH**2:
         raise PropagationError("inertial propagation starts below the body radius")
     for _ in range(substeps):  # one RK4 step at a time, each one checked
         out = _rk4(deriv, out, h, 1)
         x, y, z, vx = out[:4]
         if not (math.isfinite(x) and math.isfinite(vx)):
             raise PropagationError("inertial propagation diverged to non-finite state")
-        if x * x + y * y + z * z < orbit.body_radius**2:
+        if x * x + y * y + z * z < R_EARTH**2:
             raise PropagationError("inertial propagation descended below the body radius")
 
     return InertialState(np.array(out[:3]), np.array(out[3:]))

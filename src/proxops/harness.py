@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .dynamics import (  # noqa: F401 - propagate_cwh stays a harness attribute 
     RelativeState,
     VehicleParams,
     cwh_drift_rows,
-    default_orbit,
-    default_vehicle,
     propagate_cwh,
     propagate_cwh_zoh,
 )
@@ -85,8 +83,8 @@ class ScenarioSpec:
     sim_dt: float = 0.1
     acceptance_radius: float = HARNESS_ACCEPTANCE_RADIUS
     leg_timeout: float = DEFAULT_TIMEOUT
-    orbit: ChiefOrbit = field(default_factory=default_orbit)
-    vehicle: VehicleParams = field(default_factory=default_vehicle)
+    orbit: ChiefOrbit = field(default_factory=ChiefOrbit)
+    vehicle: VehicleParams = field(default_factory=VehicleParams)
     rta_params: RtaParams = field(default_factory=RtaParams)
 
     def __post_init__(self):
@@ -163,9 +161,6 @@ class TrajectoryLog:
                            dist_goal=float(self.dist_goal[i, k]))
                 for i, t in enumerate(self.t.tolist()) for k, s in enumerate(self.slack[i])]
 
-    def agent_records(self, k: int) -> list:
-        return self.records[k::self.n_agents]
-
 
 @dataclass(frozen=True)
 class AgentMetrics:
@@ -175,10 +170,7 @@ class AgentMetrics:
     delta_v: float
 
     def as_dict(self) -> dict:
-        return {"targets_reached": self.targets_reached,
-                "time_taken": self.time_taken,
-                "distance_traveled": self.distance_traveled,
-                "delta_v": self.delta_v}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -189,10 +181,7 @@ class MetricsReport:
     timed_out: bool = False
 
     def as_dict(self) -> dict:
-        return {"per_agent": [m.as_dict() for m in self.per_agent],
-                "aggregate": self.aggregate.as_dict(),
-                "aborted": self.aborted,
-                "timed_out": self.timed_out}
+        return asdict(self)
 
 
 def single_agent_passes(rta_enabled: bool = False) -> ScenarioSpec:
@@ -408,14 +397,10 @@ class BaselineStats:
     mean_excess: float
 
     def as_dict(self) -> dict:
-        return {"n_trials": self.n_trials, "success_rate": self.success_rate,
-                "mean_time": self.mean_time, "sd_time": self.sd_time,
-                "mean_distance": self.mean_distance,
-                "sd_distance": self.sd_distance, "mean_excess": self.mean_excess}
+        return asdict(self)
 
 
-def baseline_stats(n_trials: int, seed: int = 0,
-                   cfg: EpisodeConfig | None = None) -> BaselineStats:
+def baseline_stats(n_trials: int, seed: int = 0) -> BaselineStats:
     """Run the baseline controller on sampled training episodes.
 
     All trials step in lock-step through :func:`env.run_episodes`.
@@ -428,11 +413,10 @@ def baseline_stats(n_trials: int, seed: int = 0,
         raise ValueError("n_trials must be nonnegative")
     if n_trials == 0:
         return BaselineStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    cfg = cfg if cfg is not None else EpisodeConfig()
-    vehicle = default_vehicle()
+    vehicle = VehicleParams()
     starts, goals = sample_episodes(np.random.default_rng(seed), n_trials)
     res = run_episodes(lambda obs: baseline_act(obs, vehicle.mass, vehicle.thrust_bound),
-                       starts, goals, cfg, default_orbit(), vehicle)
+                       starts, goals, EpisodeConfig(), ChiefOrbit(), vehicle)
 
     times, dists, excesses = [], [], []
     for k, straight in enumerate(norms(starts[:, :3] - goals).tolist()):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import default_orbit, default_vehicle
+from .dynamics import ChiefOrbit, VehicleParams
 from .env import (  # noqa: F401 - step stays a training attribute for perfbench's tracer
     EpisodeConfig,
     Status,
@@ -203,7 +203,7 @@ def train(trainer_cfg: TrainerConfig | None = None,
     TrainingDivergence when a loss or parameter turns non-finite.
     """
     cfg = trainer_cfg if trainer_cfg is not None else TrainerConfig()
-    env_cfg, orbit, veh = EpisodeConfig(), default_orbit(), default_vehicle()
+    env_cfg, orbit, veh = EpisodeConfig(), ChiefOrbit(), VehicleParams()
 
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy if init_policy is not None else MlpPolicy.initialize(rng)
@@ -295,7 +295,7 @@ def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0):
         raise ValueError("n_episodes must be nonnegative")
     starts, goals = sample_episodes(np.random.default_rng(seed), n_episodes)
     res = run_episodes(lambda obs: policy_act(policy, obs), starts, goals,
-                       EpisodeConfig(), default_orbit(), default_vehicle())
+                       EpisodeConfig(), ChiefOrbit(), VehicleParams())
     times = [t for t, s in zip(res.elapsed, res.status) if s is Status.REACHED]
     rate = len(times) / n_episodes if n_episodes else 0.0
     return rate, (float(np.mean(times)) if times else float("nan"))

@@ -13,10 +13,9 @@ from proxops.cli import main as cli_main
 from proxops.dynamics import (
     ChiefOrbit,
     RelativeState,
+    VehicleParams,
     circular_chief_state,
     cwh_closed_form,
-    default_orbit,
-    default_vehicle,
     eci_to_hill,
     hill_to_eci,
     propagate_cwh,
@@ -34,8 +33,8 @@ from proxops.qp import OPTIMAL, QpProblem, kkt_residual, solve
 from proxops.rta import RtaParams, build_qp, filter_actions
 from proxops.training import TrainerConfig, curve_rows, evaluate_policy, train
 
-ORBIT = default_orbit()
-VEH = default_vehicle()
+ORBIT = ChiefOrbit()
+VEH = VehicleParams()
 
 
 def _report(num, label, ok, detail):
@@ -68,7 +67,7 @@ def test_criterion_01_dynamics_oracle():
 
 
 def test_criterion_02_linearization():
-    orbit = ChiefOrbit.circular(j2_enabled=False)
+    orbit = ChiefOrbit()
     chief0 = circular_chief_state(orbit)
     rel0 = RelativeState([0.0, 200.0, 0.0], [0.0, 0.0, 0.0])
     deputy0 = hill_to_eci(chief0, rel0)
@@ -193,10 +192,10 @@ def test_criterion_06_experiment2_no_rta():
                                  acceptance_radius=standoff.acceptance_radius,
                                  leg_timeout=standoff.leg_timeout)
         _, solo = run(solo_spec)
-        for jr, sr in zip(log.agent_records(k), solo.agent_records(0)):
-            worst_gap = max(worst_gap,
-                            float(np.max(np.abs(jr.pos - sr.pos))),
-                            float(np.max(np.abs(jr.vel - sr.vel))))
+        m = min(len(log.t), len(solo.t))
+        worst_gap = max(worst_gap,
+                        float(np.max(np.abs(log.pos[:m, k] - solo.pos[:m, 0]))),
+                        float(np.max(np.abs(log.vel[:m, k] - solo.vel[:m, 0]))))
 
     ok = (report.aggregate.targets_reached == 8 and worst_gap <= 1e-9
           and min_dist < 50.0)

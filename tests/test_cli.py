@@ -210,6 +210,28 @@ def test_negative_trials_exits_2():
     assert main(["baseline-stats", "--trials", "-1"]) == 2
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work started before --out was checked")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["run", "--scenario", "single"], "run"),
+    (["train", "--steps", "300000"], "train"),
+    (["baseline-stats", "--trials", "5"], "baseline_stats"),
+], ids=["run", "train", "baseline-stats"])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    from proxops import cli
+
+    monkeypatch.setattr(cli, work, _refuse)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert out.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("flags", [
     ["--control-dt", "nan"],
     ["--control-dt", "inf"],

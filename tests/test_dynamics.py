@@ -5,6 +5,10 @@ import pytest
 
 from proxops import dynamics
 from proxops.dynamics import (
+    DEFAULT_SEMI_MAJOR_AXIS,
+    J2_EARTH,
+    MU_EARTH,
+    R_EARTH,
     ChiefOrbit,
     InertialState,
     PropagationError,
@@ -14,8 +18,6 @@ from proxops.dynamics import (
     cwh_closed_form,
     cwh_drift_rows,
     cwh_zoh,
-    default_orbit,
-    default_vehicle,
     eci_to_hill,
     hill_to_eci,
     propagate_cwh,
@@ -23,8 +25,8 @@ from proxops.dynamics import (
     propagate_inertial,
 )
 
-ORBIT = default_orbit()
-VEH = default_vehicle()
+ORBIT = ChiefOrbit()
+VEH = VehicleParams()
 N = ORBIT.mean_motion
 
 
@@ -160,7 +162,7 @@ def test_zoh_map_with_thrust_matches_fine_rk4(dt):
 
 def test_zoh_map_is_cached_and_read_only():
     first = cwh_zoh(1.0, ORBIT, VEH)
-    assert cwh_zoh(1.0, default_orbit(), default_vehicle()) is first
+    assert cwh_zoh(1.0, ChiefOrbit(), VehicleParams()) is first
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         cwh_zoh(float("nan"), ORBIT, VEH)
@@ -183,24 +185,16 @@ def test_propagate_flags_numerical_blowup():
 
 
 def test_mean_motion_consistency_is_enforced():
-    with pytest.raises(ValueError):
-        ChiefOrbit(mean_motion=1e-3, semi_major_axis=6878137.0)
-    orbit = ChiefOrbit.circular(6878137.0)
-    assert orbit.mean_motion == pytest.approx(math.sqrt(orbit.mu / orbit.semi_major_axis**3), rel=1e-15)
+    # The mean motion is derived from the radius, so it cannot disagree with it.
+    assert ChiefOrbit().mean_motion == math.sqrt(MU_EARTH / DEFAULT_SEMI_MAJOR_AXIS**3)
+    assert ChiefOrbit(7e6).mean_motion == math.sqrt(MU_EARTH / 7e6**3)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ChiefOrbit.circular(math.nan),
-    lambda: ChiefOrbit.circular(math.inf),
-    lambda: ChiefOrbit.circular(mu=math.inf),
-    lambda: ChiefOrbit(mean_motion=math.nan, semi_major_axis=7e6),
-    lambda: ChiefOrbit(mean_motion=1e-3, semi_major_axis=7e6, mu=math.inf),
-    lambda: ChiefOrbit.circular(j2_coefficient=math.nan),
-    lambda: ChiefOrbit.circular(body_radius=math.inf),
-], ids=["a_nan", "a_inf", "mu_inf", "n_nan", "n_with_mu_inf", "j2_nan", "radius_inf"])
-def test_orbit_rejects_non_finite_fields(make):
-    with pytest.raises(ValueError, match="finite"):
-        make()
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -7e6],
+                         ids=["a_nan", "a_inf", "a_zero", "a_negative"])
+def test_orbit_rejects_non_finite_fields(radius):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ChiefOrbit(radius)
 
 
 def test_two_body_circular_orbit_closes():
@@ -230,10 +224,10 @@ def test_j2_term_is_radial_on_the_equator():
     a = ORBIT.semi_major_axis
     st = InertialState([a, 0.0, 0.0], [0.0, N * a, 0.0])
     dt = 1.0
-    with_j2 = propagate_inertial(st, dt, default_orbit(j2_enabled=True), substeps=1)
+    with_j2 = propagate_inertial(st, dt, ChiefOrbit(j2_enabled=True), substeps=1)
     without = propagate_inertial(st, dt, ORBIT, substeps=1)
     delta = with_j2.vel - without.vel
-    pull = 1.5 * ORBIT.j2_coefficient * ORBIT.mu * ORBIT.body_radius**2 / a**4
+    pull = 1.5 * J2_EARTH * MU_EARTH * R_EARTH**2 / a**4
     assert delta[0] == pytest.approx(-pull * dt, rel=1e-3)  # toward the body
     # the step turns the radial direction by N dt rad, so half of that remains
     assert abs(delta[1]) <= N * dt * abs(delta[0])

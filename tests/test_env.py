@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from proxops.dynamics import RelativeState, default_orbit, default_vehicle
+from proxops.dynamics import ChiefOrbit, RelativeState, VehicleParams
 from proxops.env import (
     DEFAULT_SAMPLE_HALF_EXTENT,
     DEFAULT_SCALE_VECTOR,
@@ -21,8 +21,8 @@ from proxops.env import (
 )
 from proxops.policy import baseline_act
 
-ORBIT = default_orbit()
-VEH = default_vehicle()
+ORBIT = ChiefOrbit()
+VEH = VehicleParams()
 
 
 def test_sampled_episodes_start_at_rest_inside_the_scaled_box():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from proxops.dynamics import (
+    ChiefOrbit,
     PropagationError,
     RelativeState,
-    default_orbit,
-    default_vehicle,
+    VehicleParams,
     propagate_cwh_zoh,
 )
 from proxops.env import (
@@ -23,8 +23,8 @@ from proxops.harness import baseline_stats
 from proxops.policy import MlpPolicy, baseline_act, policy_act
 from proxops.training import evaluate_policy
 
-ORBIT = default_orbit()
-VEH = default_vehicle()
+ORBIT = ChiefOrbit()
+VEH = VehicleParams()
 
 
 def small_policy() -> MlpPolicy:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from proxops.dynamics import default_orbit, default_vehicle
+from proxops.dynamics import ChiefOrbit, VehicleParams
 from proxops.env import (
     SPEED_LIMIT_SLOPE,
     EpisodeConfig,
@@ -25,8 +25,8 @@ from proxops.policy import (
     save_policy,
 )
 
-ORBIT = default_orbit()
-VEH = default_vehicle()
+ORBIT = ChiefOrbit()
+VEH = VehicleParams()
 
 
 def test_baseline_is_quiet_at_the_goal():

@@ -5,17 +5,16 @@ import pytest
 
 import proxops.qp as qp_mod
 from proxops.dynamics import (
+    ChiefOrbit,
     RelativeState,
     VehicleParams,
     cwh_drift_rows,
-    default_orbit,
-    default_vehicle,
     propagate_cwh,
 )
 from proxops.rta import RtaParams, _pos_barrier, build_qp, filter_actions
 
-ORBIT = default_orbit()
-VEH = default_vehicle()
+ORBIT = ChiefOrbit()
+VEH = VehicleParams()
 PARAMS = RtaParams()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxops import training
-from proxops.dynamics import default_orbit, default_vehicle
+from proxops.dynamics import ChiefOrbit, VehicleParams
 from proxops.env import EpisodeConfig, RelativeState, Status, observe, step
 from proxops.policy import MlpPolicy, init_layers, load_policy, save_policy
 from proxops.training import (
@@ -41,7 +41,7 @@ def _bandit_batch(policy, rng, n=24):
     The stored old log-probs are offset so the importance ratios sit well
     away from the clip kinks on both sides.
     """
-    orbit, veh = default_orbit(), default_vehicle()
+    orbit, veh = ChiefOrbit(), VehicleParams()
     cfg = EpisodeConfig()
     start = RelativeState([150.0, -80.0, 40.0], [0.0, 0.0, 0.0])
     goal = np.zeros(3)
