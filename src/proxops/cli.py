@@ -1,8 +1,9 @@
 """Command-line entry point: scenario runs, training, baseline statistics.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error,
-including an --out that cannot be made a directory; each command checks its
-inputs and creates --out before any work.
+Exit codes: 0 success, 1 runtime failure, including an artifact that cannot
+be written, 2 usage or configuration error, including an --out that cannot
+be made a directory; each command checks its inputs and creates --out before
+any work.
 Identical invocations produce identical files.  ``train`` and
 ``baseline-stats`` draw from --seed.  ``run`` only echoes --seed into
 config.json: the built-in scenarios are fixed and no scenario setting holds
@@ -82,6 +83,19 @@ def _write_json(path, payload) -> None:
         fh.write(text + "\n")
 
 
+def _write_artifacts(out, writers) -> bool:
+    """Call each ``(file name, write)`` pair's ``write`` with the file's path
+    in ``out``, in order.  On the first ValueError or OSError, print one
+    error line naming the file, write nothing more and return False."""
+    for name, write in writers:
+        try:
+            write(os.path.join(out, name))
+        except (ValueError, OSError) as exc:
+            print(f"error: {name} not written: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         cfg = _merge_config(args)
@@ -98,15 +112,12 @@ def cmd_run(args) -> int:
         return 2
 
     report, log = run(spec)
-    write_csv(log, os.path.join(args.out, "trajectory.csv"))
-    for name, payload in (("metrics.json", report.as_dict()),
-                          ("plot_data.json", _plot_data(log)),
-                          ("config.json", cfg)):
-        try:
-            _write_json(os.path.join(args.out, name), payload)
-        except ValueError as exc:
-            print(f"error: {name} not written: {exc}", file=sys.stderr)
-            return 1
+    if not _write_artifacts(args.out, (
+            ("trajectory.csv", lambda path: write_csv(log, path)),
+            ("metrics.json", lambda path: _write_json(path, report.as_dict())),
+            ("plot_data.json", lambda path: _write_json(path, _plot_data(log))),
+            ("config.json", lambda path: _write_json(path, cfg)))):
+        return 1
     if report.aborted:
         print("error: propagation aborted; partial artifacts written",
               file=sys.stderr)
@@ -129,12 +140,16 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    save_policy(policy, os.path.join(args.out, "policy.json"))
-    with open(os.path.join(args.out, "learning_curve.csv"), "w") as fh:
-        fh.write("steps,mean_return,success_rate\n")
-        for steps, mean_return, success in curve_rows(curve):
-            fh.write(f"{steps},{mean_return!r},{success!r}\n")
-    return 0
+    def write_curve(path):
+        with open(path, "w") as fh:
+            fh.write("steps,mean_return,success_rate\n")
+            for steps, mean_return, success in curve_rows(curve):
+                fh.write(f"{steps},{mean_return!r},{success!r}\n")
+
+    written = _write_artifacts(args.out, (
+        ("policy.json", lambda path: save_policy(policy, path)),
+        ("learning_curve.csv", write_curve)))
+    return 0 if written else 1
 
 
 def cmd_baseline_stats(args) -> int:
@@ -153,8 +168,9 @@ def cmd_baseline_stats(args) -> int:
         width = max(len(k) for k in payload)
         for key, value in payload.items():
             print(f"{key:<{width}}  {value}")
-    if args.out is not None:
-        _write_json(os.path.join(args.out, "baseline_stats.json"), payload)
+    if args.out is not None and not _write_artifacts(args.out, (
+            ("baseline_stats.json", lambda path: _write_json(path, payload)),)):
+        return 1
     return 0
 
 

@@ -225,7 +225,7 @@ def propagate_cwh_zoh(states: np.ndarray, u: np.ndarray, dt: float,
     xu = np.concatenate([states, u], axis=-1)[..., None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
         out = (xu @ cwh_zoh(dt, orbit, veh))[..., 0, :]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return out
 

@@ -50,6 +50,11 @@ class Status(enum.IntEnum):
     TIMEOUT = 3
 
 
+# The codes as plain ints for numpy calls, which convert an IntEnum member
+# anew each time (about 4 us a call).
+RUNNING, REACHED, OUT_OF_BOUNDS, TIMEOUT = (s.value for s in Status)
+
+
 # The shaped tracking reward of a step that ends d metres from the goal:
 # GOAL_WEIGHT / (d + 1) plus PROGRESS_WEIGHT times the decrease in goal
 # distance, minus SPEED_PENALTY times the 1-norm of velocity whenever speed
@@ -124,35 +129,51 @@ def norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt((vecs[..., None, :] @ vecs[..., :, None])[..., 0, 0])
 
 
-def reward(cur_pos, prev_pos, vel, goal):
-    """Shaped tracking reward of each row of (..., 3) positions, velocity and
-    goal; the terms are described above ``GOAL_WEIGHT``."""
-    cur_pos, prev_pos, vel, goal = (np.asarray(a, dtype=float)
-                                    for a in (cur_pos, prev_pos, vel, goal))
-    dist = norms(cur_pos - goal)
-    value = GOAL_WEIGHT / (dist + 1.0) + PROGRESS_WEIGHT * (norms(prev_pos - goal) - dist)
+def shaped_reward(dist, prev_dist, vel):
+    """Shaped tracking reward of each step that ends ``dist`` metres from its
+    goal, ``prev_dist`` metres before it, at (..., 3) velocity ``vel``; the
+    terms are described above ``GOAL_WEIGHT``."""
+    value = GOAL_WEIGHT / (dist + 1.0) + PROGRESS_WEIGHT * (prev_dist - dist)
     penalty = SPEED_PENALTY * np.abs(vel).sum(axis=-1)
     return np.where(norms(vel) > SPEED_LIMIT_SLOPE * dist, value - penalty, value)[()]
 
 
-def step_batch(states, goals, actions, elapsed, cfg: EpisodeConfig,
-               orbit: ChiefOrbit, veh: VehicleParams):
+def reward(cur_pos, prev_pos, vel, goal):
+    """:func:`shaped_reward` of each row of (..., 3) positions, velocity and
+    goal."""
+    cur_pos, prev_pos, vel, goal = (np.asarray(a, dtype=float)
+                                    for a in (cur_pos, prev_pos, vel, goal))
+    return shaped_reward(norms(cur_pos - goal), norms(prev_pos - goal), vel)
+
+
+def advance(states, goals, actions, elapsed, cfg: EpisodeConfig,
+            orbit: ChiefOrbit, veh: VehicleParams):
     """Advance K episodes, one per row of ``states`` (K, 6), ``goals`` and
     ``actions`` (K, 3), one control interval under clamped thrust commands.
 
-    Returns next states (K, 6), rewards (K,) and :class:`Status` codes (K,);
-    each row gets the bits it would get alone.  ``elapsed`` (scalar or (K,))
-    is the time before this step; timeout is elapsed + dt >= cfg.timeout.
-    Termination precedence: Reached beats OutOfBounds beats Timeout.
+    Returns next states (K, 6), their goal distances (K,) and int64
+    :class:`Status` codes (K,); each row gets the bits it would get alone.
+    ``elapsed`` (scalar or (K,)) is the time before this step; timeout is
+    elapsed + dt >= cfg.timeout.  Termination precedence: Reached beats
+    OutOfBounds beats Timeout.
     """
-    thrust = veh.thrust_bound * np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
+    actions = np.asarray(actions, dtype=float)
+    thrust = veh.thrust_bound * np.minimum(np.maximum(actions, -1.0), 1.0)
     nxt = propagate_cwh_zoh(states, thrust, cfg.dt, orbit, veh)
-    rewards = reward(nxt[:, :3], states[:, :3], nxt[:, 3:], goals)
-    reached = norms(nxt[:, :3] - goals) < TRAINING_ACCEPTANCE_RADIUS
+    dist = norms(nxt[:, :3] - goals)
     out = (np.abs(nxt[:, :3]) > DEFAULT_BOUNDS).any(axis=1)
     timed_out = elapsed + cfg.dt >= cfg.timeout
-    status = np.where(reached, Status.REACHED, np.where(out, Status.OUT_OF_BOUNDS, np.where(
-        timed_out, Status.TIMEOUT, Status.RUNNING)))
+    status = np.where(dist < TRAINING_ACCEPTANCE_RADIUS, REACHED, np.where(
+        out, OUT_OF_BOUNDS, np.where(timed_out, TIMEOUT, RUNNING)))
+    return nxt, dist, status
+
+
+def step_batch(states, goals, actions, elapsed, cfg: EpisodeConfig,
+               orbit: ChiefOrbit, veh: VehicleParams):
+    """:func:`advance`, returning next states (K, 6), rewards (K,) and int64
+    :class:`Status` codes (K,)."""
+    nxt, dist, status = advance(states, goals, actions, elapsed, cfg, orbit, veh)
+    rewards = shaped_reward(dist, norms(states[:, :3] - goals), nxt[:, 3:])
     return nxt, rewards, status
 
 
@@ -175,9 +196,10 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
     ``starts`` (K, 6) holds start positions and velocities and ``goals``
     (K, 3) goal positions.  ``controller`` maps the (L, 6) :func:`observe`
     rows of the live episodes to (L, 3) actions.  Each tick makes one
-    controller call and one :func:`step_batch`, then drops the episodes that
-    ended.  Each episode's status, elapsed time, final state and path length
-    equal those of stepping it alone with :func:`step`, bit for bit.
+    controller call and one :func:`advance`, which computes no reward, then
+    drops the episodes that ended.  Each episode's status, elapsed time,
+    final state and path length equal those of stepping it alone with
+    :func:`step`, bit for bit.
     """
     states = np.array(starts, dtype=float).reshape(-1, 6)
     goals = np.array(goals, dtype=float).reshape(-1, 3)
@@ -188,12 +210,12 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
     path = np.zeros(n)
     elapsed = 0.0
     while live.size:
-        nxt, _, status = step_batch(states, goals, controller(observe(states, goals)),
-                                    elapsed, cfg, orbit, veh)
+        nxt, _, status = advance(states, goals, controller(observe(states, goals)),
+                                 elapsed, cfg, orbit, veh)
         path += norms(nxt[:, :3] - states[:, :3])
         states = nxt
         elapsed += cfg.dt
-        ended = status != Status.RUNNING
+        ended = status != RUNNING
         if not ended.any():
             continue
         done = live[ended]

@@ -250,12 +250,13 @@ def run(spec: ScenarioSpec):
         groups.setdefault(agent.controller, []).append(k)
     controllers = [(make_controller(choice, spec.vehicle), np.array(members))
                    for choice, members in groups.items()]
+    acting = controllers  # each controller with its live members, renewed on acceptance
     accel_est = np.zeros((n, 3))
     leg_start = np.zeros(n)
     oldest_leg, done = 0.0, False  # start of the oldest open leg; no leg open
     targets_reached, completion_times = [0] * n, [None] * n
     rows = []  # per tick: states, u_des, u, rta_active, slack, dist_goal
-    no_slack = np.zeros((n, 6))
+    no_slack, no_active = np.zeros((n, 6)), np.zeros(n, dtype=bool)
     aborted = False
     warm = None  # the last tick's binding rows: the guess at this tick's working sets
 
@@ -263,35 +264,35 @@ def run(spec: ScenarioSpec):
     while True:
         t = tick * dt
         dist = norms(states[:, :3] - goals)
-        accepted = np.flatnonzero(live & (dist <= spec.acceptance_radius)).tolist()
-        for k in accepted:
-            queue = queues[k]
-            while queue and norms(states[k, :3] - queue[0]) <= spec.acceptance_radius:
-                goals[k] = queue.pop(0)
-                targets_reached[k] += 1
-                leg_start[k] = t
-            if queue:
-                goals[k] = queue[0]
-            else:
-                live[k] = False
-                completion_times[k] = t
-        if accepted:
+        arrived = live & (dist <= spec.acceptance_radius)
+        if arrived.any():
+            for k in np.flatnonzero(arrived).tolist():
+                queue = queues[k]
+                while queue and norms(states[k, :3] - queue[0]) <= spec.acceptance_radius:
+                    goals[k] = queue.pop(0)
+                    targets_reached[k] += 1
+                    leg_start[k] = t
+                if queue:
+                    goals[k] = queue[0]
+                else:
+                    live[k] = False
+                    completion_times[k] = t
             dist = norms(states[:, :3] - goals)
             done = not live.any()
             # Rounding keeps t - x monotone in x, so the oldest leg times out first.
             oldest_leg = float(leg_start[live].min(initial=math.inf))
+            acting = [(controller, ks) for controller, members in controllers
+                      if (ks := members[live[members]]).size]
 
         timed_out = t - oldest_leg >= spec.leg_timeout
         if done or timed_out:
             zeros = np.zeros((n, 3))
-            rows.append((states, zeros, zeros, np.zeros(n, dtype=bool), no_slack, dist))
+            rows.append((states, zeros, zeros, no_active, no_slack, dist))
             break
 
         u_des = np.zeros((n, 3))
-        for controller, members in controllers:
-            ks = members[live[members]]
-            if ks.size:
-                u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
+        for controller, ks in acting:
+            u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
             decisions = filter_actions(states, u_des, accel_est, spec.orbit,
@@ -303,7 +304,7 @@ def run(spec: ScenarioSpec):
             slacks = np.array([d.slacks for d in decisions])  # n pair rows, then 5 shared
             slack = np.column_stack([slacks[:, :n].min(axis=1), slacks[:, n:n + 5]])
         else:
-            u, active, slack = u_des, np.zeros(n, dtype=bool), no_slack
+            u, active, slack = u_des, no_active, no_slack
         u = np.minimum(np.maximum(u, -bound), bound)  # the actuator box, whatever the filter returns
 
         rows.append((states, u_des, u, active, slack, dist))

@@ -17,6 +17,9 @@ import numpy as np
 
 from .dynamics import ChiefOrbit, VehicleParams
 from .env import (  # noqa: F401 - step stays a training attribute for perfbench's tracer
+    REACHED,
+    RUNNING,
+    TIMEOUT,
     EpisodeConfig,
     Status,
     observe,
@@ -95,8 +98,8 @@ def gae(rewards, values, next_values, statuses, discount: float, lam: float,
     is row i's env stream one tick on.  Each stream's recursion runs backwards
     alone and restarts after every episode end; only a TIMEOUT end (a budget
     truncation) still bootstraps from the next value."""
-    ended = statuses != Status.RUNNING
-    bootstrap = ~ended | (statuses == Status.TIMEOUT)
+    ended = statuses != RUNNING
+    bootstrap = ~ended | (statuses == TIMEOUT)
     deltas = rewards + discount * next_values * bootstrap - values
     decays = discount * lam * ~ended
     n = len(deltas)
@@ -245,9 +248,9 @@ def train(trainer_cfg: TrainerConfig | None = None,
             rows.append((obs, mean, z, rew, status, observe(states[:m], goals[:m])))
             elapsed[:m] += env_cfg.dt
             ep_return[:m] += rew
-            ended = np.flatnonzero(status != Status.RUNNING)
+            ended = np.flatnonzero(status != RUNNING)
             ep_returns += ep_return[ended].tolist()
-            ep_successes += (status[ended] == Status.REACHED).tolist()
+            ep_successes += (status[ended] == REACHED).tolist()
             states[ended], goals[ended] = sample_episodes(rng, ended.size)
             elapsed[ended] = ep_return[ended] = 0.0
         steps_done += n

@@ -232,6 +232,22 @@ def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--scenario", "single"], "trajectory.csv"),
+    (["run", "--scenario", "single"], "config.json"),
+    (["train", "--steps", "0"], "policy.json"),
+    (["train", "--steps", "0"], "learning_curve.csv"),
+    (["baseline-stats", "--trials", "3", "--json"], "baseline_stats.json"),
+])
+def test_unwritable_artifact_exits_1_with_one_error_line(tmp_path, capsys, argv, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)  # a directory where the file should go
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} not written: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--control-dt", "nan"],
     ["--control-dt", "inf"],

@@ -197,6 +197,13 @@ def test_mixed_controllers_match_their_solo_runs(tmp_path):
         assert ticks > 100
         np.testing.assert_array_equal(joint.pos[:ticks, k], solo.pos[:ticks, 0])
         np.testing.assert_array_equal(joint.vel[:ticks, k], solo.vel[:ticks, 0])
+    # The third agent finishes and leaves its group while the first flies
+    # on; from its completion tick on, it commands zero thrust.
+    done = joint.completion_times[2]
+    assert done is not None and joint.completion_times[0] is None
+    assert joint.u_des[joint.t < done, 2].any()
+    assert not joint.u_des[joint.t >= done, 2].any()
+    assert joint.u_des[joint.t >= done, 0].any()
 
 
 def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from proxops import env
 from proxops.dynamics import (
     ChiefOrbit,
     PropagationError,
@@ -11,9 +12,11 @@ from proxops.dynamics import (
     propagate_cwh_zoh,
 )
 from proxops.env import (
+    SPEED_LIMIT_SLOPE,
     EpisodeConfig,
     Status,
     observe,
+    reward,
     run_episodes,
     sample_episodes,
     step,
@@ -169,6 +172,46 @@ def test_step_batch_rows_equal_one_row_steps():
         assert np.array_equal(nxt[k], out.state.as_vector())
         assert rewards[k] == out.reward
         assert status[k] == out.status
+
+
+def test_step_batch_rewards_are_the_reward_formula_and_codes_are_statuses():
+    rng = np.random.default_rng(6)
+    cfg = EpisodeConfig(timeout=100.0)
+    states = np.zeros((40, 6))
+    states[:, :3] = rng.uniform(-600, 600, (40, 3))
+    states[:, 3:] = rng.uniform(-3, 3, (40, 3))
+    goals = states[:, :3] + rng.uniform(-20, 20, (40, 3))
+    actions = rng.uniform(-1.5, 1.5, (40, 3))
+    elapsed = rng.choice([0.0, 98.0, 99.5], 40)
+    coast = propagate_cwh_zoh(states, np.zeros((40, 3)), cfg.dt, ORBIT, VEH)
+    actions[:8] = 0.0
+    goals[:2] = coast[:2, :3]      # the step ends at the goal
+    goals[2] = states[2, :3]       # the step starts at the goal
+    # steps ending at the speed limit, give or take the last bits of rounding
+    speeds = np.linalg.norm(coast[3:8, 3:], axis=1) / SPEED_LIMIT_SLOPE
+    goals[3:8] = coast[3:8, :3]
+    goals[3:8, 0] += speeds * np.array([1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-9, 1.0 - 1e-9])
+    nxt, rewards, status = step_batch(states, goals, actions, elapsed, cfg, ORBIT, VEH)
+    assert np.array_equal(nxt[:8], coast[:8])
+    assert rewards.shape == (40,) and status.dtype == np.int64
+    for k in range(40):
+        assert rewards[k] == reward(nxt[k, :3], states[k, :3], nxt[k, 3:], goals[k])
+    assert {Status(code) for code in status.tolist()} == set(Status)
+    for member in Status:
+        assert (status == member).any()
+
+
+def test_run_episodes_computes_no_reward(monkeypatch):
+    expected = baseline_stats(5)
+
+    def refuse(*args):
+        raise AssertionError("a reward was computed")
+
+    monkeypatch.setattr(env, "shaped_reward", refuse)
+    starts, goals = sample_episodes(np.random.default_rng(0), 2)
+    with pytest.raises(AssertionError, match="reward"):  # step_batch calls the patched function
+        step_batch(starts, goals, np.zeros((2, 3)), 0.0, EpisodeConfig(), ORBIT, VEH)
+    assert baseline_stats(5) == expected
 
 
 @pytest.mark.parametrize("bad", ["state", "thrust"])
