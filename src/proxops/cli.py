@@ -29,7 +29,7 @@ from .harness import (
     write_csv,
 )
 from .policy import PolicyFileError, load_policy, save_policy
-from .training import TrainerConfig, TrainingDivergence, curve_rows, train
+from .training import TrainerConfig, curve_rows, train
 
 CONFIG_TYPES = {"scenario": str, "rta": str, "controller": str, "seed": int,
                 "control_dt": (int, float), "sim_dt": (int, float)}
@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
 
     try:
         policy, curve = train(trainer_cfg=trainer_cfg, init_policy=init_policy)
-    except TrainingDivergence as exc:
+    except RuntimeError as exc:  # TrainingDivergence, or the value-net worker failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,10 +6,14 @@ fixed-size rollout batches collected from N_STREAMS env streams stepped in
 lock-step.
 The tanh change-of-variables term depends only on the stored sample, so it
 cancels from the importance ratio and never needs computing.
+The policy and the value net share no parameter and Adam is elementwise, so
+each batch's update splits exactly: the value net trains in a worker process
+(:func:`_value_worker`) while the calling process trains the policy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -44,6 +48,9 @@ EPOCHS_PER_BATCH = 10
 MINIBATCH_SIZE = 64
 GRAD_CLIP = 0.5  # largest norm of one network's gradient per minibatch
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+WORKER_JOIN_TIMEOUT_S = 5.0
+"""How long ``train`` waits for its value-net worker to exit before killing it."""
 
 
 class TrainingDivergence(RuntimeError):
@@ -82,14 +89,22 @@ class RolloutBatch:
     z: np.ndarray          # (N, act_dim) pre-squash Gaussian samples
     logp_old: np.ndarray   # (N,)
     adv: np.ndarray        # (N,) normalized advantages
-    v_target: np.ndarray   # (N,)
+
+
+def _gaussian_terms(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray):
+    """(z - mean, 1 / variance, their scaled squares, row-wise log density) of
+    independent Gaussians (z, mean: (N, d)); the loss gradient reuses the first
+    three."""
+    diff = z - mean
+    inv_var = np.exp(-2.0 * log_std)
+    sq = diff ** 2 * inv_var
+    logp = -(0.5 * sq.sum(axis=-1) + log_std.sum() + 0.5 * z.shape[-1] * LOG_2PI)
+    return diff, inv_var, sq, logp
 
 
 def gaussian_logp(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Row-wise log density of independent Gaussians (z, mean: (N, d))."""
-    inv_var = np.exp(-2.0 * log_std)
-    quad = 0.5 * ((z - mean) ** 2 * inv_var).sum(axis=-1)
-    return -(quad + log_std.sum() + 0.5 * z.shape[-1] * LOG_2PI)
+    return _gaussian_terms(z, mean, log_std)[3]
 
 
 def gae(rewards, values, next_values, statuses, discount: float, lam: float,
@@ -129,11 +144,12 @@ def surrogate_loss_and_grad(params, batch: RolloutBatch, clip_ratio: float,
     weights, biases, log_std = params
     g_w, g_b, g_log_std = grads
     mean, hs = mlp_forward(weights, biases, batch.obs)
-    logp = gaussian_logp(batch.z, mean, log_std)
+    diff, inv_var, sq, logp = _gaussian_terms(batch.z, mean, log_std)
     ratio = np.exp(logp - batch.logp_old)
     adv = batch.adv
     surr = ratio * adv
-    surr_clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * adv
+    # np.clip, less overhead
+    surr_clipped = np.minimum(np.maximum(ratio, 1.0 - clip_ratio), 1.0 + clip_ratio) * adv
     n = batch.obs.shape[0]
     loss = -float(np.minimum(surr, surr_clipped).sum()) / n
 
@@ -141,10 +157,8 @@ def surrogate_loss_and_grad(params, batch: RolloutBatch, clip_ratio: float,
     d_logp = surr * (surr <= surr_clipped)
     d_logp /= -n
 
-    inv_var = np.exp(-2.0 * log_std)
-    diff = batch.z - mean
     g_mean = d_logp[:, None] * diff * inv_var
-    (d_logp[:, None] * (diff ** 2 * inv_var - 1.0)).sum(axis=0, out=g_log_std)
+    (d_logp[:, None] * (sq - 1.0)).sum(axis=0, out=g_log_std)
     _backprop(weights, hs, g_mean, g_w, g_b)
     return loss
 
@@ -197,39 +211,132 @@ def _clip_grad(grad: np.ndarray, max_norm: float) -> None:
         grad *= max_norm / total
 
 
+def _fit(loss_and_grad, params: np.ndarray, grad: np.ndarray, opt: Adam,
+         arrays, orders) -> list:
+    """One network's minibatch steps over a batch: for each epoch's order,
+    ``loss_and_grad`` of each MINIBATCH_SIZE slice of the shuffled ``arrays``
+    fills ``grad``, which is clipped and stepped into ``params``.  Returns the
+    losses, stopping after the first one that is not finite."""
+    losses = []
+    for order in orders:
+        shuffled = [a[order] for a in arrays]
+        for lo in range(0, len(order), MINIBATCH_SIZE):
+            losses.append(loss_and_grad(*[a[lo:lo + MINIBATCH_SIZE] for a in shuffled]))
+            if not math.isfinite(losses[-1]):
+                return losses
+            _clip_grad(grad, GRAD_CLIP)
+            opt.step(params, grad)
+    return losses
+
+
+def _value_worker(conn, trainer_end, params: np.ndarray, shapes) -> None:
+    """The value net's half of :func:`train`, run in a worker process that owns
+    the net's parameter vector ``params``, its gradient vector and its Adam.
+
+    Per batch it answers (obs, next_obs) with their values, then fits the
+    value targets over the batch's epoch orders and answers with the losses
+    and whether its parameters stayed finite.  It returns when the trainer
+    closes its end of the pipe (``trainer_end``, closed here at once, so that
+    the trainer's close alone reads as EOF); any other error goes back as one
+    line of text.
+    """
+    trainer_end.close()
+    grad = np.empty_like(params)
+    layers = len(shapes) // 2
+    w_b, g_w_b = flat_views(params, shapes), flat_views(grad, shapes)
+    val, val_grad = (w_b[:layers], w_b[layers:]), (g_w_b[:layers], g_w_b[layers:])
+    opt = Adam(params, LEARNING_RATE)
+    try:
+        while True:
+            obs, next_obs = conn.recv()
+            conn.send((mlp_forward(*val, obs)[0][:, 0], mlp_forward(*val, next_obs)[0][:, 0]))
+            v_target, orders = conn.recv()
+            losses = _fit(lambda o, t: value_loss_and_grad(val, o, t, val_grad),
+                          params, grad, opt, (obs, v_target), orders)
+            conn.send((losses, bool(np.isfinite(params).all())))
+    except (EOFError, ConnectionError, KeyboardInterrupt):
+        pass  # the trainer closed its end or the run was interrupted
+    except Exception as exc:  # the trainer raises it
+        with contextlib.suppress(OSError):
+            conn.send(f"{type(exc).__name__}: {exc}")
+
+
+def _send(conn, message) -> None:
+    """Send the value-net worker a message; RuntimeError if it has exited."""
+    try:
+        conn.send(message)
+    except OSError as exc:  # a broken pipe or a reset connection
+        raise RuntimeError("value-net worker exited early") from exc
+
+
+def _reply(conn):
+    """The value-net worker's next reply; RuntimeError if it failed or exited."""
+    try:
+        reply = conn.recv()
+    except (EOFError, OSError) as exc:
+        raise RuntimeError("value-net worker exited early") from exc
+    if isinstance(reply, str):
+        raise RuntimeError(f"value-net worker failed: {reply}")
+    return reply
+
+
 def train(trainer_cfg: TrainerConfig | None = None,
           init_policy: MlpPolicy | None = None):
     """Train a waypoint policy; returns (MlpPolicy, list of CurvePoint).
 
     Deterministic given trainer_cfg.seed.  ``init_policy`` resumes from an
     existing network instead of a fresh initialization.  Raises
-    TrainingDivergence when a loss or parameter turns non-finite.
+    TrainingDivergence when a loss or parameter turns non-finite, and
+    RuntimeError when the value-net worker fails or exits early.  The worker
+    is gone when this returns or raises.
     """
-    cfg = trainer_cfg if trainer_cfg is not None else TrainerConfig()
-    env_cfg, orbit, veh = EpisodeConfig(), ChiefOrbit(), VehicleParams()
+    # imported here so that importing the package does not pay for it
+    import multiprocessing
 
+    cfg = trainer_cfg if trainer_cfg is not None else TrainerConfig()
     rng = np.random.default_rng(cfg.seed)
     policy = init_policy if init_policy is not None else MlpPolicy.initialize(rng)
     value_w, value_b = init_layers(rng, (policy.layer_dims[0], 64, 64, 1))
-    # Both networks live in one vector, the policy's layout then the value
-    # net's, so one Adam steps both; the gradient vector shares the layout.
+    value = np.concatenate([a.ravel() for a in (*value_w, *value_b)])
     value_shapes = [a.shape for a in (*value_w, *value_b)]
-    n_pol, n_val = policy.params.size, len(value_w)
-    params = np.concatenate([policy.params, *(a.ravel() for a in (*value_w, *value_b))])
+
+    # fork where the platform has it: it starts in milliseconds, where spawn
+    # imports numpy again (CI checks it under a threaded OpenBLAS too)
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    conn, child_conn = ctx.Pipe()
+    worker = ctx.Process(target=_value_worker,
+                         args=(child_conn, conn, value, value_shapes), daemon=True)
+    worker.start()
+    child_conn.close()  # so the worker's exit reads as EOF here
+    try:
+        return _train_policy(cfg, rng, policy, conn)
+    finally:
+        conn.close()  # the worker's cue to return
+        worker.join(WORKER_JOIN_TIMEOUT_S)
+        if worker.is_alive():
+            worker.terminate()
+            worker.join()
+
+
+def _train_policy(cfg: TrainerConfig, rng: np.random.Generator, policy: MlpPolicy,
+                  conn):
+    """The policy's half of :func:`train`: the rollouts and the update of a
+    copy of ``policy``, with the value net's half asked of the worker over
+    ``conn``."""
+    env_cfg, orbit, veh = EpisodeConfig(), ChiefOrbit(), VehicleParams()
+    params = policy.params.copy()
     grad = np.empty_like(params)
-    opt = Adam(params, LEARNING_RATE)
-
-    def views(flat):
-        """(policy, value net) views into a vector laid out like ``params``."""
-        value = flat_views(flat[n_pol:], value_shapes)
-        return policy.unflatten(flat[:n_pol]), (value[:n_val], value[n_val:])
-
-    pol, val = views(params)
-    pol_grad, val_grad = views(grad)
+    pol, pol_grad = policy.unflatten(params), policy.unflatten(grad)
     log_std = pol[2]
+    opt = Adam(params, LEARNING_RATE)
     curve: list = []
 
+    def policy_loss_and_grad(*mini):
+        return surrogate_loss_and_grad(pol, RolloutBatch(*mini), CLIP_RATIO, pol_grad)
+
     states, goals = sample_episodes(rng, N_STREAMS)
+    obs = observe(states, goals)  # every stream's current observation
     elapsed, ep_return = np.zeros(N_STREAMS), np.zeros(N_STREAMS)
     steps_done = 0
 
@@ -240,48 +347,46 @@ def train(trainer_cfg: TrainerConfig | None = None,
         for lo in range(0, n, N_STREAMS):
             # a short last tick steps the first m streams; the rest resume next batch
             m = min(N_STREAMS, n - lo)
-            obs = observe(states[:m], goals[:m])
-            mean = mlp_forward(*pol[:2], obs)[0]
+            mean = mlp_forward(*pol[:2], obs[:m])[0]
             z = mean + std * rng.standard_normal(mean.shape)
             states[:m], rew, status = step_batch(states[:m], goals[:m], np.tanh(z),
                                                  elapsed[:m], env_cfg, orbit, veh)
-            rows.append((obs, mean, z, rew, status, observe(states[:m], goals[:m])))
+            next_obs = observe(states[:m], goals[:m])
+            rows.append((obs[:m], mean, z, rew, status, next_obs))
+            obs = np.concatenate((next_obs, obs[m:]))
             elapsed[:m] += env_cfg.dt
             ep_return[:m] += rew
             ended = np.flatnonzero(status != RUNNING)
-            ep_returns += ep_return[ended].tolist()
-            ep_successes += (status[ended] == REACHED).tolist()
-            states[ended], goals[ended] = sample_episodes(rng, ended.size)
-            elapsed[ended] = ep_return[ended] = 0.0
+            if ended.size:
+                ep_returns += ep_return[ended].tolist()
+                ep_successes += (status[ended] == REACHED).tolist()
+                states[ended], goals[ended] = sample_episodes(rng, ended.size)
+                obs[ended] = observe(states[ended], goals[ended])
+                elapsed[ended] = ep_return[ended] = 0.0
         steps_done += n
         if not ep_returns:  # no episode ended: report the ones in progress
             ep_returns, ep_successes = ep_return.tolist(), [False] * N_STREAMS
 
-        obs, mean, z, rew, status, next_obs = map(np.concatenate, zip(*rows))
+        b_obs, mean, z, rew, status, next_obs = map(np.concatenate, zip(*rows))
+        _send(conn, (b_obs, next_obs))
         logp_old = gaussian_logp(z, mean, log_std)
-        values = mlp_forward(*val, obs)[0][:, 0]
-        adv = gae(rew, values, mlp_forward(*val, next_obs)[0][:, 0], status,
-                  DISCOUNT, GAE_LAMBDA, N_STREAMS)
+        values, next_values = _reply(conn)
+        adv = gae(rew, values, next_values, status, DISCOUNT, GAE_LAMBDA, N_STREAMS)
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        data = (obs, z, logp_old, adv, v_target)
-
-        for _ in range(EPOCHS_PER_BATCH):
-            order = rng.permutation(n)
-            shuffled = [a[order] for a in data]
-            for lo in range(0, n, MINIBATCH_SIZE):
-                mini = RolloutBatch(*[a[lo:lo + MINIBATCH_SIZE] for a in shuffled])
-                p_loss = surrogate_loss_and_grad(pol, mini, CLIP_RATIO, pol_grad)
-                v_loss = value_loss_and_grad(val, mini.obs, mini.v_target, val_grad)
-                if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
-                    raise TrainingDivergence(
-                        f"non-finite loss at step {steps_done}: "
-                        f"policy {p_loss}, value {v_loss}")
-                # each network's gradient is clipped alone
-                _clip_grad(grad[:n_pol], GRAD_CLIP)
-                _clip_grad(grad[n_pol:], GRAD_CLIP)
-                opt.step(params, grad)
-        if not np.all(np.isfinite(params)):
+        orders = [rng.permutation(n) for _ in range(EPOCHS_PER_BATCH)]
+        _send(conn, (v_target, orders))
+        p_losses = _fit(policy_loss_and_grad, params, grad, opt,
+                        (b_obs, z, logp_old, adv), orders)
+        v_losses, value_finite = _reply(conn)
+        # each side stopped after its own first non-finite loss, so both reach
+        # the first minibatch where either one is not finite
+        for p_loss, v_loss in zip(p_losses, v_losses):
+            if not (math.isfinite(p_loss) and math.isfinite(v_loss)):
+                raise TrainingDivergence(
+                    f"non-finite loss at step {steps_done}: "
+                    f"policy {p_loss}, value {v_loss}")
+        if not (value_finite and np.isfinite(params).all()):
             raise TrainingDivergence(f"non-finite parameters at step {steps_done}")
 
         curve.append(CurvePoint(steps_done, float(np.mean(ep_returns)),

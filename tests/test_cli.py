@@ -248,6 +248,31 @@ def test_unwritable_artifact_exits_1_with_one_error_line(tmp_path, capsys, argv,
     assert "Traceback" not in err
 
 
+def _exit_at_once(*args):
+    return None
+
+
+@pytest.mark.parametrize("init_policy", [None, "divergent"])
+def test_a_failed_training_run_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                           init_policy):
+    from proxops import training
+
+    argv = ["train", "--steps", "1024", "--out", str(tmp_path / "o")]
+    if init_policy is None:  # the value-net worker exits before its first reply
+        monkeypatch.setattr(training, "_value_worker", _exit_at_once)
+    else:  # exp(800) overflows, so the losses are not finite
+        start = MlpPolicy.initialize(np.random.default_rng(0))
+        start.log_std[:] = 800.0
+        save_policy(start, tmp_path / "p.json")
+        argv += ["--resume", str(tmp_path / "p.json")]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "policy.json").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--control-dt", "nan"],
     ["--control-dt", "inf"],

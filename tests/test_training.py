@@ -1,4 +1,7 @@
+import contextlib
 import math
+import multiprocessing
+import signal
 
 import numpy as np
 import pytest
@@ -55,7 +58,7 @@ def _bandit_batch(policy, rng, n=24):
     adv = rewards - rewards.mean()
     offsets = rng.choice([-0.4, -0.05, 0.05, 0.4], size=n)
     logp_old = gaussian_logp(z, mean, policy.log_std) - np.log1p(offsets)
-    return RolloutBatch(obs, z, logp_old, adv, np.zeros(n))
+    return RolloutBatch(obs, z, logp_old, adv)
 
 
 def _check_gradient(loss_at, arrays, grads, eps=1e-6):
@@ -132,7 +135,7 @@ def test_folded_adam_matches_the_textbook_update():
 
 
 def test_one_adam_over_a_concatenation_equals_one_adam_per_part():
-    # the trainer steps both networks with one Adam over their joint vector
+    # so one Adam per network, each in its own process, trains as one joint Adam would
     rng = np.random.default_rng(6)
     joint = rng.normal(size=67)
     parts = [joint[:37].copy(), joint[37:].copy()]
@@ -144,21 +147,6 @@ def test_one_adam_over_a_concatenation_equals_one_adam_per_part():
         for part, opt, g in zip(parts, part_opts, (grad[:37], grad[37:])):
             opt.step(part, g)
     np.testing.assert_array_equal(joint, np.concatenate(parts))
-
-
-def test_train_steps_both_networks_with_one_adam(monkeypatch):
-    sizes = []
-
-    class RecordingAdam(Adam):
-        def __init__(self, params, lr):
-            sizes.append(params.size)
-            super().__init__(params, lr)
-
-    monkeypatch.setattr(training, "Adam", RecordingAdam)
-    trained, _ = train(trainer_cfg=TrainerConfig(total_steps=64, batch_size=64, seed=0))
-    value_size = sum(w.size + b.size for w, b in zip(*init_layers(
-        np.random.default_rng(0), (6, 64, 64, 1))))
-    assert sizes == [trained.params.size + value_size]
 
 
 def _clip_per_array(grads, max_norm):
@@ -185,7 +173,7 @@ def test_flat_clipping_matches_per_array_clipping(norm_fraction):
 
 
 def test_clipping_the_policy_segment_leaves_the_value_segment_unchanged():
-    # the trainer clips each network's slice of one joint gradient vector alone
+    # each network's gradient is clipped alone, as two segments of one vector would be
     rng = np.random.default_rng(5)
     joint = rng.normal(size=500)
     n_pol, value_before = 300, joint[300:].copy()
@@ -325,13 +313,76 @@ def test_a_batch_without_episode_ends_reports_the_running_episodes():
     assert curve[0].mean_return != curve[1].mean_return
 
 
-def test_divergent_policy_raises():
+def _divergent_start():
     # exp(800) overflows, so the exploration noise and the losses are not finite
     start = MlpPolicy.initialize(np.random.default_rng(0))
     start.log_std[:] = 800.0
+    return start
+
+
+def test_divergent_policy_raises():
     cfg = TrainerConfig(total_steps=1024, batch_size=512, seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergence, match="step 512"):
-        train(trainer_cfg=cfg, init_policy=start)
+        train(trainer_cfg=cfg, init_policy=_divergent_start())
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+def test_no_worker_process_outlives_train(monkeypatch):
+    cfg = TrainerConfig(total_steps=1024, batch_size=512, seed=0)
+    with _deadline(120):
+        train(trainer_cfg=cfg)
+        assert multiprocessing.active_children() == []
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergence):
+            train(trainer_cfg=cfg, init_policy=_divergent_start())
+        assert multiprocessing.active_children() == []
+        # an interrupt in the policy update, with the worker mid-batch
+        monkeypatch.setattr(training, "surrogate_loss_and_grad", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            train(trainer_cfg=cfg)
+        assert multiprocessing.active_children() == []
+
+
+def _exit_at_once(*args):
+    return None
+
+
+def test_a_worker_that_exits_early_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(training, "_value_worker", _exit_at_once)
+    for batch_size in (64, 2048):  # the first batch fits in the pipe, or does not
+        cfg = TrainerConfig(total_steps=batch_size, batch_size=batch_size, seed=0)
+        with _deadline(60), pytest.raises(RuntimeError, match="exited early"):
+            train(trainer_cfg=cfg)
+        assert multiprocessing.active_children() == []
+
+
+def _broken_value_loss(*args):
+    raise ValueError("value net broke")
+
+
+def test_an_error_in_the_value_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(training, "value_loss_and_grad", _broken_value_loss)
+    cfg = TrainerConfig(total_steps=64, batch_size=64, seed=0)
+    with _deadline(60), pytest.raises(RuntimeError, match="ValueError: value net broke"):
+        train(trainer_cfg=cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_config_validation():
