@@ -26,7 +26,7 @@ from .harness import (
     three_agent_standoff,
 )
 from .policy import MlpPolicy, baseline_act, load_policy, save_policy
-from .qp import QpProblem, QpSolution, solve
+from .qp import QpSolution, solve
 from .rta import RtaDecision, RtaParams, filter_actions
 from .training import TrainerConfig, evaluate_policy, train
 
@@ -39,7 +39,6 @@ __all__ = [
     "MetricsReport",
     "MlpPolicy",
     "PropagationError",
-    "QpProblem",
     "QpSolution",
     "RelativeState",
     "RtaDecision",

@@ -80,9 +80,6 @@ class InertialState:
         self.pos = _vec3(self.pos)
         self.vel = _vec3(self.vel)
 
-    def copy(self) -> "InertialState":
-        return InertialState(self.pos.copy(), self.vel.copy())
-
 
 @dataclass(frozen=True)
 class ChiefOrbit:

@@ -169,9 +169,6 @@ class AgentMetrics:
     distance_traveled: float
     delta_v: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -33,6 +33,7 @@ import numpy as np
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
+NOT_FINITE = "not_finite"  # finished, but x or its KKT residual overflowed
 
 TOL = 1e-8  # on rows scaled to unit norm, so scale-free
 ITERATION_LIMIT = 200
@@ -47,56 +48,6 @@ def _row_scale(coeffs):
 def _matvec(a, v):
     """``a @ v`` for a stack of matrices and a stack of vectors."""
     return (a @ v[..., None])[..., 0]
-
-
-class QpProblem:
-    """Separable strictly convex QP with finite data and linear inequality rows.
-
-    ``rows`` is a list of (coeffs, rhs) pairs, each meaning coeffs . x <= rhs,
-    kept as a matrix ``coeffs`` and a vector ``rhs`` (see :meth:`from_arrays`).
-    The data are read-only copies; build a new problem to change them.
-    """
-
-    def __init__(self, cost_weights, cost_center, rows=()):
-        rows = list(rows)
-        self._fill(cost_weights, cost_center, np.vstack(
-            [np.zeros((0, np.size(cost_weights)))] + [a for a, _ in rows]), [r for _, r in rows])
-
-    @classmethod
-    def from_arrays(cls, cost_weights, cost_center, coeffs, rhs) -> "QpProblem":
-        """The problem with rows ``coeffs[i] . x <= rhs[i]``."""
-        problem = cls.__new__(cls)
-        problem._fill(cost_weights, cost_center, coeffs, rhs)
-        return problem
-
-    def _fill(self, cost_weights, cost_center, coeffs, rhs):
-        self.cost_weights, self.cost_center, self.coeffs, self.rhs = data = [
-            np.array(v, dtype=float) for v in (cost_weights, cost_center, coeffs, rhs)]
-        for array in data:
-            array.flags.writeable = False
-        if self.cost_weights.ndim != 1 or self.cost_weights.shape != self.cost_center.shape:
-            raise ValueError("cost_weights and cost_center must be vectors of equal length")
-        if self.coeffs.shape != self.rhs.shape + self.cost_weights.shape:
-            raise ValueError("row coefficient length must match the variable count")
-        if not np.isfinite(np.concatenate([self.cost_weights, self.cost_center,
-                                           self.coeffs.ravel(), self.rhs])).all():
-            raise ValueError("QP data must be finite")
-        if (self.cost_weights <= 0.0).any():
-            raise ValueError("cost_weights must be strictly positive")
-        self.row_scale = _row_scale(self.coeffs)
-
-    @property
-    def rows(self) -> list:
-        """A new list of (read-only coeffs, rhs) pairs on every access."""
-        return list(zip(self.coeffs, self.rhs.tolist()))
-
-    @property
-    def dim(self) -> int:
-        return self.cost_weights.shape[0]
-
-    def objective(self, x) -> float:
-        d = np.asarray(x, dtype=float) - self.cost_center
-        return float(np.sum(self.cost_weights * d * d))
 
 
 @dataclass
@@ -118,20 +69,41 @@ def _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers):
                       np.abs(natural).max(axis=-1, initial=0.0))
 
 
-def kkt_residual(qp: QpProblem, x, multipliers) -> float:
+def _checked(weights, centres, coeffs, rhs):
+    """One problem's data as float arrays; see :func:`solve` for the checks."""
+    weights, centres, coeffs, rhs = data = [np.asarray(v, dtype=float)
+                                            for v in (weights, centres, coeffs, rhs)]
+    if weights.ndim != 1 or weights.shape != centres.shape:
+        raise ValueError("weights and centres must be vectors of equal length")
+    if coeffs.shape != rhs.shape + weights.shape:
+        raise ValueError("coeffs must be (m, n) for m rhs entries and n weights")
+    if not all(np.isfinite(v).all() for v in data):
+        raise ValueError("QP data must be finite")
+    if (weights <= 0.0).any():
+        raise ValueError("weights must be strictly positive")
+    return data
+
+
+def kkt_residual(weights, centres, coeffs, rhs, x, multipliers) -> float:
     """Max of the stationarity residual and, on each row i scaled to unit norm
     with residual s_i and multiplier l_i, the natural residual |min(l_i, -s_i)|.
     Zero (up to roundoff) exactly at the optimum, so it certifies any candidate;
     unlike |l_i s_i| it does not grow with a large slack-penalty multiplier."""
-    data = (qp.cost_weights, qp.cost_center, qp.coeffs, qp.rhs, qp.row_scale,
+    weights, centres, coeffs, rhs = _checked(weights, centres, coeffs, rhs)
+    data = (weights, centres, coeffs, rhs, _row_scale(coeffs),
             np.asarray(x, dtype=float), np.asarray(multipliers, dtype=float))
     return float(_kkt_residuals(*(v[None] for v in data))[0])
 
 
-def solve(qp: QpProblem) -> QpSolution:
-    """Solve one QP (:func:`solve_batch` on a stack of one); returns the
-    unique minimizer when status is optimal."""
-    s = solve_batch(qp.cost_weights[None], qp.cost_center[None], qp.coeffs[None], qp.rhs[None])
+def solve(weights, centres, coeffs, rhs) -> QpSolution:
+    """Solve one QP with rows ``coeffs[i] . x <= rhs[i]`` (:func:`solve_batch`
+    on a stack of one); returns the unique minimizer when status is optimal.
+
+    Raises ``ValueError`` unless ``weights`` and ``centres`` are vectors of
+    equal length n, ``coeffs`` is (m, n) for the m entries of ``rhs``, every
+    entry is finite and every weight is positive.
+    """
+    s = solve_batch(*(v[None] for v in _checked(weights, centres, coeffs, rhs)))
     return QpSolution(s.x[0], s.multipliers[0], str(s.status[0]), int(s.iterations[0]),
                       float(s.kkt_residual[0]))
 
@@ -177,7 +149,9 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     multipliers.  Stationarity and dual feasibility hold at every step, and
     each release strictly increases the dual objective, so the iteration
     cannot cycle.  Rows are normalized internally, which makes ``TOL``
-    scale-free; multipliers are reported for the rows as given.
+    scale-free; multipliers are reported for the rows as given.  A problem
+    whose step overflows finishes with a non-finite ``x`` or KKT residual and
+    is reported ``NOT_FINITE``, never ``OPTIMAL``.
     """
     weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
                                      for v in (weights, centres, coeffs, rhs))
@@ -238,8 +212,9 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
         lam[release, drop[release]] = 0.0
         active[release, drop[release]] = False
 
-    status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE, OPTIMAL))
     multipliers = np.maximum(lam, 0.0) / scale
     kkt = np.where(hopeless, np.inf,
                    _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers))
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(kkt)
+    status = np.select([running, infeasible, finite], [MAX_ITER, INFEASIBLE, OPTIMAL], NOT_FINITE)
     return QpSolution(x, multipliers, status, iterations, kkt)

@@ -145,13 +145,14 @@ def _kinematics(states, desired, accel):
 
 
 def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
-             vehicle: VehicleParams, k: int) -> qp_mod.QpProblem:
-    """Agent ``k``'s slack-relaxed QP: the one :func:`filter_actions` solves
-    for agent ``k`` from the same arguments, with the rows of :func:`qp_arrays`."""
+             vehicle: VehicleParams, k: int) -> tuple:
+    """Agent ``k``'s slack-relaxed QP as the ``(weights, centres, coeffs, rhs)``
+    that :func:`qp.solve` takes: the one :func:`filter_actions` solves for
+    agent ``k`` from the same arguments, with the rows of :func:`qp_arrays`."""
     kin, peer_kin, desired = _kinematics(states, desired, accel)
     coeffs, rhs = qp_arrays(kin[[k]], peer_kin[[k]], orbit, params, vehicle)
     weights, centres = _costs(desired[[k]], rhs.shape[1], params)
-    return qp_mod.QpProblem.from_arrays(weights[0], centres[0], coeffs[0], rhs[0])
+    return weights[0], centres[0], coeffs[0], rhs[0]
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,

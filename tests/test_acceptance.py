@@ -29,7 +29,7 @@ from proxops.harness import (
     single_agent_passes,
     three_agent_standoff,
 )
-from proxops.qp import OPTIMAL, QpProblem, kkt_residual, solve
+from proxops.qp import OPTIMAL, kkt_residual, solve
 from proxops.rta import RtaParams, build_qp, filter_actions
 from proxops.training import TrainerConfig, curve_rows, evaluate_policy, train
 
@@ -85,25 +85,30 @@ def _random_feasible_problem(rng):
     n_rows = int(rng.integers(1, 13))
     weights = rng.uniform(0.5, 3.0, dim)
     center = rng.uniform(-1.0, 1.0, dim)
-    rows = []
-    for _ in range(n_rows):
+    coeffs, rhs = np.zeros((n_rows, dim)), np.zeros(n_rows)
+    for i in range(n_rows):
         a = rng.normal(size=dim)
-        a /= np.linalg.norm(a)
-        rows.append((a, float(rng.uniform(0.05, 1.0))))
-    return QpProblem(weights, center, rows)
+        coeffs[i] = a / np.linalg.norm(a)
+        rhs[i] = rng.uniform(0.05, 1.0)
+    return weights, center, coeffs, rhs
 
 
-def _grid_minimum(qp, step=1e-3):
+def _objective(weights, centres, x):
+    d = np.asarray(x, dtype=float) - centres
+    return float(np.sum(weights * d * d))
+
+
+def _grid_minimum(weights, centres, coeffs, rhs, step=1e-3):
     lo, hi, current = np.full(3, -4.0), np.full(3, 4.0), 0.1
     while True:
         axes = [np.arange(lo[k], hi[k] + current / 2, current) for k in range(3)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         ok = np.ones(len(pts), dtype=bool)
-        for coeffs, rhs in qp.rows:
-            ok &= pts @ coeffs <= rhs + 1e-12
+        for a, b in zip(coeffs, rhs):
+            ok &= pts @ a <= b + 1e-12
         pts = pts[ok]
-        d = pts - qp.cost_center
-        obj = (d * d * qp.cost_weights).sum(axis=1)
+        d = pts - centres
+        obj = (d * d * weights).sum(axis=1)
         best = pts[int(np.argmin(obj))]
         if current <= step:
             return float(np.min(obj))
@@ -116,8 +121,7 @@ def test_criterion_03_qp_solver():
 
     worst_kkt = 0.0
     for _ in range(1000):
-        qp = _random_feasible_problem(rng)
-        sol = solve(qp)
+        sol = solve(*_random_feasible_problem(rng))
         assert sol.status == OPTIMAL
         worst_kkt = max(worst_kkt, sol.kkt_residual)
 
@@ -128,22 +132,19 @@ def test_criterion_03_qp_solver():
         center = rng.uniform(-3.0, 3.0, dim)
         lo = rng.uniform(-1.5, -0.2, dim)
         hi = rng.uniform(0.2, 1.5, dim)
-        rows = []
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = 1.0
-            rows.append((e.copy(), float(hi[k])))
-            rows.append((-e, float(-lo[k])))
-        sol = solve(QpProblem(weights, center, rows))
+        box = np.kron(np.eye(dim), [[1.0], [-1.0]])  # +x_k <= hi_k, then -x_k <= -lo_k
+        sol = solve(weights, center, box, np.stack([hi, -lo], axis=1).ravel())
         worst_box = max(worst_box, float(np.max(np.abs(sol.x - np.clip(center, lo, hi)))))
 
     worst_grid = -np.inf
     for _ in range(20):
-        qp = QpProblem(rng.uniform(0.5, 3.0, 3), rng.uniform(-1.0, 1.0, 3),
-                       [(a / np.linalg.norm(a), float(rng.uniform(0.05, 1.0)))
-                        for a in rng.normal(size=(int(rng.integers(1, 9)), 3))])
-        sol = solve(qp)
-        worst_grid = max(worst_grid, qp.objective(sol.x) - _grid_minimum(qp))
+        weights, centres = rng.uniform(0.5, 3.0, 3), rng.uniform(-1.0, 1.0, 3)
+        normals = rng.normal(size=(int(rng.integers(1, 9)), 3))
+        coeffs = np.array([a / np.linalg.norm(a) for a in normals])
+        rhs = np.array([rng.uniform(0.05, 1.0) for _ in normals])
+        sol = solve(weights, centres, coeffs, rhs)
+        worst_grid = max(worst_grid, _objective(weights, centres, sol.x)
+                         - _grid_minimum(weights, centres, coeffs, rhs))
     elapsed = time.perf_counter() - t0
 
     ok = (worst_kkt < 1e-6 and worst_box <= 1e-9 and worst_grid <= 1e-5
@@ -244,8 +245,8 @@ def test_criterion_08_minimal_intervention():
         peer_pos = pos + rng.uniform(200, 400) * direction
         states = np.array([[*pos, *vel], [*peer_pos, *rng.uniform(-1.5, 1.5, 3)]])
         desired = np.array([rng.uniform(-0.8, 0.8, 3), np.zeros(3)])
-        problem = build_qp(states, desired, accel, ORBIT, params, VEH, 0)
-        if min(problem.rhs - problem.coeffs[:, :3] @ desired[0]) <= 1e-3:
+        _, _, coeffs, rhs = build_qp(states, desired, accel, ORBIT, params, VEH, 0)
+        if min(rhs - coeffs[:, :3] @ desired[0]) <= 1e-3:
             continue
         checked += 1
         decision = filter_actions(states, desired, accel, ORBIT, params, VEH)[0]

@@ -138,6 +138,22 @@ def test_mismatched_policy_file_exits_2_without_files(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, keep", [("biases", -1), ("log_std", 2)])
+def test_inconsistent_policy_file_exits_2_without_files(tmp_path, capsys, field, keep):
+    # one bias vector fewer than layers, or two log_std entries for three outputs
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0)), ppath)
+    payload = json.loads(ppath.read_text())
+    payload[field] = payload[field][:keep]
+    ppath.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--controller", f"policy:{ppath}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 @pytest.mark.parametrize("command", ["run", "train"])
 def test_non_finite_policy_file_exits_2_without_files(tmp_path, capsys, command, token):
@@ -345,6 +361,29 @@ def test_non_finite_metric_exits_1_without_bare_nan(tmp_path, capsys, monkeypatc
     assert not (out / "metrics.json").exists()
     for path in out.iterdir():
         assert "NaN" not in path.read_text()
+
+
+def test_aborted_run_exits_1_with_partial_artifacts(tmp_path, capsys, monkeypatch):
+    from proxops import harness
+    from proxops.dynamics import PropagationError
+
+    real_propagate, calls = harness.propagate_cwh_zoh, []
+
+    def failing_propagate(*args):
+        calls.append(None)
+        if len(calls) == 4:  # ticks 0-2 propagate; tick 3's step fails
+            raise PropagationError("overflow")
+        return real_propagate(*args)
+
+    monkeypatch.setattr(harness, "propagate_cwh_zoh", failing_propagate)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: propagation aborted; partial artifacts written\n"
+    metrics = json.loads((out / "metrics.json").read_text(),
+                         parse_constant=lambda token: pytest.fail(f"bare {token}"))
+    assert metrics["aborted"] is True
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_plot_data_minima_are_the_crossing_times(tmp_path):

@@ -179,6 +179,19 @@ def test_policy_file_must_map_6_inputs_to_3_outputs(tmp_path, dims):
     assert load_policy(path).layer_dims == (6, 8, 8, 3)
 
 
+@pytest.mark.parametrize("field, keep, message", [("biases", -1, "layer count"),
+                                                   ("log_std", 2, "log_std")])
+def test_inconsistent_policy_file_raises(tmp_path, field, keep, message):
+    # one bias vector fewer than layers, or two log_std entries for three outputs
+    path = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0)), path)
+    payload = json.loads(path.read_text())
+    payload[field] = payload[field][:keep]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFileError, match=message):
+        load_policy(path)
+
+
 def test_layer_shape_validation():
     with pytest.raises(ValueError):
         MlpPolicy([np.zeros((4, 6)), np.zeros((3, 5))], [np.zeros(4), np.zeros(3)])

@@ -20,7 +20,8 @@ PARAMS = RtaParams()
 
 def margins(problem, u):
     """Each row's margin at thrust ``u`` with every slack at zero."""
-    return problem.rhs - problem.coeffs[:, :3] @ np.asarray(u, dtype=float)
+    _, _, coeffs, rhs = problem
+    return rhs - coeffs[:, :3] @ np.asarray(u, dtype=float)
 
 
 def lone_qp(pos, vel, accel=(0, 0, 0), veh=VEH):
@@ -73,37 +74,37 @@ def test_rows_are_affine_in_the_thrust():
     # thrust moves only the cost's centre, never a row.
     states = np.array([[100.0, -50.0, 20.0, 1.0, -0.5, 0.2], [-80.0, 40.0, 0.0, 0.0, 0.3, 0.0]])
     accel = np.array([[0.1, 0.0, -0.05], [0.0, 0.02, 0.0]])
-    rest = build_qp(states, np.zeros((2, 3)), accel, ORBIT, PARAMS, VEH, 0)
+    _, _, rest_coeffs, rest_rhs = build_qp(states, np.zeros((2, 3)), accel, ORBIT, PARAMS, VEH, 0)
     rng = np.random.default_rng(3)
     for _ in range(5):
         desired = rng.uniform(-2, 2, (2, 3))
-        problem = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, 0)
-        assert np.array_equal(problem.coeffs, rest.coeffs)
-        assert np.array_equal(problem.rhs, rest.rhs)
-        assert np.array_equal(problem.cost_center[:3], desired[0])
-        assert not problem.cost_center[3:].any()
+        _, centres, coeffs, rhs = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, 0)
+        assert np.array_equal(coeffs, rest_coeffs)
+        assert np.array_equal(rhs, rest_rhs)
+        assert np.array_equal(centres[:3], desired[0])
+        assert not centres[3:].any()
 
 
 def test_vel_row_at_rest_reduces_to_the_static_margin():
-    problem = lone_qp([10.0, 0, 0], [0, 0, 0])
-    assert np.array_equal(problem.coeffs[1, :3], np.zeros(3))
-    assert problem.rhs[1] == pytest.approx(PARAMS.vel_gain * 0.5 * PARAMS.max_speed**2, rel=1e-12)
+    _, _, coeffs, rhs = lone_qp([10.0, 0, 0], [0, 0, 0])
+    assert np.array_equal(coeffs[1, :3], np.zeros(3))
+    assert rhs[1] == pytest.approx(PARAMS.vel_gain * 0.5 * PARAMS.max_speed**2, rel=1e-12)
 
 
 def test_vel_row_blocks_acceleration_at_the_speed_limit():
     # moving along +y at exactly max_speed: any thrust along +y violates
     state = [0.0, 0, 0, 0.0, PARAMS.max_speed, 0]
-    problem = lone_qp(state[:3], state[3:])
-    assert problem.coeffs[1, 1] > 0.0
+    _, _, coeffs, rhs = lone_qp(state[:3], state[3:])
+    assert coeffs[1, 1] > 0.0
     # barrier itself is zero, so the margin at zero thrust is just the drift term
     drift = cwh_drift_rows(np.array(state), ORBIT)
-    assert problem.rhs[1] == pytest.approx(-PARAMS.max_speed * drift[1], rel=1e-9, abs=1e-12)
+    assert rhs[1] == pytest.approx(-PARAMS.max_speed * drift[1], rel=1e-9, abs=1e-12)
 
 
 def test_acc_row_with_zero_estimate_is_vacuous_for_thrust():
-    problem = lone_qp([50.0, 0, 0], [0.5, 0, 0], accel=[0, 0, 0])
-    assert np.array_equal(problem.coeffs[2, :3], np.zeros(3))
-    assert problem.rhs[2] == pytest.approx(PARAMS.max_accel**2, rel=1e-12)
+    _, _, coeffs, rhs = lone_qp([50.0, 0, 0], [0.5, 0, 0], accel=[0, 0, 0])
+    assert np.array_equal(coeffs[2, :3], np.zeros(3))
+    assert rhs[2] == pytest.approx(PARAMS.max_accel**2, rel=1e-12)
 
 
 def test_acc_row_binds_at_the_acceleration_ceiling():
@@ -118,7 +119,7 @@ def test_acc_row_binds_at_the_acceleration_ceiling():
 def test_input_rows_pair_per_axis():
     for veh in (VEH, VehicleParams(thrust_bound=2.0)):
         problem = lone_qp([0.0, 0, 0], [0, 0, 0], veh=veh)
-        box = problem.coeffs[3:]
+        box = problem[2][3:]
         assert len(box) == 6
         assert box[:, 3:].argmax(axis=1).tolist() == [3, 3, 4, 4, 5, 5]
         assert margins(problem, np.zeros(3))[3:].tolist() == [veh.thrust_bound] * 6
@@ -127,15 +128,15 @@ def test_input_rows_pair_per_axis():
 
 
 def test_build_qp_dimensions():
-    one_peer = lone_qp([100.0, 0, 0], [0, 0, 0])
-    assert one_peer.dim == 9 and len(one_peer.rows) == 9
+    weights, centres, coeffs, rhs = lone_qp([100.0, 0, 0], [0, 0, 0])
+    assert weights.shape == centres.shape == rhs.shape == (9,) and coeffs.shape == (9, 9)
     states = np.array([[100.0, 0, 0, 0, 0, 0], [300.0, 0, 0, 0, 0, 0]])
     for k in (0, 1):
         two_peers = build_qp(states, np.zeros((2, 3)), np.zeros((2, 3)), ORBIT, PARAMS, VEH, k)
-        assert two_peers.dim == 10 and len(two_peers.rows) == 10
+        assert [v.shape for v in two_peers] == [(10,), (10,), (10, 10), (10,)]
     # slack weights carry the penalty, thrust weights stay at one
-    assert np.all(one_peer.cost_weights[:3] == 1.0)
-    assert np.all(one_peer.cost_weights[3:] == PARAMS.slack_penalty)
+    assert np.all(weights[:3] == 1.0)
+    assert np.all(weights[3:] == PARAMS.slack_penalty)
     with pytest.raises(IndexError):
         build_qp(states, np.zeros((2, 3)), np.zeros((2, 3)), ORBIT, PARAMS, VEH, 2)
 
@@ -325,7 +326,7 @@ def test_filter_actions_matches_one_agent_filters():
             batched = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
             assert len(batched) == n
             for k, decision in enumerate(batched):
-                alone = qp_mod.solve(build_qp(states, desired, accel, ORBIT, PARAMS, VEH, k))
+                alone = qp_mod.solve(*build_qp(states, desired, accel, ORBIT, PARAMS, VEH, k))
                 fallback = alone.status != qp_mod.OPTIMAL or not np.isfinite(alone.x).all()
                 u_alone = np.zeros(3) if fallback else alone.x[:3]
                 np.testing.assert_allclose(decision.u_safe, u_alone, rtol=0, atol=1e-7)
@@ -444,9 +445,9 @@ def test_kkt_residual_stays_small_with_penalized_active_pair_rows():
         desired = np.zeros((4, 3))
         desired[0] = rng.uniform(-1, 1, 3)
         problem = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, 0)
-        sol = qp_mod.solve(problem)
+        sol = qp_mod.solve(*problem)
         assert sol.status == qp_mod.OPTIMAL
         assert sol.kkt_residual <= 1e-6
-        assert qp_mod.kkt_residual(problem, sol.x, sol.multipliers) == sol.kkt_residual
+        assert qp_mod.kkt_residual(*problem, sol.x, sol.multipliers) == sol.kkt_residual
         penalized += int(np.sum(sol.multipliers[:4] > 1e5))
     assert penalized >= 10
