@@ -299,7 +299,7 @@ def run(spec: ScenarioSpec):
             active = (np.array([d.fallback for d in decisions])
                       | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL))
             slacks = np.array([d.slacks for d in decisions])  # n pair rows, then 5 shared
-            slack = np.column_stack([slacks[:, :n].min(axis=1), slacks[:, n:n + 5]])
+            slack = np.concatenate([slacks[:, :n].min(axis=1, keepdims=True), slacks[:, n:]], 1)
         else:
             u, active, slack = u_des, no_active, no_slack
         u = np.minimum(np.maximum(u, -bound), bound)  # the actuator box, whatever the filter returns

@@ -119,11 +119,11 @@ def _solve_each(systems, rhs):
     return out
 
 
-def _warm_start(gram, rows_a, rows_b, inv_q, centres, guess):
+def _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, guess):
     """The equality-constrained minimiser on each guessed working set, as
     (x, multipliers, working set); the cold start ``x = c`` with an empty set
-    where the guess is singular, inconsistent or has a negative multiplier."""
-    eye = np.eye(guess.shape[1])
+    where the guess is singular, inconsistent or has a negative multiplier.
+    ``eye`` is the (m, m) identity, which stands in for unguessed rows."""
     systems = np.where(guess[:, :, None] & guess[:, None, :], gram, eye)
     rhs = np.where(guess, _matvec(rows_a, centres) - rows_b, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad guess is rejected below
@@ -165,16 +165,17 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     # 0 . x <= rhs is vacuous or hopeless regardless of x.  A vacuous zero
     # row keeps scale 1, so its violation -rhs never exceeds TOL.
     hopeless = ((rhs < -TOL) & ~coeffs.any(axis=2)).any(axis=1)
+    eye = np.eye(m)
     active = (np.zeros((b, m), dtype=bool) if warm is None
               else np.asarray(warm, dtype=bool) & ~hopeless[:, None])
     if active.any():
-        x, lam, active = _warm_start(gram, rows_a, rows_b, inv_q, centres, active)
+        x, lam, active = _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, active)
     else:  # an empty guess is the cold start
         x, lam = centres.copy(), np.zeros((b, m))
     iterations = np.zeros(b, dtype=int)
     running, infeasible = ~hopeless, hopeless
     entering = np.full(b, -1)  # the row being driven in, or -1 to scan
-    every, eye = np.arange(b), np.eye(m)
+    every = np.arange(b)
     for _ in range(ITERATION_LIMIT):
         iterations += running
         scan = running & (entering < 0)
@@ -216,5 +217,6 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     kkt = np.where(hopeless, np.inf,
                    _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers))
     finite = np.isfinite(x).all(axis=1) & np.isfinite(kkt)
-    status = np.select([running, infeasible, finite], [MAX_ITER, INFEASIBLE, OPTIMAL], NOT_FINITE)
+    status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
+                                                  np.where(finite, OPTIMAL, NOT_FINITE)))
     return QpSolution(x, multipliers, status, iterations, kkt)

@@ -24,6 +24,7 @@ closed: non-finite data or a failed solve gives zero thrust, flagged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -85,6 +86,20 @@ def _pos_barrier(d, collision_radius):
     return 0.5 * (_dot(d, d) - collision_radius**2)
 
 
+@functools.lru_cache(maxsize=16)
+def _fixed_coeffs(p: int) -> np.ndarray:
+    """The read-only (1, m, m) coefficients of :func:`qp_arrays` that depend
+    only on the peer count P: the thrust box's thrust columns and every row's
+    slack column, with zeros where the P + 2 barrier rows' thrust goes."""
+    coeffs = np.zeros((1, p + 8, p + 8))
+    coeffs[0, p + 2:, :3] = _INPUT_COEFFS
+    # Each row has its own slack, except that an axis's two box rows share one.
+    slack = np.concatenate([np.arange(p + 2), p + 2 + np.arange(6) // 2])
+    coeffs[0, :, 3:] = slack[:, None] == np.arange(p + N_SHARED_SLACKS)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: VehicleParams):
     """Every agent's QP rows, ``coeffs[i, k] . [u, slacks] <= rhs[i, k]``.
 
@@ -96,27 +111,24 @@ def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: Vehi
     commanded acceleration along the agent's estimate, and the thrust box at
     ``vehicle.thrust_bound``.
     """
-    pos, vel, accel = np.asarray(kin, dtype=float).transpose(1, 0, 2)
-    drift = cwh_drift_rows(np.concatenate([pos, vel], axis=-1), orbit)
-    d = pos[:, None] - peer_kin[:, :, 0]
-    dv = vel[:, None] - peer_kin[:, :, 1]
+    kin = np.asarray(kin, dtype=float)
+    n, p = peer_kin.shape[:2]
+    vel, accel = kin[:, 1], kin[:, 2]
+    drift = cwh_drift_rows(kin[:, :2].reshape(n, 6), orbit)
+    d, dv = (kin[:, None, :2] - peer_kin[:, :, :2]).transpose(2, 0, 1, 3)
     gain_sum = params.pos_gain_inner + params.pos_gain_outer
     gain_prod = params.pos_gain_inner * params.pos_gain_outer
-    pair_rhs = (_dot(dv, dv) - _dot(d, peer_kin[:, :, 2]) + _dot(d, drift[:, None])
-                + gain_sum * _dot(d, dv)
-                + gain_prod * _pos_barrier(d, params.collision_radius))
-    vel_rhs = (-_dot(vel, drift)
-               + params.vel_gain * 0.5 * (params.max_speed**2 - _dot(vel, vel)))
-    acc_rhs = params.max_accel**2 - _dot(accel, drift)
-    n, p = d.shape[:2]
-    coeffs = np.zeros((n, p + 8, p + 8))
-    coeffs[:, :p + 2, :3] = np.concatenate([-d, vel[:, None], accel[:, None]], 1) / vehicle.mass
-    coeffs[:, p + 2:, :3] = _INPUT_COEFFS
-    # Each row has its own slack, except that an axis's two box rows share one.
-    slack = np.concatenate([np.arange(p + 2), p + 2 + np.arange(6) // 2])
-    coeffs[:, :, 3:] = slack[:, None] == np.arange(p + N_SHARED_SLACKS)
-    rhs = np.concatenate([pair_rhs, vel_rhs[:, None], acc_rhs[:, None],
-                          np.full((n, 6), vehicle.thrust_bound)], axis=1)
+    rhs = np.empty((n, p + 8))
+    rhs[:, :p] = (_dot(dv, dv) - _dot(d, peer_kin[:, :, 2]) + _dot(d, drift[:, None])
+                  + gain_sum * _dot(d, dv)
+                  + gain_prod * _pos_barrier(d, params.collision_radius))
+    rhs[:, p] = (-_dot(vel, drift)
+                 + params.vel_gain * 0.5 * (params.max_speed**2 - _dot(vel, vel)))
+    rhs[:, p + 1] = params.max_accel**2 - _dot(accel, drift)
+    rhs[:, p + 2:] = vehicle.thrust_bound
+    coeffs = _fixed_coeffs(p).repeat(n, axis=0)
+    coeffs[:, :p, :3] = d / -vehicle.mass
+    coeffs[:, p:p + 2, :3] = kin[:, 1:] / vehicle.mass  # the speed row, then the acceleration row
     return coeffs, rhs
 
 
@@ -130,6 +142,15 @@ def _costs(desired, m: int, params: RtaParams):
     return weights, centres
 
 
+@functools.lru_cache(maxsize=16)
+def _peer_index(n: int) -> np.ndarray:
+    """The read-only (N, N) index of each agent's peers among the N agents
+    and the chief (index N): the other agents in index order, then the chief."""
+    index = np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])
+    index.flags.writeable = False
+    return index
+
+
 def _kinematics(states, desired, accel):
     """Each agent's kinematics, its peers' (see :func:`qp_arrays`) and the
     desired thrusts from the arrays :func:`filter_actions` takes.  Agent i's
@@ -138,10 +159,10 @@ def _kinematics(states, desired, accel):
     states, n = np.asarray(states, dtype=float), len(states)
     if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
         raise ValueError("states, desired and accel must be (N, 6), (N, 3) and (N, 3)")
-    kin = np.concatenate([states.reshape(n, 2, 3), np.reshape(accel, (n, 1, 3))], axis=1)
-    everyone = np.concatenate([kin, np.zeros((1, 3, 3))])  # the agents, then the chief
-    peer_kin = everyone[np.arange(n) + (np.arange(n) >= np.arange(n)[:, None])]  # all but i
-    return kin, peer_kin, np.asarray(desired, dtype=float)
+    everyone = np.zeros((n + 1, 3, 3))  # the agents, then the chief
+    everyone[:n, :2] = states.reshape(n, 2, 3)
+    everyone[:n, 2] = accel
+    return everyone[:n], everyone[_peer_index(n)], np.asarray(desired, dtype=float)
 
 
 def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
@@ -180,19 +201,19 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
         if warm.shape != (n, n + 8):
             raise ValueError("warm must be an (N, N + 8) boolean mask")
     coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle)
-    m = rhs.shape[1]
-    weights, centres = _costs(desired, m, params)
-    finite = (np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-              & np.isfinite(desired).all(axis=1))
-    keep = slice(None) if finite.all() else finite
-    solution = qp_mod.solve_batch(weights[keep], centres[keep], coeffs[keep], rhs[keep],
-                                  None if warm is None else warm[keep])
-    x, solved = np.zeros((n, m)), np.zeros(n, dtype=bool)
-    iterations, kkt = np.zeros(n, dtype=int), np.full(n, math.inf)
-    x[keep], iterations[keep], kkt[keep] = solution.x, solution.iterations, solution.kkt_residual
-    solved[keep] = solution.status == qp_mod.OPTIMAL
-    fallback = ~(solved & np.isfinite(x).all(axis=1))
+    weights, centres = _costs(desired, rhs.shape[1], params)
+    unsolved = ~(np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+                 & np.isfinite(desired).all(axis=1))
+    # Non-finite data never reach the solver: such an agent's QP becomes zero
+    # rows with negative right-hand sides and a zero centre, which the solver
+    # rejects as infeasible before its first step, with x = 0, no iterations
+    # and an infinite residual.
+    coeffs[unsolved], rhs[unsolved], centres[unsolved] = 0.0, -1.0, 0.0
+    solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
+    x = solution.x
+    fallback = ~((solution.status == qp_mod.OPTIMAL) & np.isfinite(x).all(axis=1))
     x[fallback] = 0.0
     active = ~fallback[:, None] & (np.abs(rhs - (coeffs @ x[..., None])[..., 0]) <= ACTIVE_TOL)
     return [RtaDecision(*fields) for fields in zip(
-        x[:, :3], x[:, 3:], active, fallback.tolist(), iterations.tolist(), kkt.tolist())]
+        x[:, :3], x[:, 3:], active, fallback.tolist(), solution.iterations.tolist(),
+        solution.kkt_residual.tolist())]

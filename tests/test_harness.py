@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -298,6 +299,47 @@ def test_no_warm_state_leaks_between_runs(tmp_path):
     run(dataclasses.replace(_ring(6, 0.1), leg_timeout=150.0))
     write_csv(run(three_agent_standoff(rta_enabled=True))[1], paths[1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _digest(arrays):
+    """The first 16 hex digits of the SHA-256 of the arrays' bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# RTA runs to the last bit: aggregate metrics, logged ticks, RTA-active
+# agent-ticks, a digest of every logged array and one of every decision field
+# (u_safe, slacks, active, fallback, iterations, kkt_residual) of every tick.
+# Recorded with numpy 2.4.6; the same under single- and multi-threaded BLAS.
+RTA_GOLDEN = {
+    "standoff": ({"targets_reached": 8, "time_taken": 2205.0,
+                  "distance_traveled": 4631.688083101734, "delta_v": 128.72913457589817},
+                 1104, 1809, "dfe62190957e1d94", "a53a2841d8da860f"),
+    "ring4": ({"targets_reached": 16, "time_taken": 4559.0,
+               "distance_traveled": 9600.064490592087, "delta_v": 361.57830711907695},
+              1204, 3699, "91d7ebc70d5af3ab", "b4639102e52ec5a4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RTA_GOLDEN))
+def test_rta_runs_match_their_goldens(monkeypatch, name):
+    real_filter = harness.filter_actions
+    decisions = []
+
+    def spy(*args, warm=None):
+        out = real_filter(*args, warm=warm)
+        decisions.extend(out)
+        return out
+
+    monkeypatch.setattr(harness, "filter_actions", spy)
+    report, log = run(three_agent_standoff(True) if name == "standoff" else _ring(4, 0.1))
+    fields = [np.array([getattr(d, f.name) for d in decisions])
+              for f in dataclasses.fields(decisions[0])]
+    logged = [log.pos, log.vel, log.u_des, log.u, log.rta_active, log.slack, log.dist_goal]
+    assert (report.as_dict()["aggregate"], len(log.t), int(log.rta_active.sum()),
+            _digest(logged), _digest(fields)) == RTA_GOLDEN[name]
 
 
 def test_records_are_views_of_the_arrays():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import proxops.qp as qp_mod
 from proxops.qp import (
     INFEASIBLE,
+    MAX_ITER,
     NOT_FINITE,
     OPTIMAL,
     kkt_residual,
@@ -267,3 +269,19 @@ def test_solve_batch_takes_an_empty_stack():
     batch = solve_batch(np.ones((0, 3)), np.zeros((0, 3)), np.zeros((0, 4, 3)), np.zeros((0, 4)),
                         warm=np.zeros((0, 4), dtype=bool))
     assert batch.x.shape == (0, 3) and batch.status.shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_status_precedence_in_one_stack(monkeypatch):
+    # One stack, one problem per status: still running at the iteration limit,
+    # a hopeless zero row, an overflowing step and a plain optimum.  Each
+    # reaches its status through the solver, with no status written over.
+    monkeypatch.setattr(qp_mod, "ITERATION_LIMIT", 2)
+    weights = np.ones((4, 2))
+    centres = np.array([[10.0, 10.0], [0.0, 0.0], [1e308, 1e308], [0.0, 0.0]])
+    coeffs = np.array([np.eye(2), [[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]], np.eye(2)])
+    rhs = np.array([[0.0, 0.0], [1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
+    batch = solve_batch(weights, centres, coeffs, rhs)
+    assert list(batch.status) == [MAX_ITER, INFEASIBLE, NOT_FINITE, OPTIMAL]
+    assert list(batch.iterations) == [2, 0, 2, 1]
+    assert np.isfinite(batch.kkt_residual[[0, 3]]).all() and batch.kkt_residual[3] == 0.0

@@ -11,7 +11,16 @@ from proxops.dynamics import (
     cwh_drift_rows,
     propagate_cwh,
 )
-from proxops.rta import RtaParams, _pos_barrier, build_qp, filter_actions
+from proxops.rta import (
+    RtaParams,
+    _fixed_coeffs,
+    _kinematics,
+    _peer_index,
+    _pos_barrier,
+    build_qp,
+    filter_actions,
+    qp_arrays,
+)
 
 ORBIT = ChiefOrbit()
 VEH = VehicleParams()
@@ -451,3 +460,86 @@ def test_kkt_residual_stays_small_with_penalized_active_pair_rows():
         assert qp_mod.kkt_residual(*problem, sol.x, sol.multipliers) == sol.kkt_residual
         penalized += int(np.sum(sol.multipliers[:4] > 1e5))
     assert penalized >= 10
+
+
+def test_returned_arrays_share_nothing_with_later_calls():
+    # Writing into what one call returns must not reach the next call's output.
+    states, accel = _random_agents(np.random.default_rng(9), 3, spread=60.0)
+    desired = np.full((3, 3), 0.4)
+    kin, peer_kin, _ = _kinematics(states, desired, accel)
+    coeffs, rhs = qp_arrays(kin, peer_kin, ORBIT, PARAMS, VEH)
+    expected = coeffs.copy(), rhs.copy()
+    coeffs[...], rhs[...] = 7.0, 7.0
+    for got, want in zip(qp_arrays(kin, peer_kin, ORBIT, PARAMS, VEH), expected):
+        assert np.array_equal(got, want)
+    # the blocks cached per peer count and per agent count cannot be written
+    for cached in (_fixed_coeffs(peer_kin.shape[1]), _peer_index(len(states))):
+        with pytest.raises(ValueError):
+            cached[...] = 0
+
+    first = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    expected = [(d.u_safe.copy(), d.slacks.copy(), d.active.copy()) for d in first]
+    assert any(d.active.any() for d in first)
+    for d in first:
+        d.u_safe[...], d.slacks[...], d.active[...] = 7.0, 7.0, True
+    again = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    for d, (u_safe, slacks, active) in zip(again, expected):
+        assert np.array_equal(d.u_safe, u_safe) and np.array_equal(d.slacks, slacks)
+        assert np.array_equal(d.active, active)
+
+
+def _degenerate_agents(rng, n):
+    """(N, 6) states, (N, 3) commands and (N, 3) acceleration estimates with
+    random degeneracies: coincident agents, an agent at the chief, a speed of
+    exactly ``max_speed``, a zero acceleration estimate, and sometimes one
+    non-finite entry."""
+    states = np.concatenate([rng.uniform(-150, 150, (n, 3)), rng.uniform(-3, 3, (n, 3))], 1)
+    desired, accel = rng.uniform(-1.5, 1.5, (n, 3)), rng.uniform(-0.5, 0.5, (n, 3))
+    for k in range(n):
+        kind = rng.integers(5)
+        if kind == 0 and n > 1:
+            other = (k + 1 + rng.integers(n - 1)) % n
+            width = 3 * (1 + rng.integers(2))  # the position, or the whole state
+            states[k, :width] = states[other, :width]
+        elif kind == 1:
+            states[k, :3] = 0.0
+        elif kind == 2:
+            states[k, 3:] = 0.0
+            states[k, 3 + rng.integers(3)] = rng.choice([-1.0, 1.0]) * PARAMS.max_speed
+        elif kind == 3:
+            accel[k] = 0.0
+    if rng.random() < 0.3:
+        target = [states, desired, accel][rng.integers(3)]
+        target[rng.integers(n), rng.integers(target.shape[1])] = rng.choice([np.nan, np.inf, -np.inf])
+    return states, desired, accel
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_degenerate_inputs_match_one_agent_solves():
+    # Seeded property: on degenerate inputs the batch equals one build_qp and
+    # one qp.solve per agent, no decision without fallback carries a
+    # non-finite number, and fallback is set exactly where the data are not
+    # finite: the agent's own state, command or estimate, or a peer's state
+    # or estimate.
+    rng = np.random.default_rng(2024)
+    fallbacks = 0
+    for n in range(1, 6):
+        for _ in range(12):
+            states, desired, accel = _degenerate_agents(rng, n)
+            bad = ~np.isfinite(states).all(1) | ~np.isfinite(accel).all(1)
+            decisions = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+            for k, d in enumerate(decisions):
+                problem = build_qp(states, desired, accel, ORBIT, PARAMS, VEH, k)
+                finite = all(np.isfinite(v).all() for v in problem)
+                assert finite == (not bad.any() and np.isfinite(desired[k]).all())
+                assert d.fallback == (not finite)
+                fallbacks += d.fallback
+                if d.fallback:
+                    assert np.array_equal(d.u_safe, np.zeros(3)) and not d.active.any()
+                    continue
+                alone = qp_mod.solve(*problem)
+                assert alone.status == qp_mod.OPTIMAL
+                np.testing.assert_allclose(d.u_safe, alone.x[:3], rtol=0, atol=1e-9)
+                np.testing.assert_allclose(d.slacks, alone.x[3:], rtol=0, atol=1e-9)
+                assert all(np.isfinite(v).all() for v in (d.u_safe, d.slacks, d.kkt_residual))
+    assert fallbacks > 0
