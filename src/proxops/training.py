@@ -7,14 +7,17 @@ lock-step.
 The tanh change-of-variables term depends only on the stored sample, so it
 cancels from the importance ratio and never needs computing.
 The policy and the value net share no parameter and Adam is elementwise, so
-each batch's update splits exactly: the value net trains in a worker process
-(:func:`_value_worker`) while the calling process trains the policy.
+each batch's update splits exactly: the value net trains in a one-process
+executor (:func:`_value_init`, :func:`_value_predict`, :func:`_value_fit`)
+while the calling process trains the policy.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +52,6 @@ MINIBATCH_SIZE = 64
 GRAD_CLIP = 0.5  # largest norm of one network's gradient per minibatch
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-WORKER_JOIN_TIMEOUT_S = 5.0
-"""How long ``train`` waits for its value-net worker to exit before killing it."""
-
 
 class TrainingDivergence(RuntimeError):
     """Raised when the loss or the parameters stop being finite."""
@@ -81,14 +81,6 @@ class CurvePoint:
     steps: int
     mean_return: float
     success_rate: float
-
-
-@dataclass
-class RolloutBatch:
-    obs: np.ndarray        # (N, obs_dim)
-    z: np.ndarray          # (N, act_dim) pre-squash Gaussian samples
-    logp_old: np.ndarray   # (N,)
-    adv: np.ndarray        # (N,) normalized advantages
 
 
 def _gaussian_terms(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray):
@@ -137,20 +129,22 @@ def _backprop(weights, hs, g_out, g_w, g_b) -> None:
             g *= np.subtract(1.0, d, out=d)
 
 
-def surrogate_loss_and_grad(params, batch: RolloutBatch, clip_ratio: float,
-                            grads) -> float:
+def surrogate_loss_and_grad(params, obs: np.ndarray, z: np.ndarray,
+                            logp_old: np.ndarray, adv: np.ndarray, grads) -> float:
     """Clipped-surrogate loss of the policy views ``params`` = (weights, biases,
-    log_std); its exact gradient goes into ``grads``, views of the same shapes."""
+    log_std) on observations ``obs`` (N, obs_dim), pre-squash samples ``z``
+    (N, act_dim), their old log densities ``logp_old`` and normalized
+    advantages ``adv`` (N,); its exact gradient goes into ``grads``, views of
+    the same shapes as ``params``."""
     weights, biases, log_std = params
     g_w, g_b, g_log_std = grads
-    mean, hs = mlp_forward(weights, biases, batch.obs)
-    diff, inv_var, sq, logp = _gaussian_terms(batch.z, mean, log_std)
-    ratio = np.exp(logp - batch.logp_old)
-    adv = batch.adv
+    mean, hs = mlp_forward(weights, biases, obs)
+    diff, inv_var, sq, logp = _gaussian_terms(z, mean, log_std)
+    ratio = np.exp(logp - logp_old)
     surr = ratio * adv
     # np.clip, less overhead
-    surr_clipped = np.minimum(np.maximum(ratio, 1.0 - clip_ratio), 1.0 + clip_ratio) * adv
-    n = batch.obs.shape[0]
+    surr_clipped = np.minimum(np.maximum(ratio, 1.0 - CLIP_RATIO), 1.0 + CLIP_RATIO) * adv
+    n = obs.shape[0]
     loss = -float(np.minimum(surr, surr_clipped).sum()) / n
 
     # gradient flows only where the unclipped branch attains the minimum
@@ -229,55 +223,49 @@ def _fit(loss_and_grad, params: np.ndarray, grad: np.ndarray, opt: Adam,
     return losses
 
 
-def _value_worker(conn, trainer_end, params: np.ndarray, shapes) -> None:
-    """The value net's half of :func:`train`, run in a worker process that owns
-    the net's parameter vector ``params``, its gradient vector and its Adam.
+_value_state = None  # (params, grad, views, gradient views, Adam), in the worker only
 
-    Per batch it answers (obs, next_obs) with their values, then fits the
-    value targets over the batch's epoch orders and answers with the losses
-    and whether its parameters stayed finite.  It returns when the trainer
-    closes its end of the pipe (``trainer_end``, closed here at once, so that
-    the trainer's close alone reads as EOF); any other error goes back as one
-    line of text.
-    """
-    trainer_end.close()
+
+def _value_init(params: np.ndarray, shapes) -> None:
+    """Start the value-net worker: it owns the net's parameter vector
+    ``params``, its gradient vector and their views, and its Adam.  It ignores
+    Ctrl-C, which reaches it too, so that the trainer alone shuts it down, and
+    exits as soon as the trainer does, even a trainer killed outright."""
+    global _value_state
+    import multiprocessing
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    trainer = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (trainer.join(), os._exit(1)), daemon=True).start()
     grad = np.empty_like(params)
     layers = len(shapes) // 2
     w_b, g_w_b = flat_views(params, shapes), flat_views(grad, shapes)
-    val, val_grad = (w_b[:layers], w_b[layers:]), (g_w_b[:layers], g_w_b[layers:])
-    opt = Adam(params, LEARNING_RATE)
+    _value_state = (params, grad, (w_b[:layers], w_b[layers:]),
+                    (g_w_b[:layers], g_w_b[layers:]), Adam(params, LEARNING_RATE))
+
+
+def _value_predict(obs: np.ndarray, next_obs: np.ndarray):
+    """The worker's values of a batch's observations and next observations."""
+    val = _value_state[2]
+    return mlp_forward(*val, obs)[0][:, 0], mlp_forward(*val, next_obs)[0][:, 0]
+
+
+def _value_fit(obs: np.ndarray, v_target: np.ndarray, orders):
+    """The worker's fit of the value targets over a batch's epoch orders: the
+    losses, and whether its parameters stayed finite."""
+    params, grad, val, val_grad, opt = _value_state
+    losses = _fit(lambda o, t: value_loss_and_grad(val, o, t, val_grad),
+                  params, grad, opt, (obs, v_target), orders)
+    return losses, bool(np.isfinite(params).all())
+
+
+def _result(future):
+    """The worker's answer; RuntimeError if the worker raised or died."""
     try:
-        while True:
-            obs, next_obs = conn.recv()
-            conn.send((mlp_forward(*val, obs)[0][:, 0], mlp_forward(*val, next_obs)[0][:, 0]))
-            v_target, orders = conn.recv()
-            losses = _fit(lambda o, t: value_loss_and_grad(val, o, t, val_grad),
-                          params, grad, opt, (obs, v_target), orders)
-            conn.send((losses, bool(np.isfinite(params).all())))
-    except (EOFError, ConnectionError, KeyboardInterrupt):
-        pass  # the trainer closed its end or the run was interrupted
-    except Exception as exc:  # the trainer raises it
-        with contextlib.suppress(OSError):
-            conn.send(f"{type(exc).__name__}: {exc}")
-
-
-def _send(conn, message) -> None:
-    """Send the value-net worker a message; RuntimeError if it has exited."""
-    try:
-        conn.send(message)
-    except OSError as exc:  # a broken pipe or a reset connection
-        raise RuntimeError("value-net worker exited early") from exc
-
-
-def _reply(conn):
-    """The value-net worker's next reply; RuntimeError if it failed or exited."""
-    try:
-        reply = conn.recv()
-    except (EOFError, OSError) as exc:
-        raise RuntimeError("value-net worker exited early") from exc
-    if isinstance(reply, str):
-        raise RuntimeError(f"value-net worker failed: {reply}")
-    return reply
+        return future.result()
+    except Exception as exc:  # the worker's own error, or BrokenProcessPool
+        raise RuntimeError(
+            f"value-net worker failed: {type(exc).__name__}: {exc}") from exc
 
 
 def train(trainer_cfg: TrainerConfig | None = None,
@@ -287,11 +275,12 @@ def train(trainer_cfg: TrainerConfig | None = None,
     Deterministic given trainer_cfg.seed.  ``init_policy`` resumes from an
     existing network instead of a fresh initialization.  Raises
     TrainingDivergence when a loss or parameter turns non-finite, and
-    RuntimeError when the value-net worker fails or exits early.  The worker
-    is gone when this returns or raises.
+    RuntimeError when the value-net worker fails or dies.  The worker is gone
+    when this returns or raises.
     """
-    # imported here so that importing the package does not pay for it
+    # imported here so that importing the package does not pay for them
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     cfg = trainer_cfg if trainer_cfg is not None else TrainerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -304,26 +293,15 @@ def train(trainer_cfg: TrainerConfig | None = None,
     # imports numpy again (CI checks it under a threaded OpenBLAS too)
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    conn, child_conn = ctx.Pipe()
-    worker = ctx.Process(target=_value_worker,
-                         args=(child_conn, conn, value, value_shapes), daemon=True)
-    worker.start()
-    child_conn.close()  # so the worker's exit reads as EOF here
-    try:
-        return _train_policy(cfg, rng, policy, conn)
-    finally:
-        conn.close()  # the worker's cue to return
-        worker.join(WORKER_JOIN_TIMEOUT_S)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join()
+    with ProcessPoolExecutor(1, mp_context=ctx, initializer=_value_init,
+                             initargs=(value, value_shapes)) as worker:
+        return _train_policy(cfg, rng, policy, worker)
 
 
 def _train_policy(cfg: TrainerConfig, rng: np.random.Generator, policy: MlpPolicy,
-                  conn):
+                  worker):
     """The policy's half of :func:`train`: the rollouts and the update of a
-    copy of ``policy``, with the value net's half asked of the worker over
-    ``conn``."""
+    copy of ``policy``, with the value net's half submitted to ``worker``."""
     env_cfg, orbit, veh = EpisodeConfig(), ChiefOrbit(), VehicleParams()
     params = policy.params.copy()
     grad = np.empty_like(params)
@@ -331,9 +309,6 @@ def _train_policy(cfg: TrainerConfig, rng: np.random.Generator, policy: MlpPolic
     log_std = pol[2]
     opt = Adam(params, LEARNING_RATE)
     curve: list = []
-
-    def policy_loss_and_grad(*mini):
-        return surrogate_loss_and_grad(pol, RolloutBatch(*mini), CLIP_RATIO, pol_grad)
 
     states, goals = sample_episodes(rng, N_STREAMS)
     obs = observe(states, goals)  # every stream's current observation
@@ -368,17 +343,17 @@ def _train_policy(cfg: TrainerConfig, rng: np.random.Generator, policy: MlpPolic
             ep_returns, ep_successes = ep_return.tolist(), [False] * N_STREAMS
 
         b_obs, mean, z, rew, status, next_obs = map(np.concatenate, zip(*rows))
-        _send(conn, (b_obs, next_obs))
+        predicted = worker.submit(_value_predict, b_obs, next_obs)
         logp_old = gaussian_logp(z, mean, log_std)
-        values, next_values = _reply(conn)
+        values, next_values = _result(predicted)
         adv = gae(rew, values, next_values, status, DISCOUNT, GAE_LAMBDA, N_STREAMS)
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         orders = [rng.permutation(n) for _ in range(EPOCHS_PER_BATCH)]
-        _send(conn, (v_target, orders))
-        p_losses = _fit(policy_loss_and_grad, params, grad, opt,
-                        (b_obs, z, logp_old, adv), orders)
-        v_losses, value_finite = _reply(conn)
+        fitted = worker.submit(_value_fit, b_obs, v_target, orders)
+        p_losses = _fit(lambda *mini: surrogate_loss_and_grad(pol, *mini, pol_grad),
+                        params, grad, opt, (b_obs, z, logp_old, adv), orders)
+        v_losses, value_finite = _result(fitted)
         # each side stopped after its own first non-finite loss, so both reach
         # the first minibatch where either one is not finite
         for p_loss, v_loss in zip(p_losses, v_losses):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_unwritable_artifact_exits_1_with_one_error_line(tmp_path, capsys, argv,
 
 
 def _exit_at_once(*args):
-    return None
+    os._exit(0)
 
 
 @pytest.mark.parametrize("init_policy", [None, "divergent"])
@@ -275,7 +276,7 @@ def test_a_failed_training_run_exits_1_with_one_error_line(tmp_path, capsys, mon
 
     argv = ["train", "--steps", "1024", "--out", str(tmp_path / "o")]
     if init_policy is None:  # the value-net worker exits before its first reply
-        monkeypatch.setattr(training, "_value_worker", _exit_at_once)
+        monkeypatch.setattr(training, "_value_init", _exit_at_once)
     else:  # exp(800) overflows, so the losses are not finite
         start = MlpPolicy.initialize(np.random.default_rng(0))
         start.log_std[:] = 800.0

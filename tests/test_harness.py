@@ -451,7 +451,8 @@ def test_propagation_blowup_aborts_with_partial_log():
     agent = AgentSpec(RelativeState([1.5e308, 0, 0], [1e308, 0, 0]),
                       ((500.0, 0, 0),))
     spec = ScenarioSpec(name="x", agents=(agent,))
-    report, log = run(spec)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report, log = run(spec)
     assert report.aborted
     assert len(log.records) >= 1
 

@@ -1,7 +1,12 @@
 import contextlib
+import itertools
 import math
 import multiprocessing
+import os
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +23,6 @@ from proxops.training import (
     _clip_grad,
     CurvePoint,
     N_STREAMS,
-    RolloutBatch,
     TrainerConfig,
     TrainingDivergence,
     curve_rows,
@@ -39,7 +43,8 @@ def test_gaussian_logp_standard_normal():
 
 
 def _bandit_batch(policy, rng, n=24):
-    """One-step bandit version of the env: fixed start, reward is the payoff.
+    """One-step bandit version of the env: fixed start, reward is the payoff;
+    returns (obs, z, logp_old, adv).
 
     The stored old log-probs are offset so the importance ratios sit well
     away from the clip kinks on both sides.
@@ -58,7 +63,7 @@ def _bandit_batch(policy, rng, n=24):
     adv = rewards - rewards.mean()
     offsets = rng.choice([-0.4, -0.05, 0.05, 0.4], size=n)
     logp_old = gaussian_logp(z, mean, policy.log_std) - np.log1p(offsets)
-    return RolloutBatch(obs, z, logp_old, adv)
+    return obs, z, logp_old, adv
 
 
 def _check_gradient(loss_at, arrays, grads, eps=1e-6):
@@ -86,8 +91,8 @@ def test_surrogate_gradient_matches_finite_differences():
         params = (policy.weights, policy.biases, policy.log_std)
         scratch = policy.unflatten(np.empty_like(policy.params))
         g_w, g_b, g_log_std = grads = policy.unflatten(np.empty_like(policy.params))
-        surrogate_loss_and_grad(params, batch, 0.2, grads)
-        _check_gradient(lambda: surrogate_loss_and_grad(params, batch, 0.2, scratch),
+        surrogate_loss_and_grad(params, *batch, grads)
+        _check_gradient(lambda: surrogate_loss_and_grad(params, *batch, scratch),
                         [*policy.weights, *policy.biases, policy.log_std],
                         [*g_w, *g_b, g_log_std])
 
@@ -162,7 +167,7 @@ def test_flat_clipping_matches_per_array_clipping(norm_fraction):
     grad = np.empty_like(policy.params)
     g_w, g_b, g_log_std = grads = policy.unflatten(grad)
     surrogate_loss_and_grad((policy.weights, policy.biases, policy.log_std),
-                            _bandit_batch(policy, rng), 0.2, grads)
+                            *_bandit_batch(policy, rng), grads)
     arrays = [*g_w, *g_b, g_log_std]
     assert all(np.shares_memory(a, grad) for a in arrays)
     max_norm = norm_fraction * math.sqrt(sum(float(np.sum(g * g)) for g in arrays))
@@ -361,16 +366,58 @@ def test_no_worker_process_outlives_train(monkeypatch):
 
 
 def _exit_at_once(*args):
-    return None
+    os._exit(0)
 
 
 def test_a_worker_that_exits_early_raises_instead_of_hanging(monkeypatch):
-    monkeypatch.setattr(training, "_value_worker", _exit_at_once)
-    for batch_size in (64, 2048):  # the first batch fits in the pipe, or does not
+    monkeypatch.setattr(training, "_value_init", _exit_at_once)
+    for batch_size in (64, 2048):  # a small first batch, and a full one
         cfg = TrainerConfig(total_steps=batch_size, batch_size=batch_size, seed=0)
-        with _deadline(60), pytest.raises(RuntimeError, match="exited early"):
+        with _deadline(60), pytest.raises(RuntimeError, match="BrokenProcessPool"):
             train(trainer_cfg=cfg)
         assert multiprocessing.active_children() == []
+
+
+_real_value_fit = training._value_fit
+_fits = itertools.count()  # counts the worker's fits, in the worker's copy
+
+
+def _exit_on_second_fit(*args):
+    if next(_fits):
+        os._exit(0)
+    return _real_value_fit(*args)
+
+
+def test_a_worker_that_dies_mid_run_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(training, "_value_fit", _exit_on_second_fit)
+    cfg = TrainerConfig(total_steps=1024, batch_size=512, seed=0)
+    with _deadline(60), pytest.raises(RuntimeError, match="BrokenProcessPool"):
+        train(trainer_cfg=cfg)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("to_group, sig", [
+    (True, signal.SIGINT), (False, signal.SIGTERM), (False, signal.SIGKILL)],
+    ids=["ctrl-c", "sigterm", "sigkill"])
+def test_a_signal_to_the_trainer_ends_the_whole_run(tmp_path, to_group, sig):
+    # Ctrl-C reaches the worker too; a trainer killed outright cannot shut it down
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(training.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "proxops.cli", "train", "--steps", "300000",
+         "--out", str(tmp_path)], env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        time.sleep(2.0)  # past the first batch, so the worker is running
+        (os.killpg if to_group else os.kill)(proc.pid, sig)
+        # stderr reads EOF only once the worker, which shares it, has exited too
+        proc.communicate(timeout=30)
+        if to_group:  # the trainer joined its worker: no process of the group is left
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def _broken_value_loss(*args):
