@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
 
 from .env import norms
 from .harness import (
@@ -75,12 +76,10 @@ def _plot_data(log) -> dict:
             "crossing_times": crossings}
 
 
-def _write_json(path, payload) -> None:
-    """Write strict JSON; raises ValueError on NaN or infinities, before
-    the file is opened."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _json_text(payload) -> str:
+    """One line of strict JSON with sorted keys, by json's C encoder (no
+    indent); raises ValueError on NaN or infinities."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_artifacts(out, writers) -> bool:
@@ -114,9 +113,9 @@ def cmd_run(args) -> int:
     report, log = run(spec)
     if not _write_artifacts(args.out, (
             ("trajectory.csv", lambda path: write_csv(log, path)),
-            ("metrics.json", lambda path: _write_json(path, report.as_dict())),
-            ("plot_data.json", lambda path: _write_json(path, _plot_data(log))),
-            ("config.json", lambda path: _write_json(path, cfg)))):
+            ("metrics.json", lambda path: Path(path).write_text(_json_text(report.as_dict()))),
+            ("plot_data.json", lambda path: Path(path).write_text(_json_text(_plot_data(log)))),
+            ("config.json", lambda path: Path(path).write_text(_json_text(cfg))))):
         return 1
     if report.aborted:
         print("error: propagation aborted; partial artifacts written",
@@ -140,15 +139,11 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    def write_curve(path):
-        with open(path, "w") as fh:
-            fh.write("steps,mean_return,success_rate\n")
-            for steps, mean_return, success in curve_rows(curve):
-                fh.write(f"{steps},{mean_return!r},{success!r}\n")
-
+    curve_text = "steps,mean_return,success_rate\n" + "".join(
+        f"{steps},{mean_return!r},{success!r}\n" for steps, mean_return, success in curve_rows(curve))
     written = _write_artifacts(args.out, (
         ("policy.json", lambda path: save_policy(policy, path)),
-        ("learning_curve.csv", write_curve)))
+        ("learning_curve.csv", lambda path: Path(path).write_text(curve_text))))
     return 0 if written else 1
 
 
@@ -162,14 +157,19 @@ def cmd_baseline_stats(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = baseline_stats(args.trials, seed=args.seed).as_dict()
+    try:  # --json prints the very bytes baseline_stats.json holds
+        text = _json_text(payload)
+    except ValueError as exc:  # a NaN or an infinity: nothing printed or written
+        print(f"error: baseline statistics not written: {exc}", file=sys.stderr)
+        return 1
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        sys.stdout.write(text)
     else:
         width = max(len(k) for k in payload)
         for key, value in payload.items():
             print(f"{key:<{width}}  {value}")
     if args.out is not None and not _write_artifacts(args.out, (
-            ("baseline_stats.json", lambda path: _write_json(path, payload)),)):
+            ("baseline_stats.json", lambda path: Path(path).write_text(text)),)):
         return 1
     return 0
 

@@ -11,7 +11,6 @@ arrays, one row per tick.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -353,17 +352,18 @@ def compute_metrics(log: TrajectoryLog) -> MetricsReport:
 def write_csv(log: TrajectoryLog, path) -> None:
     """Write the trajectory log with the fixed column schema (SI units).
 
-    Rows are tick-major; every float is written as ``repr`` of its Python
-    float, the agent index and ``rta_active`` as integers.
+    Rows are tick-major and end in CRLF, as ``csv.writer`` writes them; every
+    float is written as ``repr`` of its Python float, the agent index and
+    ``rta_active`` as integers.  No field needs quoting, so a row is one line.
     """
     motion = np.concatenate([log.pos, log.vel, log.u_des, log.u], axis=-1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
+        fh.write(CSV_HEADER + "\r\n")
         for i, t in enumerate(log.t.tolist()):  # one tick at a time keeps memory small
             columns = (motion[i], log.rta_active[i], log.slack[i], log.dist_goal[i])
-            writer.writerows([t, k, *m, int(a), *s, d] for k, (m, a, s, d)
-                             in enumerate(zip(*(c.tolist() for c in columns))))
+            for k, (m, a, s, d) in enumerate(zip(*(c.tolist() for c in columns))):
+                fh.write(f"{t!r},{k},{','.join(map(repr, m))},{a:d},"
+                         f"{','.join(map(repr, s))},{d!r}\r\n")
 
 
 def pair_distances(log: TrajectoryLog) -> dict:

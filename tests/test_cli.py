@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -214,6 +215,39 @@ def test_baseline_stats_human_and_json(tmp_path, capsys):
     assert payload["n_trials"] == 5
     written = json.loads((tmp_path / "s" / "baseline_stats.json").read_text())
     assert written == payload
+
+
+def test_baseline_stats_json_prints_the_bytes_it_writes(tmp_path, capsys):
+    assert main(["baseline-stats", "--trials", "3", "--seed", "2", "--json",
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "baseline_stats.json").read_text()
+    assert out.count("\n") == 1 and out.endswith("}\n")
+
+
+def test_non_finite_baseline_stats_exit_1_with_nothing_printed(tmp_path, capsys, monkeypatch):
+    from proxops import cli
+    from proxops.harness import BaselineStats
+
+    monkeypatch.setattr(cli, "baseline_stats",
+                        lambda n, seed: BaselineStats(n, 1.0, math.nan, 0.0, 1.0, 0.0, 0.0))
+    assert main(["baseline-stats", "--trials", "3", "--json", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "baseline_stats.json").exists()
+
+
+def test_json_artifacts_are_one_line_of_strict_sorted_json(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "standoff", "--out", str(out)]) == 0
+    for name in ("metrics.json", "plot_data.json", "config.json"):
+        text = (out / name).read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        payload = json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+        assert text == json.dumps(payload, sort_keys=True) + "\n"
+    csv_lines = (out / "trajectory.csv").read_bytes().split(b"\n")
+    assert csv_lines[-1] == b"" and all(line.endswith(b"\r") for line in csv_lines[:-1])
 
 
 def test_baseline_stats_deterministic(capsys):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,92 @@ def test_csv_schema_and_round_trip(tmp_path):
                                   *(repr(v) for v in (r.slack_pos, r.slack_vel, r.slack_acc)),
                                   *(repr(float(v)) for v in r.slack_u), repr(r.dist_goal)])
                         for r in log.records]
+
+
+# SHA-256 of trajectory.csv from `proxops run` on each built-in run, recorded
+# when csv.writer wrote the rows; writing each row as one line keeps the bytes.
+CSV_GOLDENS = {
+    ("single", False): "5eee38658018e8e5385fad028d4e2108dbf532b3c59b39cbeddea295d52fc54a",
+    ("standoff", False): "7ce6a1803d9a59acb5d2d8ad452856fc67ffec487cc6c7223d4919f8ab024088",
+    ("standoff", True): "a7c841fa531a5ebbbd7a5b08eccd62a4dce1114398b6d40afabdb65dc3e941eb",
+}
+
+
+@pytest.mark.parametrize("scenario, rta", CSV_GOLDENS,
+                         ids=["single", "standoff-rta-off", "standoff-rta-on"])
+def test_csv_matches_its_golden(tmp_path, scenario, rta):
+    path = tmp_path / "trajectory.csv"
+    write_csv(run(builtin_scenario(scenario, rta_enabled=rta))[1], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_GOLDENS[scenario, rta]
+
+
+def _reference_csv(log, path):
+    """The trajectory CSV through ``csv.writer``, one Python list per row."""
+    motion = np.concatenate([log.pos, log.vel, log.u_des, log.u], axis=-1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER.split(","))
+        for i, t in enumerate(log.t.tolist()):
+            columns = (motion[i], log.rta_active[i], log.slack[i], log.dist_goal[i])
+            writer.writerows([t, k, *m, int(a), *s, d] for k, (m, a, s, d)
+                             in enumerate(zip(*(c.tolist() for c in columns))))
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, -1e-5, 0.1)
+
+
+def _hand_built_log(n_agents, ticks=5):
+    """A log whose every float column cycles through ``SPECIAL_FLOATS``,
+    with every third entry a random one."""
+    rng = np.random.default_rng(n_agents)
+
+    def column(*shape):
+        size = math.prod(shape)
+        cycle = np.resize(np.array(SPECIAL_FLOATS), size)
+        return np.where(np.arange(size) % 3 == 2, rng.normal(size=size) * 1e3,
+                        cycle).reshape(shape)
+
+    return TrajectoryLog(
+        t=np.array([0.0, 1.0, 2.5, 1e16, -0.0])[:ticks], pos=column(ticks, n_agents, 3),
+        vel=column(ticks, n_agents, 3), u_des=column(ticks, n_agents, 3),
+        u=column(ticks, n_agents, 3), rta_active=rng.random((ticks, n_agents)) < 0.5,
+        slack=column(ticks, n_agents, 6), dist_goal=column(ticks, n_agents),
+        control_dt=1.0, mass=12.0, targets_reached=[0] * n_agents,
+        completion_times=[None] * n_agents)
+
+
+@pytest.mark.parametrize("n_agents", [1, 3])
+def test_csv_bytes_match_the_csv_module_on_special_floats(tmp_path, n_agents):
+    log = _hand_built_log(n_agents)
+    write_csv(log, tmp_path / "fast.csv")
+    _reference_csv(log, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    for token in (b",nan,", b",inf,", b",-inf,", b",-0.0,", b",5e-324,", b",1e+16,", b",1e-05,"):
+        assert token in fast
+
+
+def test_csv_bytes_match_the_csv_module_on_a_blown_up_run(tmp_path):
+    agent = AgentSpec(RelativeState([1.5e308, 0, 0], [1e308, 0, 0]), ((500.0, 0, 0),))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report, log = run(ScenarioSpec(name="x", agents=(agent,)))
+    assert report.aborted
+    write_csv(log, tmp_path / "fast.csv")
+    _reference_csv(log, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_csv_writer_streams_one_tick_at_a_time(tmp_path):
+    # Formatting the whole six-deputy ring log at once peaks near 5 MB of
+    # Python objects; one tick at a time, near the 0.7 MB motion array.
+    _, log = run(_ring(6, 0.1))
+    tracemalloc.start()
+    try:
+        write_csv(log, tmp_path / "ring.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_crossing_times_catch_the_conflicts():
