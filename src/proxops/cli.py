@@ -42,8 +42,11 @@ def _merge_config(args) -> dict:
     """Defaults, then config-file values, then explicit flags."""
     cfg = dict(DEFAULT_CONFIG)
     if args.config is not None:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                loaded = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"config file {args.config} nests too deeply") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {loaded!r}")
         for key, value in loaded.items():

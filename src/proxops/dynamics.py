@@ -55,9 +55,6 @@ class RelativeState:
         self.pos = _vec3(self.pos)
         self.vel = _vec3(self.vel)
 
-    def copy(self) -> "RelativeState":
-        return RelativeState(self.pos.copy(), self.vel.copy())
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.pos, self.vel])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ OBS_POSITION_SCALE = 1000.0
 
 
 class Status(enum.IntEnum):
-    """Episode status; :func:`step_batch` returns one code per episode."""
+    """Episode status; :func:`advance` gives one int64 code per episode."""
 
     RUNNING = 0
     REACHED = 1
@@ -91,7 +91,7 @@ class StepOutcome:
 class EpisodeResults:
     """Outcome of each episode of :func:`run_episodes`, in input order."""
 
-    status: list              # final Status of each episode
+    status: np.ndarray        # (K,) int64 final Status code
     elapsed: np.ndarray       # (K,) episode time, s
     final: np.ndarray         # (K, 6) final position and velocity
     path_length: np.ndarray   # (K,) summed lengths of position increments, m
@@ -204,8 +204,7 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
     states = np.array(starts, dtype=float).reshape(-1, 6)
     goals = np.array(goals, dtype=float).reshape(-1, 3)
     n = states.shape[0]
-    results = EpisodeResults([Status.RUNNING] * n, np.zeros(n), np.empty((n, 6)),
-                             np.zeros(n))
+    results = EpisodeResults(np.full(n, RUNNING), np.zeros(n), np.empty((n, 6)), np.zeros(n))
     live = np.arange(n)
     path = np.zeros(n)
     elapsed = 0.0
@@ -219,11 +218,53 @@ def run_episodes(controller, starts, goals, cfg: EpisodeConfig,
         if not ended.any():
             continue
         done = live[ended]
-        for k, code in zip(done.tolist(), status[ended].tolist()):
-            results.status[k] = Status(code)
+        results.status[done] = status[ended]
         results.elapsed[done] = elapsed
         results.final[done] = states[ended]
         results.path_length[done] = path[ended]
         keep = ~ended
         live, states, goals, path = live[keep], states[keep], goals[keep], path[keep]
     return results
+
+
+@dataclass(frozen=True)
+class EpisodeStats:
+    """The success rate of :func:`evaluate`, then the mean and sample SD of the
+    arrived episodes' times and path lengths and the mean excess of path
+    length over the start-to-goal line, each 0.0 where no episode defines it."""
+
+    n_trials: int
+    success_rate: float
+    mean_time: float
+    sd_time: float
+    mean_distance: float
+    sd_distance: float
+    mean_excess: float
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def evaluate(controller, n_episodes: int, seed: int = 0) -> EpisodeStats:
+    """:func:`run_episodes` of ``controller`` on ``n_episodes`` episodes drawn
+    by :func:`sample_episodes` from ``seed``, with the default episode, orbit
+    and vehicle settings, summarised as :class:`EpisodeStats`."""
+    if n_episodes < 0:
+        raise ValueError("n_episodes must be nonnegative")
+    starts, goals = sample_episodes(np.random.default_rng(seed), n_episodes)
+    res = run_episodes(controller, starts, goals, EpisodeConfig(), ChiefOrbit(),
+                       VehicleParams())
+    reached = res.status == REACHED
+    straight = norms(starts[:, :3] - goals)
+    lined = reached & (straight > 0.0)  # a zero line has no excess
+    times, dists = res.elapsed[reached], res.path_length[reached]
+
+    def mean(xs):
+        return float(np.mean(xs)) if xs.size else 0.0
+
+    def sd(xs):
+        return float(np.std(xs, ddof=1)) if xs.size > 1 else 0.0
+
+    return EpisodeStats(n_episodes, times.size / n_episodes if n_episodes else 0.0,
+                        mean(times), sd(times), mean(dists), sd(dists),
+                        mean(res.path_length[lined] / straight[lined] - 1.0))

@@ -27,12 +27,10 @@ from .dynamics import (  # noqa: F401 - propagate_cwh stays a harness attribute 
 )
 from .env import (  # noqa: F401 - step stays a harness attribute for perfbench's tracer
     DEFAULT_TIMEOUT,
-    EpisodeConfig,
-    Status,
+    EpisodeStats,
+    evaluate,
     norms,
     observe,
-    run_episodes,
-    sample_episodes,
     step,
 )
 from .policy import baseline_act, load_policy, policy_act
@@ -384,54 +382,7 @@ def local_minima(distances: dict) -> dict:
             for key, series in distances.items()}
 
 
-@dataclass(frozen=True)
-class BaselineStats:
-    n_trials: int
-    success_rate: float
-    mean_time: float
-    sd_time: float
-    mean_distance: float
-    sd_distance: float
-    mean_excess: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def baseline_stats(n_trials: int, seed: int = 0) -> BaselineStats:
-    """Run the baseline controller on sampled training episodes.
-
-    All trials step in lock-step through :func:`env.run_episodes`.
-
-    Reports success rate plus mean and sample-SD of completion time and
-    path length, and the mean excess of path length over the start-to-goal
-    straight line (successful trials only).
-    """
-    if n_trials < 0:
-        raise ValueError("n_trials must be nonnegative")
-    if n_trials == 0:
-        return BaselineStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    vehicle = VehicleParams()
-    starts, goals = sample_episodes(np.random.default_rng(seed), n_trials)
-    res = run_episodes(lambda obs: baseline_act(obs, vehicle.mass, vehicle.thrust_bound),
-                       starts, goals, EpisodeConfig(), ChiefOrbit(), vehicle)
-
-    times, dists, excesses = [], [], []
-    for k, straight in enumerate(norms(starts[:, :3] - goals).tolist()):
-        if res.status[k] is Status.REACHED:
-            times.append(res.elapsed[k])
-            dists.append(res.path_length[k])
-            if straight > 0.0:
-                excesses.append(res.path_length[k] / straight - 1.0)
-
-    def _mean(xs):
-        return float(np.mean(xs)) if xs else 0.0
-
-    def _sd(xs):
-        return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
-
-    return BaselineStats(n_trials=n_trials,
-                         success_rate=len(times) / n_trials,
-                         mean_time=_mean(times), sd_time=_sd(times),
-                         mean_distance=_mean(dists), sd_distance=_sd(dists),
-                         mean_excess=_mean(excesses))
+def baseline_stats(n_trials: int, seed: int = 0) -> EpisodeStats:
+    """:func:`env.evaluate` of the PD baseline on ``n_trials`` sampled
+    training episodes."""
+    return evaluate(make_controller("baseline", VehicleParams()), n_trials, seed)

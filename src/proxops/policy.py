@@ -184,7 +184,7 @@ def load_policy(path) -> MlpPolicy:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise PolicyFileError(f"cannot parse policy file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != POLICY_FORMAT:
         raise PolicyFileError(f"{path} is not a {POLICY_FORMAT} file")
@@ -194,6 +194,8 @@ def load_policy(path) -> MlpPolicy:
             f"policy file version {version!r} is not supported (expected {POLICY_VERSION})")
     try:
         dims = payload["layer_dims"]
+        if not all(type(d) is int and d > 0 for d in dims):  # reshape would infer a -1
+            raise ValueError(f"layer_dims entries must be positive integers, got {dims!r}")
         weights = [np.asarray(flat, dtype=float).reshape(n_out, n_in)
                    for flat, n_in, n_out in zip(payload["weights"], dims[:-1], dims[1:])]
         if len(weights) != len(dims) - 1 or len(payload["biases"]) != len(weights):

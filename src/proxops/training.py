@@ -28,9 +28,8 @@ from .env import (  # noqa: F401 - step stays a training attribute for perfbench
     RUNNING,
     TIMEOUT,
     EpisodeConfig,
-    Status,
+    evaluate,
     observe,
-    run_episodes,
     sample_episodes,
     step,
     step_batch,
@@ -370,18 +369,10 @@ def _train_policy(cfg: TrainerConfig, rng: np.random.Generator, policy: MlpPolic
 
 
 def evaluate_policy(policy: MlpPolicy, n_episodes: int, seed: int = 0):
-    """Deterministic rollouts on sampled episodes: (success rate, mean time).
-
-    All episodes step in lock-step through :func:`env.run_episodes`.
-    """
-    if n_episodes < 0:
-        raise ValueError("n_episodes must be nonnegative")
-    starts, goals = sample_episodes(np.random.default_rng(seed), n_episodes)
-    res = run_episodes(lambda obs: policy_act(policy, obs), starts, goals,
-                       EpisodeConfig(), ChiefOrbit(), VehicleParams())
-    times = [t for t, s in zip(res.elapsed, res.status) if s is Status.REACHED]
-    rate = len(times) / n_episodes if n_episodes else 0.0
-    return rate, (float(np.mean(times)) if times else float("nan"))
+    """Deterministic rollouts on sampled episodes through :func:`env.evaluate`:
+    (success rate, mean time), the time NaN when no episode arrived."""
+    stats = evaluate(lambda obs: policy_act(policy, obs), n_episodes, seed)
+    return stats.success_rate, stats.mean_time if stats.success_rate else math.nan
 
 
 def curve_rows(curve: list) -> list:

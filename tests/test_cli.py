@@ -174,6 +174,37 @@ def test_non_finite_policy_file_exits_2_without_files(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"format": "\xe9"}\n', id="not-utf8"),
+    pytest.param(b"[" * 2000 + b"]" * 2000, id="nested-2000-deep"),
+])
+@pytest.mark.parametrize("command", ["run-policy", "run-config", "train"])
+def test_unreadable_json_input_exits_2_without_files(tmp_path, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    argv = {"run-policy": ["run", "--controller", f"policy:{path}"],
+            "run-config": ["run", "--config", str(path)],
+            "train": ["train", "--steps", "64", "--resume", str(path)]}[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_layer_dims_policy_file_exits_2_without_files(tmp_path, capsys):
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 8, 3)), ppath)
+    payload = json.loads(ppath.read_text())
+    payload["layer_dims"] = [6, -1, 3]
+    ppath.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main(["train", "--steps", "0", "--resume", str(ppath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_zero_steps_smoke(tmp_path):
     out = tmp_path / "t"
     assert main(["train", "--steps", "0", "--out", str(out)]) == 0
@@ -227,10 +258,10 @@ def test_baseline_stats_json_prints_the_bytes_it_writes(tmp_path, capsys):
 
 def test_non_finite_baseline_stats_exit_1_with_nothing_printed(tmp_path, capsys, monkeypatch):
     from proxops import cli
-    from proxops.harness import BaselineStats
+    from proxops.env import EpisodeStats
 
     monkeypatch.setattr(cli, "baseline_stats",
-                        lambda n, seed: BaselineStats(n, 1.0, math.nan, 0.0, 1.0, 0.0, 0.0))
+                        lambda n, seed: EpisodeStats(n, 1.0, math.nan, 0.0, 1.0, 0.0, 0.0))
     assert main(["baseline-stats", "--trials", "3", "--json", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

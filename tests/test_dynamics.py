@@ -268,7 +268,7 @@ def test_linearization_tracks_nonlinear_coast():
     chief = circular_chief_state(ORBIT)
     rel0 = RelativeState([120.0, -160.0, 0.0], [0.0, 0.0, 0.0])
     deputy = hill_to_eci(chief, rel0)
-    lin = rel0.copy()
+    lin = RelativeState(rel0.pos.copy(), rel0.vel.copy())
     c, d = chief, deputy
     worst = 0.0
     for _ in range(50):

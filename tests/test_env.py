@@ -97,7 +97,7 @@ def test_a_controller_writing_its_observation_leaves_the_run_unchanged():
     cfg = EpisodeConfig()
     clean = run_episodes(baseline_act, starts, goals, cfg, ORBIT, VEH)
     dirty = run_episodes(scribbler, starts, goals, cfg, ORBIT, VEH)
-    assert dirty.status == clean.status
+    assert np.array_equal(dirty.status, clean.status)
     assert np.array_equal(dirty.elapsed, clean.elapsed)
     assert np.array_equal(dirty.final, clean.final)
     assert np.array_equal(dirty.path_length, clean.path_length)
@@ -202,7 +202,7 @@ def test_zero_thrust_never_reaches_a_sampled_goal():
     for start, goal, status in zip(starts, goals, res.status):
         started_inside = np.linalg.norm(start[:3] - goal) < TRAINING_ACCEPTANCE_RADIUS
         if not started_inside:
-            assert status is not Status.REACHED
+            assert status != Status.REACHED
 
 
 def test_config_validation():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proxops import harness
+from proxops import env, harness
 from proxops.dynamics import (
     RelativeState,
     VehicleParams,
@@ -616,7 +616,7 @@ def test_baseline_stats_values_are_sane():
 
 def test_baseline_stats_honours_the_episode_time_budget(monkeypatch):
     # Under the default 500 s budget all five trials arrive, 194.2 s on average.
-    monkeypatch.setattr(harness, "EpisodeConfig", lambda: EpisodeConfig(timeout=20.0))
+    monkeypatch.setattr(env, "EpisodeConfig", lambda: EpisodeConfig(timeout=20.0))
     stats = baseline_stats(5, seed=1)
     assert stats.mean_time <= 20.0
     assert stats.success_rate < 1.0

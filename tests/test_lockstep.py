@@ -71,9 +71,10 @@ def test_each_episode_matches_a_plain_step_loop(name, cfg):
     controller = CONTROLLERS[name]
     starts, goals = sample_episodes(np.random.default_rng(1), 20)
     res = run_episodes(controller, starts, goals, cfg, ORBIT, VEH)
+    assert res.status.dtype == np.int64
     for k in range(len(starts)):
         status, elapsed, final, path = plain_episode(controller, starts[k], goals[k], cfg)
-        assert res.status[k] is status
+        assert res.status[k] == status
         assert res.elapsed[k] == elapsed
         assert np.array_equal(res.final[k], final)
         assert res.path_length[k] == path
@@ -84,7 +85,7 @@ def test_the_compared_batches_cover_every_ending():
     for name, timeout in (("baseline", 120.0), ("policy", 500.0)):
         cfg = EpisodeConfig(timeout=timeout)
         starts, goals = sample_episodes(np.random.default_rng(1), 20)
-        seen |= set(run_episodes(CONTROLLERS[name], starts, goals, cfg, ORBIT, VEH).status)
+        seen |= set(run_episodes(CONTROLLERS[name], starts, goals, cfg, ORBIT, VEH).status.tolist())
     assert seen == {Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT}
 
 
@@ -99,10 +100,10 @@ def test_termination_precedence_within_one_tick():
     coast = lambda obs: np.zeros_like(obs[..., 3:])
     cfg = EpisodeConfig(timeout=1.0)
     res = run_episodes(coast, starts, goals, cfg, ORBIT, VEH)
-    assert res.status == [Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT]
+    assert res.status.tolist() == [Status.REACHED, Status.OUT_OF_BOUNDS, Status.TIMEOUT]
     assert np.array_equal(res.elapsed, [1.0, 1.0, 1.0])
     for k in range(3):
-        assert res.status[k] is plain_episode(coast, starts[k], goals[k], cfg)[0]
+        assert res.status[k] == plain_episode(coast, starts[k], goals[k], cfg)[0]
 
 
 def test_no_episodes_never_call_the_controller():
@@ -110,9 +111,34 @@ def test_no_episodes_never_call_the_controller():
         raise AssertionError("called")
     res = run_episodes(controller, np.empty((0, 6)), np.empty((0, 3)),
                        EpisodeConfig(), ORBIT, VEH)
-    assert res.status == []
+    assert res.status.shape == (0,)
     assert res.elapsed.shape == (0,) and res.final.shape == (0, 6)
     assert evaluate_policy(POLICY, 0) == (0.0, pytest.approx(float("nan"), nan_ok=True))
+
+
+def test_evaluate_without_arrivals_gives_finite_zeros():
+    # a zero network commands zero thrust, so no sampled episode arrives
+    zero = MlpPolicy([np.zeros((3, 6))], [np.zeros(3)])
+    coast = lambda obs: np.zeros_like(obs[..., 3:])
+    stats = env.evaluate(coast, 12, seed=4)
+    assert stats.as_dict() == {"n_trials": 12, "success_rate": 0.0, "mean_time": 0.0,
+                               "sd_time": 0.0, "mean_distance": 0.0, "sd_distance": 0.0,
+                               "mean_excess": 0.0}
+    assert env.evaluate(lambda obs: policy_act(zero, obs), 12, seed=4) == stats
+    rate, mean_time = evaluate_policy(zero, 12, seed=4)
+    assert rate == 0.0 and np.isnan(mean_time)
+
+
+@pytest.mark.parametrize("n, seed", [(0, 0), (1, 2), (7, 3)])
+def test_baseline_stats_are_the_evaluation_of_the_pd_controller(n, seed):
+    assert baseline_stats(n, seed) == env.evaluate(baseline_act, n, seed)
+
+
+def test_negative_episode_counts_raise():
+    for evaluation in (lambda n: env.evaluate(baseline_act, n), baseline_stats,
+                       lambda n: evaluate_policy(POLICY, n)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            evaluation(-1)
 
 
 def test_policy_with_wrong_input_width_raises():

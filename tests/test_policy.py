@@ -70,7 +70,7 @@ def test_baseline_reaches_sampled_waypoints_within_the_budget():
     cfg = EpisodeConfig()
     starts, goals = sample_episodes(np.random.default_rng(2), 50)
     res = run_episodes(baseline_act, starts, goals, cfg, ORBIT, VEH)
-    assert res.status == [Status.REACHED] * 50
+    assert res.status.tolist() == [Status.REACHED] * 50
     assert np.all(res.elapsed <= cfg.timeout)
 
 
@@ -228,4 +228,27 @@ def test_load_policy_rejects_non_finite_parameters(tmp_path, token):
     payload["biases"][0][0] = "BAD"
     path.write_text(json.dumps(payload).replace('"BAD"', token))
     with pytest.raises(PolicyFileError, match="finite"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"format": "\xe9"}\n', id="not-utf8"),
+    pytest.param(b"[" * 2000 + b"]" * 2000, id="nested-2000-deep"),
+])
+def test_unreadable_policy_json_raises_policy_file_error(tmp_path, content):
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    with pytest.raises(PolicyFileError, match="cannot parse"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("dims", [[6, -1, 3], [6, 8, -1], [6, 0, 3], [6, True, 3], [6, 8.0, 3]])
+def test_load_policy_rejects_layer_dims_that_are_not_positive_integers(tmp_path, dims):
+    # numpy's reshape would infer a -1 from the weights and load a 6-8-3 network
+    path = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 8, 3)), path)
+    payload = json.loads(path.read_text())
+    payload["layer_dims"] = dims
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFileError, match="positive integers"):
         load_policy(path)
