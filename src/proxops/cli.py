@@ -29,7 +29,7 @@ from .harness import (
     run,
     write_csv,
 )
-from .policy import PolicyFileError, load_policy, save_policy
+from .policy import PolicyFileError, brief, load_policy, save_policy
 from .training import TrainerConfig, curve_rows, train
 
 CONFIG_TYPES = {"scenario": str, "rta": str, "controller": str, "seed": int,
@@ -48,18 +48,18 @@ def _merge_config(args) -> dict:
             except RecursionError as exc:
                 raise ValueError(f"config file {args.config} nests too deeply") from exc
         if not isinstance(loaded, dict):
-            raise ValueError(f"config file must hold a JSON object, got {loaded!r}")
+            raise ValueError(f"config file must hold a JSON object, got {brief(loaded)}")
         for key, value in loaded.items():
             if key not in CONFIG_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {brief(key)}")
             if isinstance(value, bool) or not isinstance(value, CONFIG_TYPES[key]):
-                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+                raise ValueError(f"config key {key!r} has the wrong type: {brief(value)}")
         cfg.update(loaded)
     for key in CONFIG_TYPES:  # each config key is also a flag's dest
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     if cfg["rta"] not in ("on", "off"):
-        raise ValueError(f"rta must be 'on' or 'off', got {cfg['rta']!r}")
+        raise ValueError(f"rta must be 'on' or 'off', got {brief(cfg['rta'])}")
     return cfg
 
 

@@ -33,7 +33,7 @@ from .env import (  # noqa: F401 - step stays a harness attribute for perfbench'
     observe,
     step,
 )
-from .policy import baseline_act, load_policy, policy_act
+from .policy import baseline_act, brief, load_policy, policy_act
 from .rta import INTERVENTION_TOL, RtaParams, filter_actions
 
 HARNESS_ACCEPTANCE_RADIUS = 15.0
@@ -207,7 +207,7 @@ def builtin_scenario(name: str, rta_enabled: bool | None = None) -> ScenarioSpec
         return single_agent_passes(bool(rta_enabled))
     if name == "standoff":
         return three_agent_standoff(True if rta_enabled is None else rta_enabled)
-    raise KeyError(f"unknown scenario {name!r}")
+    raise KeyError(f"unknown scenario {brief(name)}")
 
 
 def make_controller(choice: str, vehicle: VehicleParams):
@@ -217,7 +217,7 @@ def make_controller(choice: str, vehicle: VehicleParams):
     if choice.startswith("policy:"):
         policy = load_policy(choice[len("policy:"):])
         return lambda obs: policy_act(policy, obs)
-    raise ValueError(f"unknown controller {choice!r}")
+    raise ValueError(f"unknown controller {brief(choice)}")
 
 
 def run(spec: ScenarioSpec):
@@ -289,13 +289,10 @@ def run(spec: ScenarioSpec):
             u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
-            decisions = filter_actions(states, u_des, accel_est, spec.orbit,
-                                       spec.rta_params, spec.vehicle, warm=warm)
-            warm = np.array([d.active for d in decisions])
-            u = np.array([d.u_safe for d in decisions])
-            active = (np.array([d.fallback for d in decisions])
-                      | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL))
-            slacks = np.array([d.slacks for d in decisions])  # n pair rows, then 5 shared
+            decision = filter_actions(states, u_des, accel_est, spec.orbit,
+                                      spec.rta_params, spec.vehicle, warm=warm)
+            warm, u, slacks = decision.active, decision.u_safe, decision.slacks
+            active = decision.fallback | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL)
             slack = np.concatenate([slacks[:, :n].min(axis=1, keepdims=True), slacks[:, n:]], 1)
         else:
             u, active, slack = u_des, no_active, no_slack

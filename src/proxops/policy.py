@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 
 import numpy as np
 
@@ -31,6 +32,14 @@ BASELINE_SPEED_CAP = 4.0
 # Both speed limits are proportional to d >= 0, and rounding is monotone, so
 # the smaller coefficient gives the smaller product.
 _BASELINE_RATE = min(BASELINE_KP / BASELINE_KV, SPEED_LIMIT_SLOPE)
+
+
+# An error message echoes a value read from a file as brief(value): its repr
+# cut to six list items, four dict items and 30 characters of a string, with
+# a container inside a container shown as [...] or {...}.
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 1
+brief = _BRIEF.repr
 
 
 class PolicyFileError(ValueError):
@@ -191,11 +200,11 @@ def load_policy(path) -> MlpPolicy:
     version = payload.get("version")
     if version != POLICY_VERSION:
         raise UnsupportedPolicyVersion(
-            f"policy file version {version!r} is not supported (expected {POLICY_VERSION})")
+            f"policy file version {brief(version)} is not supported (expected {POLICY_VERSION})")
     try:
         dims = payload["layer_dims"]
         if not all(type(d) is int and d > 0 for d in dims):  # reshape would infer a -1
-            raise ValueError(f"layer_dims entries must be positive integers, got {dims!r}")
+            raise ValueError(f"layer_dims entries must be positive integers, got {brief(dims)}")
         weights = [np.asarray(flat, dtype=float).reshape(n_out, n_in)
                    for flat, n_in, n_out in zip(payload["weights"], dims[:-1], dims[1:])]
         if len(weights) != len(dims) - 1 or len(payload["biases"]) != len(weights):

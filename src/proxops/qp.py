@@ -15,7 +15,7 @@ lowest-indexed violated row to its working set and releases blocking rows
 Each step makes one violation scan and one stacked linear solve on the
 normalised Gram matrices ``A Q^-1 A^T``, which are built once per call; a
 problem that has finished stops changing.  :func:`solve` is the call on a
-stack of one.
+stack of one, and returns that stack's row 0.
 
 A warm start guesses each problem's working set.  The solver solves the
 equality-constrained problem on the guess and starts there when its
@@ -50,16 +50,29 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-@dataclass
-class QpSolution:
-    """One problem's solution; from :func:`solve_batch`, every field is an
-    array with one entry (or row) per problem."""
+class Stack:
+    """Base of a dataclass whose fields are arrays with one row per member
+    of a stack: ``len(s)`` is the member count and ``s[k]`` is member k, the
+    same class built from each field's row k, so iterating yields every
+    member in order."""
 
-    x: np.ndarray
-    multipliers: np.ndarray
-    status: str
-    iterations: int
-    kkt_residual: float
+    def __len__(self):
+        return len(getattr(self, next(iter(self.__dataclass_fields__))))
+
+    def __getitem__(self, k):
+        return type(self)(*(getattr(self, name)[k] for name in self.__dataclass_fields__))
+
+
+@dataclass
+class QpSolution(Stack):
+    """Solutions of B problems (see :class:`Stack`); ``sol[k]`` is problem
+    k's, with an (n,) ``x``, (m,) ``multipliers`` and scalar fields."""
+
+    x: np.ndarray             # (B, n)
+    multipliers: np.ndarray   # (B, m)
+    status: np.ndarray        # (B,) str: OPTIMAL, MAX_ITER, INFEASIBLE or NOT_FINITE
+    iterations: np.ndarray    # (B,) int
+    kkt_residual: np.ndarray  # (B,) float
 
 
 def _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers):
@@ -103,9 +116,7 @@ def solve(weights, centres, coeffs, rhs) -> QpSolution:
     equal length n, ``coeffs`` is (m, n) for the m entries of ``rhs``, every
     entry is finite and every weight is positive.
     """
-    s = solve_batch(*(v[None] for v in _checked(weights, centres, coeffs, rhs)))
-    return QpSolution(s.x[0], s.multipliers[0], str(s.status[0]), int(s.iterations[0]),
-                      float(s.kkt_residual[0]))
+    return solve_batch(*(v[None] for v in _checked(weights, centres, coeffs, rhs)))[0]
 
 
 def _solve_each(systems, rhs):

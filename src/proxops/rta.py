@@ -67,15 +67,16 @@ class RtaParams:
 
 
 @dataclass
-class RtaDecision:
-    """Filter output for one agent."""
+class RtaDecision(qp_mod.Stack):
+    """The filter's output for N agents, for m = N + 8 rows (see
+    :class:`qp.Stack`); ``decision[k]`` is agent k's, with row k of each."""
 
-    u_safe: np.ndarray
-    slacks: np.ndarray
-    active: np.ndarray
-    fallback: bool = False
-    iterations: int = 0  # solver iterations on this agent's QP; 0 if it was not solved
-    kkt_residual: float = math.inf  # the solution's KKT residual; inf if it was not solved
+    u_safe: np.ndarray        # (N, 3) N, the filtered thrust
+    slacks: np.ndarray        # (N, m - 3): one per peer, then the shared five
+    active: np.ndarray        # (N, m) bool, the rows that bind at the solution
+    fallback: np.ndarray      # (N,) bool, zero thrust for want of a certified solve
+    iterations: np.ndarray    # (N,) int, solver iterations; 0 if the QP was not solved
+    kkt_residual: np.ndarray  # (N,) float, the solution's KKT residual; inf if not solved
 
 
 def _dot(a, b):
@@ -177,7 +178,7 @@ def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
-                   vehicle: VehicleParams, warm=None) -> list:
+                   vehicle: VehicleParams, warm=None) -> RtaDecision:
     """Filter every agent's desired thrust against the others and the chief.
 
     ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
@@ -185,14 +186,13 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
     are the other agents, then the chief, motionless at the origin.
     ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
-    rows, such as the last tick's :attr:`RtaDecision.active` masks.  It changes
-    how many solver steps the decisions take, and the decisions only by
-    roundoff.
+    rows, such as the last tick's :attr:`RtaDecision.active`.  It changes how
+    many solver steps the decision takes, and the decision only by roundoff.
 
-    One batched solve gives every decision.  An agent gets zero thrust and
-    ``fallback`` on non-finite data in its rows or command, a non-optimal
-    status or a non-finite solution; a non-finite peer makes the rows of
-    every agent that sees it non-finite, so none of them is certified.
+    One batched solve gives every agent's row of the decision.  An agent gets
+    zero thrust and ``fallback`` on non-finite data in its rows or command, a
+    non-optimal status or a non-finite solution; a non-finite peer makes the
+    rows of every agent that sees it non-finite, so none of them is certified.
     """
     kin, peer_kin, desired = _kinematics(states, desired, accel)
     n = len(kin)
@@ -214,6 +214,5 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     fallback = ~((solution.status == qp_mod.OPTIMAL) & np.isfinite(x).all(axis=1))
     x[fallback] = 0.0
     active = ~fallback[:, None] & (np.abs(rhs - (coeffs @ x[..., None])[..., 0]) <= ACTIVE_TOL)
-    return [RtaDecision(*fields) for fields in zip(
-        x[:, :3], x[:, 3:], active, fallback.tolist(), solution.iterations.tolist(),
-        solution.kkt_residual.tolist())]
+    return RtaDecision(x[:, :3], x[:, 3:], active, fallback, solution.iterations,
+                       solution.kkt_residual)

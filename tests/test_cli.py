@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from proxops.cli import main
-from proxops.policy import MlpPolicy, save_policy
+from proxops.policy import MlpPolicy, PolicyFileError, load_policy, save_policy
 
 
 def test_run_single_writes_all_artifacts(tmp_path):
@@ -57,6 +57,13 @@ def test_unknown_config_key_exits_2(tmp_path):
     '{"seed": null}', '{"seed": 1.5}', '{"seed": true}',
     '{"control_dt": null}', '{"control_dt": "1"}', '{"sim_dt": [1]}',
     '{"controller": 5}', '{"scenario": ["single"]}', '{"rta": true}',
+    # values the error line must not echo in full
+    pytest.param(json.dumps([0] * 500_000), id="long-list"),
+    pytest.param(json.dumps({"seed": [0] * 200_000}), id="long-seed"),
+    pytest.param(json.dumps({"k" * 200_000: 0}), id="long-key"),
+    pytest.param(json.dumps({"rta": "x" * 200_000}), id="long-rta"),
+    pytest.param(json.dumps({"scenario": "x" * 200_000}), id="long-scenario"),
+    pytest.param(json.dumps({"controller": "x" * 200_000}), id="long-controller"),
 ])
 def test_malformed_config_exits_2_without_files(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -64,7 +71,7 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, text):
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
     assert not out.exists()
 
 
@@ -202,6 +209,26 @@ def test_negative_layer_dims_policy_file_exits_2_without_files(tmp_path, capsys)
     assert main(["train", "--steps", "0", "--resume", str(ppath), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("layer_dims", [6] + [8] * 99_997 + [-1, 3]),
+    ("version", [1] * 100_000),
+])
+def test_policy_file_errors_echo_a_short_value(tmp_path, capsys, key, value):
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 8, 3)), ppath)
+    payload = json.loads(ppath.read_text())
+    payload[key] = value
+    ppath.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFileError) as exc:
+        load_policy(ppath)
+    assert len(str(exc.value)) < 300
+    out = tmp_path / "o"
+    assert main(["train", "--steps", "0", "--resume", str(ppath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
     assert not out.exists()
 
 

@@ -217,10 +217,9 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
 
     def overdrive(states, desired, accel, orbit, params, vehicle, warm=None):
         estimates.append(accel.copy())
-        decisions = real_filter(states, desired, accel, orbit, params, vehicle, warm=warm)
-        for decision in decisions:
-            decision.u_safe = np.array([3.0, -3.0, 0.5])
-        return decisions
+        decision = real_filter(states, desired, accel, orbit, params, vehicle, warm=warm)
+        decision.u_safe[:] = [3.0, -3.0, 0.5]
+        return decision
 
     monkeypatch.setattr(harness, "filter_actions", overdrive)
     spec = dataclasses.replace(three_agent_standoff(rta_enabled=True), leg_timeout=5.0)

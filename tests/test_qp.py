@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from proxops.qp import (
     MAX_ITER,
     NOT_FINITE,
     OPTIMAL,
+    QpSolution,
     kkt_residual,
     solve,
     solve_batch,
@@ -232,6 +235,29 @@ def test_solve_batch_matches_single_solves():
             np.testing.assert_allclose(batch.multipliers[k], alone.multipliers,
                                        rtol=1e-12, atol=1e-12)
         assert list(batch.status[-3:]) == [INFEASIBLE, OPTIMAL, OPTIMAL]
+
+
+def test_solve_is_row_0_of_a_stack_of_one():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        problem = random_feasible_problem(rng)
+        alone = solve(*problem)
+        row = solve_batch(*(np.asarray(v)[None] for v in problem))[0]
+        for field in dataclasses.fields(QpSolution):
+            assert np.array_equal(getattr(alone, field.name), getattr(row, field.name))
+
+
+def test_a_batch_is_a_stack_of_solutions():
+    # len is the problem count, batch[k] is problem k's row of every field,
+    # and iterating yields every problem's solution in order.
+    problems = _mixed_stack(np.random.default_rng(5))
+    batch = solve_batch(*_stack(problems))
+    assert len(batch) == len(problems) == len(list(batch))
+    for k, sol in enumerate(batch):
+        assert isinstance(sol, QpSolution)
+        for field in dataclasses.fields(QpSolution):
+            assert np.array_equal(getattr(sol, field.name), getattr(batch, field.name)[k])
+    assert [sol.status for sol in batch][-3:] == [INFEASIBLE, OPTIMAL, OPTIMAL]
 
 
 def test_finished_problems_stop_changing():

@@ -12,6 +12,8 @@ from proxops.dynamics import (
     propagate_cwh,
 )
 from proxops.rta import (
+    INTERVENTION_TOL,
+    RtaDecision,
     RtaParams,
     _fixed_coeffs,
     _kinematics,
@@ -341,6 +343,34 @@ def test_filter_actions_matches_one_agent_filters():
                 np.testing.assert_allclose(decision.u_safe, u_alone, rtol=0, atol=1e-7)
                 assert decision.fallback == fallback
                 assert len(decision.slacks) == n + 5  # the other agents, the chief, shared
+
+
+def test_filter_actions_returns_one_stack_of_agent_rows():
+    # One decision of (N, ...) arrays.  decision[k] is agent k's row of each
+    # field, and iterating yields the N one-agent decisions, read here the way
+    # the benchmark's hooks read them.
+    states, accel = _random_agents(np.random.default_rng(5), 3, spread=60.0)
+    desired = np.full((3, 3), 0.4)
+    decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    assert isinstance(decision, RtaDecision)
+    names = [f.name for f in dataclasses.fields(RtaDecision)]
+    assert [getattr(decision, name).shape for name in names] == [
+        (3, 3), (3, 8), (3, 11), (3,), (3,), (3,)]
+    assert decision.active.dtype == bool and decision.fallback.dtype == bool
+    assert len(decision) == 3
+    for k in range(3):
+        row = decision[k]
+        assert isinstance(row, RtaDecision)
+        for name in names:
+            np.testing.assert_array_equal(getattr(row, name), getattr(decision, name)[k])
+    assert len(list(decision)) == 3 and sum(bool(d.fallback) for d in decision) == 0
+    changes = [np.max(np.abs(np.asarray(d.u_safe) - u)) for d, u in zip(decision, desired)]
+    assert changes == list(np.abs(decision.u_safe - desired).max(axis=1))
+    assert max(changes) > INTERVENTION_TOL
+    states[1, 0] = np.nan  # no agent can be certified
+    with np.errstate(invalid="ignore"):
+        blind = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    assert sum(bool(d.fallback) for d in blind) == 3
 
 
 def test_warm_guesses_change_no_decision():
