@@ -29,7 +29,7 @@ from .harness import (
     run,
     write_csv,
 )
-from .policy import PolicyFileError, brief, load_policy, save_policy
+from .policy import PolicyFileError, brief, brief_path, load_policy, save_policy
 from .training import TrainerConfig, curve_rows, train
 
 CONFIG_TYPES = {"scenario": str, "rta": str, "controller": str, "seed": int,
@@ -46,7 +46,7 @@ def _merge_config(args) -> dict:
             try:
                 loaded = json.load(fh)
             except RecursionError as exc:
-                raise ValueError(f"config file {args.config} nests too deeply") from exc
+                raise ValueError(f"config file {brief_path(args.config)} nests too deeply") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {brief(loaded)}")
         for key, value in loaded.items():
@@ -85,6 +85,13 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _reason(exc) -> str:
+    """``str(exc)``, with the file an OSError names shown by :func:`brief_path`."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: '{brief_path(exc.filename)}'"
+    return str(exc)
+
+
 def _write_artifacts(out, writers) -> bool:
     """Call each ``(file name, write)`` pair's ``write`` with the file's path
     in ``out``, in order.  On the first ValueError or OSError, print one
@@ -93,7 +100,7 @@ def _write_artifacts(out, writers) -> bool:
         try:
             write(os.path.join(out, name))
         except (ValueError, OSError) as exc:
-            print(f"error: {name} not written: {exc}", file=sys.stderr)
+            print(f"error: {name} not written: {_reason(exc)}", file=sys.stderr)
             return False
     return True
 
@@ -110,7 +117,7 @@ def cmd_run(args) -> int:
         make_controller(cfg["controller"], spec.vehicle)  # fail fast
         os.makedirs(args.out, exist_ok=True)
     except (KeyError, ValueError, OSError, PolicyFileError) as exc:  # JSON errors are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
     report, log = run(spec)
@@ -133,7 +140,7 @@ def cmd_train(args) -> int:
         init_policy = load_policy(args.resume) if args.resume else None
         os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError, PolicyFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
     try:
@@ -157,7 +164,7 @@ def cmd_baseline_stats(args) -> int:
         if args.out is not None:
             os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
     payload = baseline_stats(args.trials, seed=args.seed).as_dict()
     try:  # --json prints the very bytes baseline_stats.json holds

@@ -181,20 +181,23 @@ def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
     return RelativeState(np.array(out[:3]), np.array(out[3:]))
 
 
-@functools.lru_cache(maxsize=16)
 def cwh_zoh(dt: float, orbit: ChiefOrbit, veh: VehicleParams) -> np.ndarray:
     """Exact CWH map over ``dt`` s of thrust held constant (zero-order hold):
     the read-only (9, 6) matrix G = [Phi Gamma]^T, with x(t + dt) = Phi x(t) +
-    Gamma u = [x, u] G, computed on first use per (dt, orbit, vehicle).
+    Gamma u = [x, u] G, computed on first use per dt, mean motion and mass.
 
     Phi and Gamma are the top rows of the exponential of [[A, B/m], [0, 0]] dt
     (Van Loan 1978): scaled to 1-norm 1/2 or less, 18 Taylor terms, squared back.
     """
+    return _zoh_map(dt, orbit.mean_motion, veh.mass)
+
+
+@functools.lru_cache(maxsize=16)
+def _zoh_map(dt: float, n: float, mass: float) -> np.ndarray:
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be finite and positive")
-    n = orbit.mean_motion
     aug = np.zeros((9, 9))  # d/dt [x, u] = aug [x, u]: velocity, CWH drift plus u/m, u held
-    aug[:6, 3:] = np.diag([1.0, 1.0, 1.0] + [1.0 / veh.mass] * 3)
+    aug[:6, 3:] = np.diag([1.0, 1.0, 1.0] + [1.0 / mass] * 3)
     aug[3, 0], aug[3, 4], aug[4, 3], aug[5, 2] = 3.0 * n * n, 2.0 * n, -2.0 * n, -n * n
     squarings = max(0, math.ceil(math.log2(2.0 * dt * np.abs(aug).sum(axis=0).max())))
     x = aug * (dt / 2.0**squarings)
@@ -218,7 +221,7 @@ def propagate_cwh_zoh(states: np.ndarray, u: np.ndarray, dt: float,
     """
     xu = np.concatenate([states, u], axis=-1)[..., None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        out = (xu @ cwh_zoh(dt, orbit, veh))[..., 0, :]
+        out = (xu @ _zoh_map(dt, orbit.mean_motion, veh.mass))[..., 0, :]
     if not np.isfinite(out).all():
         raise PropagationError("relative-motion propagation diverged to non-finite state")
     return out

@@ -28,7 +28,7 @@ TRAINING_ACCEPTANCE_RADIUS = 10.0
 DEFAULT_TIMEOUT = 500.0
 """Default time budget of an episode or scenario leg, simulated s."""
 
-DEFAULT_BOUNDS = (561.6, 1200.0, 480.0)
+DEFAULT_BOUNDS = np.array([561.6, 1200.0, 480.0])
 """Half-extent of the allowed station-keeping box per axis, m."""
 
 DEFAULT_SCALE_VECTOR = (1.17, 2.5, 1.0)

@@ -284,9 +284,12 @@ def run(spec: ScenarioSpec):
             rows.append((states, zeros, zeros, no_active, no_slack, dist))
             break
 
-        u_des = np.zeros((n, 3))
-        for controller, ks in acting:
-            u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
+        if len(acting) == 1 and acting[0][1].size == n:  # one controller flies every agent
+            u_des = acting[0][0](observe(states, goals)) * bound
+        else:
+            u_des = np.zeros((n, 3))
+            for controller, ks in acting:
+                u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
             decision = filter_actions(states, u_des, accel_est, spec.orbit,
@@ -350,15 +353,20 @@ def write_csv(log: TrajectoryLog, path) -> None:
     Rows are tick-major and end in CRLF, as ``csv.writer`` writes them; every
     float is written as ``repr`` of its Python float, the agent index and
     ``rta_active`` as integers.  No field needs quoting, so a row is one line.
+    A thrust bit-equal to its command, and six +0.0 slacks, reuse their text.
     """
-    motion = np.concatenate([log.pos, log.vel, log.u_des, log.u], axis=-1)
+    state = np.concatenate([log.pos, log.vel], axis=-1)
+    same_u = (log.u.view(np.int64) == log.u_des.view(np.int64)).all(axis=-1)
+    zero_slack = ~log.slack.view(np.int64).any(axis=-1)
+    cols = (state, log.u_des, log.u, same_u, log.rta_active, log.slack, zero_slack, log.dist_goal)
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\r\n")
         for i, t in enumerate(log.t.tolist()):  # one tick at a time keeps memory small
-            columns = (motion[i], log.rta_active[i], log.slack[i], log.dist_goal[i])
-            for k, (m, a, s, d) in enumerate(zip(*(c.tolist() for c in columns))):
-                fh.write(f"{t!r},{k},{','.join(map(repr, m))},{a:d},"
-                         f"{','.join(map(repr, s))},{d!r}\r\n")
+            for k, (x, ud, u, same, a, s, zero, d) in enumerate(zip(*(c[i].tolist() for c in cols))):
+                ud = ",".join(map(repr, ud))
+                fh.write(f"{t!r},{k},{','.join(map(repr, x))},{ud},"
+                         f"{ud if same else ','.join(map(repr, u))},{a:d},"
+                         f"{'0.0,0.0,0.0,0.0,0.0,0.0' if zero else ','.join(map(repr, s))},{d!r}\r\n")
 
 
 def pair_distances(log: TrajectoryLog) -> dict:

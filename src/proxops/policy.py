@@ -42,6 +42,11 @@ _BRIEF.maxlevel = 1
 brief = _BRIEF.repr
 
 
+def brief_path(path) -> str:
+    """``path`` as errors name it: escaped onto one line, its middle cut past 120 characters."""
+    return text if len(text := repr(str(path))[1:-1]) <= 120 else f"{text[:60]}...{text[-57:]}"
+
+
 class PolicyFileError(ValueError):
     """Raised for malformed or truncated policy files."""
 
@@ -55,9 +60,7 @@ def baseline_act(obs: np.ndarray, mass: float = 1.0,
     """PD thrust command toward the goal, in [-1, 1] per axis.
 
     ``obs`` may be one (6,) observation or a (..., 6) stack; each row gets the
-    command it would get alone, bit for bit.  Per-row scalars broadcast
-    against the transposed (3, ...) vectors, so one observation's scalars stay
-    numpy scalars.
+    command it would get alone, bit for bit.
     """
     delta = obs[..., :3] * OBS_POSITION_SCALE
     dist = norms(delta)
@@ -65,7 +68,7 @@ def baseline_act(obs: np.ndarray, mass: float = 1.0,
     # At the goal speed is 0, so dividing by 1 instead of 0 commands rest.
     # Negating the divisor, not delta, gives the same bits (IEEE division is
     # sign-symmetric) with one scalar operation instead of a vector one.
-    vel_des = (delta.T / -(dist + (dist == 0.0)).T * speed.T).T
+    vel_des = delta / np.where(dist == 0.0, -1.0, -dist)[..., None] * speed[..., None]
     accel_cmd = BASELINE_KV * (vel_des - obs[..., 3:])
     action = accel_cmd * mass / thrust_bound
     return np.minimum(np.maximum(action, -1.0), 1.0)  # np.clip, less overhead
@@ -194,9 +197,10 @@ def load_policy(path) -> MlpPolicy:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise PolicyFileError(f"cannot parse policy file {path}: {exc}") from exc
+        reason = f"[Errno {exc.errno}] {exc.strerror}" if isinstance(exc, OSError) else exc
+        raise PolicyFileError(f"cannot parse policy file {brief_path(path)}: {reason}") from exc
     if not isinstance(payload, dict) or payload.get("format") != POLICY_FORMAT:
-        raise PolicyFileError(f"{path} is not a {POLICY_FORMAT} file")
+        raise PolicyFileError(f"{brief_path(path)} is not a {POLICY_FORMAT} file")
     version = payload.get("version")
     if version != POLICY_VERSION:
         raise UnsupportedPolicyVersion(
@@ -211,9 +215,9 @@ def load_policy(path) -> MlpPolicy:
             raise ValueError("layer count mismatch")
         policy = MlpPolicy(weights, payload["biases"], payload["log_std"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise PolicyFileError(f"policy file {path} has inconsistent contents: {exc}") from exc
+        raise PolicyFileError(f"policy file {brief_path(path)} has inconsistent contents: {exc}") from exc
     n_in, *_, n_out = policy.layer_dims
     if (n_in, n_out) != (6, 3):  # observation and thrust sizes
-        raise PolicyFileError(f"policy file {path} maps {n_in} inputs to {n_out} "
+        raise PolicyFileError(f"policy file {brief_path(path)} maps {n_in} inputs to {n_out} "
                               "outputs, not 6 to 3")
     return policy

@@ -53,14 +53,17 @@ def _matvec(a, v):
 class Stack:
     """Base of a dataclass whose fields are arrays with one row per member
     of a stack: ``len(s)`` is the member count and ``s[k]`` is member k, the
-    same class built from each field's row k, so iterating yields every
-    member in order."""
+    same class built from each field's row k; iterating yields every member
+    in order, walking all fields' rows together."""
 
     def __len__(self):
         return len(getattr(self, next(iter(self.__dataclass_fields__))))
 
     def __getitem__(self, k):
         return type(self)(*(getattr(self, name)[k] for name in self.__dataclass_fields__))
+
+    def __iter__(self):
+        return map(type(self), *(getattr(self, name) for name in self.__dataclass_fields__))
 
 
 @dataclass

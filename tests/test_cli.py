@@ -75,6 +75,24 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["policy-in-config", "out", "config", "resume"])
+@pytest.mark.parametrize("name", ["a" * 100_000, "a\n" * 50_000])
+def test_a_long_path_is_named_once_in_a_short_error_line(tmp_path, capsys, flag, name):
+    long_path = str(tmp_path / name)  # too long for any file system
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"controller": "policy:" + long_path}))
+    out = str(tmp_path / "o")
+    argv = {"policy-in-config": ["run", "--config", str(cfg), "--out", out],
+            "out": ["run", "--out", long_path],
+            "config": ["run", "--config", long_path, "--out", out],
+            "resume": ["train", "--steps", "0", "--resume", long_path, "--out", out]}[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert err.count("...") == 1  # the one cut path
+    assert not os.path.exists(out)
+
+
 def test_integer_time_steps_in_config_run_as_floats(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = tmp_path / "cfg.json"

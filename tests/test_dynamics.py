@@ -161,9 +161,17 @@ def test_zoh_map_with_thrust_matches_fine_rk4(dt):
 
 
 def test_zoh_map_is_cached_and_read_only():
+    # One map per dt, mean motion and mass: equal but distinct orbits and
+    # vehicles, a J2 flag and a thrust bound (neither enters it) share it.
     first = cwh_zoh(1.0, ORBIT, VEH)
-    assert cwh_zoh(1.0, ChiefOrbit(), VehicleParams()) is first
     assert not first.flags.writeable
+    rng = np.random.default_rng(8)
+    states, u = rng.normal(0.0, 100.0, (4, 6)), rng.uniform(-1.0, 1.0, (4, 3))
+    stepped = propagate_cwh_zoh(states, u, 1.0, ORBIT, VEH)
+    for orbit, veh in ((ChiefOrbit(), VehicleParams()),
+                       (ChiefOrbit(j2_enabled=True), VehicleParams(thrust_bound=2.0))):
+        assert cwh_zoh(1.0, orbit, veh) is first
+        assert propagate_cwh_zoh(states, u, 1.0, orbit, veh).tobytes() == stepped.tobytes()
     with pytest.raises(ValueError):
         cwh_zoh(float("nan"), ORBIT, VEH)
 

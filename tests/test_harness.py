@@ -164,10 +164,15 @@ def test_single_agent_run_reaches_everything():
     assert len(set(times)) == len(times)
 
 
-def test_no_interaction_without_rta():
+@pytest.mark.parametrize("early_finisher", [False, True])
+def test_no_interaction_without_rta(early_finisher):
     # Each agent's standoff trajectory must match its solo run: with the
-    # filter off and peer-blind controllers nothing couples the agents.
+    # filter off and peer-blind controllers nothing couples the agents.  An
+    # early finisher leaves the one baseline group while the others fly on.
     standoff = three_agent_standoff(rta_enabled=False)
+    if early_finisher:
+        standoff = dataclasses.replace(standoff, agents=standoff.agents + (
+            AgentSpec(RelativeState([0.0, 0, 150.0], [0.1, 0, 0]), ((0.0, 0, -150.0),)),))
     _, joint = run(standoff)
     for k, agent in enumerate(standoff.agents):
         solo_spec = ScenarioSpec(name="solo", agents=(agent,),
@@ -178,8 +183,13 @@ def test_no_interaction_without_rta():
                                  leg_timeout=standoff.leg_timeout)
         _, solo = run(solo_spec)
         m = min(len(joint.t), len(solo.t))
-        np.testing.assert_array_equal(joint.pos[:m, k], solo.pos[:m, 0])
-        np.testing.assert_array_equal(joint.vel[:m, k], solo.vel[:m, 0])
+        for column in ("pos", "vel", "u_des", "u", "dist_goal"):
+            np.testing.assert_array_equal(getattr(joint, column)[:m, k],
+                                          getattr(solo, column)[:m, 0])
+    if early_finisher:
+        done = joint.completion_times[2]
+        assert done < min(joint.completion_times[:2])
+        assert not joint.u_des[joint.t >= done, 2].any()
 
 
 def test_mixed_controllers_match_their_solo_runs(tmp_path):
@@ -542,6 +552,20 @@ def test_csv_bytes_match_the_csv_module_on_special_floats(tmp_path, n_agents):
     assert fast == (tmp_path / "reference.csv").read_bytes()
     for token in (b",nan,", b",inf,", b",-inf,", b",-0.0,", b",5e-324,", b",1e+16,", b",1e-05,"):
         assert token in fast
+
+
+def test_csv_reuses_text_only_for_bit_equal_thrust_and_positive_zero_slack(tmp_path):
+    # The applied thrust reuses the command's text only when the two are
+    # bit-equal, and a slack block is one constant string only when all six
+    # values are +0.0: -0.0 and any nonzero value still print as themselves.
+    log = _hand_built_log(3)
+    log.u = log.u_des.copy()  # bit-equal, NaNs included, as with RTA off
+    log.u_des[1, 0], log.u[1, 0] = [0.5, -0.0, 2.0], [0.5, 0.0, 2.0]
+    log.slack[:] = 0.0
+    log.slack[1, 1, 4], log.slack[2, 2, 0] = -0.0, 1e-3
+    write_csv(log, tmp_path / "fast.csv")
+    _reference_csv(log, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_csv_bytes_match_the_csv_module_on_a_blown_up_run(tmp_path):

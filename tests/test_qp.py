@@ -249,14 +249,19 @@ def test_solve_is_row_0_of_a_stack_of_one():
 
 def test_a_batch_is_a_stack_of_solutions():
     # len is the problem count, batch[k] is problem k's row of every field,
-    # and iterating yields every problem's solution in order.
+    # and iterating yields every problem's solution in order: for every
+    # field, the type and value batch[k] has.  An empty stack yields nothing.
     problems = _mixed_stack(np.random.default_rng(5))
     batch = solve_batch(*_stack(problems))
     assert len(batch) == len(problems) == len(list(batch))
+    empty = QpSolution(*(getattr(batch, field.name)[:0] for field in dataclasses.fields(QpSolution)))
+    assert len(empty) == 0 and list(empty) == []
     for k, sol in enumerate(batch):
         assert isinstance(sol, QpSolution)
         for field in dataclasses.fields(QpSolution):
-            assert np.array_equal(getattr(sol, field.name), getattr(batch, field.name)[k])
+            got, indexed = getattr(sol, field.name), getattr(batch[k], field.name)
+            assert type(got) is type(indexed) and np.array_equal(got, indexed)
+            assert np.array_equal(got, getattr(batch, field.name)[k])
     assert [sol.status for sol in batch][-3:] == [INFEASIBLE, OPTIMAL, OPTIMAL]
 
 
