@@ -164,15 +164,9 @@ def test_single_agent_run_reaches_everything():
     assert len(set(times)) == len(times)
 
 
-@pytest.mark.parametrize("early_finisher", [False, True])
-def test_no_interaction_without_rta(early_finisher):
-    # Each agent's standoff trajectory must match its solo run: with the
-    # filter off and peer-blind controllers nothing couples the agents.  An
-    # early finisher leaves the one baseline group while the others fly on.
-    standoff = three_agent_standoff(rta_enabled=False)
-    if early_finisher:
-        standoff = dataclasses.replace(standoff, agents=standoff.agents + (
-            AgentSpec(RelativeState([0.0, 0, 150.0], [0.1, 0, 0]), ((0.0, 0, -150.0),)),))
+def _assert_agents_match_their_solo_runs(standoff):
+    # With the filter off and peer-blind controllers nothing couples the
+    # agents, so each joint trajectory must match that agent's solo run.
     _, joint = run(standoff)
     for k, agent in enumerate(standoff.agents):
         solo_spec = ScenarioSpec(name="solo", agents=(agent,),
@@ -186,10 +180,22 @@ def test_no_interaction_without_rta(early_finisher):
         for column in ("pos", "vel", "u_des", "u", "dist_goal"):
             np.testing.assert_array_equal(getattr(joint, column)[:m, k],
                                           getattr(solo, column)[:m, 0])
-    if early_finisher:
-        done = joint.completion_times[2]
-        assert done < min(joint.completion_times[:2])
-        assert not joint.u_des[joint.t >= done, 2].any()
+    return joint
+
+
+def test_no_interaction_without_rta():
+    _assert_agents_match_their_solo_runs(three_agent_standoff(rta_enabled=False))
+
+
+def test_no_interaction_without_rta_with_an_early_finisher():
+    # An early finisher leaves the one baseline group while the others fly on.
+    standoff = three_agent_standoff(rta_enabled=False)
+    standoff = dataclasses.replace(standoff, agents=standoff.agents + (
+        AgentSpec(RelativeState([0.0, 0, 150.0], [0.1, 0, 0]), ((0.0, 0, -150.0),)),))
+    joint = _assert_agents_match_their_solo_runs(standoff)
+    done = joint.completion_times[2]
+    assert done < min(joint.completion_times[:2])
+    assert not joint.u_des[joint.t >= done, 2].any()
 
 
 def test_mixed_controllers_match_their_solo_runs(tmp_path):
