@@ -37,6 +37,7 @@ NOT_FINITE = "not_finite"  # finished, but x or its KKT residual overflowed
 
 TOL = 1e-8  # on rows scaled to unit norm, so scale-free
 ITERATION_LIMIT = 200
+_STATUS_DTYPE = np.array([OPTIMAL, MAX_ITER, INFEASIBLE, NOT_FINITE]).dtype
 
 
 def _row_scale(coeffs):
@@ -76,13 +77,16 @@ class QpSolution(Stack):
     status: np.ndarray        # (B,) str: OPTIMAL, MAX_ITER, INFEASIBLE or NOT_FINITE
     iterations: np.ndarray    # (B,) int
     kkt_residual: np.ndarray  # (B,) float
+    margins: np.ndarray       # (B, m): rhs - coeffs @ x for the rows as given
 
 
 def _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers):
-    natural = np.minimum(multipliers * scale, (rhs - _matvec(coeffs, x)) / scale)
+    """The KKT residuals and the margins ``rhs - coeffs @ x`` they are formed from."""
+    margins = rhs - _matvec(coeffs, x)
+    natural = np.minimum(multipliers * scale, margins / scale)
     grad = 2.0 * weights * (x - centres) + _matvec(coeffs.swapaxes(-1, -2), multipliers)
     return np.maximum(np.abs(grad).max(axis=-1, initial=0.0),
-                      np.abs(natural).max(axis=-1, initial=0.0))
+                      np.abs(natural).max(axis=-1, initial=0.0)), margins
 
 
 def _checked(weights, centres, coeffs, rhs):
@@ -108,7 +112,7 @@ def kkt_residual(weights, centres, coeffs, rhs, x, multipliers) -> float:
     weights, centres, coeffs, rhs = _checked(weights, centres, coeffs, rhs)
     data = (weights, centres, coeffs, rhs, _row_scale(coeffs),
             np.asarray(x, dtype=float), np.asarray(multipliers, dtype=float))
-    return float(_kkt_residuals(*(v[None] for v in data))[0])
+    return float(_kkt_residuals(*(v[None] for v in data))[0][0])
 
 
 def solve(weights, centres, coeffs, rhs) -> QpSolution:
@@ -135,21 +139,24 @@ def _solve_each(systems, rhs):
 
 def _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, guess):
     """The equality-constrained minimiser on each guessed working set, as
-    (x, multipliers, working set); the cold start ``x = c`` with an empty set
-    where the guess is singular, inconsistent or has a negative multiplier.
-    ``eye`` is the (m, m) identity, which stands in for unguessed rows."""
+    (x, multipliers, working set, normalised residuals ``A x - b``); the cold
+    start ``x = c`` with an empty set where the guess is singular,
+    inconsistent or has a negative multiplier.  ``eye`` is the (m, m)
+    identity, which stands in for unguessed rows."""
     systems = np.where(guess[:, :, None] & guess[:, None, :], gram, eye)
-    rhs = np.where(guess, _matvec(rows_a, centres) - rows_b, 0.0)
+    at_centres = _matvec(rows_a, centres) - rows_b
+    rhs = np.where(guess, at_centres, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad guess is rejected below
         try:
             lam = np.linalg.solve(systems, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             lam = _solve_each(systems, rhs)
         x = centres - inv_q * _matvec(rows_a.swapaxes(1, 2), lam)
+        at_x = _matvec(rows_a, x) - rows_b
         kept = (np.isfinite(lam).all(axis=1) & (lam >= 0.0).all(axis=1)
-                & ((np.abs(_matvec(rows_a, x) - rows_b) <= TOL) | ~guess).all(axis=1))
+                & ((np.abs(at_x) <= TOL) | ~guess).all(axis=1))
     return (np.where(kept[:, None], x, centres), np.where(guess & kept[:, None], lam, 0.0),
-            guess & kept[:, None])
+            guess & kept[:, None], np.where(kept[:, None], at_x, at_centres))
 
 
 def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
@@ -157,19 +164,22 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
 
     ``weights`` and ``centres`` are (B, n), ``coeffs`` (B, m, n) and ``rhs``
     (B, m); ``warm``, if given, is a (B, m) boolean guess of each problem's
-    binding rows.  Per problem this is the dual active-set iteration of
-    Goldfarb and Idnani: pick the lowest-indexed violated row and drive it
-    into the working set, releasing blocking rows via a ratio test on the
-    multipliers.  Stationarity and dual feasibility hold at every step, and
-    each release strictly increases the dual objective, so the iteration
-    cannot cycle.  Rows are normalized internally, which makes ``TOL``
-    scale-free; multipliers are reported for the rows as given.  A problem
-    whose step overflows finishes with a non-finite ``x`` or KKT residual and
-    is reported ``NOT_FINITE``, never ``OPTIMAL``.
+    binding rows; any other shape raises ``ValueError``.  Per problem this is
+    the dual active-set iteration of Goldfarb and Idnani: pick the
+    lowest-indexed violated row and drive it into the working set, releasing
+    blocking rows via a ratio test on the multipliers.  Stationarity and dual
+    feasibility hold at every step, and each release strictly increases the
+    dual objective, so the iteration cannot cycle.  Rows are normalized
+    internally, which makes ``TOL`` scale-free; multipliers and margins are
+    reported for the rows as given.  A problem whose step overflows finishes
+    with a non-finite ``x`` or KKT residual and is reported ``NOT_FINITE``,
+    never ``OPTIMAL``.
     """
     weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
                                      for v in (weights, centres, coeffs, rhs))
     b, m = rhs.shape
+    if warm is not None and np.shape(warm) != (b, m):
+        raise ValueError(f"warm must be (B, m) = {(b, m)}, got {np.shape(warm)}")
     inv_q = 0.5 / weights  # inverses of the Hessian diagonals
     scale = _row_scale(coeffs)
     rows_a = coeffs / scale[..., None]
@@ -183,54 +193,61 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     active = (np.zeros((b, m), dtype=bool) if warm is None
               else np.asarray(warm, dtype=bool) & ~hopeless[:, None])
     if active.any():
-        x, lam, active = _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, active)
+        x, lam, active, residuals = _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, active)
     else:  # an empty guess is the cold start
         x, lam = centres.copy(), np.zeros((b, m))
+        residuals = _matvec(rows_a, x) - rows_b
     iterations = np.zeros(b, dtype=int)
     running, infeasible = ~hopeless, hopeless
-    entering = np.full(b, -1)  # the row being driven in, or -1 to scan
-    every = np.arange(b)
-    for _ in range(ITERATION_LIMIT):
+    violated = (residuals > TOL) & ~active  # the first scan, on the start's residuals
+    if not (running & violated.any(axis=1)).any():  # no problem takes a step
         iterations += running
-        scan = running & (entering < 0)
-        violated = (_matvec(rows_a, x) - rows_b > TOL) & ~active
-        running &= violated.any(axis=1) | ~scan
-        if not running.any():
-            break
-        entering = np.where(scan, violated.argmax(axis=1), entering)
+        running = np.zeros(b, dtype=bool)
+    else:
+        entering = np.full(b, -1)  # the row being driven in, or -1 to scan
+        every = np.arange(b)
+        for _ in range(ITERATION_LIMIT):
+            iterations += running
+            scan = running & (entering < 0)
+            running &= violated.any(axis=1) | ~scan
+            if not running.any():
+                break
+            entering = np.where(scan, violated.argmax(axis=1), entering)
 
-        a_p = rows_a[every, entering]
-        g_p = gram[every, :, entering]  # every row's inner product with a_p
-        r = np.linalg.solve(np.where(active[:, :, None] & active[:, None, :], gram, eye),
-                            np.where(active, g_p, 0.0)[..., None])[..., 0]
-        z = inv_q * (a_p - _matvec(rows_a.swapaxes(1, 2), r))
-        curvature = (a_p * z).sum(axis=1)  # zero iff a_p depends on the active rows
-        flat = curvature <= 1e-11 * g_p[every, entering]
+            a_p = rows_a[every, entering]
+            g_p = gram[every, :, entering]  # every row's inner product with a_p
+            r = np.linalg.solve(np.where(active[:, :, None] & active[:, None, :], gram, eye),
+                                np.where(active, g_p, 0.0)[..., None])[..., 0]
+            z = inv_q * (a_p - _matvec(rows_a.swapaxes(1, 2), r))
+            curvature = (a_p * z).sum(axis=1)  # zero iff a_p depends on the active rows
+            flat = curvature <= 1e-11 * g_p[every, entering]
 
-        blocking = np.where(active & (r > 1e-12), lam, np.inf) / np.maximum(r, 1e-12)
-        drop = blocking.argmin(axis=1)
-        t_block = blocking[every, drop]
-        stuck = running & flat & (t_block == np.inf)
-        infeasible = infeasible | stuck
-        running &= ~stuck
-        # A flat step is dual-only: it moves multiplier mass, not x.
-        t_full = (np.where(flat, np.inf, (a_p * x).sum(axis=1) - rows_b[every, entering])
-                  / np.where(flat, 1.0, curvature))
-        t = np.where(running, np.minimum(t_full, t_block), 0.0)
-        x = np.where((running & ~flat)[:, None], x - t[:, None] * z, x)
-        lam = np.where(running[:, None] & active, lam - t[:, None] * r, lam)
-        lam[every, entering] += t
-        join = running & (t_full <= t_block)
-        release = running & ~join
-        active[join, entering[join]] = True
-        entering[join] = -1
-        lam[release, drop[release]] = 0.0
-        active[release, drop[release]] = False
+            blocking = np.where(active & (r > 1e-12), lam, np.inf) / np.maximum(r, 1e-12)
+            drop = blocking.argmin(axis=1)
+            t_block = blocking[every, drop]
+            stuck = running & flat & (t_block == np.inf)
+            infeasible = infeasible | stuck
+            running &= ~stuck
+            # A flat step is dual-only: it moves multiplier mass, not x.
+            t_full = (np.where(flat, np.inf, (a_p * x).sum(axis=1) - rows_b[every, entering])
+                      / np.where(flat, 1.0, curvature))
+            t = np.where(running, np.minimum(t_full, t_block), 0.0)
+            x = np.where((running & ~flat)[:, None], x - t[:, None] * z, x)
+            lam = np.where(running[:, None] & active, lam - t[:, None] * r, lam)
+            lam[every, entering] += t
+            join = running & (t_full <= t_block)
+            release = running & ~join
+            active[join, entering[join]] = True
+            entering[join] = -1
+            lam[release, drop[release]] = 0.0
+            active[release, drop[release]] = False
+            violated = (_matvec(rows_a, x) - rows_b > TOL) & ~active
 
     multipliers = np.maximum(lam, 0.0) / scale
-    kkt = np.where(hopeless, np.inf,
-                   _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers))
+    kkt, margins = _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers)
+    kkt = np.where(hopeless, np.inf, kkt)
     finite = np.isfinite(x).all(axis=1) & np.isfinite(kkt)
-    status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
-                                                  np.where(finite, OPTIMAL, NOT_FINITE)))
-    return QpSolution(x, multipliers, status, iterations, kkt)
+    status = (np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
+                                                   np.where(finite, OPTIMAL, NOT_FINITE)))
+              if (running | infeasible | ~finite).any() else np.full(b, OPTIMAL, _STATUS_DTYPE))
+    return QpSolution(x, multipliers, status, iterations, kkt, margins)

@@ -101,21 +101,24 @@ def _fixed_coeffs(p: int) -> np.ndarray:
     return coeffs
 
 
-def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: VehicleParams):
+def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: VehicleParams,
+              drift=None):
     """Every agent's QP rows, ``coeffs[i, k] . [u, slacks] <= rhs[i, k]``.
 
     ``kin`` (N, 3, 3) holds each filtered agent's position, velocity and
     acceleration estimate; ``peer_kin`` (N, P, 3, 3) the same for each
-    agent's P peers.  The m = P + 8 variables are the thrust, one slack per
-    peer and the shared slacks.  The m rows are P pair rows (second-order
-    barriers on separation), a first-order barrier on speed, a bound on
-    commanded acceleration along the agent's estimate, and the thrust box at
-    ``vehicle.thrust_bound``.
+    agent's P peers, and ``drift`` (N, 3), if given, each agent's
+    :func:`cwh_drift_rows`, else formed from ``kin``.  The m = P + 8 variables
+    are the thrust, one slack per peer and the shared slacks.  The m rows are
+    P pair rows (second-order barriers on separation), a first-order barrier
+    on speed, a bound on commanded acceleration along the agent's estimate,
+    and the thrust box at ``vehicle.thrust_bound``.
     """
     kin = np.asarray(kin, dtype=float)
     n, p = peer_kin.shape[:2]
     vel, accel = kin[:, 1], kin[:, 2]
-    drift = cwh_drift_rows(kin[:, :2].reshape(n, 6), orbit)
+    drift = (cwh_drift_rows(kin[:, :2].reshape(n, 6), orbit) if drift is None
+             else np.asarray(drift, dtype=float))
     d, dv = (kin[:, None, :2] - peer_kin[:, :, :2]).transpose(2, 0, 1, 3)
     gain_sum = params.pos_gain_inner + params.pos_gain_outer
     gain_prod = params.pos_gain_inner * params.pos_gain_outer
@@ -133,14 +136,18 @@ def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: Vehi
     return coeffs, rhs
 
 
+@functools.lru_cache(maxsize=16)
+def _weights(n: int, m: int, penalty: float) -> np.ndarray:
+    """The read-only (N, m) weights: one on the thrust, ``penalty`` on the slacks."""
+    return np.broadcast_to(np.where(np.arange(m) < 3, 1.0, penalty), (n, m))
+
+
 def _costs(desired, m: int, params: RtaParams):
     """Weights and centres, (N, m): thrust close to ``desired`` (N, 3), slacks
     close to zero under their penalty."""
-    weights = np.full((len(desired), m), params.slack_penalty)
-    weights[:, :3] = 1.0
     centres = np.zeros((len(desired), m))
     centres[:, :3] = desired
-    return weights, centres
+    return _weights(len(desired), m, params.slack_penalty), centres
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,14 +159,15 @@ def _peer_index(n: int) -> np.ndarray:
     return index
 
 
-def _kinematics(states, desired, accel):
+def _kinematics(states, desired, accel, drift=None):
     """Each agent's kinematics, its peers' (see :func:`qp_arrays`) and the
-    desired thrusts from the arrays :func:`filter_actions` takes.  Agent i's
-    peers are the other agents in index order, then the chief, motionless at
-    the origin."""
+    desired thrusts from the arrays :func:`filter_actions` takes, whose
+    ``drift``, if given, must be (N, 3).  Agent i's peers are the other agents
+    in index order, then the chief, motionless at the origin."""
     states, n = np.asarray(states, dtype=float), len(states)
-    if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
-        raise ValueError("states, desired and accel must be (N, 6), (N, 3) and (N, 3)")
+    if (states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3)
+            or drift is not None and np.shape(drift) != (n, 3)):
+        raise ValueError("states must be (N, 6), and desired, accel and drift (N, 3)")
     everyone = np.zeros((n + 1, 3, 3))  # the agents, then the chief
     everyone[:n, :2] = states.reshape(n, 2, 3)
     everyone[:n, 2] = accel
@@ -178,13 +186,14 @@ def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
-                   vehicle: VehicleParams, warm=None) -> RtaDecision:
+                   vehicle: VehicleParams, drift=None, warm=None) -> RtaDecision:
     """Filter every agent's desired thrust against the others and the chief.
 
     ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
     commanded thrusts in newtons and ``accel`` (N, 3) each agent's
     acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
-    are the other agents, then the chief, motionless at the origin.
+    are the other agents, then the chief, motionless at the origin.  ``drift``
+    (N, 3), if given, is ``cwh_drift_rows(states, orbit)``, formed here if not.
     ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
     rows, such as the last tick's :attr:`RtaDecision.active`.  It changes how
     many solver steps the decision takes, and the decision only by roundoff.
@@ -194,25 +203,28 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     non-optimal status or a non-finite solution; a non-finite peer makes the
     rows of every agent that sees it non-finite, so none of them is certified.
     """
-    kin, peer_kin, desired = _kinematics(states, desired, accel)
+    kin, peer_kin, desired = _kinematics(states, desired, accel, drift)
     n = len(kin)
     if warm is not None:
         warm = np.asarray(warm, dtype=bool)
         if warm.shape != (n, n + 8):
             raise ValueError("warm must be an (N, N + 8) boolean mask")
-    coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle)
-    weights, centres = _costs(desired, rhs.shape[1], params)
-    unsolved = ~(np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-                 & np.isfinite(desired).all(axis=1))
-    # Non-finite data never reach the solver: such an agent's QP becomes zero
-    # rows with negative right-hand sides and a zero centre, which the solver
-    # rejects as infeasible before its first step, with x = 0, no iterations
-    # and an infinite residual.
-    coeffs[unsolved], rhs[unsolved], centres[unsolved] = 0.0, -1.0, 0.0
-    solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite data overflow and fall back
+        coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle, drift)
+        weights, centres = _costs(desired, rhs.shape[1], params)
+        unsolved = ~(np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+                     & np.isfinite(desired).all(axis=1))
+        # Non-finite data never reach the solver: such an agent's QP becomes
+        # zero rows with negative right-hand sides and a zero centre, which
+        # the solver rejects as infeasible before its first step, with x = 0,
+        # no iterations and an infinite residual.
+        if unsolved.any():
+            coeffs[unsolved], rhs[unsolved], centres[unsolved] = 0.0, -1.0, 0.0
+        solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
     x = solution.x
     fallback = ~((solution.status == qp_mod.OPTIMAL) & np.isfinite(x).all(axis=1))
-    x[fallback] = 0.0
-    active = ~fallback[:, None] & (np.abs(rhs - (coeffs @ x[..., None])[..., 0]) <= ACTIVE_TOL)
+    if fallback.any():
+        x[fallback] = 0.0
+    active = ~fallback[:, None] & (np.abs(solution.margins) <= ACTIVE_TOL)
     return RtaDecision(x[:, :3], x[:, 3:], active, fallback, solution.iterations,
                        solution.kkt_residual)

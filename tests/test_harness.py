@@ -231,9 +231,9 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     real_filter = harness.filter_actions
     estimates = []
 
-    def overdrive(states, desired, accel, orbit, params, vehicle, warm=None):
+    def overdrive(states, desired, accel, orbit, params, vehicle, drift, warm=None):
         estimates.append(accel.copy())
-        decision = real_filter(states, desired, accel, orbit, params, vehicle, warm=warm)
+        decision = real_filter(states, desired, accel, orbit, params, vehicle, drift, warm=warm)
         decision.u_safe[:] = [3.0, -3.0, 0.5]
         return decision
 
@@ -251,6 +251,30 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     for k in range(2):
         drift = cwh_drift_rows(states[0, k], spec.orbit)
         np.testing.assert_array_equal(estimates[1][k], drift + applied / spec.vehicle.mass)
+
+
+def test_one_drift_feeds_the_filter_and_the_next_estimate(monkeypatch):
+    # Each RTA tick hands the filter cwh_drift_rows of the states it filters,
+    # and the next tick's estimate is that drift plus the applied thrust over
+    # the mass, to the bit.
+    real_filter = harness.filter_actions
+    calls = []
+
+    def spy(*args, warm=None):
+        calls.append(args)
+        return real_filter(*args, warm=warm)
+
+    monkeypatch.setattr(harness, "filter_actions", spy)
+    spec = dataclasses.replace(three_agent_standoff(rta_enabled=True), leg_timeout=30.0)
+    _, log = run(spec)
+    assert len(calls) == 30
+    for tick, (states, _, accel, _, _, _, drift) in enumerate(calls):
+        expected = cwh_drift_rows(states, spec.orbit)
+        assert drift.shape == (2, 3) and np.array_equal(drift.view(np.int64),
+                                                        expected.view(np.int64))
+        if tick:
+            previous = calls[tick - 1][6] + log.u[tick - 1] / spec.vehicle.mass
+            assert np.array_equal(accel, previous)
 
 
 def _ring(n_agents, phase):

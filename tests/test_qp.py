@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -316,3 +317,95 @@ def test_status_precedence_in_one_stack(monkeypatch):
     assert list(batch.status) == [MAX_ITER, INFEASIBLE, NOT_FINITE, OPTIMAL]
     assert list(batch.iterations) == [2, 0, 2, 1]
     assert np.isfinite(batch.kkt_residual[[0, 3]]).all() and batch.kkt_residual[3] == 0.0
+
+
+def test_warm_guesses_of_another_shape_are_refused():
+    # A (m,) guess would broadcast as every problem's guess, and a (B, m + 1)
+    # one would fail inside the Gram masking; both are refused up front.
+    data = _stack(_mixed_stack(np.random.default_rng(4)))
+    b, m = data[3].shape
+    for guess in (np.ones(m, dtype=bool), np.ones((b, m + 1), dtype=bool)):
+        with pytest.raises(ValueError, match=re.escape(f"{(b, m)}, got {guess.shape}")):
+            solve_batch(*data, warm=guess)
+
+
+def _bits(a):
+    """A float array's bits, so that -0.0 and +0.0 compare apart."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _scaled_stack(rng):
+    """A mixed stack whose rows are rescaled by factors from 1e-3 to 1e3,
+    which moves no solution but keeps the rows as given off unit norm."""
+    weights, centres, coeffs, rhs = _stack(_mixed_stack(rng))
+    factors = 10.0 ** rng.uniform(-3.0, 3.0, rhs.shape)
+    return weights, centres, coeffs * factors[..., None], rhs * factors
+
+
+def test_margins_are_the_rows_as_given_bit_for_bit(monkeypatch):
+    # margins is rhs - coeffs @ x of the returned x, for the rows as given,
+    # after a cold start (with a hopeless zero row in the stack), a warm start
+    # whose guesses are kept, one whose guesses are all rejected, and a stop at
+    # the iteration limit.
+    rng = np.random.default_rng(30)
+    limited = []
+    for _ in range(5):
+        data = _scaled_stack(rng)
+        cold = solve_batch(*data)
+        kept = solve_batch(*data, warm=cold.multipliers > 0.0)
+        rejected = solve_batch(*data, warm=np.ones(data[3].shape, dtype=bool))
+        assert cold.status[-3] == INFEASIBLE and kept.iterations.max() < cold.iterations.max()
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_mod, "ITERATION_LIMIT", 2)
+            stopped = solve_batch(*data)
+        limited += list(stopped.status)
+        for sol in (cold, kept, rejected, stopped):
+            expected = data[3] - (data[2] @ sol.x[..., None])[..., 0]
+            assert sol.margins.shape == data[3].shape
+            assert np.array_equal(_bits(sol.margins), _bits(expected))
+    assert MAX_ITER in limited
+
+
+def test_a_rejected_guess_is_the_cold_start_bit_for_bit():
+    # A rejected guess starts from x = c with an empty working set, exactly as
+    # the cold start does, so every field of the solution keeps its bits.  In
+    # the two-variable problem the guessed row x0 <= 1 has a negative
+    # multiplier; its equality minimiser (1, 0) meets every row, yet the
+    # centre (0, 0) violates x0 >= 0.5.
+    single = [np.ones((1, 2)), np.zeros((1, 2)), np.array([[[1.0, 0.0], [-1.0, 0.0]]]),
+              np.array([[1.0, -0.5]])]
+    stacks = [(single, np.array([[True, False]]))]
+    for seed in range(3):  # 7 rows cannot all bind in 5 variables: every guess is rejected
+        data = _scaled_stack(np.random.default_rng(seed))
+        stacks.append((data, np.ones(data[3].shape, dtype=bool)))
+    for data, guess in stacks:
+        cold, warm = solve_batch(*data), solve_batch(*data, warm=guess)
+        assert cold.iterations.max() >= 2
+        for field in dataclasses.fields(QpSolution):
+            got, want = getattr(warm, field.name), getattr(cold, field.name)
+            if got.dtype.kind == "f":
+                got, want = _bits(got), _bits(want)
+            assert np.array_equal(got, want), field.name
+    assert solve_batch(*single).x.tolist() == [[0.5, 0.0]]
+
+
+def test_an_optimal_warm_guess_takes_one_solve(monkeypatch):
+    # Guessing each problem's binding rows: the warm start's one stacked
+    # solve lands on every optimum, the first scan finds no violated row, and
+    # no step is taken.
+    rng = np.random.default_rng(11)
+    data = _stack([random_feasible_problem(rng, 5, 7) for _ in range(6)])
+    cold = solve_batch(*data)
+    assert cold.iterations.max() >= 3
+    calls = []
+    real_solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    warm = solve_batch(*data, warm=cold.multipliers > 0.0)
+    assert len(calls) == 1
+    assert list(warm.iterations) == [1] * 6 and list(warm.status) == [OPTIMAL] * 6
+    np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)

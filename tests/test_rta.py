@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,82 @@ def test_filter_actions_matches_one_agent_filters():
                 np.testing.assert_allclose(decision.u_safe, u_alone, rtol=0, atol=1e-7)
                 assert decision.fallback == fallback
                 assert len(decision.slacks) == n + 5  # the other agents, the chief, shared
+
+
+def _same_bits(a, b):
+    """Equal dtypes, shapes and bits, so that -0.0 and +0.0 compare apart."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_given_drift_changes_no_bit_of_the_decision():
+    # The caller's cwh_drift_rows(states) gives the decision the filter forms
+    # from its own drift, in every field and every bit; a drift of another
+    # shape is refused.
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        for _ in range(3):
+            states, accel = _random_agents(rng, n, spread=40.0 * n + 60.0)
+            desired = rng.uniform(-1.5, 1.5, (n, 3))
+            own = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+            drift = cwh_drift_rows(states, ORBIT)
+            given = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, drift)
+            for field in dataclasses.fields(RtaDecision):
+                assert _same_bits(getattr(given, field.name), getattr(own, field.name))
+    for bad in (drift[:, :2], drift[:-1], drift.ravel()):
+        with pytest.raises(ValueError, match="drift"):
+            filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_one_non_finite_command_sends_only_its_agent_to_fallback(value):
+    # A command enters only its own agent's QP: that agent falls back without
+    # a solve, and the other agents keep every bit of the decision they get
+    # when the command is finite.
+    states, accel = _random_agents(np.random.default_rng(13), 3, spread=60.0)
+    desired = np.full((3, 3), 0.4)
+    finite = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    desired[1, 2] = value
+    decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    assert decision.fallback.tolist() == [False, True, False]
+    bad = decision[1]
+    assert np.array_equal(bad.u_safe, np.zeros(3)) and not bad.active.any()
+    assert bad.iterations == 0 and bad.kkt_residual == np.inf
+    assert not finite.fallback.any() and finite.active[1].any()
+    for field in dataclasses.fields(RtaDecision):
+        got, want = getattr(decision, field.name), getattr(finite, field.name)
+        assert _same_bits(got[[0, 2]], want[[0, 2]])
+
+
+def _hostile(case):
+    """Two agents' states and acceleration estimates, agent 0's hostile."""
+    states = np.array([[120.0, -40.0, 10.0, 0.5, 0.2, 0.0],
+                       [-150.0, 30.0, 0.0, 0.0, -0.3, 0.0]])
+    accel = np.zeros((2, 3))
+    if case == "accel 1e300":
+        accel[0] = 1e300
+    elif case == "denormal":
+        states[0] = 5e-310
+    else:
+        column, value = {"pos 1e200": (0, 1e200), "vel 1e200": (3, 1e200),
+                         "pos 1e300": (0, 1e300)}[case]
+        states[0, column:column + 3] = value
+    return states, accel
+
+
+@pytest.mark.parametrize("case", ["pos 1e200", "vel 1e200", "accel 1e300", "pos 1e300",
+                                  "denormal"])
+def test_hostile_finite_inputs_fall_back_without_a_warning(case):
+    # Finite values too large to square overflow inside the row build and the
+    # solver's row scaling; the filter falls back on them quietly.
+    states, accel = _hostile(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = filter_actions(states, np.full((2, 3), 0.3), accel, ORBIT, PARAMS, VEH)
+    assert np.isfinite(decision.u_safe).all()
+    for d in decision:
+        assert d.fallback or d.kkt_residual <= 1e-7
+    assert decision.fallback[0] == (case != "denormal")
 
 
 def test_filter_actions_returns_one_stack_of_agent_rows():
