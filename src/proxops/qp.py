@@ -37,7 +37,6 @@ NOT_FINITE = "not_finite"  # finished, but x or its KKT residual overflowed
 
 TOL = 1e-8  # on rows scaled to unit norm, so scale-free
 ITERATION_LIMIT = 200
-_STATUS_DTYPE = np.array([OPTIMAL, MAX_ITER, INFEASIBLE, NOT_FINITE]).dtype
 
 
 def _row_scale(coeffs):
@@ -153,10 +152,11 @@ def _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, guess):
             lam = _solve_each(systems, rhs)
         x = centres - inv_q * _matvec(rows_a.swapaxes(1, 2), lam)
         at_x = _matvec(rows_a, x) - rows_b
-        kept = (np.isfinite(lam).all(axis=1) & (lam >= 0.0).all(axis=1)
-                & ((np.abs(at_x) <= TOL) | ~guess).all(axis=1))
-    return (np.where(kept[:, None], x, centres), np.where(guess & kept[:, None], lam, 0.0),
-            guess & kept[:, None], np.where(kept[:, None], at_x, at_centres))
+        kept = ((0.0 <= lam) & (lam < np.inf)  # finite and nonnegative
+                & ((np.abs(at_x) <= TOL) | ~guess)).all(axis=1, keepdims=True)
+    active = guess & kept
+    return (np.where(kept, x, centres), np.where(active, lam, 0.0), active,
+            np.where(kept, at_x, at_centres))
 
 
 def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
@@ -247,7 +247,6 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     kkt, margins = _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers)
     kkt = np.where(hopeless, np.inf, kkt)
     finite = np.isfinite(x).all(axis=1) & np.isfinite(kkt)
-    status = (np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
-                                                   np.where(finite, OPTIMAL, NOT_FINITE)))
-              if (running | infeasible | ~finite).any() else np.full(b, OPTIMAL, _STATUS_DTYPE))
+    status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
+                                                  np.where(finite, OPTIMAL, NOT_FINITE)))
     return QpSolution(x, multipliers, status, iterations, kkt, margins)

@@ -36,6 +36,7 @@ from . import qp as qp_mod
 N_SHARED_SLACKS = 5  # velocity, acceleration, and one per thrust axis
 INTERVENTION_TOL = 1e-6  # N; the filter intervened when a thrust axis moved further
 ACTIVE_TOL = 1e-7  # a row binds when its margin at the solution is at most this
+COEFF_LIMIT = 1e150  # a larger row entry could overflow the solver's row norms
 # Thrust-box rows sign * u[axis] <= vehicle.thrust_bound, in +x, -x, +y, -y, +z, -z order.
 _INPUT_COEFFS = np.kron(np.eye(3), [[1.0], [-1.0]])
 
@@ -136,18 +137,14 @@ def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: Vehi
     return coeffs, rhs
 
 
-@functools.lru_cache(maxsize=16)
-def _weights(n: int, m: int, penalty: float) -> np.ndarray:
-    """The read-only (N, m) weights: one on the thrust, ``penalty`` on the slacks."""
-    return np.broadcast_to(np.where(np.arange(m) < 3, 1.0, penalty), (n, m))
-
-
 def _costs(desired, m: int, params: RtaParams):
     """Weights and centres, (N, m): thrust close to ``desired`` (N, 3), slacks
     close to zero under their penalty."""
+    weights = np.full((len(desired), m), params.slack_penalty)
+    weights[:, :3] = 1.0
     centres = np.zeros((len(desired), m))
     centres[:, :3] = desired
-    return _weights(len(desired), m, params.slack_penalty), centres
+    return weights, centres
 
 
 @functools.lru_cache(maxsize=16)
@@ -193,15 +190,18 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     commanded thrusts in newtons and ``accel`` (N, 3) each agent's
     acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
     are the other agents, then the chief, motionless at the origin.  ``drift``
-    (N, 3), if given, is ``cwh_drift_rows(states, orbit)``, formed here if not.
+    (N, 3), if given, must be ``cwh_drift_rows(states, orbit)``: the filter
+    trusts it and checks only its shape, so the barrier rows are certified
+    against whatever drift it holds.  It is formed here if not given.
     ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
     rows, such as the last tick's :attr:`RtaDecision.active`.  It changes how
     many solver steps the decision takes, and the decision only by roundoff.
 
     One batched solve gives every agent's row of the decision.  An agent gets
     zero thrust and ``fallback`` on non-finite data in its rows or command, a
-    non-optimal status or a non-finite solution; a non-finite peer makes the
-    rows of every agent that sees it non-finite, so none of them is certified.
+    row entry beyond :data:`COEFF_LIMIT`, a non-optimal status or a
+    non-finite solution; a non-finite peer makes the rows of every agent that
+    sees it non-finite, so none of them is certified.
     """
     kin, peer_kin, desired = _kinematics(states, desired, accel, drift)
     n = len(kin)
@@ -209,22 +209,20 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
         warm = np.asarray(warm, dtype=bool)
         if warm.shape != (n, n + 8):
             raise ValueError("warm must be an (N, N + 8) boolean mask")
-    with np.errstate(over="ignore", invalid="ignore"):  # huge finite data overflow and fall back
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite data overflow here
         coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle, drift)
-        weights, centres = _costs(desired, rhs.shape[1], params)
-        unsolved = ~(np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-                     & np.isfinite(desired).all(axis=1))
-        # Non-finite data never reach the solver: such an agent's QP becomes
-        # zero rows with negative right-hand sides and a zero centre, which
-        # the solver rejects as infeasible before its first step, with x = 0,
-        # no iterations and an infinite residual.
-        if unsolved.any():
-            coeffs[unsolved], rhs[unsolved], centres[unsolved] = 0.0, -1.0, 0.0
-        solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
+    weights, centres = _costs(desired, rhs.shape[1], params)
+    unsolved = ~((np.abs(coeffs) <= COEFF_LIMIT).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+                 & np.isfinite(desired).all(axis=1))
+    # Non-finite data and entries beyond COEFF_LIMIT never reach the solver:
+    # such an agent's QP becomes zero rows with negative right-hand sides and
+    # a zero centre, which the solver rejects as infeasible before its first
+    # step, with x = 0, no iterations and an infinite residual.
+    coeffs[unsolved], rhs[unsolved], centres[unsolved] = 0.0, -1.0, 0.0
+    solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
     x = solution.x
     fallback = ~((solution.status == qp_mod.OPTIMAL) & np.isfinite(x).all(axis=1))
-    if fallback.any():
-        x[fallback] = 0.0
+    x[fallback] = 0.0
     active = ~fallback[:, None] & (np.abs(solution.margins) <= ACTIVE_TOL)
     return RtaDecision(x[:, :3], x[:, 3:], active, fallback, solution.iterations,
                        solution.kkt_residual)
