@@ -21,7 +21,6 @@ from .dynamics import (  # noqa: F401 - propagate_cwh stays a harness attribute 
     PropagationError,
     RelativeState,
     VehicleParams,
-    cwh_drift_rows,
     propagate_cwh,
     propagate_cwh_zoh,
 )
@@ -292,9 +291,8 @@ def run(spec: ScenarioSpec):
                 u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
 
         if spec.rta_enabled:
-            drift = cwh_drift_rows(states, spec.orbit)
             decision = filter_actions(states, u_des, accel_est, spec.orbit,
-                                      spec.rta_params, spec.vehicle, drift, warm=warm)
+                                      spec.rta_params, spec.vehicle, warm=warm)
             warm, u, slacks = decision.active, decision.u_safe, decision.slacks
             active = decision.fallback | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL)
             slack = np.concatenate([slacks[:, :n].min(axis=1, keepdims=True), slacks[:, n:]], 1)
@@ -305,7 +303,7 @@ def run(spec: ScenarioSpec):
         rows.append((states, u_des, u, active, slack, dist))
 
         if spec.rta_enabled:
-            accel_est = drift + u / mass
+            accel_est = decision.drift + u / mass
         try:
             states = propagate_cwh_zoh(states, u, dt, spec.orbit, spec.vehicle)
         except PropagationError:

@@ -33,10 +33,11 @@ import numpy as np
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
-NOT_FINITE = "not_finite"  # finished, but x or its KKT residual overflowed
+NOT_FINITE = "not_finite"  # refused, or finished with an x or KKT residual that overflowed
 
 TOL = 1e-8  # on rows scaled to unit norm, so scale-free
 ITERATION_LIMIT = 200
+DATA_LIMIT = 1e150  # a larger coefficient could overflow its row's squared norm
 
 
 def _row_scale(coeffs):
@@ -96,8 +97,8 @@ def _checked(weights, centres, coeffs, rhs):
         raise ValueError("weights and centres must be vectors of equal length")
     if coeffs.shape != rhs.shape + weights.shape:
         raise ValueError("coeffs must be (m, n) for m rhs entries and n weights")
-    if not all(np.isfinite(v).all() for v in data):
-        raise ValueError("QP data must be finite")
+    if not (all(np.isfinite(v).all() for v in data) and (np.abs(coeffs) <= DATA_LIMIT).all()):
+        raise ValueError(f"QP data must be finite and coefficients at most {DATA_LIMIT:g}")
     if (weights <= 0.0).any():
         raise ValueError("weights must be strictly positive")
     return data
@@ -120,7 +121,8 @@ def solve(weights, centres, coeffs, rhs) -> QpSolution:
 
     Raises ``ValueError`` unless ``weights`` and ``centres`` are vectors of
     equal length n, ``coeffs`` is (m, n) for the m entries of ``rhs``, every
-    entry is finite and every weight is positive.
+    entry is finite, no coefficient exceeds :data:`DATA_LIMIT` in magnitude
+    and every weight is positive.
     """
     return solve_batch(*(v[None] for v in _checked(weights, centres, coeffs, rhs)))[0]
 
@@ -174,12 +176,23 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     reported for the rows as given.  A problem whose step overflows finishes
     with a non-finite ``x`` or KKT residual and is reported ``NOT_FINITE``,
     never ``OPTIMAL``.
+
+    A problem with a non-finite centre or right-hand side, or a coefficient
+    beyond :data:`DATA_LIMIT` in magnitude, is refused before any arithmetic
+    on it, without a warning: ``NOT_FINITE`` with no iterations, a NaN ``x``
+    and an infinite KKT residual.  No input array is written.
     """
     weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
                                      for v in (weights, centres, coeffs, rhs))
     b, m = rhs.shape
     if warm is not None and np.shape(warm) != (b, m):
         raise ValueError(f"warm must be (B, m) = {(b, m)}, got {np.shape(warm)}")
+    refused = ~((np.abs(coeffs) <= DATA_LIMIT).all(axis=(1, 2))
+                & np.isfinite(centres).all(axis=1) & np.isfinite(rhs).all(axis=1))
+    if refused.any():  # new arrays: NaN centres under zero rows, where x = c stays
+        centres = np.where(refused[:, None], np.nan, centres)
+        coeffs = np.where(refused[:, None, None], 0.0, coeffs)
+        rhs = np.where(refused[:, None], 0.0, rhs)
     inv_q = 0.5 / weights  # inverses of the Hessian diagonals
     scale = _row_scale(coeffs)
     rows_a = coeffs / scale[..., None]
@@ -189,16 +202,17 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     # 0 . x <= rhs is vacuous or hopeless regardless of x.  A vacuous zero
     # row keeps scale 1, so its violation -rhs never exceeds TOL.
     hopeless = ((rhs < -TOL) & ~coeffs.any(axis=2)).any(axis=1)
+    idle = hopeless | refused  # problems that take no step
     eye = np.eye(m)
     active = (np.zeros((b, m), dtype=bool) if warm is None
-              else np.asarray(warm, dtype=bool) & ~hopeless[:, None])
+              else np.asarray(warm, dtype=bool) & ~idle[:, None])
     if active.any():
         x, lam, active, residuals = _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, active)
     else:  # an empty guess is the cold start
         x, lam = centres.copy(), np.zeros((b, m))
         residuals = _matvec(rows_a, x) - rows_b
     iterations = np.zeros(b, dtype=int)
-    running, infeasible = ~hopeless, hopeless
+    running, infeasible = ~idle, hopeless
     violated = (residuals > TOL) & ~active  # the first scan, on the start's residuals
     if not (running & violated.any(axis=1)).any():  # no problem takes a step
         iterations += running
@@ -245,7 +259,7 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
 
     multipliers = np.maximum(lam, 0.0) / scale
     kkt, margins = _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers)
-    kkt = np.where(hopeless, np.inf, kkt)
+    kkt = np.where(idle, np.inf, kkt)
     finite = np.isfinite(x).all(axis=1) & np.isfinite(kkt)
     status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
                                                   np.where(finite, OPTIMAL, NOT_FINITE)))

@@ -19,7 +19,7 @@ stay at zero unless the hard constraints are momentarily incompatible.
 :func:`qp_arrays` builds every agent's rows in one numpy pass, and one
 :func:`qp.solve_batch` call solves every agent's QP in lock-step;
 :func:`build_qp` is one agent's QP from the same arrays.  The filter fails
-closed: non-finite data or a failed solve gives zero thrust, flagged.
+closed: a QP the solver refuses or cannot solve gives zero thrust, flagged.
 """
 
 from __future__ import annotations
@@ -36,29 +36,26 @@ from . import qp as qp_mod
 N_SHARED_SLACKS = 5  # velocity, acceleration, and one per thrust axis
 INTERVENTION_TOL = 1e-6  # N; the filter intervened when a thrust axis moved further
 ACTIVE_TOL = 1e-7  # a row binds when its margin at the solution is at most this
-COEFF_LIMIT = 1e150  # a larger row entry could overflow the solver's row norms
+# The separation barrier's two-gain chain down to an acceleration condition,
+# 1/s: both 0.1/s gives an alert horizon of about 100 m at a few m/s.
+POS_GAIN_INNER = 0.1
+POS_GAIN_OUTER = 0.1
+VEL_GAIN = 1.0  # 1/s, the speed barrier's decay rate
+SLACK_PENALTY = 1e6  # weight of each squared slack: slacks stay at zero unless rows conflict
 # Thrust-box rows sign * u[axis] <= vehicle.thrust_bound, in +x, -x, +y, -y, +z, -z order.
 _INPUT_COEFFS = np.kron(np.eye(3), [[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
 class RtaParams:
-    """Safety limits and filter gains.
-
-    ``pos_gain_inner`` and ``pos_gain_outer`` chain the separation barrier
-    down to an acceleration condition; both 0.1/s gives an alert horizon of
-    roughly 100 m at scenario speeds of a few m/s.  ``slack_penalty``
-    multiplies the squared slacks in the QP objective.  The thrust box comes
-    from the vehicle's :class:`VehicleParams`, not from here.
-    """
+    """Safety limits: the separation from every peer and the chief (m), the
+    speed ceiling (m/s) and the commanded-acceleration ceiling (m/s^2).  The
+    thrust box comes from the vehicle's :class:`VehicleParams`, and the
+    barrier gains and slack penalty are module constants."""
 
     collision_radius: float = 50.0
     max_speed: float = 3.0
     max_accel: float = 1.732
-    pos_gain_inner: float = 0.1
-    pos_gain_outer: float = 0.1
-    vel_gain: float = 1.0
-    slack_penalty: float = 1e6
 
     def __post_init__(self):
         for f in fields(self):
@@ -78,6 +75,7 @@ class RtaDecision(qp_mod.Stack):
     fallback: np.ndarray      # (N,) bool, zero thrust for want of a certified solve
     iterations: np.ndarray    # (N,) int, solver iterations; 0 if the QP was not solved
     kkt_residual: np.ndarray  # (N,) float, the solution's KKT residual; inf if not solved
+    drift: np.ndarray         # (N, 3) m/s^2, cwh_drift_rows of the states the rows are built at
 
 
 def _dot(a, b):
@@ -102,33 +100,27 @@ def _fixed_coeffs(p: int) -> np.ndarray:
     return coeffs
 
 
-def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: VehicleParams,
-              drift=None):
+def qp_arrays(kin, peer_kin, drift, params: RtaParams, vehicle: VehicleParams):
     """Every agent's QP rows, ``coeffs[i, k] . [u, slacks] <= rhs[i, k]``.
 
     ``kin`` (N, 3, 3) holds each filtered agent's position, velocity and
     acceleration estimate; ``peer_kin`` (N, P, 3, 3) the same for each
-    agent's P peers, and ``drift`` (N, 3), if given, each agent's
-    :func:`cwh_drift_rows`, else formed from ``kin``.  The m = P + 8 variables
-    are the thrust, one slack per peer and the shared slacks.  The m rows are
-    P pair rows (second-order barriers on separation), a first-order barrier
-    on speed, a bound on commanded acceleration along the agent's estimate,
-    and the thrust box at ``vehicle.thrust_bound``.
+    agent's P peers, and ``drift`` (N, 3) each agent's :func:`cwh_drift_rows`.
+    The m = P + 8 variables are the thrust, one slack per peer and the shared
+    slacks.  The m rows are P pair rows (second-order barriers on separation),
+    a first-order barrier on speed, a bound on commanded acceleration along
+    the agent's estimate, and the thrust box at ``vehicle.thrust_bound``.
     """
     kin = np.asarray(kin, dtype=float)
     n, p = peer_kin.shape[:2]
     vel, accel = kin[:, 1], kin[:, 2]
-    drift = (cwh_drift_rows(kin[:, :2].reshape(n, 6), orbit) if drift is None
-             else np.asarray(drift, dtype=float))
     d, dv = (kin[:, None, :2] - peer_kin[:, :, :2]).transpose(2, 0, 1, 3)
-    gain_sum = params.pos_gain_inner + params.pos_gain_outer
-    gain_prod = params.pos_gain_inner * params.pos_gain_outer
     rhs = np.empty((n, p + 8))
     rhs[:, :p] = (_dot(dv, dv) - _dot(d, peer_kin[:, :, 2]) + _dot(d, drift[:, None])
-                  + gain_sum * _dot(d, dv)
-                  + gain_prod * _pos_barrier(d, params.collision_radius))
+                  + (POS_GAIN_INNER + POS_GAIN_OUTER) * _dot(d, dv)
+                  + POS_GAIN_INNER * POS_GAIN_OUTER * _pos_barrier(d, params.collision_radius))
     rhs[:, p] = (-_dot(vel, drift)
-                 + params.vel_gain * 0.5 * (params.max_speed**2 - _dot(vel, vel)))
+                 + VEL_GAIN * 0.5 * (params.max_speed**2 - _dot(vel, vel)))
     rhs[:, p + 1] = params.max_accel**2 - _dot(accel, drift)
     rhs[:, p + 2:] = vehicle.thrust_bound
     coeffs = _fixed_coeffs(p).repeat(n, axis=0)
@@ -137,10 +129,10 @@ def qp_arrays(kin, peer_kin, orbit: ChiefOrbit, params: RtaParams, vehicle: Vehi
     return coeffs, rhs
 
 
-def _costs(desired, m: int, params: RtaParams):
+def _costs(desired, m: int):
     """Weights and centres, (N, m): thrust close to ``desired`` (N, 3), slacks
     close to zero under their penalty."""
-    weights = np.full((len(desired), m), params.slack_penalty)
+    weights = np.full((len(desired), m), SLACK_PENALTY)
     weights[:, :3] = 1.0
     centres = np.zeros((len(desired), m))
     centres[:, :3] = desired
@@ -156,15 +148,14 @@ def _peer_index(n: int) -> np.ndarray:
     return index
 
 
-def _kinematics(states, desired, accel, drift=None):
+def _kinematics(states, desired, accel):
     """Each agent's kinematics, its peers' (see :func:`qp_arrays`) and the
-    desired thrusts from the arrays :func:`filter_actions` takes, whose
-    ``drift``, if given, must be (N, 3).  Agent i's peers are the other agents
-    in index order, then the chief, motionless at the origin."""
+    desired thrusts from the arrays :func:`filter_actions` takes.  Agent i's
+    peers are the other agents in index order, then the chief, motionless at
+    the origin."""
     states, n = np.asarray(states, dtype=float), len(states)
-    if (states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3)
-            or drift is not None and np.shape(drift) != (n, 3)):
-        raise ValueError("states must be (N, 6), and desired, accel and drift (N, 3)")
+    if states.shape != (n, 6) or np.shape(desired) != (n, 3) or np.shape(accel) != (n, 3):
+        raise ValueError("states must be (N, 6), and desired and accel (N, 3)")
     everyone = np.zeros((n + 1, 3, 3))  # the agents, then the chief
     everyone[:n, :2] = states.reshape(n, 2, 3)
     everyone[:n, 2] = accel
@@ -177,52 +168,47 @@ def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     that :func:`qp.solve` takes: the one :func:`filter_actions` solves for
     agent ``k`` from the same arguments, with the rows of :func:`qp_arrays`."""
     kin, peer_kin, desired = _kinematics(states, desired, accel)
-    coeffs, rhs = qp_arrays(kin[[k]], peer_kin[[k]], orbit, params, vehicle)
-    weights, centres = _costs(desired[[k]], rhs.shape[1], params)
+    drift = cwh_drift_rows(kin[k, :2].reshape(1, 6), orbit)
+    coeffs, rhs = qp_arrays(kin[[k]], peer_kin[[k]], drift, params, vehicle)
+    weights, centres = _costs(desired[[k]], rhs.shape[1])
     return weights[0], centres[0], coeffs[0], rhs[0]
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
-                   vehicle: VehicleParams, drift=None, warm=None) -> RtaDecision:
+                   vehicle: VehicleParams, warm=None) -> RtaDecision:
     """Filter every agent's desired thrust against the others and the chief.
 
     ``states`` (N, 6) holds positions and velocities, ``desired`` (N, 3) the
     commanded thrusts in newtons and ``accel`` (N, 3) each agent's
     acceleration estimate; every agent flies ``vehicle``.  Each agent's peers
-    are the other agents, then the chief, motionless at the origin.  ``drift``
-    (N, 3), if given, must be ``cwh_drift_rows(states, orbit)``: the filter
-    trusts it and checks only its shape, so the barrier rows are certified
-    against whatever drift it holds.  It is formed here if not given.
+    are the other agents, then the chief, motionless at the origin.  The
+    decision's ``drift`` is the ``cwh_drift_rows(states, orbit)`` its rows are
+    built at, which the caller's next acceleration estimates can reuse.
     ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
     rows, such as the last tick's :attr:`RtaDecision.active`.  It changes how
     many solver steps the decision takes, and the decision only by roundoff.
 
     One batched solve gives every agent's row of the decision.  An agent gets
-    zero thrust and ``fallback`` on non-finite data in its rows or command, a
-    row entry beyond :data:`COEFF_LIMIT`, a non-optimal status or a
-    non-finite solution; a non-finite peer makes the rows of every agent that
-    sees it non-finite, so none of them is certified.
+    zero thrust and ``fallback`` when its QP is not optimal or its solution
+    not finite, which includes every QP the solver refuses (see
+    :func:`qp.solve_batch`): non-finite rows or command, or a row entry past
+    :data:`qp.DATA_LIMIT`.  A non-finite peer makes the rows of every agent
+    that sees it non-finite, so none of them is certified.
     """
-    kin, peer_kin, desired = _kinematics(states, desired, accel, drift)
+    kin, peer_kin, desired = _kinematics(states, desired, accel)
     n = len(kin)
     if warm is not None:
         warm = np.asarray(warm, dtype=bool)
         if warm.shape != (n, n + 8):
             raise ValueError("warm must be an (N, N + 8) boolean mask")
-    with np.errstate(over="ignore", invalid="ignore"):  # huge finite data overflow here
-        coeffs, rhs = qp_arrays(kin, peer_kin, orbit, params, vehicle, drift)
-    weights, centres = _costs(desired, rhs.shape[1], params)
-    unsolved = ~((np.abs(coeffs) <= COEFF_LIMIT).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-                 & np.isfinite(desired).all(axis=1))
-    # Non-finite data and entries beyond COEFF_LIMIT never reach the solver:
-    # such an agent's QP becomes zero rows with negative right-hand sides and
-    # a zero centre, which the solver rejects as infeasible before its first
-    # step, with x = 0, no iterations and an infinite residual.
-    coeffs[unsolved], rhs[unsolved], centres[unsolved] = 0.0, -1.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # hostile data overflow here
+        drift = cwh_drift_rows(kin[:, :2].reshape(n, 6), orbit)
+        coeffs, rhs = qp_arrays(kin, peer_kin, drift, params, vehicle)
+    weights, centres = _costs(desired, rhs.shape[1])
     solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
     x = solution.x
     fallback = ~((solution.status == qp_mod.OPTIMAL) & np.isfinite(x).all(axis=1))
     x[fallback] = 0.0
     active = ~fallback[:, None] & (np.abs(solution.margins) <= ACTIVE_TOL)
     return RtaDecision(x[:, :3], x[:, 3:], active, fallback, solution.iterations,
-                       solution.kkt_residual)
+                       solution.kkt_residual, drift)

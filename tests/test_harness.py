@@ -231,9 +231,9 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
     real_filter = harness.filter_actions
     estimates = []
 
-    def overdrive(states, desired, accel, orbit, params, vehicle, drift, warm=None):
+    def overdrive(states, desired, accel, orbit, params, vehicle, warm=None):
         estimates.append(accel.copy())
-        decision = real_filter(states, desired, accel, orbit, params, vehicle, drift, warm=warm)
+        decision = real_filter(states, desired, accel, orbit, params, vehicle, warm=warm)
         decision.u_safe[:] = [3.0, -3.0, 0.5]
         return decision
 
@@ -253,28 +253,29 @@ def test_applied_thrust_stays_in_the_actuator_box(monkeypatch):
         np.testing.assert_array_equal(estimates[1][k], drift + applied / spec.vehicle.mass)
 
 
-def test_one_drift_feeds_the_filter_and_the_next_estimate(monkeypatch):
-    # Each RTA tick hands the filter cwh_drift_rows of the states it filters,
-    # and the next tick's estimate is that drift plus the applied thrust over
-    # the mass, to the bit.
+def test_the_next_estimate_is_the_decision_drift_plus_thrust_over_mass(monkeypatch):
+    # Each RTA tick's acceleration estimates are the last decision's drift
+    # plus the applied thrust over the mass, to the bit, and that drift is
+    # cwh_drift_rows of the states the last tick filtered.
     real_filter = harness.filter_actions
-    calls = []
+    calls, decisions = [], []
 
     def spy(*args, warm=None):
         calls.append(args)
-        return real_filter(*args, warm=warm)
+        decisions.append(real_filter(*args, warm=warm))
+        return decisions[-1]
 
     monkeypatch.setattr(harness, "filter_actions", spy)
     spec = dataclasses.replace(three_agent_standoff(rta_enabled=True), leg_timeout=30.0)
     _, log = run(spec)
-    assert len(calls) == 30
-    for tick, (states, _, accel, _, _, _, drift) in enumerate(calls):
-        expected = cwh_drift_rows(states, spec.orbit)
-        assert drift.shape == (2, 3) and np.array_equal(drift.view(np.int64),
-                                                        expected.view(np.int64))
-        if tick:
-            previous = calls[tick - 1][6] + log.u[tick - 1] / spec.vehicle.mass
-            assert np.array_equal(accel, previous)
+    assert len(calls) == 30 and not calls[0][2].any()
+    for tick in range(1, 30):
+        previous = decisions[tick - 1].drift
+        expected = cwh_drift_rows(calls[tick - 1][0], spec.orbit)
+        assert previous.shape == (2, 3)
+        assert np.array_equal(previous.view(np.int64), expected.view(np.int64))
+        estimate = previous + log.u[tick - 1] / spec.vehicle.mass
+        assert np.array_equal(calls[tick][2].view(np.int64), estimate.view(np.int64))
 
 
 def _ring(n_agents, phase):
@@ -350,8 +351,9 @@ def _digest(arrays):
 
 
 # RTA runs to the last bit: aggregate metrics, logged ticks, RTA-active
-# agent-ticks, a digest of every logged array and one of every decision field
-# (u_safe, slacks, active, fallback, iterations, kkt_residual) of every tick.
+# agent-ticks, a digest of every logged array and one of six decision fields
+# (u_safe, slacks, active, fallback, iterations, kkt_residual) of every tick;
+# the seventh, drift, has its own test in test_rta.py.
 # Recorded with numpy 2.4.6; the same under single- and multi-threaded BLAS.
 RTA_GOLDEN = {
     "standoff": ({"targets_reached": 8, "time_taken": 2205.0,
@@ -375,8 +377,8 @@ def test_rta_runs_match_their_goldens(monkeypatch, name):
 
     monkeypatch.setattr(harness, "filter_actions", spy)
     report, log = run(three_agent_standoff(True) if name == "standoff" else _ring(4, 0.1))
-    fields = [np.array([getattr(d, f.name) for d in decisions])
-              for f in dataclasses.fields(decisions[0])]
+    fields = [np.array([getattr(d, field) for d in decisions])
+              for field in ("u_safe", "slacks", "active", "fallback", "iterations", "kkt_residual")]
     logged = [log.pos, log.vel, log.u_des, log.u, log.rta_active, log.slack, log.dist_goal]
     assert (report.as_dict()["aggregate"], len(log.t), int(log.rta_active.sum()),
             _digest(logged), _digest(fields)) == RTA_GOLDEN[name]

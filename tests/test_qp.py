@@ -1,11 +1,13 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import proxops.qp as qp_mod
 from proxops.qp import (
+    DATA_LIMIT,
     INFEASIBLE,
     MAX_ITER,
     NOT_FINITE,
@@ -195,6 +197,19 @@ def test_validation_rejects_non_finite_data():
                 solve(*problem)
 
 
+def test_validation_rejects_oversized_coefficients():
+    # A coefficient past DATA_LIMIT is refused like a non-finite one, before
+    # its squared row norm can overflow; one at the limit is solved.
+    problem = [1.0, 1.0], [0.0, 0.0], [[1e200, 0.0]], [1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficients"):
+            solve(*problem)
+        with pytest.raises(ValueError, match="coefficients"):
+            kkt_residual(*problem, np.zeros(2), np.zeros(1))
+        assert solve([1.0, 1.0], [0.0, 0.0], [[-DATA_LIMIT, 0.0]], [1.0]).status == OPTIMAL
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_step_is_not_reported_optimal():
     # The minimiser is the origin, but the first step from x = c overflows,
@@ -317,6 +332,33 @@ def test_status_precedence_in_one_stack(monkeypatch):
     assert list(batch.status) == [MAX_ITER, INFEASIBLE, NOT_FINITE, OPTIMAL]
     assert list(batch.iterations) == [2, 0, 2, 1]
     assert np.isfinite(batch.kkt_residual[[0, 3]]).all() and batch.kkt_residual[3] == 0.0
+
+
+def test_a_stack_refuses_the_data_it_cannot_solve():
+    # A 1e200 coefficient, a NaN centre and an infinite right-hand side are
+    # each refused before any arithmetic, cold or warm: not_finite, no step,
+    # a NaN x, an infinite KKT residual and no warning.  The good problem
+    # beside them keeps the bits it gets alone, and no input is written.
+    problem = random_feasible_problem(np.random.default_rng(31), 4, 6)
+    data = [np.array([v] * 4) for v in problem]
+    data[2][0, 1, 2], data[1][1, 0], data[3][2, 3] = 1e200, np.nan, np.inf
+    given = [v.copy() for v in data]
+    alone = solve(*problem)
+    for guess in (None, np.ones((4, 6), dtype=bool)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = solve_batch(*data, warm=guess)
+        assert list(batch.status) == [NOT_FINITE] * 3 + [OPTIMAL]
+        assert list(batch.iterations[:3]) == [0] * 3
+        assert (batch.kkt_residual[:3] == np.inf).all() and np.isnan(batch.x[:3]).all()
+        if guess is None:
+            for field in dataclasses.fields(QpSolution):
+                got, want = (np.asarray(getattr(s, field.name)) for s in (batch[3], alone))
+                if got.dtype.kind == "f":
+                    got, want = _bits(got), _bits(want)
+                assert np.array_equal(got, want), field.name
+    for got, want in zip(data, given):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_warm_guesses_of_another_shape_are_refused():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -14,6 +15,10 @@ from proxops.dynamics import (
 )
 from proxops.rta import (
     INTERVENTION_TOL,
+    POS_GAIN_INNER,
+    POS_GAIN_OUTER,
+    SLACK_PENALTY,
+    VEL_GAIN,
     RtaDecision,
     RtaParams,
     _fixed_coeffs,
@@ -73,8 +78,8 @@ def test_pos_hocbf_row_matches_numeric_differentiation():
         h1, h2 = h_at(delta), h_at(2 * delta)
         hdot = (4.0 * h1 - 3.0 * h0 - h2) / (2.0 * delta)
         hddot = (h2 - 2.0 * h1 + h0) / delta**2
-        gain_sum = PARAMS.pos_gain_inner + PARAMS.pos_gain_outer
-        gain_prod = PARAMS.pos_gain_inner * PARAMS.pos_gain_outer
+        gain_sum = POS_GAIN_INNER + POS_GAIN_OUTER
+        gain_prod = POS_GAIN_INNER * POS_GAIN_OUTER
         expected = hddot + gain_sum * hdot + gain_prod * h0
         # second differences carry O(delta) truncation from the third
         # derivative, which scales with velocity * acceleration here
@@ -100,7 +105,7 @@ def test_rows_are_affine_in_the_thrust():
 def test_vel_row_at_rest_reduces_to_the_static_margin():
     _, _, coeffs, rhs = lone_qp([10.0, 0, 0], [0, 0, 0])
     assert np.array_equal(coeffs[1, :3], np.zeros(3))
-    assert rhs[1] == pytest.approx(PARAMS.vel_gain * 0.5 * PARAMS.max_speed**2, rel=1e-12)
+    assert rhs[1] == pytest.approx(VEL_GAIN * 0.5 * PARAMS.max_speed**2, rel=1e-12)
 
 
 def test_vel_row_blocks_acceleration_at_the_speed_limit():
@@ -148,7 +153,7 @@ def test_build_qp_dimensions():
         assert [v.shape for v in two_peers] == [(10,), (10,), (10, 10), (10,)]
     # slack weights carry the penalty, thrust weights stay at one
     assert np.all(weights[:3] == 1.0)
-    assert np.all(weights[3:] == PARAMS.slack_penalty)
+    assert np.all(weights[3:] == SLACK_PENALTY)
     with pytest.raises(IndexError):
         build_qp(states, np.zeros((2, 3)), np.zeros((2, 3)), ORBIT, PARAMS, VEH, 2)
 
@@ -297,8 +302,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         RtaParams(collision_radius=0.0)
     with pytest.raises(ValueError):
-        RtaParams(slack_penalty=-1.0)
-    # NaN slips past a "<= 0" check; an infinite penalty fails every QP later.
+        RtaParams(max_speed=-1.0)
+    # NaN slips past a "<= 0" check, and an infinite limit bounds nothing.
     for field in dataclasses.fields(RtaParams):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=field.name):
@@ -352,23 +357,23 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_a_given_drift_changes_no_bit_of_the_decision():
-    # The caller's cwh_drift_rows(states) gives the decision the filter forms
-    # from its own drift, in every field and every bit; a drift of another
-    # shape is refused.
+def test_the_decision_drift_is_cwh_drift_rows_bit_for_bit():
+    # The filter forms the drift its rows are built at from the states it is
+    # given, and hands back cwh_drift_rows(states) to the bit, for finite
+    # states and for an agent whose state is not finite.
     rng = np.random.default_rng(8)
     for n in range(1, 7):
         for _ in range(3):
             states, accel = _random_agents(rng, n, spread=40.0 * n + 60.0)
             desired = rng.uniform(-1.5, 1.5, (n, 3))
-            own = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
-            drift = cwh_drift_rows(states, ORBIT)
-            given = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, drift)
-            for field in dataclasses.fields(RtaDecision):
-                assert _same_bits(getattr(given, field.name), getattr(own, field.name))
-    for bad in (drift[:, :2], drift[:-1], drift.ravel()):
-        with pytest.raises(ValueError, match="drift"):
-            filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, bad)
+            decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+            assert _same_bits(decision.drift, cwh_drift_rows(states, ORBIT))
+    states[0] = [np.inf, 1e200, np.nan, 0.0, -np.inf, 0.0]  # inf - inf in the drift's x
+    decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+    assert decision.fallback.all()
+    with np.errstate(invalid="ignore"):
+        expected = cwh_drift_rows(states, ORBIT)
+    assert np.array_equal(decision.drift, expected, equal_nan=True)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -432,7 +437,7 @@ def test_filter_actions_returns_one_stack_of_agent_rows():
     assert isinstance(decision, RtaDecision)
     names = [f.name for f in dataclasses.fields(RtaDecision)]
     assert [getattr(decision, name).shape for name in names] == [
-        (3, 3), (3, 8), (3, 11), (3,), (3,), (3,)]
+        (3, 3), (3, 8), (3, 11), (3,), (3,), (3,), (3, 3)]
     assert decision.active.dtype == bool and decision.fallback.dtype == bool
     assert len(decision) == 3
     for k in range(3):
@@ -574,10 +579,11 @@ def test_returned_arrays_share_nothing_with_later_calls():
     states, accel = _random_agents(np.random.default_rng(9), 3, spread=60.0)
     desired = np.full((3, 3), 0.4)
     kin, peer_kin, _ = _kinematics(states, desired, accel)
-    coeffs, rhs = qp_arrays(kin, peer_kin, ORBIT, PARAMS, VEH)
+    drift = cwh_drift_rows(states, ORBIT)
+    coeffs, rhs = qp_arrays(kin, peer_kin, drift, PARAMS, VEH)
     expected = coeffs.copy(), rhs.copy()
     coeffs[...], rhs[...] = 7.0, 7.0
-    for got, want in zip(qp_arrays(kin, peer_kin, ORBIT, PARAMS, VEH), expected):
+    for got, want in zip(qp_arrays(kin, peer_kin, drift, PARAMS, VEH), expected):
         assert np.array_equal(got, want)
     # the blocks cached per peer count and per agent count cannot be written
     for cached in (_fixed_coeffs(peer_kin.shape[1]), _peer_index(len(states))):
@@ -650,3 +656,55 @@ def test_degenerate_inputs_match_one_agent_solves():
                 np.testing.assert_allclose(d.slacks, alone.x[3:], rtol=0, atol=1e-9)
                 assert all(np.isfinite(v).all() for v in (d.u_safe, d.slacks, d.kkt_residual))
     assert fallbacks > 0
+
+
+def _enumerated_minimiser(weights, centres, coeffs, rhs):
+    """One QP's minimiser and working set by enumeration, as an oracle.
+
+    Each set of at most n of the m rows (scaled to unit norm) gives one KKT
+    system: stationarity, the set's rows with equality and a zero multiplier
+    for every other row.  A set whose solution meets every row with
+    nonnegative multipliers is a KKT point, and strict convexity makes its x
+    the one minimiser.  The filter's rows are linearly independent, since each
+    has a slack column no row outside its thrust-box pair shares, so every
+    system is nonsingular."""
+    m, n = coeffs.shape
+    norms = np.linalg.norm(coeffs, axis=1)
+    a, b = coeffs / norms[:, None], rhs / norms
+    sets = np.array(list(itertools.product((False, True), repeat=m)))
+    sets = sets[sets.sum(axis=1) <= n]
+    kkt = np.zeros((len(sets), n + m, n + m))
+    kkt[:, :n, :n] = np.diag(2.0 * weights)
+    kkt[:, :n, n:] = a.T
+    kkt[:, n:, :n] = np.where(sets[:, :, None], a, 0.0)
+    kkt[:, n:, n:] = np.eye(m) * ~sets[:, None, :]
+    right = np.concatenate([np.broadcast_to(2.0 * weights * centres, (len(sets), n)),
+                            np.where(sets, b, 0.0)], axis=1)
+    solution = np.linalg.solve(kkt, right[..., None])[..., 0]
+    x, lam = solution[:, :n], solution[:, n:]
+    kept = (((x @ a.T - b).max(axis=1) <= 1e-9)
+            & ((-lam).max(axis=1) <= 1e-9 * np.maximum(np.abs(lam).max(axis=1), 1.0)))
+    assert kept.any()
+    np.testing.assert_allclose(x[kept], np.broadcast_to(x[kept][0], x[kept].shape),
+                               rtol=0, atol=1e-9)
+    return x[kept][0], sets[kept][0]
+
+
+def test_filter_actions_matches_an_enumerated_oracle():
+    # Seeded QPs the filter builds for one or two agents within 60 m of the
+    # chief per axis, at up to 4 m/s per axis: every agent's thrust and slacks
+    # are the enumerated minimiser, from a cold start, from the oracle's
+    # working sets and from random guesses.
+    rng = np.random.default_rng(27)
+    for trial in range(60):
+        n = 1 + trial % 2
+        states = np.concatenate([rng.uniform(-60, 60, (n, 3)), rng.uniform(-4, 4, (n, 3))], 1)
+        desired, accel = rng.uniform(-1.5, 1.5, (n, 3)), rng.uniform(-0.5, 0.5, (n, 3))
+        minimisers, working_sets = zip(*(
+            _enumerated_minimiser(*build_qp(states, desired, accel, ORBIT, PARAMS, VEH, k))
+            for k in range(n)))
+        for guess in (None, np.array(working_sets), rng.random((n, n + 8)) < 0.5):
+            decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, warm=guess)
+            assert not decision.fallback.any()
+            np.testing.assert_allclose(np.concatenate([decision.u_safe, decision.slacks], 1),
+                                       np.array(minimisers), rtol=0, atol=1e-8)
