@@ -2,7 +2,8 @@
 
 Solves
     min_x  sum_i w_i (x_i - c_i)^2    s.t.  A x <= b
-with strictly positive weights ``w``.  Problems of interest have around a
+with positive, finite weights ``w`` (:func:`solve_batch` refuses any other
+problem, :func:`solve` raises on it).  Problems of interest have around a
 dozen variables and rows, so a dense active-set method with exact KKT
 solves is both simple and predictable: it terminates in finitely many
 steps, unlike first-order schemes.
@@ -177,10 +178,11 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     with a non-finite ``x`` or KKT residual and is reported ``NOT_FINITE``,
     never ``OPTIMAL``.
 
-    A problem with a non-finite centre or right-hand side, or a coefficient
-    beyond :data:`DATA_LIMIT` in magnitude, is refused before any arithmetic
-    on it, without a warning: ``NOT_FINITE`` with no iterations, a NaN ``x``
-    and an infinite KKT residual.  No input array is written.
+    A problem with a weight that is not positive and finite, a non-finite
+    centre or right-hand side, or a coefficient beyond :data:`DATA_LIMIT` in
+    magnitude, is refused before any arithmetic on it, without a warning:
+    ``NOT_FINITE`` with no iterations, a NaN ``x`` and an infinite KKT
+    residual.  No input array is written.
     """
     weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
                                      for v in (weights, centres, coeffs, rhs))
@@ -188,8 +190,10 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     if warm is not None and np.shape(warm) != (b, m):
         raise ValueError(f"warm must be (B, m) = {(b, m)}, got {np.shape(warm)}")
     refused = ~((np.abs(coeffs) <= DATA_LIMIT).all(axis=(1, 2))
-                & np.isfinite(centres).all(axis=1) & np.isfinite(rhs).all(axis=1))
+                & np.isfinite(centres).all(axis=1) & np.isfinite(rhs).all(axis=1)
+                & ((0.0 < weights) & (weights < np.inf)).all(axis=1))
     if refused.any():  # new arrays: NaN centres under zero rows, where x = c stays
+        weights = np.where(refused[:, None], 1.0, weights)
         centres = np.where(refused[:, None], np.nan, centres)
         coeffs = np.where(refused[:, None, None], 0.0, coeffs)
         rhs = np.where(refused[:, None], 0.0, rhs)

@@ -335,25 +335,28 @@ def test_status_precedence_in_one_stack(monkeypatch):
 
 
 def test_a_stack_refuses_the_data_it_cannot_solve():
-    # A 1e200 coefficient, a NaN centre and an infinite right-hand side are
-    # each refused before any arithmetic, cold or warm: not_finite, no step,
-    # a NaN x, an infinite KKT residual and no warning.  The good problem
-    # beside them keeps the bits it gets alone, and no input is written.
+    # A 1e200 coefficient, a NaN centre, an infinite right-hand side and a
+    # zero, negative, infinite or NaN weight (no strictly convex problem: at
+    # -1, x = c is a stationary point, not a minimum) are each refused before
+    # any arithmetic, cold or warm: not_finite, no step, a NaN x, an infinite
+    # KKT residual and no warning.  The good problem beside them keeps the
+    # bits it gets alone, and no input is written.
     problem = random_feasible_problem(np.random.default_rng(31), 4, 6)
-    data = [np.array([v] * 4) for v in problem]
+    data = [np.array([v] * 8) for v in problem]
     data[2][0, 1, 2], data[1][1, 0], data[3][2, 3] = 1e200, np.nan, np.inf
+    data[0][3:7, 1] = 0.0, -1.0, np.inf, np.nan
     given = [v.copy() for v in data]
     alone = solve(*problem)
-    for guess in (None, np.ones((4, 6), dtype=bool)):
+    for guess in (None, np.ones((8, 6), dtype=bool)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = solve_batch(*data, warm=guess)
-        assert list(batch.status) == [NOT_FINITE] * 3 + [OPTIMAL]
-        assert list(batch.iterations[:3]) == [0] * 3
-        assert (batch.kkt_residual[:3] == np.inf).all() and np.isnan(batch.x[:3]).all()
+        assert list(batch.status) == [NOT_FINITE] * 7 + [OPTIMAL]
+        assert list(batch.iterations[:7]) == [0] * 7
+        assert (batch.kkt_residual[:7] == np.inf).all() and np.isnan(batch.x[:7]).all()
         if guess is None:
             for field in dataclasses.fields(QpSolution):
-                got, want = (np.asarray(getattr(s, field.name)) for s in (batch[3], alone))
+                got, want = (np.asarray(getattr(s, field.name)) for s in (batch[7], alone))
                 if got.dtype.kind == "f":
                     got, want = _bits(got), _bits(want)
                 assert np.array_equal(got, want), field.name

@@ -427,6 +427,59 @@ def test_hostile_finite_inputs_fall_back_without_a_warning(case):
     assert decision.fallback[0] == (case != "denormal")
 
 
+def _filter_keeps_the_invariants(states, desired, accel, warm=None):
+    """The filter's decision, checked against the hostile-input invariants
+    with every warning raised: a finite command, and for each agent a
+    fallback or a solve certified to 1e-7 within the iteration limit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH, warm=warm)
+    assert np.isfinite(decision.u_safe).all()
+    assert (decision.fallback | (decision.kkt_residual <= 1e-7)).all()
+    assert (decision.iterations <= qp_mod.ITERATION_LIMIT).all()
+    return decision
+
+
+def _violated_start(case, rng):
+    """Two agents' states, drawn so that a barrier starts violated."""
+    states = np.hstack([rng.uniform(-300.0, 300.0, (2, 3)), rng.uniform(-3.0, 3.0, (2, 3))])
+    if case == "at the chief":
+        states[0, :3] = 0.0
+    elif case == "30 m out, closing at 2 m/s":
+        direction = _unit(rng)
+        states[0] = [*(30.0 * direction), *(-2.0 * direction)]
+    else:  # "above max_speed"
+        states[0, 3:], states[1, 3:] = 5.0 * _unit(rng), 8.0 * _unit(rng)
+    return states
+
+
+@pytest.mark.parametrize("case", ["at the chief", "30 m out, closing at 2 m/s",
+                                  "above max_speed"])
+def test_violated_barriers_keep_the_invariants(case):
+    # An agent already inside the collision radius or above the speed ceiling
+    # can only be held by slack.  The above-max_speed agents come back optimal
+    # with u_safe outside the thrust box, which is not asserted here: the
+    # filter does not yet flag an uncertified command.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        _filter_keeps_the_invariants(_violated_start(case, rng),
+                                     rng.uniform(-1.5, 1.5, (2, 3)),
+                                     rng.uniform(-0.5, 0.5, (2, 3)))
+
+
+def test_sixteen_agents_decide_the_same_from_random_warm_masks():
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        states, accel = _random_agents(rng, 16)
+        desired = rng.uniform(-1.5, 1.5, (16, 3))
+        cold = _filter_keeps_the_invariants(states, desired, accel)
+        for density in (0.2, 0.5):
+            guess = rng.random(cold.active.shape) < density
+            warm = _filter_keeps_the_invariants(states, desired, accel, warm=guess)
+            np.testing.assert_allclose(warm.u_safe, cold.u_safe, rtol=0, atol=1e-9)
+            assert np.array_equal(warm.fallback, cold.fallback)
+
+
 def test_filter_actions_returns_one_stack_of_agent_rows():
     # One decision of (N, ...) arrays.  decision[k] is agent k's row of each
     # field, and iterating yields the N one-agent decisions, read here the way

@@ -310,6 +310,57 @@ def test_every_batch_holds_exactly_its_transitions(monkeypatch, batch_size):
         assert math.isfinite(p.mean_return) and 0.0 <= p.success_rate <= 1.0
 
 
+def test_each_tick_steps_every_stream_and_observes_afresh_only_where_restarted(monkeypatch):
+    # Per full tick: one step_batch call on all N_STREAMS rows, one observe of
+    # the stepped rows, and a second observe only of the streams whose episode
+    # ended, whose fresh states the next tick steps.  A 500 s episode outlasts
+    # the run's 64 ticks, so each episode starts with a random radial speed
+    # that carries it out of the box within tens of ticks, which ends some
+    # streams' episodes on most ticks.
+    calls = []
+    real_step_batch, real_observe = training.step_batch, training.observe
+    real_sample_episodes, speeds = training.sample_episodes, np.random.default_rng(5)
+
+    def drifting_out(rng, n):
+        states, goals = real_sample_episodes(rng, n)
+        states[:, 3] = speeds.uniform(-40.0, 40.0, n)
+        return states, goals
+
+    def recording_step_batch(states, *args):
+        out = real_step_batch(states, *args)
+        calls.append(("step", states.copy(), out[0].copy(), out[2].copy()))
+        return out
+
+    def recording_observe(states, goals):
+        calls.append(("observe", states.copy()))
+        return real_observe(states, goals)
+
+    monkeypatch.setattr(training, "step_batch", recording_step_batch)
+    monkeypatch.setattr(training, "observe", recording_observe)
+    monkeypatch.setattr(training, "sample_episodes", drifting_out)
+    train(trainer_cfg=TrainerConfig(total_steps=2 * 2048, batch_size=2048, seed=4))
+    assert calls[0][0] == "observe" and len(calls[0][1]) == N_STREAMS
+    ticks = [i for i, call in enumerate(calls) if call[0] == "step"]
+    assert len(ticks) == 2 * 2048 // N_STREAMS
+    restarted = 0
+    for i, j in zip(ticks, ticks[1:] + [len(calls)]):
+        _, stepped, after, status = calls[i]
+        ended = status != training.RUNNING
+        observed = calls[i + 1:j]
+        assert len(stepped) == N_STREAMS
+        assert [call[0] for call in observed] == ["observe"] * (1 + ended.any())
+        assert np.array_equal(observed[0][1], after)
+        if ended.any():
+            assert len(observed[1][1]) == ended.sum()
+            restarted += 0 < ended.sum() < N_STREAMS
+        if j < len(calls):
+            next_stepped = calls[j][1]
+            assert np.array_equal(next_stepped[~ended], after[~ended])
+            if ended.any():
+                assert np.array_equal(next_stepped[ended], observed[1][1])
+    assert restarted > len(ticks) // 2  # ticks where some streams, not all, restarted
+
+
 def test_a_batch_without_episode_ends_reports_the_running_episodes():
     cfg = TrainerConfig(total_steps=2 * N_STREAMS, batch_size=N_STREAMS, seed=3)
     _, curve = train(trainer_cfg=cfg)
