@@ -64,19 +64,15 @@ def _merge_config(args) -> dict:
 
 
 def _plot_data(log) -> dict:
-    """Per-agent and pairwise time series for distance/speed/RTA plots."""
-    times, speeds = log.t.tolist(), norms(log.vel)
-    agents = {str(k): {"t": times, "dist_goal": log.dist_goal[:, k].tolist(),
-                       "speed": speeds[:, k].tolist(),
+    """Per-agent and pairwise plot series on one time axis ``t``, and crossing times."""
+    speeds = norms(log.vel)
+    agents = {str(k): {"dist_goal": log.dist_goal[:, k].tolist(), "speed": speeds[:, k].tolist(),
                        "rta_active": log.rta_active[:, k].astype(int).tolist()}
               for k in range(log.n_agents)}
     distances = pair_distances(log)
-    pairs = {key: {"t": [t for t, _ in series], "dist": [d for _, d in series]}
-             for key, series in distances.items()}
-    crossings = {key: [[t, d] for t, d in series]
-                 for key, series in local_minima(distances).items()}
-    return {"agents": agents, "pair_distances": pairs,
-            "crossing_times": crossings}
+    return {"t": log.t.tolist(), "agents": agents,
+            "pair_distances": {key: d.tolist() for key, d in distances.items()},
+            "crossing_times": local_minima(log.t, distances)}
 
 
 def _json_text(payload) -> str:

@@ -369,21 +369,20 @@ def write_csv(log: TrajectoryLog, path) -> None:
 
 
 def pair_distances(log: TrajectoryLog) -> dict:
-    """Time series of pairwise separations, keyed "i-j" and "i-chief"."""
-    times = log.t.tolist()
+    """Pairwise separations on ``log.t``'s ticks, (T,) arrays keyed "i-j" and "i-chief"."""
     series: dict = {}
     for i in range(log.n_agents):
         for j in range(i + 1, log.n_agents):
-            series[f"{i}-{j}"] = list(zip(times, norms(log.pos[:, i] - log.pos[:, j]).tolist()))
-        series[f"{i}-chief"] = list(zip(times, norms(log.pos[:, i]).tolist()))
+            series[f"{i}-{j}"] = norms(log.pos[:, i] - log.pos[:, j])
+        series[f"{i}-chief"] = norms(log.pos[:, i])
     return series
 
 
-def local_minima(distances: dict) -> dict:
-    """Strict local minima of each (t, distance) series in ``distances``."""
-    return {key: [b for a, b, c in zip(series, series[1:], series[2:])
-                  if b[1] < a[1] and b[1] < c[1]]
-            for key, series in distances.items()}
+def local_minima(t: np.ndarray, distances: dict) -> dict:
+    """``[[t, d], ...]`` at each (T,) series' strict local minima, the inner
+    ticks whose distance is below both neighbours'."""
+    return {key: np.column_stack([t, d])[1:-1][(d[1:-1] < d[:-2]) & (d[1:-1] < d[2:])].tolist()
+            for key, d in distances.items()}
 
 
 def baseline_stats(n_trials: int, seed: int = 0) -> EpisodeStats:

@@ -34,7 +34,7 @@ from .env import (  # noqa: F401 - step stays a training attribute for perfbench
     step,
     step_batch,
 )
-from .policy import MlpPolicy, flat_views, init_layers, mlp_forward, policy_act
+from .policy import MlpPolicy, brief, flat_views, init_layers, mlp_forward, policy_act
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -69,6 +69,10 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("total_steps", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {brief(value)}")
         if self.total_steps < 0:
             raise ValueError("total_steps must be nonnegative")
         if self.batch_size <= 0:

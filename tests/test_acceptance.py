@@ -21,7 +21,7 @@ from proxops.dynamics import (
     propagate_cwh,
     propagate_inertial,
 )
-from proxops.env import DEFAULT_BOUNDS, reward
+from proxops.env import DEFAULT_BOUNDS, norms, reward
 from proxops.harness import (
     ScenarioSpec,
     pair_distances,
@@ -180,8 +180,7 @@ def test_criterion_05_experiment1_baseline():
 
 def test_criterion_06_experiment2_no_rta():
     report, log = _standoff(False)
-    min_dist = min(min(d for _, d in series)
-                   for series in pair_distances(log).values())
+    min_dist = min(float(d.min()) for d in pair_distances(log).values())
 
     standoff = three_agent_standoff(rta_enabled=False)
     worst_gap = 0.0
@@ -211,18 +210,16 @@ def test_criterion_07_experiment3_rta():
     elapsed = time.perf_counter() - t0
     report2, _ = _standoff(False)
 
-    min_dist = min(min(d for _, d in series)
-                   for series in pair_distances(log3).values())
-    late_speeds = [float(np.linalg.norm(r.vel))
-                   for r in log3.records if r.t >= 30.0]
+    min_dist = min(float(d.min()) for d in pair_distances(log3).values())
+    late_speed = float(norms(log3.vel[log3.t >= 30.0]).max())
     ok = (report3.aggregate.targets_reached == 8 and not report3.timed_out
-          and min_dist >= 45.0 and max(late_speeds) <= 3.3
+          and min_dist >= 45.0 and late_speed <= 3.3
           and report3.aggregate.time_taken > report2.aggregate.time_taken
           and report3.aggregate.delta_v > report2.aggregate.delta_v
           and elapsed < 120.0)
     _report(7, "experiment 3 RTA", ok,
             f"targets {report3.aggregate.targets_reached}/8, min dist "
-            f"{min_dist:.1f}m >= 45m, speed {max(late_speeds):.2f} <= 3.3m/s, "
+            f"{min_dist:.1f}m >= 45m, speed {late_speed:.2f} <= 3.3m/s, "
             f"time x{report3.aggregate.time_taken / report2.aggregate.time_taken:.2f}, "
             f"dv x{report3.aggregate.delta_v / report2.aggregate.delta_v:.2f}, "
             f"{elapsed:.1f}s < 120s")

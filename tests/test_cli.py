@@ -19,7 +19,10 @@ def test_run_single_writes_all_artifacts(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["aggregate"]["targets_reached"] == 4
     plot = json.loads((out / "plot_data.json").read_text())
-    assert "0-chief" in plot["pair_distances"]
+    assert set(plot) == {"t", "agents", "pair_distances", "crossing_times"}
+    assert list(plot["pair_distances"]) == ["0-chief"]
+    assert len(plot["pair_distances"]["0-chief"]) == len(plot["t"])
+    assert plot["t"][:2] == [0.0, 1.0]
     assert plot["agents"]["0"]["dist_goal"][0] == 500.0
 
 
@@ -504,5 +507,26 @@ def test_plot_data_minima_are_the_crossing_times(tmp_path):
     assert main(["run", "--scenario", "standoff", "--rta", "off", "--out", str(out)]) == 0
     plot = json.loads((out / "plot_data.json").read_text())
     _, log = run(three_agent_standoff(False))
-    assert plot["crossing_times"] == {key: [list(m) for m in minima]
-                                      for key, minima in local_minima(pair_distances(log)).items()}
+    assert plot["crossing_times"] == local_minima(log.t, pair_distances(log))
+
+
+def test_plot_data_series_share_the_log_clock(tmp_path):
+    from proxops.env import norms
+    from proxops.harness import pair_distances, run, three_agent_standoff
+
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "standoff", "--rta", "off", "--out", str(out)]) == 0
+    plot = json.loads((out / "plot_data.json").read_text())
+    _, log = run(three_agent_standoff(False))
+    t = plot["t"]
+    assert t == log.t.tolist()
+    assert sorted(plot["agents"]) == ["0", "1"]
+    for k, series in plot["agents"].items():
+        assert sorted(series) == ["dist_goal", "rta_active", "speed"]
+        assert all(len(values) == len(t) for values in series.values())
+        assert series["speed"] == norms(log.vel[:, int(k)]).tolist()
+    distances = pair_distances(log)
+    assert list(plot["pair_distances"]) == sorted(distances)  # sort_keys
+    for key, d in distances.items():
+        assert plot["pair_distances"][key] == d.tolist()
+        assert len(plot["pair_distances"][key]) == len(t)

@@ -14,7 +14,7 @@ from proxops.dynamics import (
     cwh_drift_rows,
     propagate_cwh_zoh,
 )
-from proxops.env import EpisodeConfig
+from proxops.env import EpisodeConfig, norms
 from proxops.harness import (
     CSV_HEADER,
     MAX_TICKS_PER_LEG,
@@ -418,10 +418,13 @@ def test_array_metrics_equal_the_record_loops():
     by_time = {}
     for r in log.records:
         by_time.setdefault(r.t, {})[r.agent] = r.pos
-    assert pair_distances(log) == {
-        "0-1": [(t, float(np.linalg.norm(p[0] - p[1]))) for t, p in by_time.items()],
-        "0-chief": [(t, float(np.linalg.norm(p[0]))) for t, p in by_time.items()],
-        "1-chief": [(t, float(np.linalg.norm(p[1]))) for t, p in by_time.items()]}
+    distances = pair_distances(log)
+    assert list(by_time) == log.t.tolist()
+    assert list(distances) == ["0-1", "0-chief", "1-chief"]
+    assert {key: d.tolist() for key, d in distances.items()} == {
+        "0-1": [float(np.linalg.norm(p[0] - p[1])) for p in by_time.values()],
+        "0-chief": [float(np.linalg.norm(p[0])) for p in by_time.values()],
+        "1-chief": [float(np.linalg.norm(p[1])) for p in by_time.values()]}
 
 
 # Per agent: targets, time taken, distance and delta-v of each built-in run
@@ -453,7 +456,7 @@ def test_runs_agree_with_rk4_goldens(name):
 
 def test_standoff_without_rta_has_designed_conflicts():
     _, log = run(three_agent_standoff(rta_enabled=False))
-    mins = {k: min(d for _, d in v) for k, v in pair_distances(log).items()}
+    mins = {k: float(d.min()) for k, d in pair_distances(log).items()}
     assert min(mins.values()) < 50.0
 
 
@@ -461,10 +464,9 @@ def test_standoff_with_rta_keeps_safety_margins():
     report, log = run(three_agent_standoff(rta_enabled=True))
     assert report.aggregate.targets_reached == 8
     assert not report.timed_out
-    for series in pair_distances(log).values():
-        assert min(d for _, d in series) >= 0.9 * 50.0
-    speeds = [float(np.linalg.norm(r.vel)) for r in log.records if r.t >= 30.0]
-    assert max(speeds) <= 1.1 * 3.0
+    for d in pair_distances(log).values():
+        assert d.min() >= 0.9 * 50.0
+    assert norms(log.vel[log.t >= 30.0]).max() <= 1.1 * 3.0
 
 
 def test_halving_sim_dt_barely_moves_metrics(tmp_path):
@@ -625,10 +627,41 @@ def test_csv_writer_streams_one_tick_at_a_time(tmp_path):
 
 def test_crossing_times_catch_the_conflicts():
     _, log = run(three_agent_standoff(rta_enabled=False))
-    crossings = local_minima(pair_distances(log))
+    crossings = local_minima(log.t, pair_distances(log))
     assert len(crossings["0-1"]) >= 1
     assert min(d for _, d in crossings["0-1"]) < 50.0
     assert all(len(v) >= 1 for v in crossings.values())
+
+
+def _strict_minima(t, d):
+    """Reference: every inner index whose value is below both neighbours'."""
+    return [[t[i], d[i]] for i in range(1, len(d) - 1) if d[i] < d[i - 1] and d[i] < d[i + 1]]
+
+
+def test_local_minima_match_a_plain_loop_on_ties_and_short_series():
+    rng = np.random.default_rng(7)
+    series = {
+        # few distinct values: plateaus and equal neighbours throughout
+        "ties": rng.integers(0, 3, 200).astype(float),
+        "plateau": np.array([5.0, 3.0, 3.0, 5.0, 2.0, 2.0, 2.0, 4.0, 1.0, 6.0]),
+        "ends": np.array([0.0, 4.0, 1.0, 4.0, 0.0]),  # the ends are lowest, yet no minima
+        "noise": rng.normal(100.0, 10.0, 300),
+        "T=0": np.zeros(0),
+        "T=1": np.array([1.0]),
+        "T=2": np.array([2.0, 1.0]),
+        "T=3": np.array([2.0, 1.0, 3.0]),
+        "T=3 tie": np.array([1.0, 1.0, 3.0]),
+    }
+    for key, d in series.items():
+        t = np.arange(len(d)) * 0.5 + rng.normal(size=len(d))
+        minima = local_minima(t, {key: d})
+        assert list(minima) == [key]
+        assert minima[key] == _strict_minima(t.tolist(), d.tolist()), key
+    assert local_minima(np.arange(10.0), {"p": series["plateau"]})["p"] == [[8.0, 1.0]]
+    assert local_minima(np.arange(5.0), {"e": series["ends"]})["e"] == [[2.0, 1.0]]
+    assert local_minima(np.arange(3.0), {"s": series["T=3"]})["s"] == [[1.0, 1.0]]
+    for key in ("T=0", "T=1", "T=2", "T=3 tie"):
+        assert local_minima(np.arange(len(series[key])) * 1.0, {key: series[key]})[key] == []
 
 
 def test_make_controller_choices(tmp_path):

@@ -491,6 +491,21 @@ def test_config_validation():
             TrainerConfig(batch_size=batch_size)
 
 
+def test_config_values_must_be_integers():
+    # Checked at construction: a NaN step count would train nothing without an
+    # error, and a float would fail only inside the trainer, after its worker forked.
+    for name in ("total_steps", "batch_size", "seed"):
+        for value in (True, False, np.True_, float("nan"), 100.5, 64.0, "64", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                TrainerConfig(**{name: value})
+    for value in (64, np.int64(64), np.int32(64), np.uint16(64)):
+        cfg = TrainerConfig(total_steps=value, batch_size=value, seed=value)
+        assert (cfg.total_steps, cfg.batch_size, cfg.seed) == (64, 64, 64)
+    _, curve = train(trainer_cfg=TrainerConfig(total_steps=np.int64(64),
+                                               batch_size=np.int64(64), seed=np.int64(0)))
+    assert [point.steps for point in curve] == [64]
+
+
 def test_evaluate_zero_policy_never_reaches():
     policy = MlpPolicy.initialize(np.random.default_rng(0))
     for w in policy.weights:
