@@ -10,13 +10,19 @@ steps, unlike first-order schemes.
 
 :func:`solve_batch` runs the dual active-set iteration of Goldfarb and
 Idnani on a stack of same-shape problems in lock-step.  Each problem starts
-from the unconstrained minimum ``x = c`` and alternately adds the
-lowest-indexed violated row to its working set and releases blocking rows
-(Bland-style selection, which prevents cycling on degenerate instances).
+from the unconstrained minimum ``x = c`` and alternately drives the most
+violated row (on the rows scaled to unit norm; the lowest-indexed of equals)
+into its working set and releases blocking rows.  It cannot cycle whichever
+violated row enters: each join strictly raises the dual objective, and no
+working set repeats at a higher one.  A working set holds at most n rows: n
+rows already span every row, so a further one takes a dual-only step.
 Each step makes one violation scan and one stacked linear solve on the
 normalised Gram matrices ``A Q^-1 A^T``, which are built once per call; a
 problem that has finished stops changing.  :func:`solve` is the call on a
 stack of one, and returns that stack's row 0.
+
+``OPTIMAL`` is a certificate: the returned x is finite and breaks no row,
+active or not, by more than :data:`VIOLATION_BOUND` on the unit-norm rows.
 
 A warm start guesses each problem's working set.  The solver solves the
 equality-constrained problem on the guess and starts there when its
@@ -34,9 +40,10 @@ import numpy as np
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
-NOT_FINITE = "not_finite"  # refused, or finished with an x or KKT residual that overflowed
+NOT_FINITE = "not_finite"  # refused, or finished with no certified x (see solve_batch)
 
 TOL = 1e-8  # on rows scaled to unit norm, so scale-free
+VIOLATION_BOUND = 1e-6  # the most an OPTIMAL x may break a unit-norm row by
 ITERATION_LIMIT = 200
 DATA_LIMIT = 1e150  # a larger coefficient could overflow its row's squared norm
 
@@ -168,15 +175,24 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     ``weights`` and ``centres`` are (B, n), ``coeffs`` (B, m, n) and ``rhs``
     (B, m); ``warm``, if given, is a (B, m) boolean guess of each problem's
     binding rows; any other shape raises ``ValueError``.  Per problem this is
-    the dual active-set iteration of Goldfarb and Idnani: pick the
-    lowest-indexed violated row and drive it into the working set, releasing
-    blocking rows via a ratio test on the multipliers.  Stationarity and dual
-    feasibility hold at every step, and each release strictly increases the
-    dual objective, so the iteration cannot cycle.  Rows are normalized
-    internally, which makes ``TOL`` scale-free; multipliers and margins are
-    reported for the rows as given.  A problem whose step overflows finishes
-    with a non-finite ``x`` or KKT residual and is reported ``NOT_FINITE``,
-    never ``OPTIMAL``.
+    the dual active-set iteration of Goldfarb and Idnani: pick the most
+    violated row, the lowest-indexed of equals, and drive it into the working
+    set, releasing blocking rows via a ratio test on the multipliers.
+    Stationarity and dual feasibility hold at every step, and each join
+    strictly increases the dual objective whichever violated row enters, so
+    the iteration cannot cycle.  A working set never holds more than n rows:
+    once it holds n, an entering row takes a dual-only step.  Rows are
+    normalized internally, which makes ``TOL`` scale-free; multipliers and
+    margins are reported for the rows as given.
+
+    ``OPTIMAL`` is certified: a finite x and KKT residual, and no row broken
+    by more than :data:`VIOLATION_BOUND` on the unit-norm rows.  A problem
+    that finishes without that certificate is ``NOT_FINITE``: its step
+    overflowed, its working set's system was singular (the problem stops
+    there with a NaN ``x``; the others keep the bits they get alone), or
+    roundoff in an ill-conditioned working set left a row broken.  It is not
+    ``INFEASIBLE``, which the iteration reports only from a dual step that
+    nothing blocks (or a hopeless zero row).
 
     A problem with a weight that is not positive and finite, a non-finite
     centre or right-hand side, or a coefficient beyond :data:`DATA_LIMIT` in
@@ -186,7 +202,7 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     """
     weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
                                      for v in (weights, centres, coeffs, rhs))
-    b, m = rhs.shape
+    (b, m), n = rhs.shape, weights.shape[-1]
     if warm is not None and np.shape(warm) != (b, m):
         raise ValueError(f"warm must be (B, m) = {(b, m)}, got {np.shape(warm)}")
     refused = ~((np.abs(coeffs) <= DATA_LIMIT).all(axis=(1, 2))
@@ -230,15 +246,25 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
             running &= violated.any(axis=1) | ~scan
             if not running.any():
                 break
-            entering = np.where(scan, violated.argmax(axis=1), entering)
+            # the most violated row, the lowest-indexed of equals
+            entering = np.where(scan, np.where(violated, residuals, -np.inf).argmax(axis=1),
+                                entering)
 
             a_p = rows_a[every, entering]
             g_p = gram[every, :, entering]  # every row's inner product with a_p
-            r = np.linalg.solve(np.where(active[:, :, None] & active[:, None, :], gram, eye),
-                                np.where(active, g_p, 0.0)[..., None])[..., 0]
+            systems = np.where(active[:, :, None] & active[:, None, :], gram, eye)
+            try:
+                r = np.linalg.solve(systems, np.where(active, g_p, 0.0)[..., None])[..., 0]
+            except np.linalg.LinAlgError:  # a running problem's singular set stops it
+                r = _solve_each(systems, np.where(active, g_p, 0.0))
+                lost = running & np.isnan(r).any(axis=1)
+                x[lost] = np.nan
+                running &= ~lost
             z = inv_q * (a_p - _matvec(rows_a.swapaxes(1, 2), r))
             curvature = (a_p * z).sum(axis=1)  # zero iff a_p depends on the active rows
             flat = curvature <= 1e-11 * g_p[every, entering]
+            if m > n:  # n rows already span every row: a further one only moves multiplier mass
+                flat |= active.sum(axis=1) >= n
 
             blocking = np.where(active & (r > 1e-12), lam, np.inf) / np.maximum(r, 1e-12)
             drop = blocking.argmin(axis=1)
@@ -259,12 +285,15 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
             entering[join] = -1
             lam[release, drop[release]] = 0.0
             active[release, drop[release]] = False
-            violated = (_matvec(rows_a, x) - rows_b > TOL) & ~active
+            residuals = _matvec(rows_a, x) - rows_b
+            violated = (residuals > TOL) & ~active
 
     multipliers = np.maximum(lam, 0.0) / scale
     kkt, margins = _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers)
     kkt = np.where(idle, np.inf, kkt)
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(kkt)
+    # A finite KKT residual implies a finite x, whose stationarity term it holds.
+    # The scans skip active rows, so a row of any kind left broken voids the optimum.
+    certified = np.isfinite(kkt) & (residuals <= VIOLATION_BOUND).all(axis=1)
     status = np.where(running, MAX_ITER, np.where(infeasible, INFEASIBLE,
-                                                  np.where(finite, OPTIMAL, NOT_FINITE)))
+                                                  np.where(certified, OPTIMAL, NOT_FINITE)))
     return QpSolution(x, multipliers, status, iterations, kkt, margins)

@@ -360,8 +360,8 @@ RTA_GOLDEN = {
                   "distance_traveled": 4631.688083101734, "delta_v": 128.72913457589817},
                  1104, 1809, "dfe62190957e1d94", "a53a2841d8da860f"),
     "ring4": ({"targets_reached": 16, "time_taken": 4559.0,
-               "distance_traveled": 9600.064490592087, "delta_v": 361.57830711907695},
-              1204, 3699, "91d7ebc70d5af3ab", "b4639102e52ec5a4"),
+               "distance_traveled": 9600.064490564373, "delta_v": 361.57830708943357},
+              1204, 3699, "57395fbb53ede984", "c5ea26adafec231a"),
 }
 
 

@@ -454,3 +454,127 @@ def test_an_optimal_warm_guess_takes_one_solve(monkeypatch):
     assert len(calls) == 1
     assert list(warm.iterations) == [1] * 6 and list(warm.status) == [OPTIMAL] * 6
     np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+
+
+def test_the_most_violated_row_enters_first():
+    # x >= 1 and x >= 3 from the centre 0: only the second row binds at the
+    # optimum.  Entering it first takes one join and the final scan; entering
+    # the lowest-indexed row first would join x >= 1, then trade it for x >= 3.
+    sol = solve([1.0], [0.0], [[-1.0], [-1.0]], [-1.0, -3.0])
+    assert sol.status == OPTIMAL and sol.iterations == 2
+    assert sol.x.tolist() == [3.0] and sol.multipliers.tolist() == [0.0, 6.0]
+    # Of equally violated rows the lowest-indexed enters, and it alone binds.
+    tie = solve([1.0], [0.0], [[-1.0], [-1.0]], [-2.0, -2.0])
+    assert tie.iterations == 2 and tie.multipliers.tolist() == [4.0, 0.0]
+
+
+def _recipe_draws(seed, count):
+    """The first ``count`` draws of a seeded recipe with more rows than
+    variables and about half of the problems infeasible, as the
+    ``(weights, centres, coeffs, rhs)`` that :func:`solve` takes."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n = rng.integers(2, 8)
+        m = rng.integers(n + 1, 3 * n + 2)
+        coeffs, rhs = rng.standard_normal((m, n)), rng.standard_normal(m) * 3
+        weights, centres = rng.uniform(0.1, 10, n), rng.standard_normal(n) * 3
+        draws.append((weights, centres, coeffs, rhs))
+    return draws
+
+
+def test_draws_whose_step_raised_a_singular_matrix_are_solved():
+    # Each draw's working set used to outgrow its n variables until the step
+    # loop's stacked solve raised LinAlgError for the whole stack.  Each is
+    # infeasible (an LP check says so), and the feasible problems stacked
+    # beside it keep the bits they get alone.
+    seed_2 = _recipe_draws(2, 3876)
+    named = [_recipe_draws(1, 9496)[9495], seed_2[2313], seed_2[3875]]
+    rng = np.random.default_rng(8)
+    for problem in named:
+        m, n = problem[2].shape
+        mates = [random_feasible_problem(rng, n, m) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = solve_batch(*_stack([mates[0], problem, *mates[1:]]))
+        assert batch.status[1] == INFEASIBLE
+        for k, mate in zip((0, 2, 3), mates):
+            alone = solve(*mate)
+            assert alone.status == OPTIMAL
+            for field in dataclasses.fields(QpSolution):
+                got, want = (np.asarray(getattr(s, field.name)) for s in (batch[k], alone))
+                if got.dtype.kind == "f":
+                    got, want = _bits(got), _bits(want)
+                assert np.array_equal(got, want), field.name
+
+
+def test_a_singular_step_stops_only_its_problem(monkeypatch):
+    # Every stacked solve raises as if one system were singular, and problem
+    # 2's own system is.  Problem 2 stops at its first step with a NaN x and
+    # is not_finite; every other problem keeps the bits of the plain run.
+    data = _stack(_mixed_stack(np.random.default_rng(12)))
+    plain = solve_batch(*data)
+    assert plain.iterations[2] > 1
+    real_solve, calls = np.linalg.solve, []
+
+    def per_problem(system, rhs):
+        if system.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        calls.append(1)
+        if len(calls) % len(data[0]) == 3:  # problem 2, third in each pass over the stack
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(system, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", per_problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_batch(*data)
+    assert batch.status[2] == NOT_FINITE and batch.iterations[2] == 1
+    assert np.isnan(batch.x[2]).all()
+    for field in dataclasses.fields(QpSolution):
+        got, want = (np.delete(getattr(s, field.name), 2, axis=0) for s in (batch, plain))
+        if got.dtype.kind == "f":
+            got, want = _bits(got), _bits(want)
+        assert np.array_equal(got, want), field.name
+
+
+def test_an_x_that_breaks_a_row_is_not_optimal():
+    # Two nearly opposite rows meet at the optimum's corner, where the
+    # multipliers reach 1e9 and roundoff leaves the computed x breaking row 1
+    # by 2e-6 on the unit-norm rows: past VIOLATION_BOUND, so not certified.
+    # The problem is feasible, so it is not_finite, not infeasible.
+    sol = solve([610.8537238773865, 0.01853451696072679], [13131.535528132417, -8001.597794299322],
+                [[-1.112734775966642, -0.83472499173656], [1.3293688831382926, 0.987623891878449]],
+                [-0.01040184558727126, 0.02143982346187823])
+    assert np.isfinite(sol.x).all() and sol.multipliers.min() > 1e9
+    assert sol.status == NOT_FINITE
+    assert 1e-6 < -sol.margins[1] / np.hypot(1.3293688831382926, 0.987623891878449) < 1e-5
+
+
+def test_seeded_draws_are_optimal_only_when_certified():
+    # Seeded property on about 2,000 draws with more rows than variables,
+    # about half of them infeasible, solved in same-shape stacks: no
+    # exception, no warning, and every optimal x breaks no unit-norm row by
+    # more than VIOLATION_BOUND and has a KKT residual of at most 1e-6.  Draws
+    # 492, 1495, 2747 and 5688 are infeasible (an LP check says so); their
+    # working sets used to outgrow n rows and end in a false optimal.
+    draws = _recipe_draws(1, 5689)
+    named = (492, 1495, 2747, 5688)
+    picked = list(range(2000)) + [k for k in named if k >= 2000]
+    groups = {}
+    for k in picked:
+        groups.setdefault(draws[k][2].shape, []).append(k)
+    status = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for members in groups.values():
+            batch = solve_batch(*_stack([draws[k] for k in members]))
+            for k, sol in zip(members, batch):
+                status[k] = sol.status
+                if sol.status == OPTIMAL:
+                    violation = -sol.margins / np.linalg.norm(draws[k][2], axis=1)
+                    assert violation.max() <= qp_mod.VIOLATION_BOUND
+                    assert sol.kkt_residual <= 1e-6
+    assert [status[k] for k in named] == [INFEASIBLE] * 4
+    counts = [list(status.values()).count(s) for s in (OPTIMAL, INFEASIBLE)]
+    assert sum(counts) == len(picked) and min(counts) > 0.4 * len(picked)

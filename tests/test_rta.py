@@ -711,11 +711,12 @@ def test_degenerate_inputs_match_one_agent_solves():
     assert fallbacks > 0
 
 
-def _enumerated_minimiser(weights, centres, coeffs, rhs):
-    """One QP's minimiser and working set by enumeration, as an oracle.
+def _kkt_points(weights, centres, coeffs, rhs, sets):
+    """The KKT points among the minimisers on the given working sets, with
+    their sets: an oracle apart from the solver's iteration.
 
-    Each set of at most n of the m rows (scaled to unit norm) gives one KKT
-    system: stationarity, the set's rows with equality and a zero multiplier
+    Each (m,) boolean set gives one KKT system on the rows scaled to unit
+    norm: stationarity, the set's rows with equality and a zero multiplier
     for every other row.  A set whose solution meets every row with
     nonnegative multipliers is a KKT point, and strict convexity makes its x
     the one minimiser.  The filter's rows are linearly independent, since each
@@ -724,8 +725,6 @@ def _enumerated_minimiser(weights, centres, coeffs, rhs):
     m, n = coeffs.shape
     norms = np.linalg.norm(coeffs, axis=1)
     a, b = coeffs / norms[:, None], rhs / norms
-    sets = np.array(list(itertools.product((False, True), repeat=m)))
-    sets = sets[sets.sum(axis=1) <= n]
     kkt = np.zeros((len(sets), n + m, n + m))
     kkt[:, :n, :n] = np.diag(2.0 * weights)
     kkt[:, :n, n:] = a.T
@@ -737,10 +736,18 @@ def _enumerated_minimiser(weights, centres, coeffs, rhs):
     x, lam = solution[:, :n], solution[:, n:]
     kept = (((x @ a.T - b).max(axis=1) <= 1e-9)
             & ((-lam).max(axis=1) <= 1e-9 * np.maximum(np.abs(lam).max(axis=1), 1.0)))
-    assert kept.any()
-    np.testing.assert_allclose(x[kept], np.broadcast_to(x[kept][0], x[kept].shape),
-                               rtol=0, atol=1e-9)
-    return x[kept][0], sets[kept][0]
+    return x[kept], sets[kept]
+
+
+def _enumerated_minimiser(weights, centres, coeffs, rhs):
+    """One QP's minimiser and working set, from every set of at most n of
+    its m rows (see :func:`_kkt_points`)."""
+    m, n = coeffs.shape
+    sets = np.array(list(itertools.product((False, True), repeat=m)))
+    x, kept = _kkt_points(weights, centres, coeffs, rhs, sets[sets.sum(axis=1) <= n])
+    assert len(x)
+    np.testing.assert_allclose(x, np.broadcast_to(x[0], x.shape), rtol=0, atol=1e-9)
+    return x[0], kept[0]
 
 
 def test_filter_actions_matches_an_enumerated_oracle():
@@ -761,3 +768,30 @@ def test_filter_actions_matches_an_enumerated_oracle():
             assert not decision.fallback.any()
             np.testing.assert_allclose(np.concatenate([decision.u_safe, decision.slacks], 1),
                                        np.array(minimisers), rtol=0, atol=1e-8)
+
+
+def test_crowded_six_agent_decisions_are_kkt_points():
+    # Six agents 40 to 70 m from the chief, spread evenly around it and
+    # closing on it: pair rows start violated and the solver takes several
+    # steps.  Each agent's thrust and slacks are the minimiser on the rows its
+    # decision marks binding, solved as one KKT system apart from the solver:
+    # a KKT point, so the one minimiser.
+    rng = np.random.default_rng(6)
+    steps = []
+    for _ in range(8):
+        angles = np.arange(6) * np.pi / 3 + rng.uniform(-0.2, 0.2, 6)
+        unit = np.stack([np.cos(angles), np.sin(angles), rng.uniform(-0.3, 0.3, 6)], 1)
+        states = np.concatenate([rng.uniform(40, 70, (6, 1)) * unit,
+                                 -rng.uniform(1, 2.5, (6, 1)) * unit], 1)
+        desired = -rng.uniform(0.5, 1.5, (6, 1)) * unit
+        accel = rng.uniform(-0.3, 0.3, (6, 3))
+        decision = filter_actions(states, desired, accel, ORBIT, PARAMS, VEH)
+        assert not decision.fallback.any()
+        steps.append(decision.iterations.max())
+        for k, d in enumerate(decision):
+            x, _ = _kkt_points(*build_qp(states, desired, accel, ORBIT, PARAMS, VEH, k),
+                               d.active[None])
+            assert len(x) == 1
+            np.testing.assert_allclose(np.concatenate([d.u_safe, d.slacks]), x[0],
+                                       rtol=0, atol=1e-8)
+    assert min(steps) >= 3
