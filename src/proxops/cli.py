@@ -157,6 +157,8 @@ def cmd_baseline_stats(args) -> int:
     try:
         if args.trials < 0:
             raise ValueError("n_trials must be nonnegative")
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be nonnegative")
         if args.out is not None:
             os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as exc:

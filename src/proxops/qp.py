@@ -12,17 +12,18 @@ steps, unlike first-order schemes.
 Idnani on a stack of same-shape problems in lock-step.  Each problem starts
 from the unconstrained minimum ``x = c`` and alternately drives the most
 violated row (on the rows scaled to unit norm; the lowest-indexed of equals)
-into its working set and releases blocking rows.  It cannot cycle whichever
-violated row enters: each join strictly raises the dual objective, and no
-working set repeats at a higher one.  A working set holds at most n rows: n
-rows already span every row, so a further one takes a dual-only step.
-Each step makes one violation scan and one stacked linear solve on the
-normalised Gram matrices ``A Q^-1 A^T``, which are built once per call; a
-problem that has finished stops changing.  :func:`solve` is the call on a
-stack of one, and returns that stack's row 0.
-
-``OPTIMAL`` is a certificate: the returned x is finite and breaks no row,
-active or not, by more than :data:`VIOLATION_BOUND` on the unit-norm rows.
+into its working set and releases blocking rows by a ratio test on the
+multipliers.  Stationarity and dual feasibility hold at every step.  It
+cannot cycle whichever violated row enters: each join strictly raises the
+dual objective, and no working set repeats at a higher one.  A working set
+holds at most n rows: n rows already span every row, so a further one takes
+a dual-only step.  Each step makes one violation scan and one stacked linear
+solve on the normalised Gram matrices ``A Q^-1 A^T``, which are built once
+per call; when that solve raises ``LinAlgError`` each problem is solved
+alone, and one whose own system is singular stops.  A problem that has
+finished stops changing.  The unit-norm rows make ``TOL`` scale-free;
+multipliers and margins are reported for the rows as given.  :func:`solve`
+is the call on a stack of one, and returns that stack's row 0.
 
 A warm start guesses each problem's working set.  The solver solves the
 equality-constrained problem on the guess and starts there when its
@@ -97,18 +98,31 @@ def _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers):
                       np.abs(natural).max(axis=-1, initial=0.0)), margins
 
 
-def _checked(weights, centres, coeffs, rhs):
-    """One problem's data as float arrays; see :func:`solve` for the checks."""
+def _stack_data(weights, centres, coeffs, rhs, warm=None):
+    """A stack's data as float arrays, ``warm`` as a bool array or None, and
+    the (B,) mask of the problems :func:`solve_batch` refuses (see there);
+    raises ``ValueError`` unless the shapes are those :func:`solve_batch` takes."""
     weights, centres, coeffs, rhs = data = [np.asarray(v, dtype=float)
                                             for v in (weights, centres, coeffs, rhs)]
-    if weights.ndim != 1 or weights.shape != centres.shape:
-        raise ValueError("weights and centres must be vectors of equal length")
-    if coeffs.shape != rhs.shape + weights.shape:
-        raise ValueError("coeffs must be (m, n) for m rhs entries and n weights")
-    if not (all(np.isfinite(v).all() for v in data) and (np.abs(coeffs) <= DATA_LIMIT).all()):
-        raise ValueError(f"QP data must be finite and coefficients at most {DATA_LIMIT:g}")
-    if (weights <= 0.0).any():
-        raise ValueError("weights must be strictly positive")
+    if not (weights.ndim == rhs.ndim == 2 and centres.shape == weights.shape
+            and len(rhs) == len(weights) and coeffs.shape == rhs.shape + weights.shape[1:]):
+        raise ValueError("weights and centres must be (B, n), coefficients (B, m, n) and rhs "
+                         f"(B, m), got {[v.shape for v in data]}")
+    if warm is not None and np.shape(warm) != rhs.shape:
+        raise ValueError(f"warm must be (B, m) = {rhs.shape}, got {np.shape(warm)}")
+    refused = ~((np.abs(coeffs) <= DATA_LIMIT).all(axis=(1, 2))
+                & np.isfinite(centres).all(axis=1) & np.isfinite(rhs).all(axis=1)
+                & ((0.0 < weights) & (weights < np.inf)).all(axis=1))
+    return data, None if warm is None else np.asarray(warm, dtype=bool), refused
+
+
+def _one(*problem):
+    """One problem's data as a stack of one; raises ``ValueError`` unless
+    :func:`solve_batch` would solve that stack."""
+    data, _, refused = _stack_data(*(np.asarray(v)[None] for v in problem))
+    if refused[0]:
+        raise ValueError("QP data must be finite, weights positive and coefficients at most "
+                         f"{DATA_LIMIT:g}")
     return data
 
 
@@ -116,11 +130,12 @@ def kkt_residual(weights, centres, coeffs, rhs, x, multipliers) -> float:
     """Max of the stationarity residual and, on each row i scaled to unit norm
     with residual s_i and multiplier l_i, the natural residual |min(l_i, -s_i)|.
     Zero (up to roundoff) exactly at the optimum, so it certifies any candidate;
-    unlike |l_i s_i| it does not grow with a large slack-penalty multiplier."""
-    weights, centres, coeffs, rhs = _checked(weights, centres, coeffs, rhs)
-    data = (weights, centres, coeffs, rhs, _row_scale(coeffs),
-            np.asarray(x, dtype=float), np.asarray(multipliers, dtype=float))
-    return float(_kkt_residuals(*(v[None] for v in data))[0][0])
+    unlike |l_i s_i| it does not grow with a large slack-penalty multiplier.
+    Raises ``ValueError`` on the data :func:`solve` raises on."""
+    weights, centres, coeffs, rhs = _one(weights, centres, coeffs, rhs)
+    x, multipliers = (np.asarray(v, dtype=float)[None] for v in (x, multipliers))
+    return float(_kkt_residuals(weights, centres, coeffs, rhs, _row_scale(coeffs),
+                                x, multipliers)[0][0])
 
 
 def solve(weights, centres, coeffs, rhs) -> QpSolution:
@@ -128,22 +143,30 @@ def solve(weights, centres, coeffs, rhs) -> QpSolution:
     on a stack of one); returns the unique minimizer when status is optimal.
 
     Raises ``ValueError`` unless ``weights`` and ``centres`` are vectors of
-    equal length n, ``coeffs`` is (m, n) for the m entries of ``rhs``, every
-    entry is finite, no coefficient exceeds :data:`DATA_LIMIT` in magnitude
-    and every weight is positive.
+    equal length n, ``coeffs`` is (m, n) for the m entries of ``rhs``, and
+    :func:`solve_batch` would not refuse the problem.
     """
-    return solve_batch(*(v[None] for v in _checked(weights, centres, coeffs, rhs)))[0]
+    return solve_batch(*_one(weights, centres, coeffs, rhs))[0]
 
 
-def _solve_each(systems, rhs):
-    """Stacked ``np.linalg.solve``, NaN for each exactly singular system."""
-    out = np.full(rhs.shape, np.nan)
-    for k, (system, b) in enumerate(zip(systems, rhs)):
-        try:
-            out[k] = np.linalg.solve(system, b)
-        except np.linalg.LinAlgError:
-            pass
-    return out
+def _solve_masked(gram, eye, mask, b):
+    """Each problem's Gram system on its ``mask`` rows, solved for ``b`` on
+    those rows, with ``eye`` (the (m, m) identity) standing in for the others,
+    and None; or, when the stacked solve raises ``LinAlgError``, each problem
+    solved alone, NaN where its system is exactly singular, and the (B,) mask
+    of the solutions that hold a NaN."""
+    systems = np.where(mask[:, :, None] & mask[:, None, :], gram, eye)
+    b = np.where(mask, b, 0.0)
+    try:
+        return np.linalg.solve(systems, b[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for k, (system, b_k) in enumerate(zip(systems, b)):
+            try:
+                out[k] = np.linalg.solve(system, b_k)
+            except np.linalg.LinAlgError:
+                pass
+        return out, np.isnan(out).any(axis=1)
 
 
 def _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, guess):
@@ -152,14 +175,9 @@ def _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, guess):
     start ``x = c`` with an empty set where the guess is singular,
     inconsistent or has a negative multiplier.  ``eye`` is the (m, m)
     identity, which stands in for unguessed rows."""
-    systems = np.where(guess[:, :, None] & guess[:, None, :], gram, eye)
     at_centres = _matvec(rows_a, centres) - rows_b
-    rhs = np.where(guess, at_centres, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # a bad guess is rejected below
-        try:
-            lam = np.linalg.solve(systems, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            lam = _solve_each(systems, rhs)
+        lam, _ = _solve_masked(gram, eye, guess, at_centres)
         x = centres - inv_q * _matvec(rows_a.swapaxes(1, 2), lam)
         at_x = _matvec(rows_a, x) - rows_b
         kept = ((0.0 <= lam) & (lam < np.inf)  # finite and nonnegative
@@ -174,16 +192,8 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
 
     ``weights`` and ``centres`` are (B, n), ``coeffs`` (B, m, n) and ``rhs``
     (B, m); ``warm``, if given, is a (B, m) boolean guess of each problem's
-    binding rows; any other shape raises ``ValueError``.  Per problem this is
-    the dual active-set iteration of Goldfarb and Idnani: pick the most
-    violated row, the lowest-indexed of equals, and drive it into the working
-    set, releasing blocking rows via a ratio test on the multipliers.
-    Stationarity and dual feasibility hold at every step, and each join
-    strictly increases the dual objective whichever violated row enters, so
-    the iteration cannot cycle.  A working set never holds more than n rows:
-    once it holds n, an entering row takes a dual-only step.  Rows are
-    normalized internally, which makes ``TOL`` scale-free; multipliers and
-    margins are reported for the rows as given.
+    binding rows.  Any other shape raises ``ValueError``: nothing broadcasts.
+    The module docstring gives the iteration.
 
     ``OPTIMAL`` is certified: a finite x and KKT residual, and no row broken
     by more than :data:`VIOLATION_BOUND` on the unit-norm rows.  A problem
@@ -200,14 +210,9 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     ``NOT_FINITE`` with no iterations, a NaN ``x`` and an infinite KKT
     residual.  No input array is written.
     """
-    weights, centres, coeffs, rhs = (np.asarray(v, dtype=float)
-                                     for v in (weights, centres, coeffs, rhs))
-    (b, m), n = rhs.shape, weights.shape[-1]
-    if warm is not None and np.shape(warm) != (b, m):
-        raise ValueError(f"warm must be (B, m) = {(b, m)}, got {np.shape(warm)}")
-    refused = ~((np.abs(coeffs) <= DATA_LIMIT).all(axis=(1, 2))
-                & np.isfinite(centres).all(axis=1) & np.isfinite(rhs).all(axis=1)
-                & ((0.0 < weights) & (weights < np.inf)).all(axis=1))
+    data, warm, refused = _stack_data(weights, centres, coeffs, rhs, warm)
+    weights, centres, coeffs, rhs = data
+    (b, m), n = rhs.shape, weights.shape[1]
     if refused.any():  # new arrays: NaN centres under zero rows, where x = c stays
         weights = np.where(refused[:, None], 1.0, weights)
         centres = np.where(refused[:, None], np.nan, centres)
@@ -224,8 +229,7 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     hopeless = ((rhs < -TOL) & ~coeffs.any(axis=2)).any(axis=1)
     idle = hopeless | refused  # problems that take no step
     eye = np.eye(m)
-    active = (np.zeros((b, m), dtype=bool) if warm is None
-              else np.asarray(warm, dtype=bool) & ~idle[:, None])
+    active = np.zeros((b, m), dtype=bool) if warm is None else warm & ~idle[:, None]
     if active.any():
         x, lam, active, residuals = _warm_start(gram, eye, rows_a, rows_b, inv_q, centres, active)
     else:  # an empty guess is the cold start
@@ -234,59 +238,52 @@ def solve_batch(weights, centres, coeffs, rhs, warm=None) -> QpSolution:
     iterations = np.zeros(b, dtype=int)
     running, infeasible = ~idle, hopeless
     violated = (residuals > TOL) & ~active  # the first scan, on the start's residuals
-    if not (running & violated.any(axis=1)).any():  # no problem takes a step
+    entering = np.full(b, -1)  # the row being driven in, or -1 to scan
+    every = np.arange(b)
+    for _ in range(ITERATION_LIMIT):
         iterations += running
-        running = np.zeros(b, dtype=bool)
-    else:
-        entering = np.full(b, -1)  # the row being driven in, or -1 to scan
-        every = np.arange(b)
-        for _ in range(ITERATION_LIMIT):
-            iterations += running
-            scan = running & (entering < 0)
-            running &= violated.any(axis=1) | ~scan
-            if not running.any():
-                break
-            # the most violated row, the lowest-indexed of equals
-            entering = np.where(scan, np.where(violated, residuals, -np.inf).argmax(axis=1),
-                                entering)
+        scan = running & (entering < 0)
+        running &= violated.any(axis=1) | ~scan
+        if not running.any():
+            break
+        # the most violated row, the lowest-indexed of equals
+        entering = np.where(scan, np.where(violated, residuals, -np.inf).argmax(axis=1),
+                            entering)
 
-            a_p = rows_a[every, entering]
-            g_p = gram[every, :, entering]  # every row's inner product with a_p
-            systems = np.where(active[:, :, None] & active[:, None, :], gram, eye)
-            try:
-                r = np.linalg.solve(systems, np.where(active, g_p, 0.0)[..., None])[..., 0]
-            except np.linalg.LinAlgError:  # a running problem's singular set stops it
-                r = _solve_each(systems, np.where(active, g_p, 0.0))
-                lost = running & np.isnan(r).any(axis=1)
-                x[lost] = np.nan
-                running &= ~lost
-            z = inv_q * (a_p - _matvec(rows_a.swapaxes(1, 2), r))
-            curvature = (a_p * z).sum(axis=1)  # zero iff a_p depends on the active rows
-            flat = curvature <= 1e-11 * g_p[every, entering]
-            if m > n:  # n rows already span every row: a further one only moves multiplier mass
-                flat |= active.sum(axis=1) >= n
+        a_p = rows_a[every, entering]
+        g_p = gram[every, :, entering]  # every row's inner product with a_p
+        r, singular = _solve_masked(gram, eye, active, g_p)
+        if singular is not None:  # a running problem's singular set stops it
+            lost = running & singular
+            x[lost] = np.nan
+            running &= ~lost
+        z = inv_q * (a_p - _matvec(rows_a.swapaxes(1, 2), r))
+        curvature = (a_p * z).sum(axis=1)  # zero iff a_p depends on the active rows
+        flat = curvature <= 1e-11 * g_p[every, entering]
+        if m > n:  # n rows already span every row: a further one only moves multiplier mass
+            flat |= active.sum(axis=1) >= n
 
-            blocking = np.where(active & (r > 1e-12), lam, np.inf) / np.maximum(r, 1e-12)
-            drop = blocking.argmin(axis=1)
-            t_block = blocking[every, drop]
-            stuck = running & flat & (t_block == np.inf)
-            infeasible = infeasible | stuck
-            running &= ~stuck
-            # A flat step is dual-only: it moves multiplier mass, not x.
-            t_full = (np.where(flat, np.inf, (a_p * x).sum(axis=1) - rows_b[every, entering])
-                      / np.where(flat, 1.0, curvature))
-            t = np.where(running, np.minimum(t_full, t_block), 0.0)
-            x = np.where((running & ~flat)[:, None], x - t[:, None] * z, x)
-            lam = np.where(running[:, None] & active, lam - t[:, None] * r, lam)
-            lam[every, entering] += t
-            join = running & (t_full <= t_block)
-            release = running & ~join
-            active[join, entering[join]] = True
-            entering[join] = -1
-            lam[release, drop[release]] = 0.0
-            active[release, drop[release]] = False
-            residuals = _matvec(rows_a, x) - rows_b
-            violated = (residuals > TOL) & ~active
+        blocking = np.where(active & (r > 1e-12), lam, np.inf) / np.maximum(r, 1e-12)
+        drop = blocking.argmin(axis=1)
+        t_block = blocking[every, drop]
+        stuck = running & flat & (t_block == np.inf)
+        infeasible = infeasible | stuck
+        running &= ~stuck
+        # A flat step is dual-only: it moves multiplier mass, not x.
+        t_full = (np.where(flat, np.inf, (a_p * x).sum(axis=1) - rows_b[every, entering])
+                  / np.where(flat, 1.0, curvature))
+        t = np.where(running, np.minimum(t_full, t_block), 0.0)
+        x = np.where((running & ~flat)[:, None], x - t[:, None] * z, x)
+        lam = np.where(running[:, None] & active, lam - t[:, None] * r, lam)
+        lam[every, entering] += t
+        join = running & (t_full <= t_block)
+        release = running & ~join
+        active[join, entering[join]] = True
+        entering[join] = -1
+        lam[release, drop[release]] = 0.0
+        active[release, drop[release]] = False
+        residuals = _matvec(rows_a, x) - rows_b
+        violated = (residuals > TOL) & ~active
 
     multipliers = np.maximum(lam, 0.0) / scale
     kkt, margins = _kkt_residuals(weights, centres, coeffs, rhs, scale, x, multipliers)

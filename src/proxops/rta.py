@@ -18,7 +18,7 @@ stay at zero unless the hard constraints are momentarily incompatible.
 
 :func:`qp_arrays` builds every agent's rows in one numpy pass, and one
 :func:`qp.solve_batch` call solves every agent's QP in lock-step;
-:func:`build_qp` is one agent's QP from the same arrays.  The filter fails
+:func:`build_qp` is one agent's row of that same stack.  The filter fails
 closed: a QP the solver refuses or cannot solve gives zero thrust, flagged.
 """
 
@@ -162,16 +162,24 @@ def _kinematics(states, desired, accel):
     return everyone[:n], everyone[_peer_index(n)], np.asarray(desired, dtype=float)
 
 
+def _assemble(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
+              vehicle: VehicleParams) -> tuple:
+    """Every agent's QP as the ``(weights, centres, coeffs, rhs)`` that
+    :func:`qp.solve_batch` takes, and the drift the rows are built at."""
+    kin, peer_kin, desired = _kinematics(states, desired, accel)
+    with np.errstate(over="ignore", invalid="ignore"):  # hostile data overflow here
+        drift = cwh_drift_rows(kin[:, :2].reshape(len(kin), 6), orbit)
+        coeffs, rhs = qp_arrays(kin, peer_kin, drift, params, vehicle)
+    return (*_costs(desired, rhs.shape[1]), coeffs, rhs), drift
+
+
 def build_qp(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
              vehicle: VehicleParams, k: int) -> tuple:
     """Agent ``k``'s slack-relaxed QP as the ``(weights, centres, coeffs, rhs)``
-    that :func:`qp.solve` takes: the one :func:`filter_actions` solves for
-    agent ``k`` from the same arguments, with the rows of :func:`qp_arrays`."""
-    kin, peer_kin, desired = _kinematics(states, desired, accel)
-    drift = cwh_drift_rows(kin[k, :2].reshape(1, 6), orbit)
-    coeffs, rhs = qp_arrays(kin[[k]], peer_kin[[k]], drift, params, vehicle)
-    weights, centres = _costs(desired[[k]], rhs.shape[1])
-    return weights[0], centres[0], coeffs[0], rhs[0]
+    that :func:`qp.solve` takes: row ``k`` of the stack :func:`filter_actions`
+    solves from the same arguments, with the rows of :func:`qp_arrays`."""
+    problems, _ = _assemble(states, desired, accel, orbit, params, vehicle)
+    return tuple(v[k] for v in problems)
 
 
 def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
@@ -185,8 +193,9 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     decision's ``drift`` is the ``cwh_drift_rows(states, orbit)`` its rows are
     built at, which the caller's next acceleration estimates can reuse.
     ``warm``, if given, is an (N, N + 8) boolean guess of each agent's binding
-    rows, such as the last tick's :attr:`RtaDecision.active`.  It changes how
-    many solver steps the decision takes, and the decision only by roundoff.
+    rows, such as the last tick's :attr:`RtaDecision.active` (any other shape
+    raises ``ValueError`` in :func:`qp.solve_batch`).  It changes how many
+    solver steps the decision takes, and the decision only by roundoff.
 
     One batched solve gives every agent's row of the decision.  An agent gets
     zero thrust and ``fallback`` when its QP is not optimal or its solution
@@ -195,17 +204,8 @@ def filter_actions(states, desired, accel, orbit: ChiefOrbit, params: RtaParams,
     :data:`qp.DATA_LIMIT`.  A non-finite peer makes the rows of every agent
     that sees it non-finite, so none of them is certified.
     """
-    kin, peer_kin, desired = _kinematics(states, desired, accel)
-    n = len(kin)
-    if warm is not None:
-        warm = np.asarray(warm, dtype=bool)
-        if warm.shape != (n, n + 8):
-            raise ValueError("warm must be an (N, N + 8) boolean mask")
-    with np.errstate(over="ignore", invalid="ignore"):  # hostile data overflow here
-        drift = cwh_drift_rows(kin[:, :2].reshape(n, 6), orbit)
-        coeffs, rhs = qp_arrays(kin, peer_kin, drift, params, vehicle)
-    weights, centres = _costs(desired, rhs.shape[1])
-    solution = qp_mod.solve_batch(weights, centres, coeffs, rhs, warm)
+    problems, drift = _assemble(states, desired, accel, orbit, params, vehicle)
+    solution = qp_mod.solve_batch(*problems, warm)
     x = solution.x
     fallback = ~((solution.status == qp_mod.OPTIMAL) & np.isfinite(x).all(axis=1))
     x[fallback] = 0.0

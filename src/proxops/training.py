@@ -75,6 +75,8 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be an integer, got {brief(value)}")
         if self.total_steps < 0:
             raise ValueError("total_steps must be nonnegative")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be nonnegative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
 

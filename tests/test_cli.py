@@ -340,6 +340,25 @@ def test_negative_trials_exits_2():
     assert main(["baseline-stats", "--trials", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["baseline-stats", "--trials", "5", "--seed", "-1"],
+    ["train", "--steps", "2048", "--seed", "-1"],
+], ids=["baseline-stats", "train"])
+def test_negative_seed_exits_2_without_files(tmp_path, capsys, argv):
+    # numpy's generators take no negative seed; both commands draw from --seed
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be nonnegative\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_run_echoes_a_negative_seed(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--seed", "-1", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["seed"] == -1
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the work started before --out was checked")
 

@@ -374,6 +374,20 @@ def test_warm_guesses_of_another_shape_are_refused():
             solve_batch(*data, warm=guess)
 
 
+def test_stacks_of_mismatched_shapes_are_refused():
+    # Nothing broadcasts: a (B, 1) rhs against (B, 3, n) coefficients, a
+    # (1, n) centre or weight row against B = 2, and (B, m, n + 1)
+    # coefficients each raise, naming every shape.  A (1, n) centre used to
+    # stand for every problem's centre.
+    rng = np.random.default_rng(5)
+    weights, centres, coeffs, rhs = _stack([random_feasible_problem(rng, 2, 3) for _ in range(2)])
+    wide = np.concatenate([coeffs, coeffs[..., :1]], axis=2)
+    for bad in ((weights, centres, coeffs, rhs[:, :1]), (weights, centres[:1], coeffs, rhs),
+                (weights[:1], centres, coeffs, rhs), (weights, centres, wide, rhs)):
+        with pytest.raises(ValueError, match=re.escape(str([v.shape for v in bad]))):
+            solve_batch(*bad)
+
+
 def _bits(a):
     """A float array's bits, so that -0.0 and +0.0 compare apart."""
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
@@ -454,6 +468,38 @@ def test_an_optimal_warm_guess_takes_one_solve(monkeypatch):
     assert len(calls) == 1
     assert list(warm.iterations) == [1] * 6 and list(warm.status) == [OPTIMAL] * 6
     np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+
+
+def test_a_singular_warm_guess_starts_its_problem_cold(monkeypatch):
+    # The warm start's stacked solve raises as if one guessed system were
+    # singular, and problem 2's is.  Problem 2 starts cold and keeps the bits
+    # of the cold run; every other problem keeps the bits of the plain warm run.
+    rng = np.random.default_rng(11)
+    data = _stack([random_feasible_problem(rng, 5, 7) for _ in range(6)])
+    cold = solve_batch(*data)
+    guess = cold.multipliers > 0.0
+    plain = solve_batch(*data, warm=guess)
+    assert plain.iterations[2] == 1 and cold.iterations[2] > 1
+    real_solve, calls = np.linalg.solve, []
+
+    def per_problem(system, rhs):
+        if system.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        calls.append(1)
+        if len(calls) == 3:  # problem 2, third in the warm start's pass over the stack
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(system, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", per_problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_batch(*data, warm=guess)
+    for field in dataclasses.fields(QpSolution):
+        got, want = getattr(batch, field.name), getattr(plain, field.name).copy()
+        want[2] = getattr(cold, field.name)[2]
+        if got.dtype.kind == "f":
+            got, want = _bits(got), _bits(want)
+        assert np.array_equal(got, want), field.name
 
 
 def test_the_most_violated_row_enters_first():

@@ -486,6 +486,8 @@ def test_an_error_in_the_value_worker_reaches_the_caller(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError, match="total_steps"):
         TrainerConfig(total_steps=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        TrainerConfig(seed=-1)
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch_size"):
             TrainerConfig(batch_size=batch_size)
