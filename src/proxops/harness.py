@@ -223,33 +223,33 @@ def run(spec: ScenarioSpec):
     """Execute a scenario; returns (MetricsReport, TrajectoryLog).
 
     Each tick accepts every waypoint within the acceptance radius, makes one
-    controller call per controller choice on the stacked observations of its
-    agents with waypoints left (the others command zero thrust), filters the
-    commands when RTA is on, clips them to the thrust bound and steps all
-    agents with one :func:`propagate_cwh_zoh`.  The filter's solver starts
-    from the binding rows of the run's previous tick, which changes its step
-    count and its answer only by roundoff.  Each agent's rows get the
-    bits they would get alone, so without RTA a joint run matches each
-    agent's solo run exactly.
+    controller call per controller choice on the stacked observations of all
+    its agents, zeroes the commands of agents with no waypoint left, filters
+    the commands when RTA is on, clipping the filter's thrust to the thrust
+    bound, and steps all agents with one :func:`propagate_cwh_zoh`.  The
+    filter's solver starts from the binding rows of the run's previous tick,
+    which changes its step count and its answer only by roundoff.  Each
+    agent's rows get the bits they would get alone, so without RTA a joint
+    run matches each agent's solo run exactly.
     """
     n = len(spec.agents)
     dt, mass, bound = spec.control_dt, spec.vehicle.mass, spec.vehicle.thrust_bound
     states = np.array([a.start.as_vector() for a in spec.agents])
-    queues = [list(a.waypoints) for a in spec.agents]
-    goals = np.array([q[0] for q in queues])  # the last waypoint once a queue is empty
-    live = np.ones(n, dtype=bool)  # agents with waypoints left
-    groups: dict = {}
-    for k, agent in enumerate(spec.agents):
-        groups.setdefault(agent.controller, []).append(k)
-    controllers = [(make_controller(choice, spec.vehicle), np.array(members))
-                   for choice, members in groups.items()]
-    acting = controllers  # each controller with its live members, renewed on acceptance
+    lengths = np.array([len(a.waypoints) for a in spec.agents])
+    # Each queue padded with its last waypoint, which stays the goal once the queue is done.
+    queues = np.array([a.waypoints + a.waypoints[-1:] * (lengths.max() + 1 - len(a.waypoints))
+                       for a in spec.agents])
+    agents, reached = np.arange(n), np.zeros(n, dtype=int)  # reached: waypoints accepted
+    goals, live = queues[:, 0], np.ones(n, dtype=bool)  # live: agents with waypoints left
+    idle = agents[:0]  # agents with no waypoint left
+    choices = [a.controller for a in spec.agents]
+    controllers = [(make_controller(c, spec.vehicle), np.flatnonzero([c == d for d in choices]))
+                   for c in dict.fromkeys(choices)]
     accel_est = np.zeros((n, 3))
-    leg_start = np.zeros(n)
-    oldest_leg, done = 0.0, False  # start of the oldest open leg; no leg open
-    targets_reached, completion_times = [0] * n, [None] * n
+    leg_start = np.zeros(n)  # a done agent's last leg started when it finished
+    oldest_leg = 0.0  # start of the oldest open leg; inf once every agent is done
     rows = []  # per tick: states, u_des, u, rta_active, slack, dist_goal
-    no_slack, no_active = np.zeros((n, 6)), np.zeros(n, dtype=bool)
+    no_u, no_slack, no_active = np.zeros((n, 3)), np.zeros((n, 6)), np.zeros(n, dtype=bool)
     aborted = False
     warm = None  # the last tick's binding rows: the guess at this tick's working sets
 
@@ -258,52 +258,44 @@ def run(spec: ScenarioSpec):
         t = tick * dt
         dist = norms(states[:, :3] - goals)
         arrived = live & (dist <= spec.acceptance_radius)
-        if arrived.any():
-            for k in np.flatnonzero(arrived).tolist():
-                queue = queues[k]
-                while queue and norms(states[k, :3] - queue[0]) <= spec.acceptance_radius:
-                    goals[k] = queue.pop(0)
-                    targets_reached[k] += 1
-                    leg_start[k] = t
-                if queue:
-                    goals[k] = queue[0]
-                else:
-                    live[k] = False
-                    completion_times[k] = t
+        while arrived.any():  # several waypoints may go in one tick
+            reached += arrived
+            leg_start[arrived] = t
+            live = reached < lengths
+            goals = queues[agents, reached]
             dist = norms(states[:, :3] - goals)
-            done = not live.any()
+            arrived = live & (dist <= spec.acceptance_radius)
+            idle = agents[~live]
             # Rounding keeps t - x monotone in x, so the oldest leg times out first.
             oldest_leg = float(leg_start[live].min(initial=math.inf))
-            acting = [(controller, ks) for controller, members in controllers
-                      if (ks := members[live[members]]).size]
 
         timed_out = t - oldest_leg >= spec.leg_timeout
-        if done or timed_out:
-            zeros = np.zeros((n, 3))
-            rows.append((states, zeros, zeros, no_active, no_slack, dist))
+        if timed_out or oldest_leg == math.inf:
+            rows.append((states, no_u, no_u, no_active, no_slack, dist))
             break
 
-        if len(acting) == 1 and acting[0][1].size == n:  # one controller flies every agent
-            u_des = acting[0][0](observe(states, goals)) * bound
+        obs = observe(states, goals)
+        if len(controllers) == 1:
+            u_des = controllers[0][0](obs) * bound
         else:
-            u_des = np.zeros((n, 3))
-            for controller, ks in acting:
-                u_des[ks] = controller(observe(states[ks], goals[ks])) * bound
+            u_des = np.empty((n, 3))
+            for controller, members in controllers:
+                u_des[members] = controller(obs[members]) * bound
+        if idle.size:
+            u_des[idle] = 0.0
 
+        # The controllers' actions are in [-1, 1], so u_des is inside the actuator box.
+        u, active, slack = u_des, no_active, no_slack
         if spec.rta_enabled:
             decision = filter_actions(states, u_des, accel_est, spec.orbit,
                                       spec.rta_params, spec.vehicle, warm=warm)
-            warm, u, slacks = decision.active, decision.u_safe, decision.slacks
-            active = decision.fallback | (np.abs(u - u_des).max(axis=1) > INTERVENTION_TOL)
+            warm, u_safe, slacks = decision.active, decision.u_safe, decision.slacks
+            active = decision.fallback | (np.abs(u_safe - u_des).max(axis=1) > INTERVENTION_TOL)
             slack = np.concatenate([slacks[:, :n].min(axis=1, keepdims=True), slacks[:, n:]], 1)
-        else:
-            u, active, slack = u_des, no_active, no_slack
-        u = np.minimum(np.maximum(u, -bound), bound)  # the actuator box, whatever the filter returns
+            u = np.minimum(np.maximum(u_safe, -bound), bound)  # the actuator box, whatever it returns
+            accel_est = decision.drift + u / mass
 
         rows.append((states, u_des, u, active, slack, dist))
-
-        if spec.rta_enabled:
-            accel_est = decision.drift + u / mass
         try:
             states = propagate_cwh_zoh(states, u, dt, spec.orbit, spec.vehicle)
         except PropagationError:
@@ -315,8 +307,9 @@ def run(spec: ScenarioSpec):
     log = TrajectoryLog(t=np.arange(len(rows)) * dt, pos=state[..., :3],
                         vel=state[..., 3:], u_des=u_des, u=u, rta_active=active,
                         slack=slack, dist_goal=dist, control_dt=dt, mass=mass,
-                        targets_reached=targets_reached,
-                        completion_times=completion_times,
+                        targets_reached=reached.tolist(),
+                        completion_times=[None if on else t
+                                          for on, t in zip(live.tolist(), leg_start.tolist())],
                         aborted=aborted, timed_out=timed_out)
     return compute_metrics(log), log
 

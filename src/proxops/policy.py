@@ -214,7 +214,7 @@ def load_policy(path) -> MlpPolicy:
         if len(weights) != len(dims) - 1 or len(payload["biases"]) != len(weights):
             raise ValueError("layer count mismatch")
         policy = MlpPolicy(weights, payload["biases"], payload["log_std"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a JSON int past float range
         raise PolicyFileError(f"policy file {brief_path(path)} has inconsistent contents: {exc}") from exc
     n_in, *_, n_out = policy.layer_dims
     if (n_in, n_out) != (6, 3):  # observation and thrust sizes

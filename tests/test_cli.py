@@ -340,6 +340,49 @@ def test_negative_trials_exits_2():
     assert main(["baseline-stats", "--trials", "-1"]) == 2
 
 
+@pytest.mark.parametrize("trials", [10**18, 10**30])
+def test_trials_past_the_maximum_exit_2_without_files(tmp_path, capsys, trials):
+    # numpy refuses both counts with a traceback before allocating anything
+    out = tmp_path / "o"
+    assert main(["baseline-stats", "--trials", str(trials), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_trials must be at most 100000\n" and captured.out == ""
+    assert not out.exists()
+
+
+HUGE_INT = "1" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("key", ["control_dt", "sim_dt"])
+def test_an_oversized_config_integer_exits_2_without_files(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {HUGE_INT}}}')
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["weights", "biases", "log_std"])
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_an_oversized_policy_integer_exits_2_without_files(tmp_path, capsys, command, field):
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 8, 3)), ppath)
+    payload = json.loads(ppath.read_text())
+    (payload[field][0] if field != "log_std" else payload[field])[0] = "HUGE"
+    ppath.write_text(json.dumps(payload).replace('"HUGE"', HUGE_INT))
+    with pytest.raises(PolicyFileError, match="inconsistent contents"):
+        load_policy(ppath)
+    out = tmp_path / "o"
+    argv = (["run", "--scenario", "single", "--controller", f"policy:{ppath}"]
+            if command == "run" else ["train", "--steps", "0", "--resume", str(ppath)])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["baseline-stats", "--trials", "5", "--seed", "-1"],
     ["train", "--steps", "2048", "--seed", "-1"],

@@ -480,6 +480,57 @@ def test_halving_sim_dt_barely_moves_metrics(tmp_path):
     assert texts[0] == texts[1]
 
 
+def _replay_waypoints(spec, log):
+    """Waypoint acceptance replayed agent by agent with plain lists over
+    ``log.pos``: (dist_goal rows, targets reached, completion times, timed
+    out, most waypoints one agent accepted in one tick after t = 0)."""
+    n = len(spec.agents)
+    reached, done, leg_start = [0] * n, [None] * n, [0.0] * n
+    dist, most = [], 0
+    for i, t in enumerate(log.t.tolist()):
+        row = []
+        for k, agent in enumerate(spec.agents):
+            wps, before = agent.waypoints, reached[k]
+            while reached[k] < len(wps) and norms(log.pos[i, k] - wps[reached[k]]) <= spec.acceptance_radius:
+                reached[k] += 1
+                leg_start[k] = t
+                if reached[k] == len(wps):
+                    done[k] = t
+            most = max(most, reached[k] - before) if t > 0 else most
+            row.append(norms(log.pos[i, k] - wps[min(reached[k], len(wps) - 1)]))
+        dist.append(row)
+        open_legs = [s for s, d in zip(leg_start, done) if d is None]
+        ended = not open_legs or t - min(open_legs) >= spec.leg_timeout
+        assert ended == (i == len(log.t) - 1)
+    return np.array(dist), reached, done, bool(open_legs), most
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_waypoint_bookkeeping_matches_a_plain_replay(seed):
+    # Unequal queues of clustered waypoints, so one agent takes several in
+    # one tick, and a leg timeout short enough to end some runs early.
+    rng = np.random.default_rng(seed)
+    agents = []
+    for k in range(4):
+        waypoints = []
+        for _ in range(1 + k):
+            centre = rng.uniform(-150.0, 150.0, 3)
+            waypoints += [centre + rng.uniform(-0.5, 0.5, 3) for _ in range(rng.integers(1, 4))]
+        agents.append(AgentSpec(RelativeState(rng.uniform(-150.0, 150.0, 3), [0.0, 0, 0]),
+                                tuple(waypoints)))
+    agents.append(AgentSpec(RelativeState([0.0, 0, 0], [0, 0, 0]), ((0.0, 0, 0), (0.0, 0, 0))))
+    timeout = (80.0, 200.0, 500.0)[seed]
+    spec = ScenarioSpec(name="replay", agents=tuple(agents), leg_timeout=timeout)
+    report, log = run(spec)
+    dist, reached, done, timed_out, most = _replay_waypoints(spec, log)
+    assert dist.tobytes() == log.dist_goal.tobytes()
+    assert log.targets_reached == reached and log.completion_times == done
+    assert all(type(c) is float for c in done if c is not None)
+    assert report.timed_out == log.timed_out == timed_out
+    assert most >= 2 and done[-1] == 0.0
+    assert timed_out == (None in done) == (seed == 0)
+
+
 def test_leg_timeout_ends_the_run():
     agent = AgentSpec(RelativeState([0.0, 0, 0], [0, 0, 0]), ((0.0, 1000.0, 0),))
     spec = ScenarioSpec(name="x", agents=(agent,), leg_timeout=5.0)
@@ -679,6 +730,26 @@ def test_make_controller_choices(tmp_path):
         assert np.all(np.abs(action) <= 1.0)
     with pytest.raises(ValueError):
         make_controller("mystery", veh)
+
+
+def test_commands_times_a_thrust_bound_are_their_own_clamp(tmp_path):
+    # Without RTA the harness applies action * thrust_bound unclamped: the
+    # controllers' actions are in [-1, 1], so the product is inside the box
+    # bit for bit, also where the actions saturate and the bound is not 1.
+    veh = VehicleParams(thrust_bound=2.5)
+    rng = np.random.default_rng(0)
+    extremes = np.array(np.meshgrid(*[[-1e300, 0.0, 1e300]] * 6)).reshape(6, -1).T
+    obs = np.concatenate([extremes, rng.normal(size=(300, 6)) * np.logspace(-3, 3, 300)[:, None]])
+    path = tmp_path / "p.json"
+    weights = [rng.normal(0.0, 1e6, (8, 6)), rng.normal(0.0, 1e6, (3, 8))]
+    save_policy(MlpPolicy(weights, [np.zeros(8), np.zeros(3)]), path)
+    for choice in ("baseline", f"policy:{path}"):
+        with np.errstate(over="ignore"):  # squares of 1e300 positions overflow the distance
+            action = make_controller(choice, veh)(obs)
+        assert (action == 1.0).any() and (action == -1.0).any()
+        u = action * veh.thrust_bound
+        clamped = np.minimum(np.maximum(u, -veh.thrust_bound), veh.thrust_bound)
+        assert u.tobytes() == clamped.tobytes()
 
 
 def test_baseline_stats_empty_and_deterministic():
