@@ -33,9 +33,9 @@ from .policy import PolicyFileError, brief, brief_path, load_policy, save_policy
 from .training import TrainerConfig, curve_rows, train
 
 CONFIG_TYPES = {"scenario": str, "rta": str, "controller": str, "seed": int,
-                "control_dt": (int, float), "sim_dt": (int, float)}
+                "control_dt": (int, float)}
 DEFAULT_CONFIG = {"scenario": "single", "rta": "off", "controller": "baseline",
-                  "seed": 0, "control_dt": 1.0, "sim_dt": 0.1}
+                  "seed": 0, "control_dt": 1.0}
 MAX_TRIALS = 100_000
 """Most ``baseline-stats --trials``: 100,000 lock-step episodes peak near 93 MB of memory."""
 
@@ -111,11 +111,11 @@ def cmd_run(args) -> int:
             spec,
             agents=tuple(dataclasses.replace(a, controller=cfg["controller"])
                          for a in spec.agents),
-            control_dt=float(cfg["control_dt"]), sim_dt=float(cfg["sim_dt"]))
+            control_dt=float(cfg["control_dt"]))
         make_controller(cfg["controller"], spec.vehicle)  # fail fast
         os.makedirs(args.out, exist_ok=True)
     # JSON errors are ValueErrors; float() of a JSON integer past the float range overflows
-    except (KeyError, ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'baseline' or 'policy:<path>'")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--control-dt", type=float, dest="control_dt")
-    p_run.add_argument("--sim-dt", type=float, dest="sim_dt")
     p_run.add_argument("--out", default="proxops-out")
     p_run.set_defaults(func=cmd_run)
 

@@ -26,9 +26,6 @@ R_EARTH = 6378137.0
 DEFAULT_SEMI_MAJOR_AXIS = 6878137.0
 """Chief circular orbit radius used by default (about 500 km altitude), m."""
 
-DEFAULT_SUBSTEP = 0.1
-"""Default RK4 step for relative-motion propagation, s."""
-
 DEFAULT_INERTIAL_SUBSTEP = 1.0
 """Default RK4 step for inertial propagation, s."""
 
@@ -146,27 +143,23 @@ def _rk4(deriv, state, h, substeps: int) -> tuple:
     return x, y, z, vx, vy, vz
 
 
-def _rk4_steps(dt: float, substeps: int | None, default_substep: float) -> int:
+def _check_rk4_steps(dt: float, substeps: int) -> None:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if substeps is None:
-        substeps = max(1, int(round(dt / default_substep)))
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
-    return substeps
 
 
 def propagate_cwh(state: RelativeState, u, dt: float, orbit: ChiefOrbit,
-                  veh: VehicleParams, substeps: int | None = None) -> RelativeState:
+                  veh: VehicleParams, substeps: int) -> RelativeState:
     """Propagate the CWH dynamics for ``dt`` > 0 seconds under thrust ``u`` (N)
-    held constant, by ``substeps`` >= 1 classical RK4 steps (when omitted, of
-    about DEFAULT_SUBSTEP each).  Scenarios and episodes step with the exact
-    map :func:`propagate_cwh_zoh`; tests check that map and the closed form
-    against this integrator.
+    held constant, by ``substeps`` >= 1 classical RK4 steps.  Scenarios and
+    episodes step with the exact map :func:`propagate_cwh_zoh`; tests check
+    that map and the closed form against this integrator.
 
     Raises PropagationError if the propagated state stops being finite.
     """
-    substeps = _rk4_steps(dt, substeps, DEFAULT_SUBSTEP)
+    _check_rk4_steps(dt, substeps)
     n, inv_m = orbit.mean_motion, 1.0 / veh.mass
     n2 = n * n
     ax_u, ay_u, az_u = (v * inv_m for v in np.asarray(u, dtype=float).tolist())
@@ -271,7 +264,9 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
     Raises PropagationError if the trajectory leaves the valid domain
     (non-finite values or descent below the body radius).
     """
-    substeps = _rk4_steps(dt, substeps, DEFAULT_INERTIAL_SUBSTEP)
+    if substeps is None:
+        substeps = max(1, int(round(dt / DEFAULT_INERTIAL_SUBSTEP)))
+    _check_rk4_steps(dt, substeps)
     j2_on = orbit.j2_enabled
     j2k = -1.5 * J2_EARTH * MU_EARTH * R_EARTH**2
 

@@ -68,9 +68,9 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A scenario's agents and settings.  ``sim_dt`` must be finite, positive
-    and at most ``control_dt``, so configurations naming it still load, but
-    nothing reads it: each tick is one exact zero-order-hold step."""
+    """A scenario's agents and settings.  Each tick is one exact
+    zero-order-hold step of ``control_dt``; ``sim_dt`` is read by nothing and
+    is kept only for the benchmark's tests, which compare every field."""
 
     name: str
     agents: tuple
@@ -86,11 +86,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
-        if not (math.isfinite(self.control_dt) and math.isfinite(self.sim_dt)
-                and self.control_dt > 0.0 and self.sim_dt > 0.0):
-            raise ValueError("time steps must be finite and positive")
-        if self.sim_dt > self.control_dt:
-            raise ValueError("sim_dt must not exceed control_dt")
+        if not (math.isfinite(self.control_dt) and self.control_dt > 0.0):
+            raise ValueError("control_dt must be finite and positive")
         if not (math.isfinite(self.acceptance_radius) and self.acceptance_radius > 0.0):
             raise ValueError("acceptance radius must be finite and positive")
         ticks = self.leg_timeout / self.control_dt
@@ -206,7 +203,7 @@ def builtin_scenario(name: str, rta_enabled: bool | None = None) -> ScenarioSpec
         return single_agent_passes(bool(rta_enabled))
     if name == "standoff":
         return three_agent_standoff(True if rta_enabled is None else rta_enabled)
-    raise KeyError(f"unknown scenario {brief(name)}")
+    raise ValueError(f"unknown scenario {brief(name)}")
 
 
 def make_controller(choice: str, vehicle: VehicleParams):

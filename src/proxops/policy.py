@@ -22,6 +22,9 @@ POLICY_VERSION = 1
 DEFAULT_LAYER_DIMS = (6, 64, 64, 3)
 INIT_LOG_STD = -0.7
 """Log standard deviation of a fresh policy's exploration noise."""
+WEIGHT_LIMIT = 1e150
+"""Largest weight or bias magnitude a policy file may hold: every layer's sums
+then stay finite for observations below about 1e157 and any layer width."""
 
 # PD baseline gains.  The commanded speed toward a goal d metres away is
 # min(BASELINE_KP / BASELINE_KV * d, BASELINE_SPEED_CAP, the reward's speed
@@ -211,11 +214,14 @@ def load_policy(path) -> MlpPolicy:
             raise ValueError(f"layer_dims entries must be positive integers, got {brief(dims)}")
         weights = [np.asarray(flat, dtype=float).reshape(n_out, n_in)
                    for flat, n_in, n_out in zip(payload["weights"], dims[:-1], dims[1:])]
-        if len(weights) != len(dims) - 1 or len(payload["biases"]) != len(weights):
+        if len(payload["weights"]) != len(dims) - 1 or len(payload["biases"]) != len(weights):
             raise ValueError("layer count mismatch")
         policy = MlpPolicy(weights, payload["biases"], payload["log_std"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a JSON int past float range
         raise PolicyFileError(f"policy file {brief_path(path)} has inconsistent contents: {exc}") from exc
+    if any((np.abs(a) > WEIGHT_LIMIT).any() for a in (*policy.weights, *policy.biases)):
+        raise PolicyFileError(f"policy file {brief_path(path)} holds a weight or bias beyond "
+                              f"{WEIGHT_LIMIT:g} in magnitude")
     n_in, *_, n_out = policy.layer_dims
     if (n_in, n_out) != (6, 3):  # observation and thrust sizes
         raise PolicyFileError(f"policy file {brief_path(path)} maps {n_in} inputs to {n_out} "

@@ -107,16 +107,16 @@ def gaussian_logp(z: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.nd
     return _gaussian_terms(z, mean, log_std)[3]
 
 
-def gae(rewards, values, next_values, statuses, discount: float, lam: float,
-        streams: int) -> np.ndarray:
-    """Generalized advantage estimates of tick-major transitions: row i + streams
-    is row i's env stream one tick on.  Each stream's recursion runs backwards
-    alone and restarts after every episode end; only a TIMEOUT end (a budget
-    truncation) still bootstraps from the next value."""
+def gae(rewards, values, next_values, statuses, streams: int) -> np.ndarray:
+    """Generalized advantage estimates (DISCOUNT, GAE_LAMBDA) of tick-major
+    transitions: row i + streams is row i's env stream one tick on.  Each
+    stream's recursion runs backwards alone and restarts after every episode
+    end; only a TIMEOUT end (a budget truncation) still bootstraps from the
+    next value."""
     ended = statuses != RUNNING
     bootstrap = ~ended | (statuses == TIMEOUT)
-    deltas = rewards + discount * next_values * bootstrap - values
-    decays = discount * lam * ~ended
+    deltas = rewards + DISCOUNT * next_values * bootstrap - values
+    decays = DISCOUNT * GAE_LAMBDA * ~ended
     n = len(deltas)
     adv = np.zeros(n + streams)  # zeros past the batch end
     for lo in reversed(range(0, n, streams)):
@@ -354,7 +354,7 @@ def _train_policy(cfg: TrainerConfig, rng: np.random.Generator, policy: MlpPolic
         predicted = worker.submit(_value_predict, b_obs, next_obs)
         logp_old = gaussian_logp(z, mean, log_std)
         values, next_values = _result(predicted)
-        adv = gae(rew, values, next_values, status, DISCOUNT, GAE_LAMBDA, N_STREAMS)
+        adv = gae(rew, values, next_values, status, N_STREAMS)
         v_target = adv + values
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         orders = [rng.permutation(n) for _ in range(EPOCHS_PER_BATCH)]

@@ -188,7 +188,6 @@ def test_criterion_06_experiment2_no_rta():
         solo_spec = ScenarioSpec(name="solo", agents=(agent,),
                                  rta_enabled=False,
                                  control_dt=standoff.control_dt,
-                                 sim_dt=standoff.sim_dt,
                                  acceptance_radius=standoff.acceptance_radius,
                                  leg_timeout=standoff.leg_timeout)
         _, solo = run(solo_spec)

@@ -33,11 +33,12 @@ def test_unknown_scenario_flag_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_unknown_scenario_in_config_exits_2_without_files(tmp_path):
+def test_unknown_scenario_in_config_exits_2_without_files(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "mystery"}))
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown scenario 'mystery'\n"
     assert not out.exists()
 
 
@@ -99,9 +100,9 @@ def test_a_long_path_is_named_once_in_a_short_error_line(tmp_path, capsys, flag,
 def test_integer_time_steps_in_config_run_as_floats(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"control_dt": 1, "sim_dt": 1}))
+    cfg.write_text(json.dumps({"control_dt": 1}))
     assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["run", "--control-dt", "1", "--sim-dt", "1", "--out", str(b)]) == 0
+    assert main(["run", "--control-dt", "1", "--out", str(b)]) == 0
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
 
@@ -468,11 +469,11 @@ def test_a_failed_training_run_exits_1_with_one_error_line(tmp_path, capsys, mon
 @pytest.mark.parametrize("flags", [
     ["--control-dt", "nan"],
     ["--control-dt", "inf"],
-    ["--sim-dt", "nan"],
-    ["--control-dt", "1e7"],             # one tick longer than the 500 s leg
-    ["--control-dt", "1e-6", "--sim-dt", "1e-6"],    # 5e8 ticks per leg
-    ["--control-dt", "0.004", "--sim-dt", "0.004"],  # 125,000 ticks, above the maximum
-    ["--control-dt", "1", "--sim-dt", "2"],
+    ["--control-dt", "-1"],
+    ["--control-dt", "1e7"],    # one tick longer than the 500 s leg
+    ["--control-dt", "1e-6"],   # 5e8 ticks per leg
+    ["--control-dt", "0.004"],  # 125,000 ticks, above the maximum
+    ["--control-dt", "0"],
 ])
 def test_bad_time_steps_exit_2_without_files(tmp_path, capsys, flags):
     out = tmp_path / "o"
@@ -487,8 +488,8 @@ def _reject_constant(token):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--control-dt", "200"],  # 2.5 ticks per leg; sim_dt is not read
-    ["--sim-dt", "0.3"],      # need not divide control_dt
+    ["--control-dt", "200"],  # 2.5 ticks per leg
+    ["--control-dt", "0.7"],  # need not divide the leg
 ])
 def test_time_steps_only_bound_the_ticks_per_leg(tmp_path, flags):
     out = tmp_path / "o"
@@ -498,22 +499,53 @@ def test_time_steps_only_bound_the_ticks_per_leg(tmp_path, flags):
     assert (out / "trajectory.csv").exists()
 
 
-def test_dividing_time_steps_run(tmp_path):
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("bad", ["extra-matrix", "huge-weights"])
+def test_a_policy_file_that_would_not_act_exits_2_without_files(tmp_path, capsys, bad, command):
+    ppath = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 3)), ppath)
+    payload = json.loads(ppath.read_text())
+    if bad == "extra-matrix":  # layer_dims [6, 3] describe one matrix
+        payload["weights"].append(["junk"])
+    else:
+        payload["weights"] = [[1e308, -1e308, 0.0, 0.0, 0.0, 0.0] * 3]
+    ppath.write_text(json.dumps(payload))
     out = tmp_path / "o"
-    assert main(["run", "--scenario", "single", "--control-dt", "0.3",
-                 "--sim-dt", "0.1", "--out", str(out)]) == 0
-    config = json.loads((out / "config.json").read_text())
-    assert (config["control_dt"], config["sim_dt"]) == (0.3, 0.1)
-
-
-def test_unstable_sim_dt_exits_2_without_files(tmp_path, capsys):
-    # Each step is finite and positive, but one 1e7 s tick is longer than
-    # the whole 500 s leg.
-    out = tmp_path / "o"
-    assert main(["run", "--scenario", "single", "--control-dt", "1e7",
-                 "--sim-dt", "1e7", "--out", str(out)]) == 2
+    argv = (["run", "--scenario", "standoff", "--rta", "off", "--controller", f"policy:{ppath}"]
+            if command == "run" else ["train", "--steps", "0", "--resume", str(ppath)])
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: policy file ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_json_holds_the_five_run_settings(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--control-dt", "0.3", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text()) == {
+        "scenario": "single", "rta": "off", "controller": "baseline", "seed": 0,
+        "control_dt": 0.3}
+
+
+def test_a_tick_under_the_old_integration_step_runs(tmp_path):
+    # 0.05 s is below the retired 0.1 s RK4 step, which used to bound control_dt
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "single", "--control-dt", "0.05", "--out", str(out)]) == 0
+    metrics, _, config = (json.loads((out / name).read_text(), parse_constant=_reject_constant)
+                          for name in ("metrics.json", "plot_data.json", "config.json"))
+    assert metrics["aggregate"]["targets_reached"] == 4 and not metrics["aborted"]
+    assert config["control_dt"] == 0.05
+
+
+def test_the_retired_sim_dt_exits_2_without_files(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim_dt": 0.1}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'sim_dt'\n"
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        main(["run", "--sim-dt", "0.1", "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

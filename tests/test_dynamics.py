@@ -179,9 +179,9 @@ def test_zoh_map_is_cached_and_read_only():
 def test_propagate_rejects_bad_arguments():
     st = RelativeState([0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
-        propagate_cwh(st, [0, 0, 0], 0.0, ORBIT, VEH)
+        propagate_cwh(st, [0, 0, 0], 0.0, ORBIT, VEH, substeps=1)
     with pytest.raises(ValueError):
-        propagate_cwh(st, [0, 0, 0], -1.0, ORBIT, VEH)
+        propagate_cwh(st, [0, 0, 0], -1.0, ORBIT, VEH, substeps=1)
     with pytest.raises(ValueError):
         propagate_cwh(st, [0, 0, 0], 1.0, ORBIT, VEH, substeps=0)
 

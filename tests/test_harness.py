@@ -67,14 +67,15 @@ def test_standoff_scenario_shape():
 def test_builtin_scenario_lookup():
     assert builtin_scenario("single").name == "single"
     assert builtin_scenario("standoff", rta_enabled=False).rta_enabled is False
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         builtin_scenario("nope")
 
 
 def test_spec_validation():
     agent = AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ((1.0, 0, 0),))
-    with pytest.raises(ValueError):
-        ScenarioSpec(name="x", agents=(agent,), control_dt=0.5, sim_dt=1.0)
+    for control_dt in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="control_dt must be finite and positive"):
+            ScenarioSpec(name="x", agents=(agent,), control_dt=control_dt)
     with pytest.raises(ValueError):
         ScenarioSpec(name="x", agents=())
     with pytest.raises(ValueError):
@@ -87,11 +88,10 @@ def test_spec_validation():
 
 def test_ticks_per_leg_and_their_maximum():
     agent = AgentSpec(RelativeState([0, 0, 0], [0, 0, 0]), ((1.0, 0, 0),))
-    for control_dt, sim_dt, leg_timeout in ((0.3, 0.1, 500.0), (1.0, 0.3, 500.0),
-                                            (500.0, 0.1, 500.0),
-                                            (1.0, 1.0, float(MAX_TICKS_PER_LEG))):
-        ScenarioSpec(name="x", agents=(agent,), control_dt=control_dt,
-                     sim_dt=sim_dt, leg_timeout=leg_timeout)
+    # 0.05 s is below the retired 0.1 s integration step, which bounded control_dt
+    for control_dt, leg_timeout in ((0.3, 500.0), (0.05, 500.0), (500.0, 500.0),
+                                    (1.0, float(MAX_TICKS_PER_LEG))):
+        ScenarioSpec(name="x", agents=(agent,), control_dt=control_dt, leg_timeout=leg_timeout)
     # 1e-6 s ticks would take 5e8 ticks per 500 s leg; the other legs take
     # under one tick, over the maximum, or NaN ticks.
     for control_dt, leg_timeout in ((1e-6, 500.0), (1.0, MAX_TICKS_PER_LEG + 1.0),
@@ -99,7 +99,7 @@ def test_ticks_per_leg_and_their_maximum():
                                     (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError, match="ticks per leg"):
             ScenarioSpec(name="x", agents=(agent,), control_dt=control_dt,
-                         sim_dt=min(control_dt, 0.1), leg_timeout=leg_timeout)
+                         leg_timeout=leg_timeout)
 
 
 def test_all_waypoints_already_inside_finish_at_time_zero():
@@ -172,7 +172,6 @@ def _assert_agents_match_their_solo_runs(standoff):
         solo_spec = ScenarioSpec(name="solo", agents=(agent,),
                                  rta_enabled=False,
                                  control_dt=standoff.control_dt,
-                                 sim_dt=standoff.sim_dt,
                                  acceptance_radius=standoff.acceptance_radius,
                                  leg_timeout=standoff.leg_timeout)
         _, solo = run(solo_spec)

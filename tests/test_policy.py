@@ -18,6 +18,7 @@ from proxops.policy import (
     MlpPolicy,
     PolicyFileError,
     UnsupportedPolicyVersion,
+    WEIGHT_LIMIT,
     baseline_act,
     load_policy,
     mlp_forward,
@@ -252,3 +253,39 @@ def test_load_policy_rejects_layer_dims_that_are_not_positive_integers(tmp_path,
     path.write_text(json.dumps(payload))
     with pytest.raises(PolicyFileError, match="positive integers"):
         load_policy(path)
+
+
+def test_load_policy_refuses_more_weight_matrices_than_layer_dims(tmp_path):
+    # a 6-3 file with a second weights entry; zip over layer_dims used to drop it unread
+    path = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 3)), path)
+    payload = json.loads(path.read_text())
+    payload["weights"].append(["junk"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFileError, match="layer count"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("field", ["weights", "biases"])
+def test_load_policy_refuses_parameters_past_the_weight_limit(tmp_path, field):
+    # weights of +-1e308 overflowed the matmul and turned commands into NaN
+    path = tmp_path / "p.json"
+    save_policy(MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 3)), path)
+    payload = json.loads(path.read_text())
+    payload[field][0] = [1e308, -1e308] + payload[field][0][2:]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PolicyFileError, match="beyond 1e[+]150"):
+        load_policy(path)
+
+
+def test_parameters_at_the_weight_limit_act_finitely(tmp_path):
+    policy = MlpPolicy.initialize(np.random.default_rng(0), layer_dims=(6, 64, 3))
+    for w, b in zip(policy.weights, policy.biases):
+        w[:] = np.where(w < 0.0, -WEIGHT_LIMIT, WEIGHT_LIMIT)
+        b[:] = WEIGHT_LIMIT
+    path = tmp_path / "p.json"
+    save_policy(policy, path)
+    loaded = load_policy(path)
+    obs = np.array([np.zeros(6), observe(np.zeros(6), [200.0, 0.0, 0.0]),
+                    np.full(6, 1e156), np.full(6, -1e156)])
+    assert np.isfinite(policy_act(loaded, obs)).all()  # with no overflow warning

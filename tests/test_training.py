@@ -276,7 +276,7 @@ def test_gae_runs_the_scalar_recursion_on_each_stream(n):
     statuses[[2, 7], 3] = [Status.TIMEOUT, Status.REACHED]
     flat = [a.reshape(-1)[:n] for a in (rewards, values, next_values, statuses)]
     adv = np.full(ticks * streams, np.nan)
-    adv[:n] = gae(*flat, 0.99, 0.95, streams)
+    adv[:n] = gae(*flat, streams)  # the recipe's DISCOUNT 0.99 and GAE_LAMBDA 0.95
     adv = adv.reshape(ticks, streams)
     for k in range(streams):
         t_end = ticks if k < n - (ticks - 1) * streams else ticks - 1
