@@ -144,8 +144,8 @@ def _rk4(deriv, state, h, substeps: int) -> tuple:
 
 
 def _check_rk4_steps(dt: float, substeps: int) -> None:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be finite and positive")
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
 
@@ -182,11 +182,14 @@ def cwh_zoh(dt: float, orbit: ChiefOrbit, veh: VehicleParams) -> np.ndarray:
     Phi and Gamma are the top rows of the exponential of [[A, B/m], [0, 0]] dt
     (Van Loan 1978): scaled to 1-norm 1/2 or less, 18 Taylor terms, squared back.
     """
-    return _zoh_map(dt, orbit.mean_motion, veh.mass)
+    return _zoh_map(dt, orbit.mean_motion, veh.mass)[0]
 
 
 @functools.lru_cache(maxsize=16)
-def _zoh_map(dt: float, n: float, mass: float) -> np.ndarray:
+def _zoh_map(dt: float, n: float, mass: float) -> tuple:
+    """The map G of :func:`cwh_zoh` and the step's input limit: inputs no
+    larger in magnitude give products of at most 1e300, so every step whose
+    inputs pass is finite and raises no floating-point warning."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be finite and positive")
     aug = np.zeros((9, 9))  # d/dt [x, u] = aug [x, u]: velocity, CWH drift plus u/m, u held
@@ -202,22 +205,25 @@ def _zoh_map(dt: float, n: float, mass: float) -> np.ndarray:
         out = out @ out
     out = np.ascontiguousarray(out[:6].T)
     out.flags.writeable = False  # one cached array serves every caller
-    return out
+    return out, 1e300 / max(1.0, float(np.abs(out).sum(axis=0).max()))
 
 
 def propagate_cwh_zoh(states: np.ndarray, u: np.ndarray, dt: float,
                       orbit: ChiefOrbit, veh: VehicleParams) -> np.ndarray:
     """Exact CWH step (:func:`cwh_zoh`) of each row of ``states`` (K, 6) under
-    its held thrust ``u`` (K, 3), N; raises PropagationError on a non-finite
-    result.  Rows go through the map as one-row products, so each gets the
-    bits it would get alone (a (K, 9) matrix product rounds differently per K).
+    its held thrust ``u`` (K, 3), N.  Rows go through the map as one-row
+    products, so each gets the bits it would get alone (a (K, 9) matrix
+    product rounds differently per K).
+
+    Raises PropagationError before stepping when a state or thrust entry is
+    NaN or larger in magnitude than the map's input limit (about 4e299 at
+    dt = 1 s), so every result is finite and no step warns.
     """
     xu = np.concatenate([states, u], axis=-1)[..., None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        out = (xu @ _zoh_map(dt, orbit.mean_motion, veh.mass))[..., 0, :]
-    if not np.isfinite(out).all():
-        raise PropagationError("relative-motion propagation diverged to non-finite state")
-    return out
+    zoh, limit = _zoh_map(dt, orbit.mean_motion, veh.mass)
+    if not np.abs(xu).max(initial=0.0) <= limit:  # NaN fails the comparison too
+        raise PropagationError("relative-motion step input is NaN or past the step's limit")
+    return (xu @ zoh)[..., 0, :]
 
 
 def cwh_closed_form(state: RelativeState, dt: float, orbit: ChiefOrbit) -> RelativeState:
@@ -264,9 +270,9 @@ def propagate_inertial(state: InertialState, dt: float, orbit: ChiefOrbit,
     Raises PropagationError if the trajectory leaves the valid domain
     (non-finite values or descent below the body radius).
     """
+    _check_rk4_steps(dt, 1 if substeps is None else substeps)
     if substeps is None:
         substeps = max(1, int(round(dt / DEFAULT_INERTIAL_SUBSTEP)))
-    _check_rk4_steps(dt, substeps)
     j2_on = orbit.j2_enabled
     j2k = -1.5 * J2_EARTH * MU_EARTH * R_EARTH**2
 

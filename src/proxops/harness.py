@@ -40,6 +40,9 @@ HARNESS_ACCEPTANCE_RADIUS = 15.0
 MAX_TICKS_PER_LEG = 100_000
 """Most control ticks (leg_timeout / control_dt) one waypoint leg may take."""
 
+CSV_BLOCK_TICKS = 64
+"""Ticks of the trajectory log that :func:`write_csv` formats and writes at once."""
+
 CSV_HEADER = ("t,agent,rx,ry,rz,vx,vy,vz,ux_des,uy_des,uz_des,ux,uy,uz,"
               "rta_active,slack_pos,slack_vel,slack_acc,slack_u1,slack_u2,"
               "slack_u3,dist_goal")
@@ -342,20 +345,32 @@ def write_csv(log: TrajectoryLog, path) -> None:
     Rows are tick-major and end in CRLF, as ``csv.writer`` writes them; every
     float is written as ``repr`` of its Python float, the agent index and
     ``rta_active`` as integers.  No field needs quoting, so a row is one line.
-    A thrust bit-equal to its command, and six +0.0 slacks, reuse their text.
+    A thrust value bit-equal to its command reuses the command's text, and a
+    +0.0 slack writes "0.0".  Each block of ``CSV_BLOCK_TICKS`` ticks formats
+    its columns once and goes out in one write, which keeps memory small.
     """
-    state = np.concatenate([log.pos, log.vel], axis=-1)
-    same_u = (log.u.view(np.int64) == log.u_des.view(np.int64)).all(axis=-1)
-    zero_slack = ~log.slack.view(np.int64).any(axis=-1)
-    cols = (state, log.u_des, log.u, same_u, log.rta_active, log.slack, zero_slack, log.dist_goal)
+    agents = [str(k) for k in range(log.n_agents)]
+    flags = ("0", "1")
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\r\n")
-        for i, t in enumerate(log.t.tolist()):  # one tick at a time keeps memory small
-            for k, (x, ud, u, same, a, s, zero, d) in enumerate(zip(*(c[i].tolist() for c in cols))):
-                ud = ",".join(map(repr, ud))
-                fh.write(f"{t!r},{k},{','.join(map(repr, x))},{ud},"
-                         f"{ud if same else ','.join(map(repr, u))},{a:d},"
-                         f"{'0.0,0.0,0.0,0.0,0.0,0.0' if zero else ','.join(map(repr, s))},{d!r}\r\n")
+        for i in range(0, len(log.t), CSV_BLOCK_TICKS):
+            block = slice(i, i + CSV_BLOCK_TICKS)
+            ticks = log.t[block].tolist()
+            pos, vel, u_des, u, slack = (a[block].reshape(-1, a.shape[-1]) for a in
+                                         (log.pos, log.vel, log.u_des, log.u, log.slack))
+            u_des_text = [list(map(repr, c)) for c in u_des.T.tolist()]
+            same = (u.view(np.int64) == u_des.view(np.int64)).T.tolist()
+            zero = (slack.view(np.int64) == 0).T.tolist()
+            columns = (
+                [text for text in map(repr, ticks) for _ in agents], agents * len(ticks),
+                *(map(repr, c) for a in (pos, vel) for c in a.T.tolist()),
+                *u_des_text,
+                *([d if s else repr(x) for d, s, x in zip(*c)]
+                  for c in zip(u_des_text, same, u.T.tolist())),
+                map(flags.__getitem__, log.rta_active[block].ravel().tolist()),
+                *(["0.0" if z else repr(x) for z, x in zip(*c)] for c in zip(zero, slack.T.tolist())),
+                map(repr, log.dist_goal[block].ravel().tolist()))
+            fh.write("".join([row + "\r\n" for row in map(",".join, zip(*columns))]))
 
 
 def pair_distances(log: TrajectoryLog) -> dict:

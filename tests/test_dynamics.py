@@ -192,6 +192,43 @@ def test_propagate_flags_numerical_blowup():
         propagate_cwh(st, [1e308, 0, 0], 10.0, ORBIT, VEH, substeps=2)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_rk4_oracles_reject_a_non_finite_dt(dt):
+    # One ValueError, before any RK4 step or default substep count.
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        propagate_cwh(RelativeState([1, 0, 0], [0, 0, 0]), [0, 0, 0], dt, ORBIT, VEH, substeps=1)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        propagate_inertial(circular_chief_state(ORBIT), dt, ORBIT)
+
+
+def _stacked_product(states, u, dt):
+    xu = np.concatenate([states, u], axis=-1)[..., None, :]
+    return (xu @ cwh_zoh(dt, ORBIT, VEH))[..., 0, :]
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_step_input_limit():
+    # Inputs up to the map's limit step silently to finite results; one
+    # entry past it, NaN or infinite raises before the product.
+    limit = dynamics._zoh_map(1.0, N, VEH.mass)[1]
+    assert 1e299 < limit < 1e300
+    assert dynamics._zoh_map(500.0, N, VEH.mass)[1] >= 1e294
+    rng = np.random.default_rng(11)
+    states, u = rng.choice([-1e200, 1e200], (4, 6)), rng.choice([-1e200, 1e200], (4, 3))
+    stepped = propagate_cwh_zoh(states, u, 1.0, ORBIT, VEH)
+    assert stepped.tobytes() == _stacked_product(states, u, 1.0).tobytes()
+    assert np.isfinite(propagate_cwh_zoh(np.full((2, 6), limit), np.full((2, 3), -limit),
+                                         1.0, ORBIT, VEH)).all()
+    past = math.nextafter(limit, math.inf)
+    for bad in (past, -past, math.nan, math.inf, -math.inf):
+        for column in (2, 7):  # a state entry, then a thrust entry
+            xu = np.zeros((3, 9))
+            xu[1, column] = bad
+            with pytest.raises(PropagationError):
+                propagate_cwh_zoh(xu[:, :6], xu[:, 6:], 1.0, ORBIT, VEH)
+    assert propagate_cwh_zoh(np.zeros((0, 6)), np.zeros((0, 3)), 1.0, ORBIT, VEH).shape == (0, 6)
+
+
 def test_mean_motion_consistency_is_enforced():
     # The mean motion is derived from the radius, so it cannot disagree with it.
     assert ChiefOrbit().mean_motion == math.sqrt(MU_EARTH / DEFAULT_SEMI_MAJOR_AXIS**3)

@@ -16,6 +16,7 @@ from proxops.dynamics import (
 )
 from proxops.env import EpisodeConfig, norms
 from proxops.harness import (
+    CSV_BLOCK_TICKS,
     CSV_HEADER,
     MAX_TICKS_PER_LEG,
     AgentSpec,
@@ -660,6 +661,38 @@ def test_csv_bytes_match_the_csv_module_on_a_blown_up_run(tmp_path):
     write_csv(log, tmp_path / "fast.csv")
     _reference_csv(log, tmp_path / "reference.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_csv_bytes_match_the_csv_module_at_block_edges(tmp_path):
+    # The ticks on both sides of each block edge, and a last block of one
+    # tick, hold special floats, thrust bit-equal to its command, +0.0 against
+    # -0.0 thrust, and -0.0 slacks; the ticks between them are random.
+    ticks, n_agents = 2 * CSV_BLOCK_TICKS + 1, 3
+    edges = [CSV_BLOCK_TICKS - 1, CSV_BLOCK_TICKS, 2 * CSV_BLOCK_TICKS - 1, 2 * CSV_BLOCK_TICKS]
+    rng = np.random.default_rng(35)
+
+    def column(*shape):
+        out = rng.normal(size=(ticks, n_agents, *shape)) * 1e3
+        out[edges] = np.resize(np.array(SPECIAL_FLOATS), (len(edges), n_agents, *shape))
+        return out
+
+    log = TrajectoryLog(
+        t=np.arange(ticks) * 0.1, pos=column(3), vel=column(3), u_des=column(3), u=column(3),
+        rta_active=rng.random((ticks, n_agents)) < 0.5, slack=np.zeros((ticks, n_agents, 6)),
+        dist_goal=column(), control_dt=0.1, mass=12.0, targets_reached=[0] * n_agents,
+        completion_times=[None] * n_agents)
+    log.t[edges] = [1e16, -0.0, math.nan, 5e-324]
+    log.u[:, 0] = log.u_des[:, 0]  # bit-equal, NaNs included
+    log.u_des[edges, 1], log.u[edges, 1] = [0.5, -0.0, 0.0], [0.5, 0.0, -0.0]
+    log.slack[edges, 1, 4] = -0.0
+    log.slack[edges, 2] = column(6)[edges, 2]
+    write_csv(log, tmp_path / "fast.csv")
+    _reference_csv(log, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "reference.csv").read_bytes()
+    assert fast.count(b"\r\n") == ticks * n_agents + 1
+    for token in (b"1e+16,0,", b"-0.0,2,", b"nan,1,", b"5e-324,0,", b",inf,", b",-0.0,"):
+        assert token in fast
 
 
 def test_csv_writer_streams_one_tick_at_a_time(tmp_path):
